@@ -138,32 +138,6 @@ def opmat_poly_shift(coeffs, c) -> list:
     return out
 
 
-def opmat_poly_compose_linear(coeffs, a, b) -> list:
-    """Coefficients of M(a*u + b)."""
-    a, b = Scalar.of(a), Scalar.of(b)
-    scaled = []
-    apow = ONE
-    for mat in coeffs:
-        scaled.append(opmat_scale(mat, apow))
-        apow = apow * a
-    # now shift by b/a ... avoid division: expand (a u + b)^k directly
-    out = [dict() for _ in coeffs]
-    for k, mat in enumerate(coeffs):
-        # (a u + b)^k = sum_j C(k,j) a^j b^(k-j) u^j
-        bpow = ONE
-        for j in range(k, -1, -1):
-            apow = ONE
-            for _ in range(j):
-                apow = apow * a
-            factor = apow * bpow * comb(k, j)
-            if not factor.is_zero:
-                out[j] = opmat_add(out[j], opmat_scale(mat, factor))
-            bpow = bpow * b
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the L-operator container
 

@@ -1,4 +1,5 @@
-"""Case descriptors, invariant metric, fundamental R-matrix, YBE checker.
+"""Case descriptors, invariant metric, fundamental R-matrix, the RLL
+identity engine and the YBE checker built on it.
 
 Index conventions used everywhere in this package: the fundamental space
 of so(2m) / sp(2m) carries indices (-m, ..., -1, +1, ..., +m) and so(2m+1)
@@ -96,28 +97,42 @@ def tensor_p(case: CaseDescriptor) -> SparseOp:
     return SparseOp(case.n ** 2, case.n ** 2, data)
 
 
+def k_form(case: CaseDescriptor):
+    """K = |up><low| as two metric-sign maps {pair position: +-1}.
+
+    up[(a, -a)] = eps^{a,-a} and low[(b, -b)] = eps_{b,-b}.
+    """
+    up = {_flat2(case, a, -a): case.sign(-a) for a in case.indices}
+    low = {_flat2(case, b, -b): case.sign(b) for b in case.indices}
+    return up, low
+
+
 def tensor_k(case: CaseDescriptor) -> SparseOp:
     """K = eps^{a1 a2} eps_{b1 b2}, the metric rank-one projector times n."""
-    data = {}
-    for a in case.indices:
-        for b in case.indices:
-            val = case.metric_upper(a, -a) * case.metric_lower(b, -b)
-            data[(_flat2(case, a, -a), _flat2(case, b, -b))] = val
+    up, low = k_form(case)
+    data = {(x, y): Scalar.of(sx * sy) for x, sx in up.items() for y, sy in low.items()}
     return SparseOp(case.n ** 2, case.n ** 2, data)
 
 
 class RMatrix:
-    """Fundamental R-matrix R(u) = u(u+beta) I + (u+beta) P - eps u K.
+    """R(w) = f_I(w) I + f_P(w) P + f_K(w) K on the tensor square of V.
 
-    Stored as coefficient SparseOps by power of u; `entry` exposes the
-    UniPoly at a single multi-index.
+    `ipk` holds the three polynomials f_I, f_P, f_K as coefficient tuples
+    by power of w; `coeffs` are the matching SparseOps and `entry` exposes
+    the UniPoly at a single multi-index.
     """
 
-    __slots__ = ("case", "coeffs")
+    __slots__ = ("case", "ipk", "coeffs")
 
-    def __init__(self, case: CaseDescriptor, coeffs):
+    def __init__(self, case: CaseDescriptor, ipk):
         self.case = case
-        self.coeffs = tuple(coeffs)
+        self.ipk = tuple(tuple(Scalar.of(c) for c in f) for f in ipk)
+        size = case.n ** 2
+        ops = (tensor_i(case), tensor_p(case), tensor_k(case))
+        self.coeffs = tuple(
+            sum((op.scale(f[t]) for f, op in zip(self.ipk, ops) if t < len(f)),
+                SparseOp.zeros(size, size))
+            for t in range(max(map(len, self.ipk))))
 
     def entry(self, a_pair, b_pair) -> UniPoly:
         row = _flat2(self.case, *a_pair)
@@ -134,48 +149,159 @@ class RMatrix:
         return acc
 
 
+def fundamental_ipk(case: CaseDescriptor, flip_k: bool = False) -> tuple:
+    """(f_I, f_P, f_K) of R(w) = w(w+beta) I + (w+beta) P - eps w K."""
+    k_sign = Scalar.of(case.eps if flip_k else -case.eps)
+    return ((ZERO, case.beta, ONE), (case.beta, ONE), (ZERO, k_sign))
+
+
 def fundamental_r(case: CaseDescriptor, flip_k: bool = False) -> RMatrix:
     """The fundamental R-matrix; flip_k flips the K-term sign (a knowingly
     broken variant used as the YBE negative control)."""
-    i_op, p_op, k_op = tensor_i(case), tensor_p(case), tensor_k(case)
-    k_sign = Scalar.of(case.eps if flip_k else -case.eps)
-    lin = i_op.scale(case.beta) + p_op + k_op.scale(k_sign)
-    return RMatrix(case, [p_op.scale(case.beta), lin, i_op])
+    return RMatrix(case, fundamental_ipk(case, flip_k))
 
 
 # ---------------------------------------------------------------------------
-# Yang-Baxter check
+# the RLL identity engine (the Yang-Baxter equation is RLL with L = R)
 
 
-def _embed(case: CaseDescriptor, op: SparseOp, slots) -> SparseOp:
-    """Embed an operator on V x V into slots of V x V x V."""
-    n = case.n
-    data = {}
-    for (row, col), val in op.data.items():
-        i, j = divmod(row, n)
-        k, l = divmod(col, n)
+def slot_operator(n: int, entries, dim_w: int, slot: int) -> SparseOp:
+    """Embed an operator matrix into slot 1 or 2 of (V x V) x W.
+
+    `entries` yields (pa, pb, i, j, value): the (i, j) entry of the
+    operator on W at matrix position (pa, pb), positions counted from 0.
+    The flat index of (p1, p2, w) is (p1 * n + p2) * dim_w + w.
+    """
+    big = {}
+    for pa, pb, i, j, val in entries:
         for c in range(n):
-            if slots == (1, 2):
-                r = (i * n + j) * n + c
-                s = (k * n + l) * n + c
-            elif slots == (2, 3):
-                r = (c * n + i) * n + j
-                s = (c * n + k) * n + l
-            else:  # (1, 3)
-                r = (i * n + c) * n + j
-                s = (k * n + c) * n + l
-            data[(r, s)] = val
-    return SparseOp(n ** 3, n ** 3, data)
+            if slot == 1:
+                big[((pa * n + c) * dim_w + i, (pb * n + c) * dim_w + j)] = val
+            else:
+                big[((c * n + pa) * dim_w + i, (c * n + pb) * dim_w + j)] = val
+    size = n * n * dim_w
+    return SparseOp(size, size, big)
 
 
-def _difference_expansion(coeffs):
-    """Coefficients of R(u - v) as {(pow_u, pow_v): (sign*binom, t)} terms."""
-    out = []
-    for t in range(len(coeffs)):
-        for p in range(t + 1):
-            q = t - p
-            out.append((p, q, Scalar.of((-1) ** q * comb(t, p)), t))
+def _axpy(acc: dict, c, data: dict) -> None:
+    """acc += c * data entrywise, dropping the entries that cancel."""
+    neg = c == -1
+    if not neg and c != 1:
+        data = {key: val * c for key, val in data.items()}
+    for key, val in data.items():
+        cur = acc.get(key)
+        if cur is None:
+            acc[key] = -val if neg else val
+        else:
+            tot = cur - val if neg else cur + val
+            if tot:
+                acc[key] = tot
+            else:
+                del acc[key]
+
+
+def _k_apply(k, data: dict, dim_w: int, left: bool) -> dict:
+    """K times data (left) or data times K, K acting on the pair index."""
+    up, low = k
+    inner, outer = (low, up) if left else (up, low)
+    contracted: dict = {}
+    for (r, c), v in data.items():
+        pair, w = divmod(r if left else c, dim_w)
+        sign = inner.get(pair)
+        if sign is None:
+            continue
+        key = (w, c) if left else (r, w)
+        cur = contracted.get(key)
+        if cur is None:
+            contracted[key] = v if sign == 1 else -v
+        else:
+            tot = cur + v if sign == 1 else cur - v
+            if tot:
+                contracted[key] = tot
+            else:
+                del contracted[key]
+    out = {}
+    for (x, y), s in contracted.items():
+        neg = -s
+        for pair, sign in outer.items():
+            key = (pair * dim_w + x, y) if left else (x, pair * dim_w + y)
+            out[key] = s if sign == 1 else neg
     return out
+
+
+def identity_residual(ipk, c1, c2, cols, n: int, k=None):
+    """Residual of R12(u-v) L1(u) L2(v) - L2(v) L1(u) R12(u-v) by (u, v) key.
+
+    R(w) = f_I(w) I + f_P(w) P + f_K(w) K acts on the pair of (V x V) x W;
+    `ipk` = (f_I, f_P, f_K) as coefficient tuples by power of w, `k` the
+    `k_form` of K (needed when f_K is nonzero).  `c1` and `c2` list the
+    coefficients of L1(u) and L2(v) as slot operators (`slot_operator`).
+    Only the columns `cols` are compared, exactly.
+
+    For each (i, j) the products C1_i C2_j and C2_j C1_i are formed once,
+    then D_X = X C1_i C2_j - C2_j C1_i X once for X in {I, P, K}; the sum
+    over X of f_X[t] D_X is expanded over (u - v)^t into one residual.
+
+    Returns (residual, keys): residual maps each (deg_u, deg_v) key whose
+    coefficient does not vanish to its entries {(row, col): Scalar}, and
+    keys is the number of (u, v) keys compared.
+    """
+    dim = c1[0].nrows
+    dim_w = dim // (n * n)
+    swap = []
+    for r in range(dim):
+        pair, w = divmod(r, dim_w)
+        p1, p2 = divmod(pair, n)
+        swap.append((p2 * n + p1) * dim_w + w)
+    actions = (  # (X times data, data times X) for X = I, P, K; left ones copy
+        (dict, lambda d: d),
+        (lambda d: {(swap[r], c): v for (r, c), v in d.items()},
+         lambda d: {(r, swap[c]): v for (r, c), v in d.items()}),
+        (lambda d: _k_apply(k, d, dim_w, True), lambda d: _k_apply(k, d, dim_w, False)),
+    )
+    # per power t of w: the pairs (f_X[t], X) with f_X[t] != 0
+    terms = [[(f[t], x) for x, f in enumerate(ipk) if t < len(f) and f[t]]
+             for t in range(max(map(len, ipk)))]
+    used = sorted({x for t_terms in terms for _, x in t_terms})
+    keep = set(cols)
+    c1r = [op.restrict_cols(keep) for op in c1]
+    c2r = [op.restrict_cols(keep) for op in c2]
+
+    residual: dict = {}
+    keys = set()
+    for i, a in enumerate(c1):
+        for j, b in enumerate(c2):
+            if a.is_zero or b.is_zero:
+                continue
+            left, right = (a @ c2r[j]).data, (b @ c1r[i]).data
+            diffs = {}
+            for x in used:
+                diffs[x] = actions[x][0](left)
+                _axpy(diffs[x], -1, actions[x][1](right))
+            for t, t_terms in enumerate(terms):
+                diff: dict = {}
+                for f, x in t_terms:
+                    _axpy(diff, f, diffs[x])
+                for p in range(t + 1 if t_terms else 0):
+                    key = (i + p, j + t - p)
+                    keys.add(key)
+                    if diff:
+                        _axpy(residual.setdefault(key, {}), (-1) ** (t - p) * comb(t, p), diff)
+    return {key: entries for key, entries in residual.items() if entries}, len(keys)
+
+
+def first_violation(residual: dict):
+    """The first violating (row, col) in sorted order and its BiPoly residual."""
+    first = min(min(entries) for entries in residual.values())
+    return first, BiPoly({key: entries[first] for key, entries in sorted(residual.items())
+                          if first in entries})
+
+
+def describe_flat(case: CaseDescriptor, labels, flat: int, dim_w: int) -> tuple:
+    """(a1, a2, label of w) for a flat index of (V x V) x W."""
+    pair, w = divmod(flat, dim_w)
+    p1, p2 = divmod(pair, case.n)
+    return (case.indices[p1], case.indices[p2], labels[w])
 
 
 @dataclass
@@ -193,58 +319,38 @@ class YbeReport:
 def check_ybe(case: CaseDescriptor, rmat: RMatrix | None = None) -> YbeReport:
     """Verify R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v) exactly.
 
-    Both sides are expanded coefficient-by-coefficient in (u, v); the test
-    is full polynomial identity, not sampling.  On failure the report
-    carries the first violating entry (sorted index order) together with
-    its residual polynomial.
+    This is the RLL relation with W = V and L = R, so it runs on the
+    identity engine with C1 = R13 and C2 = R23; the test is full
+    polynomial identity, not sampling.  On failure the report carries the
+    first violating entry (sorted index order) together with its residual
+    polynomial.
     """
     if rmat is None:
         rmat = fundamental_r(case)
-    r12 = [_embed(case, c, (1, 2)) for c in rmat.coeffs]
-    r13 = [_embed(case, c, (1, 3)) for c in rmat.coeffs]
-    r23 = [_embed(case, c, (2, 3)) for c in rmat.coeffs]
-
-    lhs: dict[tuple, SparseOp] = {}
-    rhs: dict[tuple, SparseOp] = {}
-    dim = case.n ** 3
-
-    for p, q, coeff, t in _difference_expansion(rmat.coeffs):
-        r12_term = r12[t].scale(coeff)
-        for pu, a_op in enumerate(r13):
-            if a_op.is_zero:
-                continue
-            for qv, b_op in enumerate(r23):
-                if b_op.is_zero:
-                    continue
-                key = (p + pu, q + qv)
-                left = r12_term @ a_op @ b_op
-                right = b_op @ a_op @ r12_term
-                lhs[key] = lhs.get(key, SparseOp.zeros(dim, dim)) + left
-                rhs[key] = rhs.get(key, SparseOp.zeros(dim, dim)) + right
-
-    residuals: dict[tuple, SparseOp] = {}
-    for key in sorted(set(lhs) | set(rhs)):
-        diff = lhs.get(key, SparseOp.zeros(dim, dim)) - rhs.get(key, SparseOp.zeros(dim, dim))
-        if not diff.is_zero:
-            residuals[key] = diff
-    if not residuals:
-        return YbeReport(case, True)
-
-    first = min(min(diff.data) for diff in residuals.values())
-    res_terms = {key: diff.data[first] for key, diff in residuals.items() if first in diff.data}
     n = case.n
-    row, col = first
 
-    def unflat(x):
-        ab, c3 = divmod(x, n)
-        c1, c2 = divmod(ab, n)
-        return (case.indices[c1], case.indices[c2], case.indices[c3])
+    def slot(coeff, which):
+        # R[(a1, a3), (b1, b3)] is the (a3, b3) entry of the block (a1, b1)
+        entries = ((row // n, col // n, row % n, col % n, val)
+                   for (row, col), val in coeff.data.items())
+        return slot_operator(n, entries, n, which)
 
-    return YbeReport(case, False, (unflat(row), unflat(col), BiPoly(res_terms)))
+    r13 = [slot(c, 1) for c in rmat.coeffs]
+    r23 = [slot(c, 2) for c in rmat.coeffs]
+    residual, _ = identity_residual(rmat.ipk, r13, r23, range(n ** 3), n, k_form(case))
+    if not residual:
+        return YbeReport(case, True)
+    (row, col), res = first_violation(residual)
+    return YbeReport(case, False, (describe_flat(case, case.indices, row, n),
+                                   describe_flat(case, case.indices, col, n), res))
 
 
 # ---------------------------------------------------------------------------
 # gl(2) comparison
+
+
+# (f_I, f_P, f_K) of Yang's gl(2) R-matrix R(w) = w I + P: no K term.
+YANG_GL2_IPK = ((ZERO, ONE), (ONE,), ())
 
 
 def yang_r_gl2() -> list[SparseOp]:

@@ -3,10 +3,10 @@
 Every check expands its identity coefficient-by-coefficient in the
 spectral parameters and compares operators entry by entry; there is no
 sampling and no tolerance.  On truncated spaces a check compares only on
-the safe subspace for its composition budget (see spaces module).  A
-`sample` mode exists for the two expensive checks as a fast smoke test;
-it evaluates at seeded rational points and is documented as
-non-authoritative.
+the safe subspace for its composition budget (see spaces module); a
+check whose safe subspace is empty compared nothing and fails.  RLL also
+has a `sample` mode as a fast smoke test; it evaluates at seeded rational
+points and is documented as non-authoritative.
 
 Reports are deterministic: index tuples are scanned in sorted order and
 the first violation is recorded together with its residual polynomial.
@@ -17,13 +17,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly, VectorSpan
+from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly
 from .lops import (
     LOperator,
     cyclic_span,
     metric_opmat,
     opmat_add,
-    opmat_entry,
     opmat_mul,
     opmat_mul_tt,
     opmat_poly_shift,
@@ -31,7 +30,17 @@ from .lops import (
     opmat_sub,
     opmat_transpose,
 )
-from .structure import CaseDescriptor, _difference_expansion, fundamental_r
+from .structure import (
+    YANG_GL2_IPK,
+    CaseDescriptor,
+    describe_flat,
+    first_violation,
+    fundamental_ipk,
+    fundamental_r,
+    identity_residual,
+    k_form,
+    slot_operator,
+)
 
 
 @dataclass
@@ -146,6 +155,12 @@ def opmat_is_scalar_on_span(case: CaseDescriptor, mat: dict, vectors):
     return True, candidate, None
 
 
+def _vacuous(name: str) -> CheckReport:
+    """A check whose safe subspace is empty compared nothing: it fails."""
+    return CheckReport(name, False, counterexample=(("safe_columns", 0), "no columns compared"),
+                       details={"safe_columns": 0})
+
+
 # ---------------------------------------------------------------------------
 # Lie-algebra and adjoint relations
 
@@ -208,6 +223,8 @@ def check_lie(lop: LOperator, g: dict | None = None) -> CheckReport:
     """[G_ab, G_cd] equals the structure-constant combination, exactly."""
     g = lop.g_mat if g is None else g
     cols = lop.space.safe_indices(2 * lop.entry_budget)
+    if not cols:
+        return _vacuous("lie")
     report = _pairwise_check(lop.case, g, g, lop.dim, cols, "lie")
     report.details["safe_columns"] = len(cols)
     return report
@@ -218,6 +235,8 @@ def check_adjoint(lop: LOperator, g: dict | None = None, h: dict | None = None) 
     g = lop.g_mat if g is None else g
     h = lop.h_mat if h is None else h
     cols = lop.space.safe_indices(3 * lop.entry_budget)
+    if not cols:
+        return _vacuous("adjoint")
     report = _pairwise_check(lop.case, g, h, lop.dim, cols, "adjoint")
     report.details["safe_columns"] = len(cols)
     return report
@@ -227,138 +246,17 @@ def check_adjoint(lop: LOperator, g: dict | None = None, h: dict | None = None) 
 # the RLL relation
 
 
-def _mixed_coeffs(lop: LOperator):
-    """Raise the first index: (C_k)^a_b = eps_{-a} C_k[-a, b]."""
+def _slot_coeffs(lop: LOperator, slot: int) -> list:
+    """Coefficients of L(u) with the first index raised, (C_k)^a_b =
+    eps_a C_k[-a, b], embedded in slot 1 or 2 of (V x V) x W."""
+    case = lop.case
+    pos = {a: case.pos(a) for a in case.indices}
     out = []
     for mat in lop.coeffs:
-        mixed = {}
-        for (a, b), op in mat.items():
-            sign = lop.case.sign(a)  # eps_{-(-a)} = eps_a ... see below
-            mixed[(-a, b)] = op.scale(Scalar.of(lop.case.sign(-(-a))))
-        out.append(mixed)
+        entries = ((pos[-a], pos[b], i, j, v if case.sign(a) == 1 else -v)
+                   for (a, b), op in mat.items() for (i, j), v in op.data.items())
+        out.append(slot_operator(case.n, entries, lop.dim, slot))
     return out
-
-
-def _big_slot(case, mixed: dict, dim_w: int, slot: int) -> SparseOp:
-    n = case.n
-    big = {}
-    for (a, b), op in mixed.items():
-        pa, pb = case.pos(a), case.pos(b)
-        for (i, j), val in op.data.items():
-            if slot == 1:
-                for c in range(n):
-                    big[((pa * n + c) * dim_w + i, (pb * n + c) * dim_w + j)] = val
-            else:
-                for c in range(n):
-                    big[((c * n + pa) * dim_w + i, (c * n + pb) * dim_w + j)] = val
-    return SparseOp(n * n * dim_w, n * n * dim_w, big)
-
-
-def _p_left(case, mat: SparseOp, dim_w: int) -> SparseOp:
-    n = case.n
-    data = {}
-    for (r, c), v in mat.data.items():
-        pair, w = divmod(r, dim_w)
-        p1, p2 = divmod(pair, n)
-        data[((p2 * n + p1) * dim_w + w, c)] = v
-    out = SparseOp(mat.nrows, mat.ncols)
-    out.data = data
-    return out
-
-
-def _p_right(case, mat: SparseOp, dim_w: int) -> SparseOp:
-    n = case.n
-    data = {}
-    for (r, c), v in mat.data.items():
-        pair, w = divmod(c, dim_w)
-        p1, p2 = divmod(pair, n)
-        data[(r, (p2 * n + p1) * dim_w + w)] = v
-    out = SparseOp(mat.nrows, mat.ncols)
-    out.data = data
-    return out
-
-
-def _k_left(case, mat: SparseOp, dim_w: int) -> SparseOp:
-    n = case.n
-    signs = [Scalar.of(case.sign(a)) for a in case.indices]
-    inv = {case.pos(a): case.pos(-a) for a in case.indices}
-    acc: dict = {}
-    for (r, c), v in mat.data.items():
-        pair, w = divmod(r, dim_w)
-        p1, p2 = divmod(pair, n)
-        if inv[p1] != p2:
-            continue
-        key = (w, c)
-        add = signs[p1] * v
-        cur = acc.get(key)
-        tot = add if cur is None else cur + add
-        if tot.is_zero:
-            acc.pop(key, None)
-        else:
-            acc[key] = tot
-    data = {}
-    for (w, c), s in acc.items():
-        for a in case.indices:
-            pa = case.pos(a)
-            val = Scalar.of(case.sign(-a)) * s
-            data[((pa * n + inv[pa]) * dim_w + w, c)] = val
-    out = SparseOp(mat.nrows, mat.ncols)
-    out.data = data
-    return out
-
-
-def _k_right(case, mat: SparseOp, dim_w: int) -> SparseOp:
-    n = case.n
-    inv = {case.pos(a): case.pos(-a) for a in case.indices}
-    acc: dict = {}
-    for (r, c), v in mat.data.items():
-        pair, w = divmod(c, dim_w)
-        p1, p2 = divmod(pair, n)
-        if inv[p1] != p2:
-            continue
-        key = (r, w)
-        add = Scalar.of(case.sign(-case.indices[p1])) * v
-        cur = acc.get(key)
-        tot = add if cur is None else cur + add
-        if tot.is_zero:
-            acc.pop(key, None)
-        else:
-            acc[key] = tot
-    data = {}
-    for (r, w), s in acc.items():
-        for b in case.indices:
-            pb = case.pos(b)
-            data[(r, (pb * n + inv[pb]) * dim_w + w)] = Scalar.of(case.sign(b)) * s
-    out = SparseOp(mat.nrows, mat.ncols)
-    out.data = data
-    return out
-
-
-def _r_term_left(case, t, mat, dim_w):
-    """R_t * mat for R(w) = w^2 I + w (beta I + P - eps K) + beta P."""
-    if t == 2:
-        return mat
-    if t == 1:
-        out = mat.scale(case.beta) + _p_left(case, mat, dim_w)
-        k_part = _k_left(case, mat, dim_w)
-        return out - k_part.scale(Scalar.of(case.eps))
-    return _p_left(case, mat, dim_w).scale(case.beta)
-
-
-def _r_term_right(case, t, mat, dim_w):
-    if t == 2:
-        return mat
-    if t == 1:
-        out = mat.scale(case.beta) + _p_right(case, mat, dim_w)
-        k_part = _k_right(case, mat, dim_w)
-        return out - k_part.scale(Scalar.of(case.eps))
-    return _p_right(case, mat, dim_w).scale(case.beta)
-
-
-def _describe_big(case, space, flat, dim_w):
-    pair, w = divmod(flat, dim_w)
-    p1, p2 = divmod(pair, case.n)
-    return (case.indices[p1], case.indices[p2], space.labels[w])
 
 
 def check_rll(lop: LOperator, mode: str = "exact", points: int = 3,
@@ -371,51 +269,26 @@ def check_rll(lop: LOperator, mode: str = "exact", points: int = 3,
     """
     case, space = lop.case, lop.space
     dim_w = space.dim
-    mixed = _mixed_coeffs(lop)
-    budget = 2 * lop.entry_budget
-    safe_w = set(space.safe_indices(budget))
-    col_keep = [pair * dim_w + w
-                for pair in range(case.n ** 2) for w in sorted(safe_w)]
-
+    safe_w = space.safe_indices(2 * lop.entry_budget)
+    if not safe_w:
+        return _vacuous("rll" if mode == "exact" else "rll(sampled)")
+    col_keep = [pair * dim_w + w for pair in range(case.n ** 2) for w in safe_w]
+    c1, c2 = _slot_coeffs(lop, 1), _slot_coeffs(lop, 2)
     if mode == "sample":
-        return _check_rll_sampled(lop, mixed, col_keep, points, seed)
+        return _check_rll_sampled(lop, c1, c2, col_keep, points, seed)
 
-    c1 = [_big_slot(case, m, dim_w, 1) for m in mixed]
-    c2 = [_big_slot(case, m, dim_w, 2) for m in mixed]
-    keep = set(col_keep)
-    c1r = [m.restrict_cols(keep) for m in c1]
-    c2r = [m.restrict_cols(keep) for m in c2]
-
-    lhs: dict = {}
-    rhs: dict = {}
-    expansion = _difference_expansion([None, None, None])  # degree-2 R
-    for i in range(len(mixed)):
-        for j in range(len(mixed)):
-            p_ij = c1[i] @ c2r[j]
-            q_ij = c2[j] @ c1r[i]
-            for p, q, coeff, t in expansion:
-                key = (p + i, q + j)
-                left = _r_term_left(case, t, p_ij, dim_w).scale(coeff)
-                right = _r_term_right(case, t, q_ij, dim_w).scale(coeff)
-                lhs[key] = lhs.get(key, _zero(left.nrows)) + left
-                rhs[key] = rhs.get(key, _zero(right.nrows)) + right
-
-    residuals = {}
-    for key in sorted(set(lhs) | set(rhs)):
-        diff = lhs.get(key, _zero(c1[0].nrows)) - rhs.get(key, _zero(c1[0].nrows))
-        if not diff.is_zero:
-            residuals[key] = diff
-    if not residuals:
-        return CheckReport("rll", True, details={"safe_columns": len(safe_w)})
-    first = min(min(d.data) for d in residuals.values())
-    res = BiPoly({key: d.data[first] for key, d in residuals.items() if first in d.data})
-    where = (_describe_big(case, space, first[0], dim_w),
-             _describe_big(case, space, first[1], dim_w))
-    return CheckReport("rll", False, counterexample=(where, res),
-                       details={"safe_columns": len(safe_w)})
+    residual, keys = identity_residual(fundamental_ipk(case), c1, c2, col_keep,
+                                       case.n, k_form(case))
+    details = {"safe_columns": len(safe_w), "keys_compared": keys}
+    if not residual:
+        return CheckReport("rll", True, details=details)
+    (row, col), res = first_violation(residual)
+    where = (describe_flat(case, space.labels, row, dim_w),
+             describe_flat(case, space.labels, col, dim_w))
+    return CheckReport("rll", False, counterexample=(where, res), details=details)
 
 
-def _check_rll_sampled(lop, mixed, col_keep, points, seed):
+def _check_rll_sampled(lop, c1, c2, col_keep, points, seed):
     case, space = lop.case, lop.space
     dim_w = space.dim
     rng = random.Random(seed)
@@ -427,20 +300,20 @@ def _check_rll_sampled(lop, mixed, col_keep, points, seed):
         l1 = _zero(case.n ** 2 * dim_w)
         l2 = _zero(case.n ** 2 * dim_w)
         upow = ONE
-        for m in mixed:
-            l1 = l1 + _big_slot(case, m, dim_w, 1).scale(upow)
+        for op in c1:
+            l1 = l1 + op.scale(upow)
             upow = upow * u0
         vpow = ONE
-        for m in mixed:
-            l2 = l2 + _big_slot(case, m, dim_w, 2).scale(vpow)
+        for op in c2:
+            l2 = l2 + op.scale(vpow)
             vpow = vpow * v0
         id_w = SparseOp.identity(dim_w)
         r_eval = rmat.eval(u0 - v0).kron(id_w)
         diff = r_eval @ (l1 @ l2.restrict_cols(keep)) - (l2 @ l1.restrict_cols(keep)) @ r_eval
         entry = diff.first_entry_on_cols(keep)
         if entry is not None:
-            where = (_describe_big(case, space, entry[0], dim_w),
-                     _describe_big(case, space, entry[1], dim_w))
+            where = (describe_flat(case, space.labels, entry[0], dim_w),
+                     describe_flat(case, space.labels, entry[1], dim_w))
             res = BiPoly({(0, 0): diff.data[entry]})
             return CheckReport("rll(sampled)", False, counterexample=(where, res),
                                details={"points": points, "authoritative": False})
@@ -455,67 +328,25 @@ def check_gl2_rll(coeffs, dim, safe_cols=None, name="gl2_rll") -> CheckReport:
     alpha, beta in {1, 2}.  Used as the oracle for oscillator chains and
     for the gl(2) subalgebras embedded in the orthogonal/symplectic case.
     """
-    if safe_cols is None:
-        safe_cols = range(dim)
-    big = 4 * dim
-    keep = set()
-    for pair in range(4):
-        for w in safe_cols:
-            keep.add(pair * dim + w)
+    safe_cols = list(range(dim)) if safe_cols is None else sorted(safe_cols)
+    if not safe_cols:
+        return _vacuous(name)
+    keep = [pair * dim + w for pair in range(4) for w in safe_cols]
 
     def slot(mat, which):
-        data = {}
-        for (alpha, beta), op in mat.items():
-            pa, pb = alpha - 1, beta - 1
-            for (i, j), val in op.data.items():
-                for c in range(2):
-                    if which == 1:
-                        data[((pa * 2 + c) * dim + i, (pb * 2 + c) * dim + j)] = val
-                    else:
-                        data[((c * 2 + pa) * dim + i, (c * 2 + pb) * dim + j)] = val
-        return SparseOp(big, big, data)
+        entries = ((alpha - 1, beta - 1, i, j, v)
+                   for (alpha, beta), op in mat.items() for (i, j), v in op.data.items())
+        return slot_operator(2, entries, dim, which)
 
-    def perm(mat, left):
-        data = {}
-        for (r, c), v in mat.data.items():
-            if left:
-                pair, w = divmod(r, dim)
-                p1, p2 = divmod(pair, 2)
-                data[((p2 * 2 + p1) * dim + w, c)] = v
-            else:
-                pair, w = divmod(c, dim)
-                p1, p2 = divmod(pair, 2)
-                data[(r, (p2 * 2 + p1) * dim + w)] = v
-        out = SparseOp(big, big)
-        out.data = data
-        return out
-
-    c1 = [slot(m, 1) for m in coeffs]
-    c2 = [slot(m, 2) for m in coeffs]
-    c1r = [m.restrict_cols(keep) for m in c1]
-    c2r = [m.restrict_cols(keep) for m in c2]
-    lhs: dict = {}
-    rhs: dict = {}
-    # R(u - v) = (u - v) I + P: terms (1,0,+I), (0,1,-I), (0,0,P)
-    for i in range(len(coeffs)):
-        for j in range(len(coeffs)):
-            p_ij = c1[i] @ c2r[j]
-            q_ij = c2[j] @ c1r[i]
-            for (p, q, is_perm, sign) in ((1, 0, False, ONE), (0, 1, False, -ONE),
-                                          (0, 0, True, ONE)):
-                key = (p + i, q + j)
-                left = perm(p_ij, True) if is_perm else p_ij.scale(sign)
-                right = perm(q_ij, False) if is_perm else q_ij.scale(sign)
-                lhs[key] = lhs.get(key, SparseOp.zeros(big, big)) + left
-                rhs[key] = rhs.get(key, SparseOp.zeros(big, big)) + right
-    for key in sorted(set(lhs) | set(rhs)):
-        diff = lhs.get(key, SparseOp.zeros(big, big)) - rhs.get(key, SparseOp.zeros(big, big))
-        if not diff.is_zero:
-            entry = min(diff.data)
-            return CheckReport(name, False,
-                               counterexample=((key,) + entry,
-                                               BiPoly({key: diff.data[entry]})))
-    return CheckReport(name, True)
+    residual, keys = identity_residual(YANG_GL2_IPK, [slot(m, 1) for m in coeffs],
+                                       [slot(m, 2) for m in coeffs], keep, 2)
+    details = {"safe_columns": len(safe_cols), "keys_compared": keys}
+    if residual:
+        key = min(residual)
+        entry = min(residual[key])
+        return CheckReport(name, False, details=details,
+                           counterexample=((key,) + entry, BiPoly({key: residual[key][entry]})))
+    return CheckReport(name, True, details=details)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,15 @@ def test_finiteness_exit_code_sp_spinor(capsys):
     assert out["weights"][0]["finiteness"]["exists"] is False
 
 
+def test_verify_with_empty_safe_subspace_exits_1(capsys):
+    code = main(["verify", "--family", "sp", "--m", "2", "--op", "spinor", "--trunc", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    checks = {c["check"]: c for c in out["checks"]}
+    assert not checks["lie"]["passed"] and not checks["rll"]["passed"]
+    assert checks["rll"]["details"]["safe_columns"] == 0
+
+
 def test_config_errors_exit_2(capsys):
     assert main(["construct", "--family", "so", "--m", "2"]) == 2
     assert main(["verify", "--family", "xx", "--m", "2", "--op", "spinor"]) == 2

@@ -81,8 +81,10 @@ def test_ybe_negative_control():
     case = make_case("so_odd", 1)
     report = check_ybe(case, fundamental_r(case, flip_k=True))
     assert not report.passed
-    (_, _, residual) = report.violation
-    assert not residual.is_zero
+    row, col, residual = report.violation
+    assert (row, col) == ((-1, -1, 1), (-1, 0, 0))
+    assert residual.to_strings() == {"1,2": "-1/1", "1,3": "2/1", "2,1": "1/1",
+                                     "2,2": "-4/1", "3,1": "2/1"}
 
 
 def test_sp2_matches_gl2_at_half_argument():

@@ -4,11 +4,13 @@ import pytest
 
 from yanglab.exact import ONE, ZERO, Scalar, UniPoly
 from yanglab.lops import (
+    LOperator,
     build_heisenberg_linear,
     build_js_quadratic,
     build_product,
     build_spinorial_linear,
     metric_opmat,
+    opmat_scale,
 )
 from yanglab.structure import make_case
 from yanglab.verify import (
@@ -64,11 +66,62 @@ def test_rll_heisenberg_sp2():
 def test_rll_js_so5_and_h_zero_negative_control():
     case = make_case("so_odd", 2)
     lop = build_js_quadratic(case, 2)
-    assert check_rll(lop).passed
-    from yanglab.lops import LOperator
+    rep = check_rll(lop)
+    assert rep.passed and rep.details["safe_columns"] == 15
+    # L and R of degree 2: u^a v^b with a, b <= 4 and a + b <= 6
+    assert rep.details["keys_compared"] == 22
     no_h = LOperator(case, lop.space, [{}, lop.g_mat, lop.coeffs[2]],
                      entry_budget=0, kind="js_no_h")
     assert not check_rll(no_h).passed
+
+
+def _js_without_h(family, m):
+    lop = build_js_quadratic(make_case(family, m), 2)
+    return LOperator(lop.case, lop.space, [{}, lop.g_mat, lop.coeffs[2]],
+                     entry_budget=0, kind="js_no_h")
+
+
+def _corrupted_sp4_spinor(trunc):
+    """The sp(4) spinor operator with G scaled by 3: every identity fails."""
+    lop = build_spinorial_linear(make_case("sp", 2), trunc=trunc)
+    return LOperator(lop.case, lop.space, [opmat_scale(lop.coeffs[0], 3), lop.coeffs[1]],
+                     entry_budget=lop.entry_budget, kind="spinor_corrupted")
+
+
+# Counterexamples of the RLL negative controls, pinned verbatim: the first
+# violating entry in sorted order and its residual in (u, v).
+RLL_REFUTATIONS = [
+    (lambda: _js_without_h("so_even", 2),
+     "((-2, -2, (1, 0, 0, 1)), (-2, 2, (2, 0, 0, 0)))", {"1,2": "4/1", "2,1": "-4/1"}),
+    (lambda: _js_without_h("so_odd", 2),
+     "((-2, -2, (1, 0, 0, 0, 1)), (-2, 2, (2, 0, 0, 0, 0)))", {"1,2": "6/1", "2,1": "-6/1"}),
+    (lambda: _corrupted_sp4_spinor(6),
+     "((-2, -2, (0, 1)), (-2, -1, (1, 0)))",
+     {"0,1": "-18/1", "0,2": "6/1", "1,0": "18/1", "1,1": "-12/1", "2,0": "6/1"}),
+]
+
+
+@pytest.mark.parametrize("build,at,residual", RLL_REFUTATIONS,
+                         ids=["js-so4-no-h", "js-so5-no-h", "spinor-sp4-corrupted"])
+def test_rll_refutations_pinned(build, at, residual):
+    rep = check_rll(build()).to_dict()
+    assert rep["passed"] is False
+    assert rep["counterexample"] == {"at": at, "residual": residual}
+
+
+def test_lie_refutation_pinned():
+    rep = check_lie(_corrupted_sp4_spinor(6)).to_dict()
+    assert rep["passed"] is False
+    assert rep["counterexample"] == {"at": "(-2, -2, -2, 2)", "residual": {"0,0": "24/1"}}
+
+
+def test_empty_safe_subspace_fails():
+    # at trunc=1 no column is safe: even a corrupted operator would "pass"
+    lop = _corrupted_sp4_spinor(1)
+    for rep in (check_lie(lop), check_adjoint(lop, h=lop.g_mat), check_rll(lop)):
+        assert not rep.passed and rep.details["safe_columns"] == 0
+        assert rep.to_dict()["counterexample"] == {"at": "('safe_columns', 0)",
+                                                   "residual": "no columns compared"}
 
 
 def test_rll_sample_mode_smoke():

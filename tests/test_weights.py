@@ -337,7 +337,20 @@ def test_gl2_embedding_sp2():
 
 def test_gl2_chain_satisfies_gl2_rll():
     gl2 = build_gl2_js_chain([(ZERO, 1), (HALF, 2)])
-    assert check_gl2_rll(gl2.coeffs, gl2.space.dim).passed
+    rep = check_gl2_rll(gl2.coeffs, gl2.space.dim)
+    assert rep.passed
+    # T and R of degrees 2 and 1: u^a v^b with a, b <= 3 and a + b <= 5
+    assert rep.details == {"safe_columns": 6, "keys_compared": 15}
+
+
+def test_gl2_rll_negative_control():
+    # doubling the u^0 coefficient of T_12 breaks the RLL relation
+    gl2 = build_gl2_js_chain([(ZERO, 1), (HALF, 2)])
+    coeffs = [dict(level) for level in gl2.coeffs]
+    coeffs[0][(1, 2)] = coeffs[0][(1, 2)].scale(2)
+    rep = check_gl2_rll(coeffs, gl2.space.dim).to_dict()
+    assert rep["passed"] is False
+    assert rep["counterexample"] == {"at": "((0, 1), 0, 7)", "residual": {"0,1": "5/2"}}
 
 
 def test_fusion_weight_report_and_ratio_doubling():
