@@ -24,9 +24,8 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from .exact import Scalar, UniPoly
+from .exact import Scalar
 from .lops import (
     LOperator,
     build_gl2_js_chain,
@@ -36,13 +35,12 @@ from .lops import (
     build_spinorial_linear,
     fuse_so3_from_gl2,
     heisenberg_vacuum,
-    js_highest_vector,
     product_vector,
     spinor_flipped_vacuum,
     spinor_vacuum,
 )
 from .spaces import spinor_space
-from .structure import check_ybe, fundamental_r, make_case
+from .structure import check_ybe, make_case
 from .verify import (
     center_function,
     check_adjoint,
@@ -143,7 +141,7 @@ def build_operator(cfg):
             raise ConfigError("--twoL is required for the js construction")
         k = _scalar_arg(cfg.get("k", params.get("k")), "k")
         lop = build_js_quadratic(case, int(two_l), k=k)
-        return lop, js_highest_vector(case, lop.space, int(two_l))
+        return lop, lop.hw_vector
     if op == "product":
         delta = _scalar_arg(cfg.get("delta", params.get("delta", 0)), "delta")
         f1_spec = params.get("factor1", {"op": "spinor"})
@@ -155,16 +153,15 @@ def build_operator(cfg):
     raise ConfigError(f"unknown construction {op!r}")
 
 
-def _stage(timings, name, fn, *args, **kwargs):
+def _stage(timings, name, fn, *args):
     started = time.perf_counter()
-    out = fn(*args, **kwargs)
+    out = fn(*args)
     timings[name] = round(time.perf_counter() - started, 6)
     return out
 
 
-def run_checks(lop: LOperator, vec, names, mode="exact", points=3, jobs=1):
-    """Run the named identity checks; independent checks may run on a
-    bounded worker pool (results are deterministic regardless)."""
+def run_checks(lop: LOperator, vec, names):
+    """Run the named identity checks in the order given."""
     span = None
 
     def get_span():
@@ -179,7 +176,7 @@ def run_checks(lop: LOperator, vec, names, mode="exact", points=3, jobs=1):
         if name == "adjoint":
             return check_adjoint(lop)
         if name == "rll":
-            return check_rll(lop, mode=mode, points=points)
+            return check_rll(lop)
         if name == "linear":
             return check_linear_constraint(lop)
         if name == "constraints":
@@ -193,13 +190,7 @@ def run_checks(lop: LOperator, vec, names, mode="exact", points=3, jobs=1):
             return rep
         raise ConfigError(f"unknown check {name!r}")
 
-    if jobs > 1:
-        get_span()  # materialize before sharing across workers
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(dispatch, names))
-    else:
-        results = [dispatch(name) for name in names]
-    return results
+    return [dispatch(name) for name in names]
 
 
 def _weights_stage(cfg, lop, vec):
@@ -267,9 +258,7 @@ def run(cfg) -> tuple[dict, int]:
 
     if command in ("verify", "all") and isinstance(lop, LOperator):
         names = cfg.get("checks") or DEFAULT_CHECKS.get(lop.kind, ["rll"])
-        results = _stage(timings, "verify", run_checks, lop, vec, names,
-                         mode=cfg.get("mode", "exact"), points=cfg.get("points", 3),
-                         jobs=cfg.get("jobs", 1))
+        results = _stage(timings, "verify", run_checks, lop, vec, names)
         report["checks"] = [r.to_dict() for r in results]
         failed = failed or not all(r.passed for r in results)
 
@@ -306,14 +295,11 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--delta")
         cmd.add_argument("--k")
         cmd.add_argument("--trunc", type=int, help="truncation degree D")
-        cmd.add_argument("--mode", choices=("exact", "sample"))
-        cmd.add_argument("--points", type=int, help="sample-mode point count")
         cmd.add_argument("--checks", help="comma list of checks to run")
         cmd.add_argument("--vector", help="auto | kernel | comma basis positions")
         cmd.add_argument("--params", help="construction parameters as JSON")
         cmd.add_argument("--config", help="JSON file with defaults")
         cmd.add_argument("--json", dest="json_out", help="write the report here")
-        cmd.add_argument("--jobs", type=int, help="worker-thread cap")
     return parser
 
 
@@ -336,8 +322,6 @@ def _load_config(ns) -> dict:
             raise ConfigError(f"--params is not valid JSON: {exc}") from exc
     if isinstance(cfg.get("checks"), str):
         cfg["checks"] = [c.strip() for c in cfg["checks"].split(",") if c.strip()]
-    if cfg.get("jobs") is not None and cfg["jobs"] < 1:
-        raise ConfigError("--jobs must be >= 1")
     return cfg
 
 

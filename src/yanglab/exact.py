@@ -20,10 +20,12 @@ practice (ops build new objects), so values can be shared freely.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
 NEG_INF = float("-inf")  # degree sentinel for the zero polynomial
+_SCALAR_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?:([+-])([0-9]+)(?:/([0-9]+))?\*s2)?")
 
 
 # ---------------------------------------------------------------------------
@@ -69,26 +71,21 @@ class Scalar:
         return cls(num, 0, den)
 
     @classmethod
-    def sqrt2_times(cls, num, den=1) -> "Scalar":
-        return cls(0, num, den)
-
-    @classmethod
     def from_string(cls, text: str) -> "Scalar":
-        """Parse 'a/b' or 'a/b+c/d*s2' (also '-', and bare integers)."""
-        s = text.strip().replace(" ", "")
-        rad = Fraction(0)
-        if "s2" in s:
-            body, _, _ = s.partition("*s2")
-            # split body into rational part and sqrt2 coefficient
-            cut = max(body.rfind("+", 1), body.rfind("-", 1))
-            while cut > 0 and body[cut - 1] in "+-/*":
-                cut = max(body.rfind("+", 1, cut), body.rfind("-", 1, cut))
-            if cut <= 0:
-                rat, rad = Fraction(0), Fraction(body)
-            else:
-                rat, rad = Fraction(body[:cut]), Fraction(body[cut:])
-        else:
-            rat = Fraction(s)
+        """Parse 'a', 'a/b', 'a+c*s2' or 'a/b+c/d*s2' ('-' for either sign).
+
+        This is exactly the form `to_string` emits, with optional
+        denominators and surrounding blanks; anything else is a ValueError.
+        """
+        match = _SCALAR_RE.fullmatch(text.strip())
+        if match is None:
+            raise ValueError(f"not a scalar a[/b][(+|-)c[/d]*s2]: {text!r}")
+        a, b, sign, c, d = match.groups()
+        b, d = int(b or 1), int(d or 1)
+        if b == 0 or d == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        rat = Fraction(int(a), b)
+        rad = Fraction(int(sign + c) if c else 0, d)
         den = rat.denominator * rad.denominator // gcd(rat.denominator, rad.denominator)
         return cls(rat.numerator * (den // rat.denominator),
                    rad.numerator * (den // rad.denominator), den)
@@ -105,12 +102,6 @@ class Scalar:
     @property
     def is_rational(self) -> bool:
         return self.q == 0
-
-    def rational_part(self) -> Fraction:
-        return Fraction(self.p, self.r)
-
-    def radical_part(self) -> Fraction:
-        return Fraction(self.q, self.r)
 
     def as_fraction(self) -> Fraction:
         if self.q != 0:
@@ -210,11 +201,6 @@ HALF = Scalar(1, 0, 2)
 SQRT2 = Scalar(0, 1, 1)
 
 
-def sc(value) -> Scalar:
-    """Shorthand coercion used across the package."""
-    return Scalar.of(value)
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials
 
@@ -241,14 +227,6 @@ class UniPoly:
     @classmethod
     def monomial(cls, k: int, coeff=ONE) -> "UniPoly":
         return cls([ZERO] * k + [Scalar.of(coeff)])
-
-    @classmethod
-    def from_roots(cls, roots) -> "UniPoly":
-        """Monic polynomial with the given iterable of Scalar roots."""
-        out = cls.const(1)
-        for r in roots:
-            out = out * cls([-Scalar.of(r), ONE])
-        return out
 
     @property
     def degree(self):
@@ -378,10 +356,6 @@ class UniPoly:
     def to_strings(self):
         return [c.to_string() for c in self.coeffs]
 
-    @classmethod
-    def from_strings(cls, items) -> "UniPoly":
-        return cls([Scalar.from_string(s) for s in items])
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -491,12 +465,6 @@ class BiPoly:
                 if not val.is_zero:
                     data[key] = val
         self.terms = data
-
-    @classmethod
-    def from_uni(cls, p: UniPoly, var: str = "u") -> "BiPoly":
-        if var == "u":
-            return cls({(k, 0): c for k, c in enumerate(p.coeffs)})
-        return cls({(0, k): c for k, c in enumerate(p.coeffs)})
 
     @property
     def is_zero(self) -> bool:

@@ -15,6 +15,9 @@ which is the ordinary product of the mixed-index matrices A^a_b; the
 lowered identity element is the metric itself.  The "tt" contraction
 used by the center generating function is
   (A *tt B)_ab = sum_d eps_d A[d, a] B[-d, b].
+Both are one contraction parameterised by the metric pairing
+{d: (partner, sign)}; the gl(2) chains use the same contraction with the
+trivial metric {1: (1, 1), 2: (2, 1)}, i.e. the ordinary 2x2 product.
 
 Entry budgets: on truncated spaces each coefficient entry is built from
 generator factors whose degree excursion is bounded; `entry_budget`
@@ -42,15 +45,20 @@ from .structure import CaseDescriptor, make_case
 # lowered operator matrices ("opmats")
 
 
+def opmat_acc(out: dict, key, op: SparseOp) -> None:
+    """out[key] += op, dropping the key when the sum cancels."""
+    cur = out.get(key)
+    acc = op if cur is None else cur + op
+    if acc.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = acc
+
+
 def opmat_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for key, op in b.items():
-        cur = out.get(key)
-        acc = op if cur is None else cur + op
-        if acc.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = acc
+        opmat_acc(out, key, op)
     return out
 
 
@@ -76,42 +84,29 @@ def metric_opmat(case: CaseDescriptor, dim: int, scale=ONE) -> dict:
     return out
 
 
-def opmat_mul(case: CaseDescriptor, a: dict, b: dict, dim: int) -> dict:
-    """(A o B)_ab = sum_d eps_{-d} A[a,d] B[-d,b]."""
+def opmat_contract(a: dict, b: dict, pairing: dict) -> dict:
+    """(A . B)_rc = sum_d sign A[r, d] B[partner, c], {d: (partner, sign)}."""
+    b_rows: dict = {}
+    for (d, c), op in b.items():
+        b_rows.setdefault(d, []).append((c, op))
     out: dict = {}
     for (r, d), op_a in a.items():
-        sign = Scalar.of(case.sign(-d))
-        for (dd, c), op_b in b.items():
-            if dd != -d:
-                continue
-            prod = (op_a @ op_b).scale(sign)
-            key = (r, c)
-            cur = out.get(key)
-            acc = prod if cur is None else cur + prod
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
+        partner, sign = pairing[d]
+        for c, op_b in b_rows.get(partner, ()):
+            prod = op_a @ op_b
+            opmat_acc(out, (r, c), prod if sign == 1 else -prod)
     return out
 
 
-def opmat_mul_tt(case: CaseDescriptor, a: dict, b: dict, dim: int) -> dict:
+def opmat_mul(case: CaseDescriptor, a: dict, b: dict) -> dict:
+    """(A o B)_ab = sum_d eps_{-d} A[a,d] B[-d,b]."""
+    return opmat_contract(a, b, {d: (-d, case.sign(-d)) for d in case.indices})
+
+
+def opmat_mul_tt(case: CaseDescriptor, a: dict, b: dict) -> dict:
     """(A *tt B)_ab = sum_d eps_d A[d,a] B[-d,b] (center-style contraction)."""
-    out: dict = {}
-    for (d, r), op_a in a.items():
-        sign = Scalar.of(case.sign(d))
-        for (dd, c), op_b in b.items():
-            if dd != -d:
-                continue
-            prod = (op_a @ op_b).scale(sign)
-            key = (r, c)
-            cur = out.get(key)
-            acc = prod if cur is None else cur + prod
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return out
+    return opmat_contract(opmat_transpose(a), b,
+                          {d: (-d, case.sign(d)) for d in case.indices})
 
 
 def opmat_transpose(a: dict) -> dict:
@@ -122,20 +117,38 @@ def opmat_entry(a: dict, key, dim: int) -> SparseOp:
     return a.get(key, SparseOp.zeros(dim, dim))
 
 
-def opmat_poly_shift(coeffs, c) -> list:
-    """Coefficients of M(u + c) from coefficients of M(u)."""
-    c = Scalar.of(c)
+def opmat_poly_subs(coeffs, a, b) -> list:
+    """Coefficients of M(a*u + b) from coefficients of M(u)."""
+    a, b = Scalar.of(a), Scalar.of(b)
+    apow = [ONE]
+    for _ in coeffs:
+        apow.append(apow[-1] * a)
     out = [dict() for _ in coeffs]
     for k, mat in enumerate(coeffs):
-        power = ONE
+        bpow = ONE
         for j in range(k, -1, -1):
-            factor = power * comb(k, j)
+            factor = apow[j] * bpow * comb(k, j)
             if not factor.is_zero:
-                out[j] = opmat_add(out[j], opmat_scale(mat, factor))
-            power = power * c
-    while out and not out[-1]:
-        out.pop()
-    return out
+                for key, op in mat.items():
+                    opmat_acc(out[j], key, op.scale(factor))
+            bpow = bpow * b
+    return _strip(out)
+
+
+def opmat_poly_mul(a_coeffs, b_coeffs, mul) -> list:
+    """Coefficients of A(u) B(u), the coefficient products being mul(A_i, B_j)."""
+    out = [dict() for _ in range(len(a_coeffs) + len(b_coeffs) - 1)]
+    for i, am in enumerate(a_coeffs):
+        for j, bm in enumerate(b_coeffs):
+            for key, op in mul(am, bm).items():
+                opmat_acc(out[i + j], key, op)
+    return _strip(out)
+
+
+def _strip(coeffs: list) -> list:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +288,8 @@ def build_spinorial_linear(case: CaseDescriptor, trunc: int = 6) -> LOperator:
     for a in case.indices:
         for b in case.indices:
             prod = gens.c(a) @ gens.c(b)
-            if prod.is_zero:
-                continue
-            key = (a, b)
-            cur = g.get(key)
-            acc = -prod if cur is None else cur - prod
-            if acc.is_zero:
-                g.pop(key, None)
-            else:
-                g[key] = acc
+            if not prod.is_zero:
+                opmat_acc(g, (a, b), -prod)
     budget = 0 if case.eps == 1 else 2
     return LOperator(case, space, [g, metric_opmat(case, dim)],
                      entry_budget=budget, kind="spinor", params={"trunc": trunc},
@@ -321,16 +327,6 @@ def build_heisenberg_linear(case: CaseDescriptor, ell, max_degree: int = 4) -> L
     beta = case.beta
     m = case.m
     g: dict = {}
-
-    def put(key, op):
-        if not op.is_zero:
-            cur = g.get(key)
-            acc = op if cur is None else cur + op
-            if acc.is_zero:
-                g.pop(key, None)
-            else:
-                g[key] = acc
-
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             dx = SparseOp.zeros(dim, dim)
@@ -342,10 +338,10 @@ def build_heisenberg_linear(case: CaseDescriptor, ell, max_degree: int = 4) -> L
                 for l in range(1, m + 1):
                     xdx = xdx + gens.xm(i, k) @ gens.dm(k, l) @ gens.xm(l, j)
             delta = SparseOp.identity(dim) if i == j else SparseOp.zeros(dim, dim)
-            put((-i, j), (dx - delta.scale(ell + beta)).scale(eps))
-            put((-i, -j), gens.dm(i, j).scale(eps))
-            put((i, j), gens.xm(i, j).scale(ell + ell + beta) - xdx)
-            put((i, -j), delta.scale(ell) - xd)
+            opmat_acc(g, (-i, j), (dx - delta.scale(ell + beta)).scale(eps))
+            opmat_acc(g, (-i, -j), gens.dm(i, j).scale(eps))
+            opmat_acc(g, (i, j), gens.xm(i, j).scale(ell + ell + beta) - xdx)
+            opmat_acc(g, (i, -j), delta.scale(ell) - xd)
     zero_exp = tuple([0] * len(space.labels[0]))
     return LOperator(case, space, [g, metric_opmat(case, dim)],
                      entry_budget=1, kind="heisenberg",
@@ -393,7 +389,7 @@ def build_js_quadratic(case: CaseDescriptor, two_l: int, k=None,
             op = restrict_op(amb, ambient, layer)
             if not op.is_zero:
                 g[(a, b)] = op
-    gg = opmat_mul(case, g, g, dim)
+    gg = opmat_mul(case, g, g)
     h = opmat_add(gg, opmat_scale(g, case.beta))
     h = opmat_add(h, metric_opmat(case, dim, k))
     h = opmat_scale(h, Scalar(1, 0, 2))
@@ -464,7 +460,6 @@ def build_product(l1: LOperator, l2: LOperator, delta) -> LOperator:
     delta = Scalar.of(delta)
     half = Scalar(1, 0, 2)
     space = tensor_product_space(l1.space, l2.space)
-    dim = space.dim
     id1 = SparseOp.identity(l1.space.dim)
     id2 = SparseOp.identity(l2.space.dim)
 
@@ -474,12 +469,9 @@ def build_product(l1: LOperator, l2: LOperator, delta) -> LOperator:
     def lift2(mat):
         return {key: id1.kron(op) for key, op in mat.items()}
 
-    a_coeffs = [lift1(c) for c in opmat_poly_shift(l1.coeffs, -delta * half)]
-    b_coeffs = [lift2(c) for c in opmat_poly_shift(l2.coeffs, delta * half)]
-    out = [dict() for _ in range(len(a_coeffs) + len(b_coeffs) - 1)]
-    for i, am in enumerate(a_coeffs):
-        for j, bm in enumerate(b_coeffs):
-            out[i + j] = opmat_add(out[i + j], opmat_mul(case, am, bm, dim))
+    a_coeffs = [lift1(c) for c in opmat_poly_subs(l1.coeffs, ONE, -delta * half)]
+    b_coeffs = [lift2(c) for c in opmat_poly_subs(l2.coeffs, ONE, delta * half)]
+    out = opmat_poly_mul(a_coeffs, b_coeffs, lambda x, y: opmat_mul(case, x, y))
     hw = None
     if l1.hw_vector is not None and l2.hw_vector is not None:
         hw = product_vector(l1.space, l1.hw_vector, l2.space, l2.hw_vector)
@@ -552,26 +544,7 @@ class Gl2Operator:
         return self.coeffs[k].get((alpha, beta), SparseOp.zeros(dim, dim))
 
 
-def _mat2_poly_mul(a_coeffs, b_coeffs, dim):
-    out = [dict() for _ in range(len(a_coeffs) + len(b_coeffs) - 1)]
-    for i, am in enumerate(a_coeffs):
-        for j, bm in enumerate(b_coeffs):
-            tgt = out[i + j]
-            for (r, c1), op_a in am.items():
-                for (c2, c), op_b in bm.items():
-                    if c1 != c2:
-                        continue
-                    prod = op_a @ op_b
-                    key = (r, c)
-                    cur = tgt.get(key)
-                    acc = prod if cur is None else cur + prod
-                    if acc.is_zero:
-                        tgt.pop(key, None)
-                    else:
-                        tgt[key] = acc
-    while out and not out[-1]:
-        out.pop()
-    return out
+GL2_PAIRING = {1: (1, 1), 2: (2, 1)}  # the trivial metric: ordinary 2x2 products
 
 
 def build_gl2_js_chain(chain) -> Gl2Operator:
@@ -594,36 +567,9 @@ def build_gl2_js_chain(chain) -> Gl2Operator:
                 if not op.is_zero:
                     c0[(alpha, beta)] = op
         factor = [c0, {(1, 1): ident, (2, 2): ident}]
-        acc = _mat2_poly_mul(acc, factor, dim)
+        acc = opmat_poly_mul(acc, factor, lambda x, y: opmat_contract(x, y, GL2_PAIRING))
     hw_index = space.index[tuple(0 for _ in exc)]
     return Gl2Operator(space, acc, shifts, exc, hw_index)
-
-
-def _gl2_substitute(coeffs, a, b, dim):
-    """Coefficients of M(a*u + b) for a 2x2 operator polynomial."""
-    out = [dict() for _ in coeffs]
-    a, b = Scalar.of(a), Scalar.of(b)
-    for k, mat in enumerate(coeffs):
-        bpow = ONE
-        for j in range(k, -1, -1):
-            apow = ONE
-            for _ in range(j):
-                apow = apow * a
-            factor = apow * bpow * comb(k, j)
-            if not factor.is_zero:
-                for key, op in mat.items():
-                    tgt = out[j]
-                    cur = tgt.get(key)
-                    add = op.scale(factor)
-                    acc = add if cur is None else cur + add
-                    if acc.is_zero:
-                        tgt.pop(key, None)
-                    else:
-                        tgt[key] = acc
-            bpow = bpow * b
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 GAMMA = {
@@ -644,14 +590,13 @@ def fuse_so3_from_gl2(gl2: Gl2Operator):
     """
     case = make_case("so_odd", 1)
     space = gl2.space
-    dim = space.dim
     # qdet eigenvalue q(u) = a(2u+2) d(2u+1)
     qdet = (gl2.eigen_a().compose_linear(Scalar(2), Scalar(2))
             * gl2.eigen_d().compose_linear(Scalar(2), ONE))
     if qdet.is_zero:
         raise ValueError("quantum determinant vanishes identically")
-    lg2u = _gl2_substitute(gl2.coeffs, Scalar(2), ZERO, dim)
-    at_2u1 = _gl2_substitute(gl2.coeffs, Scalar(2), ONE, dim)
+    lg2u = opmat_poly_subs(gl2.coeffs, Scalar(2), ZERO)
+    at_2u1 = opmat_poly_subs(gl2.coeffs, Scalar(2), ONE)
     adj = [dict() for _ in at_2u1]
     for k, mat in enumerate(at_2u1):
         for (alpha, beta), op in mat.items():
@@ -679,17 +624,8 @@ def fuse_so3_from_gl2(gl2: Gl2Operator):
                             term = (op1 @ op2).scale(s1 * s2 * half)
                             acc = term if acc is None else acc + term
                     if acc is not None and not acc.is_zero:
-                        key = (a, b)
-                        tgt = out[i + j]
-                        cur = tgt.get(key)
-                        total = acc if cur is None else cur + acc
-                        if total.is_zero:
-                            tgt.pop(key, None)
-                        else:
-                            tgt[key] = total
-    while out and not out[-1]:
-        out.pop()
-    lop = LOperator(case, space, out, entry_budget=0, kind="fuse3",
+                        opmat_acc(out[i + j], (a, b), acc)
+    lop = LOperator(case, space, _strip(out), entry_budget=0, kind="fuse3",
                     params={"chain": list(zip(gl2.shifts, gl2.excitations))},
                     hw_vector={gl2.hw_index: ONE})
     return lop, qdet

@@ -4,9 +4,7 @@ Every check expands its identity coefficient-by-coefficient in the
 spectral parameters and compares operators entry by entry; there is no
 sampling and no tolerance.  On truncated spaces a check compares only on
 the safe subspace for its composition budget (see spaces module); a
-check whose safe subspace is empty compared nothing and fails.  RLL also
-has a `sample` mode as a fast smoke test; it evaluates at seeded rational
-points and is documented as non-authoritative.
+check whose safe subspace is empty compared nothing and fails.
 
 Reports are deterministic: index tuples are scanned in sorted order and
 the first violation is recorded together with its residual polynomial.
@@ -14,7 +12,6 @@ the first violation is recorded together with its residual polynomial.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly
@@ -25,7 +22,8 @@ from .lops import (
     opmat_add,
     opmat_mul,
     opmat_mul_tt,
-    opmat_poly_shift,
+    opmat_poly_mul,
+    opmat_poly_subs,
     opmat_scale,
     opmat_sub,
     opmat_transpose,
@@ -36,7 +34,6 @@ from .structure import (
     describe_flat,
     first_violation,
     fundamental_ipk,
-    fundamental_r,
     identity_residual,
     k_form,
     slot_operator,
@@ -80,10 +77,6 @@ class CheckReport:
 
 def _zero(dim):
     return SparseOp.zeros(dim, dim)
-
-
-def _opmat_zero_on_cols(mat: dict, cols) -> bool:
-    return all(op.is_zero_on_cols(cols) for op in mat.values())
 
 
 def _first_opmat_violation(mat: dict, cols):
@@ -181,29 +174,25 @@ def _relation_rhs(case, mat, a, b, c, d, dim):
     return out
 
 
-def _pairwise_check(case, g, target, dim, cols, name):
-    """[G_ab, X_cd] = adjoint combination of X, for all index tuples."""
-    idx = sorted(case.indices)
+def _products(left: dict, right: dict, dim: int):
+    """Memoised entry products (key1, key2) -> left[key1] @ right[key2]."""
     cache: dict = {}
 
     def prod(key1, key2):
         got = cache.get((key1, key2))
         if got is None:
-            op1, op2 = g.get(key1), target.get(key2)
+            op1, op2 = left.get(key1), right.get(key2)
             got = _zero(dim) if (op1 is None or op2 is None) else op1 @ op2
             cache[(key1, key2)] = got
         return got
 
-    cache_t: dict = {}
+    return prod
 
-    def prod_t(key1, key2):
-        got = cache_t.get((key1, key2))
-        if got is None:
-            op1, op2 = target.get(key1), g.get(key2)
-            got = _zero(dim) if (op1 is None or op2 is None) else op1 @ op2
-            cache_t[(key1, key2)] = got
-        return got
 
+def _pairwise_check(case, g, target, dim, cols, name):
+    """[G_ab, X_cd] = adjoint combination of X, for all index tuples."""
+    idx = sorted(case.indices)
+    prod, prod_t = _products(g, target, dim), _products(target, g, dim)
     for a in idx:
         for b in idx:
             for c in idx:
@@ -259,24 +248,19 @@ def _slot_coeffs(lop: LOperator, slot: int) -> list:
     return out
 
 
-def check_rll(lop: LOperator, mode: str = "exact", points: int = 3,
-              seed: int = 0) -> CheckReport:
+def check_rll(lop: LOperator) -> CheckReport:
     """R12(u-v) L1(u) L2(v) = L2(v) L1(u) R12(u-v), coefficient-exact.
 
     The u^0 v^0 coefficient covers the H-H commutation relation of the
-    quadratic evaluation automatically.  In `sample` mode both sides are
-    instead evaluated at seeded rational points (smoke test only).
+    quadratic evaluation automatically.
     """
     case, space = lop.case, lop.space
     dim_w = space.dim
     safe_w = space.safe_indices(2 * lop.entry_budget)
     if not safe_w:
-        return _vacuous("rll" if mode == "exact" else "rll(sampled)")
+        return _vacuous("rll")
     col_keep = [pair * dim_w + w for pair in range(case.n ** 2) for w in safe_w]
     c1, c2 = _slot_coeffs(lop, 1), _slot_coeffs(lop, 2)
-    if mode == "sample":
-        return _check_rll_sampled(lop, c1, c2, col_keep, points, seed)
-
     residual, keys = identity_residual(fundamental_ipk(case), c1, c2, col_keep,
                                        case.n, k_form(case))
     details = {"safe_columns": len(safe_w), "keys_compared": keys}
@@ -286,39 +270,6 @@ def check_rll(lop: LOperator, mode: str = "exact", points: int = 3,
     where = (describe_flat(case, space.labels, row, dim_w),
              describe_flat(case, space.labels, col, dim_w))
     return CheckReport("rll", False, counterexample=(where, res), details=details)
-
-
-def _check_rll_sampled(lop, c1, c2, col_keep, points, seed):
-    case, space = lop.case, lop.space
-    dim_w = space.dim
-    rng = random.Random(seed)
-    rmat = fundamental_r(case)
-    keep = set(col_keep)
-    for _ in range(points):
-        u0 = Scalar.rational(rng.randint(-9, 9), rng.randint(1, 4))
-        v0 = Scalar.rational(rng.randint(-9, 9), rng.randint(1, 4))
-        l1 = _zero(case.n ** 2 * dim_w)
-        l2 = _zero(case.n ** 2 * dim_w)
-        upow = ONE
-        for op in c1:
-            l1 = l1 + op.scale(upow)
-            upow = upow * u0
-        vpow = ONE
-        for op in c2:
-            l2 = l2 + op.scale(vpow)
-            vpow = vpow * v0
-        id_w = SparseOp.identity(dim_w)
-        r_eval = rmat.eval(u0 - v0).kron(id_w)
-        diff = r_eval @ (l1 @ l2.restrict_cols(keep)) - (l2 @ l1.restrict_cols(keep)) @ r_eval
-        entry = diff.first_entry_on_cols(keep)
-        if entry is not None:
-            where = (describe_flat(case, space.labels, entry[0], dim_w),
-                     describe_flat(case, space.labels, entry[1], dim_w))
-            res = BiPoly({(0, 0): diff.data[entry]})
-            return CheckReport("rll(sampled)", False, counterexample=(where, res),
-                               details={"points": points, "authoritative": False})
-    return CheckReport("rll(sampled)", True,
-                       details={"points": points, "authoritative": False})
 
 
 def check_gl2_rll(coeffs, dim, safe_cols=None, name="gl2_rll") -> CheckReport:
@@ -379,11 +330,11 @@ def check_symmetric_constraints(lop: LOperator, span=None) -> CheckReport:
 
     lhs1 = opmat_add(g, opmat_scale(gt, eps))
     lhs2 = opmat_add(opmat_add(h, opmat_scale(ht, eps)),
-                     opmat_sub(opmat_mul_tt(case, g, g, dim), opmat_scale(g, beta)))
-    lhs3 = opmat_add(opmat_add(opmat_mul_tt(case, h, g, dim), opmat_mul_tt(case, g, h, dim)),
+                     opmat_sub(opmat_mul_tt(case, g, g), opmat_scale(g, beta)))
+    lhs3 = opmat_add(opmat_add(opmat_mul_tt(case, h, g), opmat_mul_tt(case, g, h)),
                      opmat_scale(opmat_sub(h, opmat_scale(ht, eps)), -beta))
-    lhs4 = opmat_add(opmat_sub(opmat_mul_tt(case, h, h, dim),
-                               opmat_scale(opmat_mul_tt(case, g, h, dim), beta)),
+    lhs4 = opmat_add(opmat_sub(opmat_mul_tt(case, h, h),
+                               opmat_scale(opmat_mul_tt(case, g, h), beta)),
                      opmat_scale(h, beta * beta))
 
     b = lop.entry_budget
@@ -409,7 +360,7 @@ def check_linear_constraint(lop: LOperator, g: dict | None = None) -> CheckRepor
     """G^2 + beta G = c2 I with n c2 = tr G^2 (lowered product)."""
     case, dim = lop.case, lop.dim
     g = lop.g_mat if g is None else g
-    gg = opmat_mul(case, g, g, dim)
+    gg = opmat_mul(case, g, g)
     lhs = opmat_add(gg, opmat_scale(g, case.beta))
     cols = lop.space.safe_indices(2 * lop.entry_budget)
     ok, value, bad = opmat_is_scalar(case, lhs, dim, cols)
@@ -441,16 +392,7 @@ def check_w_tensor(lop: LOperator, g: dict | None = None) -> CheckReport:
     g = lop.g_mat if g is None else g
     cols = lop.space.safe_indices(2 * lop.entry_budget)
     idx = sorted(case.indices)
-    cache: dict = {}
-
-    def prod(k1, k2):
-        got = cache.get((k1, k2))
-        if got is None:
-            op1, op2 = g.get(k1), g.get(k2)
-            got = _zero(dim) if (op1 is None or op2 is None) else op1 @ op2
-            cache[(k1, k2)] = got
-        return got
-
+    prod = _products(g, g, dim)
     for a in idx:
         for b in idx:
             for c in idx:
@@ -470,7 +412,7 @@ def casimir_operator(lop: LOperator, g: dict | None = None) -> SparseOp:
     """tr G^2 as an operator on the representation space."""
     case, dim = lop.case, lop.dim
     g = lop.g_mat if g is None else g
-    gg = opmat_mul(case, g, g, dim)
+    gg = opmat_mul(case, g, g)
     out = _zero(dim)
     for a in case.indices:
         op = gg.get((-a, a))
@@ -491,8 +433,8 @@ def check_chi3(lop: LOperator, g: dict | None = None) -> CheckReport:
     g = lop.g_mat if g is None else g
     eps = Scalar.of(case.eps)
     beta = case.beta
-    gg = opmat_mul(case, g, g, dim)
-    ggg = opmat_mul(case, gg, g, dim)
+    gg = opmat_mul(case, g, g)
+    ggg = opmat_mul(case, gg, g)
     sigma = casimir_operator(lop, g).scale(Scalar(1, 0, 2))
     chi = opmat_add(ggg, opmat_scale(gg, eps + beta + beta))
     chi = opmat_add(chi, opmat_scale(g, eps * beta * Scalar(2)))
@@ -527,19 +469,14 @@ def center_function(lop: LOperator, span=None):
     subspace.
     """
     case, dim = lop.case, lop.dim
-    shifted = opmat_poly_shift(lop.coeffs, -case.beta)
-    c_poly: list[dict] = [dict() for _ in range(2 * lop.order + 1)]
-    for i, am in enumerate(shifted):
-        for j, bm in enumerate(lop.coeffs):
-            c_poly[i + j] = opmat_add(c_poly[i + j], opmat_mul_tt(case, am, bm, dim))
-    while c_poly and not c_poly[-1]:
-        c_poly.pop()
+    shifted = opmat_poly_subs(lop.coeffs, ONE, -case.beta)
+    c_poly = opmat_poly_mul(shifted, lop.coeffs, lambda x, y: opmat_mul_tt(case, x, y))
 
     b = lop.entry_budget
     comm_cols = lop.space.safe_indices(3 * b)
     for k1, cm in enumerate(c_poly):
         for k2, lm in enumerate(lop.coeffs):
-            comm = opmat_sub(opmat_mul(case, cm, lm, dim), opmat_mul(case, lm, cm, dim))
+            comm = opmat_sub(opmat_mul(case, cm, lm), opmat_mul(case, lm, cm))
             bad = _first_opmat_violation(comm, comm_cols)
             if bad is not None:
                 key, entry, val = bad

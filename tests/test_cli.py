@@ -56,6 +56,9 @@ def test_config_errors_exit_2(capsys):
     assert main(["verify", "--family", "xx", "--m", "2", "--op", "spinor"]) == 2
     assert main(["all", "--family", "so", "--m", "0", "--op", "spinor"]) == 2
     assert main(["weights", "--family", "so", "--m", "2", "--op", "js"]) == 2  # no twoL
+    # a malformed scalar is rejected, not misread ("2*s2+1" once parsed as 2*sqrt2)
+    assert main(["construct", "--family", "so", "--m", "2", "--op", "heisenberg",
+                 "--ell", "2*s2+1"]) == 2
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -86,13 +89,21 @@ def test_construct_product_and_fuse(capsys):
     assert out["weights"][0]["finiteness"]["exists"] is True
 
 
-def test_verify_sample_mode_and_jobs(capsys):
-    code = main(["verify", "--family", "so", "--m", "2", "--op", "spinor",
-                 "--mode", "sample", "--points", "2", "--checks", "rll,lie", "--jobs", "2"])
+def test_verify_check_order_and_removed_flags(capsys):
+    base = ["verify", "--family", "so", "--m", "2", "--op", "spinor", "--checks", "rll,lie"]
+    code = main(base)
     out = json.loads(capsys.readouterr().out)
     assert code == 0
-    names = [c["check"] for c in out["checks"]]
-    assert names == ["rll(sampled)", "lie"]
+    assert [c["check"] for c in out["checks"]] == ["rll", "lie"]
+    for flag in (["--mode", "sample"], ["--points", "2"], ["--jobs", "2"]):
+        assert main(base + flag) == 2, flag
+
+
+def test_verify_js_so3_two_l_3(capsys):
+    code = main(["verify", "--family", "so", "--m", "1", "--odd", "--op", "js", "--twoL", "3"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["construction"]["params"]["module"] == "cyclic"
 
 
 def test_weights_kernel_selector(capsys):

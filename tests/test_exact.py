@@ -57,12 +57,25 @@ def test_scalar_ring_axioms_randomized():
 
 
 def test_scalar_string_round_trip():
+    rng = random.Random(11)
     values = [ZERO, ONE, Scalar(-3, 0, 4), Scalar(1, 1, 2), Scalar(0, -5, 7), Scalar(2, -3, 6)]
+    values += [Scalar(rng.randint(-40, 40), rng.randint(-40, 40), rng.randint(1, 30))
+               for _ in range(300)]
     for v in values:
         assert Scalar.from_string(v.to_string()) == v
     assert Scalar.from_string("3/2") == Scalar(3, 0, 2)
     assert Scalar.from_string("1/2+1/2*s2") == Scalar(1, 1, 2)
     assert Scalar.from_string("-1/2-3/4*s2") == Scalar(-2, -3, 4)
+    assert Scalar.from_string(" -7 ") == Scalar(-7)
+    assert Scalar.from_string("1+2*s2") == Scalar(1, 2, 1)
+
+
+@pytest.mark.parametrize("text", ["2*s2+1", "s2", "1/2*s2", "1/2+s2", "1/2+-1/3*s2",
+                                  "1/2+1/3*s2+1", "1.5", "1/0", "1/2+1/0*s2", "1 2",
+                                  "", "abc", "1/2/3"])
+def test_scalar_from_string_rejects_other_forms(text):
+    with pytest.raises(ValueError):
+        Scalar.from_string(text)
 
 
 def test_poly_eval_examples():

@@ -51,8 +51,8 @@ def test_metric_opmat_is_identity_for_lowered_product():
     space, gens = spinor_space(case, trunc=3)
     ident = metric_opmat(case, space.dim)
     g = {(1, -2): gens.c(1), (-1, 2): gens.c(-1) @ gens.c(2)}
-    assert opmat_mul(case, ident, g, space.dim) == g
-    assert opmat_mul(case, g, ident, space.dim) == g
+    assert opmat_mul(case, ident, g) == g
+    assert opmat_mul(case, g, ident) == g
 
 
 @pytest.mark.parametrize("family,m", [("so_odd", 1), ("so_even", 2), ("so_odd", 2),
@@ -62,7 +62,7 @@ def test_spinor_linear_constraint(family, m):
     case = make_case(family, m)
     lop = build_spinorial_linear(case)
     g = lop.g_mat
-    lhs = opmat_add(opmat_mul(case, g, g, lop.dim), opmat_scale(g, case.beta))
+    lhs = opmat_add(opmat_mul(case, g, g), opmat_scale(g, case.beta))
     c2 = Scalar(case.eps * (case.n - case.eps), 0, 4)
     rhs = metric_opmat(case, lop.dim, c2)
     cols = lop.space.safe_indices(2 * lop.entry_budget)
@@ -98,7 +98,7 @@ def test_heisenberg_linear_constraint(family, m, ell):
     case = make_case(family, m)
     lop = build_heisenberg_linear(case, ell, max_degree=3)
     g = lop.g_mat
-    lhs = opmat_add(opmat_mul(case, g, g, lop.dim), opmat_scale(g, case.beta))
+    lhs = opmat_add(opmat_mul(case, g, g), opmat_scale(g, case.beta))
     c2 = Scalar.of(ell) * (Scalar.of(ell) + case.beta)
     rhs = metric_opmat(case, lop.dim, c2)
     cols = lop.space.safe_indices(2)

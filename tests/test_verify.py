@@ -124,12 +124,6 @@ def test_empty_safe_subspace_fails():
                                                    "residual": "no columns compared"}
 
 
-def test_rll_sample_mode_smoke():
-    lop = build_spinorial_linear(make_case("so_even", 2))
-    rep = check_rll(lop, mode="sample", points=2)
-    assert rep.passed and rep.details["authoritative"] is False
-
-
 def test_symmetric_constraints_js_so5():
     from yanglab.lops import js_highest_vector
     from yanglab.verify import cyclic_span
