@@ -120,7 +120,10 @@ def build_operator(cfg):
         chain = params.get("chain")
         if chain is None:
             raise ConfigError('--params must supply {"chain": [[u_k, d_k], ...]}')
-        pairs = [(_scalar_arg(u, "u_k"), int(d)) for u, d in chain]
+        try:
+            pairs = [(_scalar_arg(u, "u_k"), int(d)) for u, d in chain]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad --params chain {chain!r}: {exc}") from exc
         gl2 = build_gl2_js_chain(pairs)
         if op == "gl2chain":
             return gl2, {gl2.hw_index: Scalar.of(1)}
@@ -139,8 +142,12 @@ def build_operator(cfg):
         two_l = cfg.get("twoL", params.get("twoL"))
         if two_l is None:
             raise ConfigError("--twoL is required for the js construction")
+        try:
+            two_l = int(two_l)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad twoL {two_l!r}") from exc
         k = _scalar_arg(cfg.get("k", params.get("k")), "k")
-        lop = build_js_quadratic(case, int(two_l), k=k)
+        lop = build_js_quadratic(case, two_l, k=k)
         return lop, lop.hw_vector
     if op == "product":
         delta = _scalar_arg(cfg.get("delta", params.get("delta", 0)), "delta")
@@ -207,6 +214,8 @@ def _weights_stage(cfg, lop, vec):
                 positions = [int(x) for x in str(selector).split(",")]
             except ValueError as exc:
                 raise ConfigError(f"bad --vector {selector!r}") from exc
+            if not all(0 <= p < lop.dim for p in positions):
+                raise ConfigError(f"--vector positions must lie in [0, {lop.dim})")
             vectors = [{p: Scalar.of(1) for p in positions}]
         k = _scalar_arg(cfg.get("k"), "k")
         return [weight_report(lop, v, k=k) for v in vectors]
@@ -242,7 +251,10 @@ def run(cfg) -> tuple[dict, int]:
         report["timings"] = timings
         return report, (1 if failed else 0)
 
-    lop, vec = _stage(timings, "construct", build_operator, cfg)
+    try:
+        lop, vec = _stage(timings, "construct", build_operator, cfg)
+    except ValueError as exc:  # a builder rejected its parameters
+        raise ConfigError(str(exc)) from exc
     if isinstance(lop, LOperator):
         report["construction"] = lop.summary()
         if "qdet" in lop.params:
@@ -263,12 +275,15 @@ def run(cfg) -> tuple[dict, int]:
         failed = failed or not all(r.passed for r in results)
 
     if command in ("weights", "finiteness", "all"):
-        outcomes = _stage(timings, "weights", _weights_stage, cfg, lop, vec)
+        try:
+            outcomes = _stage(timings, "weights", _weights_stage, cfg, lop, vec)
+        except ValueError as exc:  # ratio data outside the finiteness test's domain
+            raise ConfigError(str(exc)) from exc
         if isinstance(lop, LOperator):
             report["weights"] = [w.to_dict() for w in outcomes]
             failed = failed or not all(w.passed for w in outcomes)
             if command in ("finiteness", "all"):
-                failed = failed or not all(w.drinfeld.exists for w in outcomes)
+                failed = failed or not all(w.passed and w.drinfeld.exists for w in outcomes)
         else:
             report["finiteness"] = [d.to_dict() for d in outcomes]
             failed = failed or not all(d.exists for d in outcomes)
@@ -320,6 +335,8 @@ def _load_config(ns) -> dict:
             cfg["params"] = json.loads(cfg["params"])
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--params is not valid JSON: {exc}") from exc
+    if not isinstance(cfg.get("params", {}), dict):
+        raise ConfigError("--params must be a JSON object")
     if isinstance(cfg.get("checks"), str):
         cfg["checks"] = [c.strip() for c in cfg["checks"].split(",") if c.strip()]
     return cfg
@@ -333,9 +350,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse reports its own usage errors
         return exc.code if isinstance(exc.code, int) else 2
     except ConfigError as exc:
-        print(f"yanglab: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
         print(f"yanglab: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(report, indent=2, sort_keys=True)

@@ -16,13 +16,17 @@ SparseOp is a minimal exact sparse matrix ({(row, col): Scalar} plus
 explicit dimensions).  It is deliberately dumb: no fill-in heuristics,
 no reordering, just exact dict arithmetic.  Everything is immutable in
 practice (ops build new objects), so values can be shared freely.
+Entries may also be plain ints: `clear_denominators` turns rational
+operators into integer ones times a known 1/D, which the identity engine
+multiplies and accumulates without normalizing a Scalar per operation.
+Zero tests use truthiness, so every method works on either entry type.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 NEG_INF = float("-inf")  # degree sentinel for the zero polynomial
 _SCALAR_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?:([+-])([0-9]+)(?:/([0-9]+))?\*s2)?")
@@ -554,7 +558,7 @@ class SparseOp:
         if data is None:
             self.data = {}
         else:
-            self.data = {k: v for k, v in data.items() if not v.is_zero}
+            self.data = {k: v for k, v in data.items() if v}
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "SparseOp":
@@ -586,7 +590,7 @@ class SparseOp:
         for key, val in other.data.items():
             acc = out.get(key)
             acc = val if acc is None else acc + val
-            if acc.is_zero:
+            if not acc:
                 out.pop(key, None)
             else:
                 out[key] = acc
@@ -638,7 +642,7 @@ class SparseOp:
                 prod = a * b
                 acc = out.get(key)
                 acc = prod if acc is None else acc + prod
-                if acc.is_zero:
+                if not acc:
                     out.pop(key, None)
                 else:
                     out[key] = acc
@@ -696,6 +700,33 @@ class SparseOp:
 
     def __repr__(self):
         return f"SparseOp({self.nrows}x{self.ncols}, nnz={len(self.data)})"
+
+
+def common_denominator(values):
+    """lcm of the denominators of Scalars, or None if one carries sqrt2."""
+    dens = set()
+    for v in values:
+        if v.q:
+            return None
+        dens.add(v.r)
+    return lcm(*dens)
+
+
+def clear_denominators(ops):
+    """(int_ops, d): the SparseOps `ops` times d, with plain int entries.
+
+    d is the lcm of every entry's denominator, so int_ops / d == ops.
+    If an entry carries sqrt2 the ops come back unchanged with d = 1.
+    """
+    d = common_denominator(v for op in ops for v in op.data.values())
+    if d is None:
+        return list(ops), 1
+    out = []
+    for op in ops:
+        res = SparseOp(op.nrows, op.ncols)
+        res.data = {k: v.p * (d // v.r) for k, v in op.data.items()}
+        out.append(res)
+    return out, d
 
 
 class VectorSpan:

@@ -18,7 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly
+from .exact import (
+    ONE,
+    ZERO,
+    BiPoly,
+    Scalar,
+    SparseOp,
+    UniPoly,
+    clear_denominators,
+    common_denominator,
+)
 
 FAMILIES = ("so_even", "so_odd", "sp")
 
@@ -242,10 +251,24 @@ def identity_residual(ipk, c1, c2, cols, n: int, k=None):
     then D_X = X C1_i C2_j - C2_j C1_i X once for X in {I, P, K}; the sum
     over X of f_X[t] D_X is expanded over (u - v)^t into one residual.
 
+    The residual is linear in R's coefficients and bilinear in (L1, L2),
+    so C1, C2 and f_X are first multiplied by the lcm of their
+    denominators (D1, D2, Dr) and the loop runs on plain ints; only the
+    surviving residual entries are divided by D1 D2 Dr, at return.  An
+    operand carrying sqrt2 keeps its Scalar entries (and a factor 1).
+
     Returns (residual, keys): residual maps each (deg_u, deg_v) key whose
     coefficient does not vanish to its entries {(row, col): Scalar}, and
     keys is the number of (u, v) keys compared.
     """
+    c1, d1 = clear_denominators(c1)
+    c2, d2 = clear_denominators(c2)
+    dr = common_denominator(c for f in ipk for c in f)
+    if dr is None:
+        dr = 1
+    else:
+        ipk = [[c.p * (dr // c.r) for c in f] for f in ipk]
+    den = d1 * d2 * dr
     dim = c1[0].nrows
     dim_w = dim // (n * n)
     swap = []
@@ -287,7 +310,15 @@ def identity_residual(ipk, c1, c2, cols, n: int, k=None):
                     keys.add(key)
                     if diff:
                         _axpy(residual.setdefault(key, {}), (-1) ** (t - p) * comb(t, p), diff)
-    return {key: entries for key, entries in residual.items() if entries}, len(keys)
+    return {key: {pos: _divide(v, den) for pos, v in entries.items()}
+            for key, entries in residual.items() if entries}, len(keys)
+
+
+def _divide(value, den: int) -> Scalar:
+    """An int or Scalar residual entry divided by the cleared denominator."""
+    if isinstance(value, int):
+        return Scalar(value, 0, den)
+    return Scalar(value.p, value.q, value.r * den)
 
 
 def first_violation(residual: dict):

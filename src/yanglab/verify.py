@@ -369,12 +369,7 @@ def check_linear_constraint(lop: LOperator, g: dict | None = None) -> CheckRepor
         return CheckReport("linear_constraint", False,
                            counterexample=(key, BiPoly({(0, 0): val})))
     # cross-check the trace formula n c2 = tr G^2
-    trace = _zero(dim)
-    for a in case.indices:
-        op = gg.get((-a, a))
-        if op is not None:
-            trace = trace + op.scale(Scalar.of(case.sign(-a)))
-    tr_check = trace - SparseOp.identity(dim, value * case.n)
+    tr_check = _trace(case, gg, dim) - SparseOp.identity(dim, value * case.n)
     if not tr_check.is_zero_on_cols(cols):
         entry = tr_check.first_entry_on_cols(cols)
         return CheckReport("linear_constraint", False, scalars={"c2": value},
@@ -408,17 +403,20 @@ def check_w_tensor(lop: LOperator, g: dict | None = None) -> CheckReport:
     return CheckReport("w_tensor", True)
 
 
-def casimir_operator(lop: LOperator, g: dict | None = None) -> SparseOp:
-    """tr G^2 as an operator on the representation space."""
-    case, dim = lop.case, lop.dim
-    g = lop.g_mat if g is None else g
-    gg = opmat_mul(case, g, g)
+def _trace(case: CaseDescriptor, mat: dict, dim: int) -> SparseOp:
+    """tr M = sum_a eps_{-a} M_{-a,a} of a lowered opmat, as an operator."""
     out = _zero(dim)
     for a in case.indices:
-        op = gg.get((-a, a))
+        op = mat.get((-a, a))
         if op is not None:
             out = out + op.scale(Scalar.of(case.sign(-a)))
     return out
+
+
+def casimir_operator(lop: LOperator, g: dict | None = None) -> SparseOp:
+    """tr G^2 as an operator on the representation space."""
+    g = lop.g_mat if g is None else g
+    return _trace(lop.case, opmat_mul(lop.case, g, g), lop.dim)
 
 
 def check_chi3(lop: LOperator, g: dict | None = None) -> CheckReport:
@@ -435,7 +433,7 @@ def check_chi3(lop: LOperator, g: dict | None = None) -> CheckReport:
     beta = case.beta
     gg = opmat_mul(case, g, g)
     ggg = opmat_mul(case, gg, g)
-    sigma = casimir_operator(lop, g).scale(Scalar(1, 0, 2))
+    sigma = _trace(case, gg, dim).scale(Scalar(1, 0, 2))
     chi = opmat_add(ggg, opmat_scale(gg, eps + beta + beta))
     chi = opmat_add(chi, opmat_scale(g, eps * beta * Scalar(2)))
     chi = opmat_sub(chi, {key: (sigma @ op).scale(eps) for key, op in g.items()})

@@ -454,16 +454,19 @@ def drinfeld_test(reduced, case: CaseDescriptor) -> DrinfeldResult:
 
 @dataclass
 class WeightReport:
+    """Weight data of one vector; only `hw_report` is set when the vector
+    is not a highest-weight vector (and the report fails)."""
+
     case: CaseDescriptor
     order: int
-    wf: WeightFunction
+    wf: WeightFunction | None
     components: dict | None
     k: Scalar | None
     raw_ratios: list
     reduced: list
     hw_report: CheckReport
     condition_report: CheckReport | None
-    drinfeld: DrinfeldResult
+    drinfeld: DrinfeldResult | None
 
     @property
     def passed(self) -> bool:
@@ -473,6 +476,9 @@ class WeightReport:
         return ok
 
     def to_dict(self) -> dict:
+        if self.wf is None:
+            return {"case": self.case.label(), "order": self.order,
+                    "highest_weight": self.hw_report.to_dict()}
         out = {
             "case": self.case.label(),
             "order": self.order,
@@ -499,11 +505,15 @@ def standard_normalization(lop: LOperator) -> bool:
 
 
 def weight_report(lop: LOperator, vec: dict, k=None) -> WeightReport:
-    """Run the full highest-weight pipeline on one vector."""
+    """Run the full highest-weight pipeline on one vector.
+
+    A vector that is not highest-weight gives a failing report that
+    carries the highest-weight counterexample and nothing else.
+    """
     case = lop.case
     hw = verify_highest_weight(lop, vec)
     if not hw.passed:
-        raise ValueError(f"not a highest-weight vector: {hw.counterexample}")
+        return WeightReport(case, lop.order, None, None, None, [], [], hw, None, None)
     wf = weight_functions(lop, vec)
     raw = ratios(wf, case)
     reduced = reduced_ratios(raw)

@@ -61,6 +61,33 @@ def test_config_errors_exit_2(capsys):
                  "--ell", "2*s2+1"]) == 2
 
 
+def test_non_highest_weight_vector_exits_1(capsys):
+    # a failed highest-weight check is a failed check, not a configuration error
+    code = main(["weights", "--family", "so", "--m", "2", "--op", "spinor", "--vector", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    hw = out["weights"][0]["highest_weight"]
+    assert hw["passed"] is False
+    assert hw["counterexample"] == {"at": "((-1, 2), 'u^0')", "residual": "nonzero action"}
+    assert "finiteness" not in out["weights"][0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--op", "gl2chain", "--params", '{"chain": [["1", "x"]]}'],
+    ["construct", "--op", "gl2chain", "--params", '{"chain": [1]}'],
+    ["construct", "--op", "gl2chain", "--params", '{"chain": [["1", -1]]}'],
+    ["construct", "--family", "so", "--m", "2", "--op", "js", "--params", '{"twoL": "x"}'],
+    ["construct", "--family", "sp", "--m", "2", "--op", "js", "--twoL", "2"],
+    ["weights", "--family", "so", "--m", "2", "--op", "spinor", "--vector", "99"],
+    ["weights", "--family", "so", "--m", "1", "--op", "spinor"],
+    ["construct", "--family", "so", "--m", "2", "--op", "js", "--params", "[2]"],
+], ids=["chain-d", "chain-shape", "chain-negative", "twoL", "sp-twoL", "vector-range", "so2",
+        "params-object"])
+def test_bad_inputs_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("yanglab: ")
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = {"family": "so", "m": 2, "odd": True, "op": "spinor"}
     path = tmp_path / "cfg.json"

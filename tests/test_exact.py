@@ -13,6 +13,8 @@ from yanglab.exact import (
     Scalar,
     SparseOp,
     UniPoly,
+    clear_denominators,
+    common_denominator,
     nullspace,
     poly_eval,
     rational_roots,
@@ -167,6 +169,25 @@ def test_sparse_op_associativity_randomized():
             return SparseOp(4, 4, data)
         a, b, c = rnd_op(), rnd_op(), rnd_op()
         assert (a @ b) @ c == a @ (b @ c)
+
+
+def test_clear_denominators_to_ints_and_back():
+    a = SparseOp(2, 2, {(0, 0): Scalar(1, 0, 2), (0, 1): Scalar(-2, 0, 3)})
+    b = SparseOp(2, 2, {(1, 1): Scalar(5, 0, 4)})
+    (ia, ib), d = clear_denominators([a, b])
+    assert d == 12
+    assert ia.data == {(0, 0): 6, (0, 1): -8} and ib.data == {(1, 1): 15}
+    assert all(type(v) is int for v in list(ia.data.values()) + list(ib.data.values()))
+    # int entries run through the same SparseOp arithmetic, zero tests included
+    prod = ia @ ib
+    assert prod.data == {(0, 1): -120}
+    assert (ia + ia.scale(-1)).is_zero and not SparseOp(1, 1, {(0, 0): 0}).data
+    assert {k: Scalar(v, 0, d * d) for k, v in prod.data.items()} == (a @ b).data
+    # a sqrt2 entry keeps the Scalars
+    c = SparseOp(1, 1, {(0, 0): SQRT2})
+    ops, d = clear_denominators([a, c])
+    assert d == 1 and ops[0] is a and ops[1] is c
+    assert common_denominator([]) == 1
 
 
 def test_nullspace_exact():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from yanglab.exact import ONE, ZERO, Scalar, UniPoly
+from yanglab.exact import ONE, ZERO, Scalar, UniPoly, common_denominator
 from yanglab.lops import (
     LOperator,
     build_heisenberg_linear,
@@ -10,6 +10,7 @@ from yanglab.lops import (
     build_product,
     build_spinorial_linear,
     metric_opmat,
+    opmat_mul,
     opmat_scale,
 )
 from yanglab.structure import make_case
@@ -81,11 +82,21 @@ def _js_without_h(family, m):
                      entry_budget=0, kind="js_no_h")
 
 
-def _corrupted_sp4_spinor(trunc):
-    """The sp(4) spinor operator with G scaled by 3: every identity fails."""
-    lop = build_spinorial_linear(make_case("sp", 2), trunc=trunc)
+def _js_h_scaled(family, m, factor):
+    lop = build_js_quadratic(make_case(family, m), 2)
+    return LOperator(lop.case, lop.space, [opmat_scale(lop.coeffs[0], factor), lop.g_mat,
+                                           lop.coeffs[2]], entry_budget=0, kind="js_h_scaled")
+
+
+def _spinor_g_scaled(family, m, trunc=None):
+    """The spinor operator with G scaled by 3: every identity fails."""
+    lop = build_spinorial_linear(make_case(family, m), trunc=trunc)
     return LOperator(lop.case, lop.space, [opmat_scale(lop.coeffs[0], 3), lop.coeffs[1]],
                      entry_budget=lop.entry_budget, kind="spinor_corrupted")
+
+
+def _corrupted_sp4_spinor(trunc):
+    return _spinor_g_scaled("sp", 2, trunc)
 
 
 # Counterexamples of the RLL negative controls, pinned verbatim: the first
@@ -98,15 +109,37 @@ RLL_REFUTATIONS = [
     (lambda: _corrupted_sp4_spinor(6),
      "((-2, -2, (0, 1)), (-2, -1, (1, 0)))",
      {"0,1": "-18/1", "0,2": "6/1", "1,0": "18/1", "1,1": "-12/1", "2,0": "6/1"}),
+    # a fractional residual: the integer-cleared engine must divide it back exactly
+    (lambda: _js_h_scaled("so_odd", 2, Scalar(1, 0, 3)),
+     "((-2, -2, (1, 1, 0, 0, 0)), (-2, -1, (2, 0, 0, 0, 0)))",
+     {"0,1": "-25/24", "0,2": "25/36", "1,0": "25/24", "1,1": "-25/18", "2,0": "25/36"}),
+    # c_0 carries sqrt2: the engine runs on Scalars here
+    (lambda: _spinor_g_scaled("so_odd", 2),
+     "((-2, -2, 2), (-2, -1, 1))",
+     {"0,1": "-9/1", "0,2": "6/1", "1,0": "9/1", "1,1": "-12/1", "2,0": "6/1"}),
 ]
 
 
 @pytest.mark.parametrize("build,at,residual", RLL_REFUTATIONS,
-                         ids=["js-so4-no-h", "js-so5-no-h", "spinor-sp4-corrupted"])
+                         ids=["js-so4-no-h", "js-so5-no-h", "spinor-sp4-corrupted",
+                              "js-so5-h-third", "spinor-so5-corrupted"])
 def test_rll_refutations_pinned(build, at, residual):
     rep = check_rll(build()).to_dict()
     assert rep["passed"] is False
     assert rep["counterexample"] == {"at": at, "residual": residual}
+
+
+def test_so5_spinor_carries_sqrt2():
+    # keeps the spinor-so5-corrupted refutation on the Scalar path of the engine
+    lop = build_spinorial_linear(make_case("so_odd", 2))
+    values = [v for mat in lop.coeffs for op in mat.values() for v in op.data.values()]
+    assert common_denominator(values) is None
+
+
+def test_rll_js_so7_rank_three():
+    lop = build_js_quadratic(make_case("so_odd", 3), 2)
+    rep = check_rll(lop)
+    assert rep.passed and rep.details["safe_columns"] == lop.dim == 28
 
 
 def test_lie_refutation_pinned():
@@ -178,6 +211,21 @@ def test_w_and_chi3():
     # Clifford generators are not of bilinear form: W does not vanish
     spinor = build_spinorial_linear(make_case("so_even", 2))
     assert not check_w_tensor(spinor, g=spinor.g_mat).passed
+
+
+def test_chi3_contracts_g_twice(monkeypatch):
+    # G o G and (G o G) o G; the Casimir reuses G o G
+    import yanglab.verify as verify
+
+    calls = []
+
+    def counting(case, a, b):
+        calls.append(1)
+        return opmat_mul(case, a, b)
+
+    monkeypatch.setattr(verify, "opmat_mul", counting)
+    assert check_chi3(build_js_quadratic(make_case("so_odd", 2), 2)).passed
+    assert len(calls) == 2
 
 
 def test_center_trivial_linear():
