@@ -1,5 +1,6 @@
 """Case descriptors, invariant metric, fundamental R-matrix, the RLL
-identity engine and the YBE checker built on it.
+identity engine and the YBE checker built on it, and the block kernel of
+the Lie, adjoint and W relations.
 
 Index conventions used everywhere in this package: the fundamental space
 of so(2m) / sp(2m) carries indices (-m, ..., -1, +1, ..., +m) and so(2m+1)
@@ -333,6 +334,121 @@ def describe_flat(case: CaseDescriptor, labels, flat: int, dim_w: int) -> tuple:
     pair, w = divmod(flat, dim_w)
     p1, p2 = divmod(pair, case.n)
     return (case.indices[p1], case.indices[p2], labels[w])
+
+
+# ---------------------------------------------------------------------------
+# the (V x V) x W block kernel of the Lie, adjoint and W relations
+
+
+def _cleared_blocks(case: CaseDescriptor, mat: dict):
+    """({(pos a, pos b): op}, D): the opmat `mat` times D on ints, by position."""
+    keys = list(mat)
+    ops, den = clear_denominators([mat[key] for key in keys])
+    return {(case.pos(a), case.pos(b)): op for (a, b), op in zip(keys, ops)}, den
+
+
+def _slot(n: int, blocks: dict, dim_w: int, slot: int) -> SparseOp:
+    entries = ((pa, pb, i, j, v) for (pa, pb), op in blocks.items() for (i, j), v in op.data.items())
+    return slot_operator(n, entries, dim_w, slot)
+
+
+def _row_blocks(op: SparseOp, size: int, count: int) -> list:
+    """op split into `count` SparseOps holding `size` consecutive rows each."""
+    blocks = [SparseOp(op.nrows, op.ncols) for _ in range(count)]
+    for key, val in op.data.items():
+        blocks[key[0] // size].data[key] = val
+    return blocks
+
+
+def block_violation(case: CaseDescriptor, g: dict, x: dict, dim_w: int, cols,
+                    w_tensor: bool = False):
+    """First violation of the Lie-type identity of G and X on (V x V) x W.
+
+    S1 carries G in slot 1 and S2 carries X in slot 2 (`slot_operator`), so
+    the block ((a, c), (b, d)) of S1 S2 is G_ab X_cd and that of S2 S1 is
+    X_cd G_ab.  The identity is the relation
+
+      [G_ab, X_cd] = -eps_cb X_ad + eps_ad X_cb + eps_ac X_bd - eps_db X_ca
+
+    (lie with X = G, adjoint with X = H), whose right side is placed block
+    by block through index relabelling, with no product; or, with
+    `w_tensor`, W_abcd = 0 for the cyclic sum over (b, c, d) of
+    G_ab X_cd + X_cd G_ab, which is the six-term W tensor when X = G.
+
+    The residual is streamed one first-slot block row a at a time: two
+    SparseOp products per row (the rows a of S1 S2 and S2 S1, kept columns
+    only), so the whole product is never formed, and the scan stops after
+    the first row that holds a violation.  G and X are cleared to ints
+    (D_G, D_X): the bilinear left side scales by D_G D_X and the right
+    side, linear in X, is multiplied by D_G, so a surviving entry divided
+    by D_G D_X is the exact residual.  An operand carrying sqrt2 keeps its
+    Scalar entries (and D = 1).
+
+    Returns None when the identity holds on the columns `cols` of W, else
+    ((a, b, c, d), residual): the first index tuple in sorted order and
+    the residual Scalar at its lexicographically first entry (i, j) with j
+    in `cols`.
+    """
+    n, idx = case.n, case.indices
+    pos = {a: p for p, a in enumerate(idx)}
+    size = n * dim_w  # rows of one first-slot block row
+    g_blocks, d_g = _cleared_blocks(case, g)
+    x_blocks, d_x = _cleared_blocks(case, x)
+    s1, s2 = _slot(n, g_blocks, dim_w, 1), _slot(n, x_blocks, dim_w, 2)
+    keep = {pair * dim_w + j for pair in range(n * n) for j in cols}
+    s1_rows, s2_rows = _row_blocks(s1, size, n), _row_blocks(s2, size, n)
+    s1k_rows = _row_blocks(s1.restrict_cols(keep), size, n)
+    s2k = s2.restrict_cols(keep)
+    kept = set(cols)
+    xk = {key: [(i, j, v) for (i, j), v in op.data.items() if j in kept]
+          for key, op in x_blocks.items()}
+    for pa, a in enumerate(idx):
+        base = pa * size
+        acc = dict((s1_rows[pa] @ s2k).data)
+        other = (s2_rows[pa] @ s1k_rows[pa]).data
+        if w_tensor:
+            for key, v in other.items():
+                acc[key] = acc.get(key, 0) + v
+            res: dict = {}
+            for (r, c), v in acc.items():
+                if not v:
+                    continue
+                pz, i = divmod(r - base, dim_w)
+                pyw, j = divmod(c, dim_w)
+                py, pw = divmod(pyw, n)
+                for key in ((r, c), (base + py * dim_w + i, (pw * n + pz) * dim_w + j),
+                            (base + pw * dim_w + i, (pz * n + py) * dim_w + j)):
+                    res[key] = res.get(key, 0) + v
+        else:
+            for key, v in other.items():
+                acc[key] = acc.get(key, 0) - v
+            sa = case.sign(a)
+            terms = [(case.sign(c), (a, d), c, -c, d) for c in idx for d in idx]
+            terms += [(-sa, (c, b), c, b, -a) for c in idx for b in idx]
+            terms += [(-sa, (b, d), -a, b, d) for b in idx for d in idx]
+            terms += [(case.sign(-b), (c, a), c, b, -b) for c in idx for b in idx]
+            for sign, (r, s), c, b, d in terms:  # acc += sign D_G X_rs at ((a, c), (b, d))
+                blk = xk.get((pos[r], pos[s]))
+                if blk is None:
+                    continue
+                row0, col0 = base + pos[c] * dim_w, (pos[b] * n + pos[d]) * dim_w
+                coef = sign * d_g
+                for i, j, v in blk:
+                    key = (row0 + i, col0 + j)
+                    acc[key] = acc.get(key, 0) + coef * v
+            res = acc
+        bad = [key for key, v in res.items() if v]
+        if bad:
+            def order(key):
+                pc, i = divmod(key[0] - base, dim_w)
+                pbd, j = divmod(key[1], dim_w)
+                pb, pd = divmod(pbd, n)
+                return (pb, pc, pd, i, j)
+
+            first = min(bad, key=order)
+            pb, pc, pd, _, _ = order(first)
+            return (a, idx[pb], idx[pc], idx[pd]), _divide(res[first], d_g * d_x)
+    return None
 
 
 @dataclass

@@ -8,6 +8,15 @@ check whose safe subspace is empty compared nothing and fails.
 
 Reports are deterministic: index tuples are scanned in sorted order and
 the first violation is recorded together with its residual polynomial.
+
+YBE, RLL and gl(2)-RLL run on `structure.identity_residual`.  The Lie
+relation (G with itself), the adjoint relation (G with H) and the W
+tensor (G with itself) run on `structure.block_violation`: G in slot 1
+and X in slot 2 of (V x V) x W make the blocks of S1 S2 and S2 S1 the
+products G_ab X_cd and X_cd G_ab for every index tuple at once, one
+first-slot block row at a time, on integer-cleared operands.  The
+commutator's right side, and W's six terms, are relabellings of those
+blocks.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .lops import (
 from .structure import (
     YANG_GL2_IPK,
     CaseDescriptor,
+    block_violation,
     describe_flat,
     first_violation,
     fundamental_ipk,
@@ -73,10 +83,6 @@ class CheckReport:
             desc, residual = self.counterexample
             out["counterexample"] = {"at": repr(desc), "residual": ser(residual)}
         return out
-
-
-def _zero(dim):
-    return SparseOp.zeros(dim, dim)
 
 
 def _first_opmat_violation(mat: dict, cols):
@@ -158,77 +164,32 @@ def _vacuous(name: str) -> CheckReport:
 # Lie-algebra and adjoint relations
 
 
-def _relation_rhs(case, mat, a, b, c, d, dim):
-    """-eps_cb M_ad + eps_ad M_cb + eps_ac M_bd - eps_db M_ca."""
-    out = _zero(dim)
-    for sign, (r, s) in (
-        (-case.metric_lower(c, b), (a, d)),
-        (case.metric_lower(a, d), (c, b)),
-        (case.metric_lower(a, c), (b, d)),
-        (-case.metric_lower(d, b), (c, a)),
-    ):
-        if not sign.is_zero:
-            op = mat.get((r, s))
-            if op is not None:
-                out = out + op.scale(sign)
-    return out
-
-
-def _products(left: dict, right: dict, dim: int):
-    """Memoised entry products (key1, key2) -> left[key1] @ right[key2]."""
-    cache: dict = {}
-
-    def prod(key1, key2):
-        got = cache.get((key1, key2))
-        if got is None:
-            op1, op2 = left.get(key1), right.get(key2)
-            got = _zero(dim) if (op1 is None or op2 is None) else op1 @ op2
-            cache[(key1, key2)] = got
-        return got
-
-    return prod
-
-
-def _pairwise_check(case, g, target, dim, cols, name):
-    """[G_ab, X_cd] = adjoint combination of X, for all index tuples."""
-    idx = sorted(case.indices)
-    prod, prod_t = _products(g, target, dim), _products(target, g, dim)
-    for a in idx:
-        for b in idx:
-            for c in idx:
-                for d in idx:
-                    lhs = prod((a, b), (c, d)) - prod_t((c, d), (a, b))
-                    rhs = _relation_rhs(case, target, a, b, c, d, dim)
-                    diff = lhs - rhs
-                    entry = diff.first_entry_on_cols(cols)
-                    if entry is not None:
-                        residual = BiPoly({(0, 0): diff.data[entry]})
-                        return CheckReport(name, False,
-                                           counterexample=((a, b, c, d), residual))
-    return CheckReport(name, True)
+def _block_check(lop, g, x, budget, name, w_tensor=False):
+    """A Lie-type relation of G and X decided by `structure.block_violation`,
+    on the columns safe for `budget` compositions of the entry budget."""
+    cols = lop.space.safe_indices(budget * lop.entry_budget)
+    if not cols:
+        return _vacuous(name)
+    details = {"safe_columns": len(cols)}
+    bad = block_violation(lop.case, g, x, lop.dim, cols, w_tensor)
+    if bad is None:
+        return CheckReport(name, True, details=details)
+    at, residual = bad
+    return CheckReport(name, False, counterexample=(at, BiPoly({(0, 0): residual})),
+                       details=details)
 
 
 def check_lie(lop: LOperator, g: dict | None = None) -> CheckReport:
     """[G_ab, G_cd] equals the structure-constant combination, exactly."""
     g = lop.g_mat if g is None else g
-    cols = lop.space.safe_indices(2 * lop.entry_budget)
-    if not cols:
-        return _vacuous("lie")
-    report = _pairwise_check(lop.case, g, g, lop.dim, cols, "lie")
-    report.details["safe_columns"] = len(cols)
-    return report
+    return _block_check(lop, g, g, 2, "lie")
 
 
 def check_adjoint(lop: LOperator, g: dict | None = None, h: dict | None = None) -> CheckReport:
     """[G_ab, H_cd] equals the adjoint-action combination of H."""
     g = lop.g_mat if g is None else g
     h = lop.h_mat if h is None else h
-    cols = lop.space.safe_indices(3 * lop.entry_budget)
-    if not cols:
-        return _vacuous("adjoint")
-    report = _pairwise_check(lop.case, g, h, lop.dim, cols, "adjoint")
-    report.details["safe_columns"] = len(cols)
-    return report
+    return _block_check(lop, g, h, 3, "adjoint")
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +321,24 @@ def check_linear_constraint(lop: LOperator, g: dict | None = None) -> CheckRepor
     """G^2 + beta G = c2 I with n c2 = tr G^2 (lowered product)."""
     case, dim = lop.case, lop.dim
     g = lop.g_mat if g is None else g
+    cols = lop.space.safe_indices(2 * lop.entry_budget)
+    if not cols:
+        return _vacuous("linear_constraint")
+    details = {"safe_columns": len(cols)}
     gg = opmat_mul(case, g, g)
     lhs = opmat_add(gg, opmat_scale(g, case.beta))
-    cols = lop.space.safe_indices(2 * lop.entry_budget)
     ok, value, bad = opmat_is_scalar(case, lhs, dim, cols)
     if not ok:
         key, entry, val = bad
-        return CheckReport("linear_constraint", False,
+        return CheckReport("linear_constraint", False, details=details,
                            counterexample=(key, BiPoly({(0, 0): val})))
     # cross-check the trace formula n c2 = tr G^2
     tr_check = _trace(case, gg, dim) - SparseOp.identity(dim, value * case.n)
     if not tr_check.is_zero_on_cols(cols):
         entry = tr_check.first_entry_on_cols(cols)
-        return CheckReport("linear_constraint", False, scalars={"c2": value},
+        return CheckReport("linear_constraint", False, scalars={"c2": value}, details=details,
                            counterexample=(("trace",), BiPoly({(0, 0): tr_check.data[entry]})))
-    return CheckReport("linear_constraint", True, scalars={"c2": value})
+    return CheckReport("linear_constraint", True, scalars={"c2": value}, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -383,40 +347,18 @@ def check_linear_constraint(lop: LOperator, g: dict | None = None) -> CheckRepor
 
 def check_w_tensor(lop: LOperator, g: dict | None = None) -> CheckReport:
     """Six-term symmetrized product W_{ab,cd} vanishes for all indices."""
-    case, dim = lop.case, lop.dim
     g = lop.g_mat if g is None else g
-    cols = lop.space.safe_indices(2 * lop.entry_budget)
-    idx = sorted(case.indices)
-    prod = _products(g, g, dim)
-    for a in idx:
-        for b in idx:
-            for c in idx:
-                for d in idx:
-                    w = (prod((a, b), (c, d)) + prod((a, c), (d, b))
-                         + prod((a, d), (b, c)) + prod((c, d), (a, b))
-                         + prod((d, b), (a, c)) + prod((b, c), (a, d)))
-                    entry = w.first_entry_on_cols(cols)
-                    if entry is not None:
-                        return CheckReport("w_tensor", False,
-                                           counterexample=((a, b, c, d),
-                                                           BiPoly({(0, 0): w.data[entry]})))
-    return CheckReport("w_tensor", True)
+    return _block_check(lop, g, g, 2, "w_tensor", w_tensor=True)
 
 
 def _trace(case: CaseDescriptor, mat: dict, dim: int) -> SparseOp:
     """tr M = sum_a eps_{-a} M_{-a,a} of a lowered opmat, as an operator."""
-    out = _zero(dim)
+    out = SparseOp.zeros(dim, dim)
     for a in case.indices:
         op = mat.get((-a, a))
         if op is not None:
             out = out + op.scale(Scalar.of(case.sign(-a)))
     return out
-
-
-def casimir_operator(lop: LOperator, g: dict | None = None) -> SparseOp:
-    """tr G^2 as an operator on the representation space."""
-    g = lop.g_mat if g is None else g
-    return _trace(lop.case, opmat_mul(lop.case, g, g), lop.dim)
 
 
 def check_chi3(lop: LOperator, g: dict | None = None) -> CheckReport:
@@ -429,6 +371,10 @@ def check_chi3(lop: LOperator, g: dict | None = None) -> CheckReport:
     """
     case, dim = lop.case, lop.dim
     g = lop.g_mat if g is None else g
+    cols = lop.space.safe_indices(3 * lop.entry_budget)
+    if not cols:
+        return _vacuous("chi3")
+    details = {"safe_columns": len(cols)}
     eps = Scalar.of(case.eps)
     beta = case.beta
     gg = opmat_mul(case, g, g)
@@ -441,12 +387,12 @@ def check_chi3(lop: LOperator, g: dict | None = None) -> CheckReport:
     for a in case.indices:
         sigma_metric[(a, -a)] = sigma.scale(case.metric_lower(a, -a))
     chi = opmat_sub(chi, sigma_metric)
-    cols = lop.space.safe_indices(3 * lop.entry_budget)
     bad = _first_opmat_violation(chi, cols)
     if bad is not None:
         key, entry, val = bad
-        return CheckReport("chi3", False, counterexample=(key, BiPoly({(0, 0): val})))
-    return CheckReport("chi3", True)
+        return CheckReport("chi3", False, details=details,
+                           counterexample=(key, BiPoly({(0, 0): val})))
+    return CheckReport("chi3", True, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +418,12 @@ def center_function(lop: LOperator, span=None):
 
     b = lop.entry_budget
     comm_cols = lop.space.safe_indices(3 * b)
+    cols = lop.space.safe_indices(2 * b)
+    details = {"commutator_columns": len(comm_cols)}
+    if span is None:
+        details["safe_columns"] = len(cols)
+    else:
+        details["span_dimension"] = len(span)
     for k1, cm in enumerate(c_poly):
         for k2, lm in enumerate(lop.coeffs):
             comm = opmat_sub(opmat_mul(case, cm, lm), opmat_mul(case, lm, cm))
@@ -479,11 +431,10 @@ def center_function(lop: LOperator, span=None):
             if bad is not None:
                 key, entry, val = bad
                 return UniPoly(), CheckReport(
-                    "center", False,
+                    "center", False, details=details,
                     counterexample=(("commutator", k1, k2) + key,
                                     BiPoly({(0, 0): val})))
 
-    cols = lop.space.safe_indices(2 * b)
     values = []
     for k, cm in enumerate(c_poly):
         if span is not None:
@@ -492,12 +443,12 @@ def center_function(lop: LOperator, span=None):
             ok, value, bad = opmat_is_scalar(case, cm, dim, cols)
         if not ok:
             key, entry, val = bad
-            return UniPoly(), CheckReport("center", False,
+            return UniPoly(), CheckReport("center", False, details=details,
                                           counterexample=(("coeff", k) + key,
                                                           BiPoly({(0, 0): val})))
         values.append(value)
     c = UniPoly(values)
-    return c, CheckReport("center", True, scalars={"c(u)": c})
+    return c, CheckReport("center", True, scalars={"c(u)": c}, details=details)
 
 
 def center_decomposition(case: CaseDescriptor, c: UniPoly, scalars: dict) -> bool:

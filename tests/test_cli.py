@@ -51,6 +51,18 @@ def test_verify_with_empty_safe_subspace_exits_1(capsys):
     assert checks["rll"]["details"]["safe_columns"] == 0
 
 
+def test_vacuous_w_chi3_linear_exit_1(capsys):
+    code = main(["verify", "--family", "sp", "--m", "2", "--op", "spinor", "--trunc", "1",
+                 "--checks", "linear,w,chi3,center"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    checks = {c["check"]: c for c in out["checks"]}
+    for name in ("linear_constraint", "w_tensor", "chi3"):
+        assert not checks[name]["passed"] and checks[name]["details"]["safe_columns"] == 0
+    # center keeps its verdict and reports what it compared
+    assert checks["center"]["details"] == {"commutator_columns": 0, "safe_columns": 0}
+
+
 def test_config_errors_exit_2(capsys):
     assert main(["construct", "--family", "so", "--m", "2"]) == 2
     assert main(["verify", "--family", "xx", "--m", "2", "--op", "spinor"]) == 2

@@ -1,14 +1,17 @@
 """Cases, metric, I/P/K tensors, R-matrix and the Yang-Baxter identity."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yanglab.exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly
+from yanglab.lops import build_js_quadratic, build_spinorial_linear
 from yanglab.structure import (
     YANG_GL2_IPK,
+    block_violation,
     check_ybe,
     fundamental_r,
     identity_residual,
@@ -212,3 +215,135 @@ def test_identity_residual_reference_sees_failures():
     const[(0, 1)][0][0] = Fraction(1, 3)
     engine = _engine_gl2_residual([const, lin], 2)
     assert engine and engine == _reference_gl2_residual([const, lin], 2)
+
+
+# ---------------------------------------------------------------------------
+# the (V x V) x W block kernel against a plain n^4 scan (Lie, adjoint and W)
+
+
+def _dense(op, dim):
+    return [[op.data.get((i, j), ZERO) if op is not None else ZERO for j in range(dim)]
+            for i in range(dim)]
+
+
+def _mm(x, y):
+    return [[sum((x[i][k] * y[k][j] for k in range(len(y))), ZERO) for j in range(len(y))]
+            for i in range(len(x))]
+
+
+def _reference_block_violation(case, g, x, dim, cols, w_tensor):
+    """First (a, b, c, d) in sorted order, then first (i, j), j in cols, where
+    [G_ab, X_cd] - (adjoint combination of X), or W_abcd, is nonzero."""
+    gd = {key: _dense(g.get(key), dim) for key in product(case.indices, repeat=2)}
+    xd = {key: _dense(x.get(key), dim) for key in product(case.indices, repeat=2)}
+    eps = case.metric_lower
+    for a, b, c, d in product(case.indices, repeat=4):
+        if w_tensor:
+            terms = [(ONE, _mm(gd[p], xd[q])) for p, q in (
+                ((a, b), (c, d)), ((a, c), (d, b)), ((a, d), (b, c)))]
+            terms += [(ONE, _mm(xd[q], gd[p])) for p, q in (
+                ((a, b), (c, d)), ((a, c), (d, b)), ((a, d), (b, c)))]
+        else:
+            terms = [(ONE, _mm(gd[a, b], xd[c, d])), (-ONE, _mm(xd[c, d], gd[a, b])),
+                     (eps(c, b), xd[a, d]), (-eps(a, d), xd[c, b]),
+                     (-eps(a, c), xd[b, d]), (eps(d, b), xd[c, a])]
+        for i in range(dim):
+            for j in cols:
+                val = sum((s * m[i][j] for s, m in terms), ZERO)
+                if val:
+                    return (a, b, c, d), val
+    return None
+
+
+def _unipotent(dim, p, q, t):
+    """I + t E_pq as a sparse op (p != q); its inverse is I - t E_pq."""
+    return SparseOp.identity(dim) + SparseOp(dim, dim, {(p, q): t})
+
+
+def _conjugate(mat, m, m_inv):
+    return {key: m @ op @ m_inv for key, op in mat.items()}
+
+
+def _padded(mat, dim):
+    return {key: SparseOp(dim, dim, op.data) for key, op in mat.items()}
+
+
+def _base_solution(family, rep):
+    """(case, G, H, dim): so(3) or sp(2) in its fundamental (JS 2l=1, H from
+    it) or, for so(3), the spinor (entries in sqrt2, H = 0)."""
+    case = make_case(family, 1)
+    if rep == "spinor":
+        lop = build_spinorial_linear(case)
+        return case, lop.g_mat, {}, lop.dim
+    lop = build_js_quadratic(case, 1)
+    return case, lop.g_mat, lop.h_mat, lop.dim
+
+
+scalars = fractions.map(lambda f: Scalar(f.numerator, 0, f.denominator))
+nonzero = scalars.filter(bool)
+
+
+@st.composite
+def block_operands(draw):
+    """(case, g, x, dim, cols, w_tensor, solves) for the block kernel.
+
+    Solutions conjugate a base representation (padded by a trivial summand
+    to dim 3 at random) by I + t E_pq, so G and X carry mixed denominators;
+    the adjoint X is H + s G.  Perturbed solutions change one entry of X
+    (of G for lie and W, where X = G).  Random draws fill about half the
+    entries of G and X with small fractions, one of them possibly times sqrt2.
+    """
+    check = draw(st.sampled_from(["lie", "adjoint", "w"]))
+    kind = draw(st.sampled_from(["solution", "perturbed", "random"]))
+    family, rep = draw(st.sampled_from([("so_odd", "js"), ("so_odd", "spinor"), ("sp", "js")]))
+    case, g, h, dim = _base_solution(family, rep)
+    if kind == "random":
+        dim = draw(st.sampled_from([2, 3]))
+        keys = list(product(case.indices, repeat=2))
+        entry = st.one_of(st.just(ZERO), scalars)
+
+        def opmat():
+            out = {}
+            for key in keys:
+                data = {(i, j): draw(entry) for i in range(dim) for j in range(dim)}
+                if any(data.values()):
+                    out[key] = SparseOp(dim, dim, data)
+            return out
+
+        g = opmat()
+        x = g if check != "adjoint" else opmat()
+        if draw(st.booleans()) and x:
+            key = draw(st.sampled_from(sorted(x)))
+            (i, j), v = min(x[key].data.items())
+            x[key].data[(i, j)] = v * Scalar(0, 1, 1)  # one sqrt2 entry
+    else:
+        if dim == 2 and draw(st.booleans()):
+            dim = 3
+            g, h = _padded(g, dim), _padded(h, dim)
+        p, q = draw(st.sampled_from([(p, q) for p in range(dim) for q in range(dim) if p != q]))
+        t = draw(nonzero)
+        m, m_inv = _unipotent(dim, p, q, t), _unipotent(dim, p, q, -t)
+        g = _conjugate(g, m, m_inv)
+        if check == "adjoint":
+            s = draw(scalars)
+            x = {key: _conjugate(h, m, m_inv).get(key, SparseOp(dim, dim))
+                 + g.get(key, SparseOp(dim, dim)).scale(s)
+                 for key in set(g) | set(h)}
+        else:
+            x = g
+        if kind == "perturbed":
+            key = draw(st.sampled_from(sorted(x)))
+            i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+            x[key] = x[key] + SparseOp(dim, dim, {(i, j): draw(nonzero)})
+    cols = draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True).map(sorted))
+    return case, g, x, dim, cols, check == "w", kind == "solution"
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_operands())
+def test_block_violation_matches_n4_reference(draw):
+    case, g, x, dim, cols, w_tensor, solves = draw
+    got = block_violation(case, g, x, dim, cols, w_tensor)
+    assert got == _reference_block_violation(case, g, x, dim, cols, w_tensor)
+    if solves:
+        assert got is None

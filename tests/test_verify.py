@@ -148,10 +148,50 @@ def test_lie_refutation_pinned():
     assert rep["counterexample"] == {"at": "(-2, -2, -2, 2)", "residual": {"0,0": "24/1"}}
 
 
+def _js_so5_block_scaled(part, key, factor):
+    """JS so(5) 2l=2 with one block of G or H rescaled: (lop, {part: opmat})."""
+    lop = build_js_quadratic(make_case("so_odd", 2), 2)
+    mat = dict(lop.g_mat if part == "g" else lop.h_mat)
+    mat[key] = mat[key].scale(factor)
+    return lop, {part: mat}
+
+
+def _spinor_so5(factor):
+    lop = build_spinorial_linear(make_case("so_odd", 2))
+    return lop, {"g": opmat_scale(lop.g_mat, factor)}
+
+
+# Counterexamples of the Lie, adjoint and W negative controls, pinned verbatim
+# from the n^4 pairwise scan they replaced: the first (a, b, c, d) in sorted
+# order and the residual at its first entry on the safe columns.  The so(5)
+# spinor carries sqrt2, so the kernel runs on Scalars there.
+BLOCK_REFUTATIONS = [
+    (check_lie, lambda: _js_so5_block_scaled("g", (-2, -1), Scalar(1, 0, 2)),
+     "(-2, -1, -1, 1)", "1/2"),
+    (check_lie, lambda: _spinor_so5(3), "(-2, -1, -2, 2)", "-6/1"),
+    (check_adjoint, lambda: _js_so5_block_scaled("h", (-2, -2), Scalar(1, 0, 3)),
+     "(-2, -1, -2, 1)", "-1/1"),
+    (check_w_tensor, lambda: _js_so5_block_scaled("g", (-2, -1), Scalar(1, 0, 2)),
+     "(-2, -2, -1, -1)", "-1/1"),
+    (check_w_tensor, lambda: _spinor_so5(1), "(-2, -1, 0, 1)", "0/1+3/2*s2"),
+]
+
+
+@pytest.mark.parametrize("check,build,at,residual", BLOCK_REFUTATIONS,
+                         ids=["lie-js-so5-g-half", "lie-spinor-so5-g-times-3",
+                              "adjoint-js-so5-h-third", "w-js-so5-g-half", "w-spinor-so5"])
+def test_block_refutations_pinned(check, build, at, residual):
+    lop, operands = build()
+    rep = check(lop, **operands).to_dict()
+    assert rep["passed"] is False and rep["details"]["safe_columns"] > 0
+    assert rep["counterexample"] == {"at": at, "residual": {"0,0": residual}}
+
+
 def test_empty_safe_subspace_fails():
     # at trunc=1 no column is safe: even a corrupted operator would "pass"
     lop = _corrupted_sp4_spinor(1)
-    for rep in (check_lie(lop), check_adjoint(lop, h=lop.g_mat), check_rll(lop)):
+    for rep in (check_lie(lop), check_adjoint(lop, h=lop.g_mat), check_rll(lop),
+                check_w_tensor(lop), check_chi3(lop), check_linear_constraint(lop)):
         assert not rep.passed and rep.details["safe_columns"] == 0
         assert rep.to_dict()["counterexample"] == {"at": "('safe_columns', 0)",
                                                    "residual": "no columns compared"}
