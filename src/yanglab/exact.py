@@ -20,6 +20,10 @@ Entries may also be plain ints: `clear_denominators` turns rational
 operators into integer ones times a known 1/D, which the identity engine
 multiplies and accumulates without normalizing a Scalar per operation.
 Zero tests use truthiness, so every method works on either entry type.
+
+VectorSpan is the one exact elimination: sparse rows in echelon form,
+grown one vector at a time.  Cyclic spans, coordinates on a submodule and
+the nullspace (back-substitution on the rows) all run on it.
 """
 
 from __future__ import annotations
@@ -689,15 +693,6 @@ class SparseOp:
         keep = set(cols)
         return all(j not in keep for (_, j) in self.data)
 
-    def first_entry_on_cols(self, cols):
-        """Lexicographically first nonzero (row, col) with col in cols."""
-        keep = set(cols)
-        best = None
-        for key in self.data:
-            if key[1] in keep and (best is None or key < best):
-                best = key
-        return best
-
     def __repr__(self):
         return f"SparseOp({self.nrows}x{self.ncols}, nnz={len(self.data)})"
 
@@ -742,23 +737,27 @@ class VectorSpan:
     def __init__(self):
         self.rows = []  # sorted list of (pivot, {index: Scalar})
 
-    def reduce(self, vec: dict) -> dict:
-        vec = {k: v for k, v in vec.items() if not v.is_zero}
+    def reduce(self, vec: dict):
+        """(remainder, {pivot: multiplier}): vec minus the multiples of the
+        rows that clear its entries at their pivots, in pivot order."""
+        vec = {k: v for k, v in vec.items() if v}
+        coords = {}
         for piv, row in self.rows:
             c = vec.get(piv)
-            if c is None or c.is_zero:
+            if c is None:
                 continue
+            coords[piv] = c
             for j, v in row.items():
                 acc = vec.get(j, ZERO) - c * v
-                if acc.is_zero:
-                    vec.pop(j, None)
-                else:
+                if acc:
                     vec[j] = acc
-        return vec
+                else:
+                    vec.pop(j, None)
+        return vec, coords
 
     def add(self, vec: dict) -> bool:
         """Insert if independent; returns True when the span grew."""
-        vec = self.reduce(vec)
+        vec, _ = self.reduce(vec)
         if not vec:
             return False
         piv = min(vec)
@@ -770,21 +769,10 @@ class VectorSpan:
 
     def coordinates(self, vec: dict):
         """Coefficients of vec in the row basis; raises if not in the span."""
-        vec = dict(vec)
-        out = []
-        for piv, row in self.rows:
-            c = vec.get(piv, ZERO)
-            out.append(c)
-            if not c.is_zero:
-                for j, v in row.items():
-                    acc = vec.get(j, ZERO) - c * v
-                    if acc.is_zero:
-                        vec.pop(j, None)
-                    else:
-                        vec[j] = acc
-        if vec:
+        rest, coords = self.reduce(vec)
+        if rest:
             raise ValueError("vector is not in the span")
-        return out
+        return [coords.get(piv, ZERO) for piv, _ in self.rows]
 
     def vectors(self):
         return [dict(row) for _, row in self.rows]
@@ -796,47 +784,22 @@ class VectorSpan:
 def nullspace(rows, ncols: int):
     """Exact nullspace basis of a stacked row list over Q(sqrt2).
 
-    `rows` is an iterable of {col: Scalar} sparse rows.  Returns a list of
-    dense coefficient lists, each normalized so its first nonzero entry is
-    one; deterministic (pivoting in column order).
+    `rows` is an iterable of {col: Scalar} sparse rows.  Returns one dense
+    coefficient list per non-pivot column fc of the echelon form, with a
+    one at fc and zeros at the other non-pivot columns: the basis read off
+    the reduced echelon form, which is unique.
     """
-    mat = []
+    span = VectorSpan()
     for row in rows:
-        dense = [ZERO] * ncols
-        nonzero = False
-        for j, v in row.items():
-            if not v.is_zero:
-                dense[j] = v
-                nonzero = True
-        if nonzero:
-            mat.append(dense)
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(mat)):
-            if not mat[i][col].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = mat[rank][col].inv()
-        mat[rank] = [c * inv for c in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and not mat[i][col].is_zero:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+        span.add(row)
+    pivots = {piv for piv, _ in span.rows}
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [ZERO] * ncols
         vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            coeff = mat[r][fc]
-            if not coeff.is_zero:
-                vec[pc] = -coeff
+        for piv, row in reversed(span.rows):  # rows hold indices >= piv; vec[piv] is 0 here
+            vec[piv] = -sum((v * vec[j] for j, v in row.items() if vec[j]), ZERO)
         basis.append(vec)
     return basis

@@ -232,13 +232,12 @@ def cyclic_span(lop: LOperator, seeds) -> list:
     return span.vectors()
 
 
-def restrict_to_submodule(lop: LOperator, span, extra_vectors=()):
+def restrict_to_submodule(lop: LOperator, span) -> LOperator:
     """Base-change an L-operator onto an invariant span of vectors.
 
     `span` is an echelon basis as produced by cyclic_span.  Returns the
-    restricted LOperator (labels ("v", i), closed space) together with the
-    coordinates of any extra vectors.  Raises if some image leaves the
-    span (i.e. the span was not invariant).
+    restricted LOperator (labels ("v", i), closed space).  Raises if some
+    image leaves the span (i.e. the span was not invariant).
     """
     from .exact import VectorSpan
 
@@ -249,31 +248,30 @@ def restrict_to_submodule(lop: LOperator, span, extra_vectors=()):
     dim = len(basis)
     space = RepSpace(lop.space.name + "|cyclic",
                      [("v", i) for i in range(dim)], [0] * dim)
-    columns = basis.vectors()
+    columns = SparseOp(lop.dim, dim, {(i, j): v for j, vec in enumerate(basis.vectors())
+                                      for i, v in vec.items()})
     coeffs = []
     for mat in lop.coeffs:
         new = {}
         for key, op in mat.items():
+            images: dict = {}
+            for (i, j), v in (op @ columns).data.items():
+                images.setdefault(j, {})[i] = v
             data = {}
-            for j, vec in enumerate(columns):
-                for i, val in enumerate(basis.coordinates(op.apply(vec))):
-                    if not val.is_zero:
+            for j in sorted(images):
+                for i, val in enumerate(basis.coordinates(images[j])):
+                    if val:
                         data[(i, j)] = val
             if data:
                 new[key] = SparseOp(dim, dim, data)
         coeffs.append(new)
-    extras = []
-    for vec in extra_vectors:
-        coords = basis.coordinates(dict(vec))
-        extras.append({i: v for i, v in enumerate(coords) if not v.is_zero})
     hw = None
     if lop.hw_vector is not None:
         hw = {i: v for i, v in enumerate(basis.coordinates(lop.hw_vector))
               if not v.is_zero}
-    sub = LOperator(lop.case, space, coeffs, entry_budget=0,
-                    kind=lop.kind, params={**lop.params, "module": "cyclic"},
-                    hw_vector=hw)
-    return sub, extras
+    return LOperator(lop.case, space, coeffs, entry_budget=0,
+                     kind=lop.kind, params={**lop.params, "module": "cyclic"},
+                     hw_vector=hw)
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +363,14 @@ def default_js_central_value(case: CaseDescriptor, two_l: int) -> Scalar:
     return -Scalar.of(two_l) - t * t * Scalar(1, 0, 2)
 
 
-def build_js_quadratic(case: CaseDescriptor, two_l: int, k=None,
-                       module: str = "auto") -> LOperator:
+def build_js_quadratic(case: CaseDescriptor, two_l: int, k=None) -> LOperator:
     """G_ab = -eps (x_a d_b - eps x_b d_a), H = (G^2 + beta G + k)/2.
 
-    `module` selects the representation space: "layer" is the full
-    homogeneous degree-2l layer, "cyclic" the submodule generated by the
-    highest vector x_{-1}^{2l}.  The full layer is reducible; the
-    quadratic-evaluation relations hold on all of it only up to 2l = 2,
-    so "auto" restricts to the cyclic module for orthogonal 2l >= 3.
+    The representation space is the homogeneous degree-2l layer.  That
+    layer is reducible, and the quadratic-evaluation relations hold on all
+    of it only up to 2l = 2, so for orthogonal 2l >= 3 the operator is
+    restricted to the submodule generated by the highest vector
+    x_{-1}^{2l}.
     """
     layer, gens = homogeneous_space(case, two_l)
     ambient = gens.space
@@ -397,15 +394,9 @@ def build_js_quadratic(case: CaseDescriptor, two_l: int, k=None,
                     entry_budget=0, kind="js",
                     params={"two_l": two_l, "k": k},
                     hw_vector=js_highest_vector(case, layer, two_l))
-    if module == "layer":
+    if case.family == "sp" or two_l <= 2:
         return lop
-    if module not in ("auto", "cyclic"):
-        raise ValueError(f"unknown module selector {module!r}")
-    if module == "auto" and (case.family == "sp" or two_l <= 2):
-        return lop
-    span = cyclic_span(lop, [lop.hw_vector])
-    sub, _ = restrict_to_submodule(lop, span)
-    return sub
+    return restrict_to_submodule(lop, cyclic_span(lop, [lop.hw_vector]))
 
 
 def js_highest_vector(case: CaseDescriptor, layer: RepSpace, two_l: int) -> dict:

@@ -17,6 +17,13 @@ products G_ab X_cd and X_cd G_ab for every index tuple at once, one
 first-slot block row at a time, on integer-cleared operands.  The
 commutator's right side, and W's six terms, are relabellings of those
 blocks.
+
+The central checks (the linear constraint, the four constraint scalars,
+chi3 and the center) decide M_ab = c eps_ab Id on one basis SparseOp
+whose columns span the module: the safe unit vectors, or the vectors of
+an invariant span.  `opmat_scalar_on` forms M_ab @ basis per key and
+compares it with c eps_ab basis; c is read off the first diagonal key,
+or is 0 for chi3 and the center commutator.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly
 from .lops import (
     LOperator,
     cyclic_span,
-    metric_opmat,
     opmat_add,
     opmat_mul,
     opmat_mul_tt,
@@ -85,79 +91,61 @@ class CheckReport:
         return out
 
 
-def _first_opmat_violation(mat: dict, cols):
-    best = None
-    for key in sorted(mat):
-        entry = mat[key].first_entry_on_cols(cols)
-        if entry is not None:
-            val = mat[key].data[entry]
-            cand = (key, entry, val)
-            if best is None or (cand[0], cand[1]) < (best[0], best[1]):
-                best = cand
-    return best
+def _module_basis(lop: LOperator, budget: int, span=None):
+    """(basis, details): the module a central check decides on, as the
+    columns of one SparseOp.  Those are the unit vectors safe for `budget`
+    or, when given, the vectors of an invariant `span`."""
+    if span is not None:
+        data = {(j, k): v for k, vec in enumerate(span) for j, v in vec.items()}
+        return SparseOp(lop.dim, len(span), data), {"span_dimension": len(span)}
+    cols = lop.space.safe_indices(budget)
+    data = {(j, k): ONE for k, j in enumerate(cols)}
+    return SparseOp(lop.dim, len(cols), data), {"safe_columns": len(cols)}
 
 
-def opmat_is_scalar(case: CaseDescriptor, mat: dict, dim: int, cols):
-    """Decide mat == c * eps_ab * Id on the given columns; return (ok, c, bad)."""
-    candidate = ZERO
-    for a in sorted(case.indices):
-        op = mat.get((a, -a))
-        if op is None:
-            continue
-        for j in cols:
-            val = op.data.get((j, j))
-            if val is not None:
-                candidate = val * case.metric_lower(a, -a).inv()
+def opmat_scalar_on(case: CaseDescriptor, mat: dict, basis: SparseOp, value=None):
+    """Decide mat == value * eps_ab * Id on the columns of `basis`.
+
+    Each M_ab @ basis is compared with value * eps_ab * basis.  A value of
+    None is read off the first diagonal key (a, -a) in sorted order, at
+    the first basis column whose image is nonzero at that column's leading
+    row.  Returns (ok, value, bad); bad = (key, residual) at the first
+    differing entry (row, column) of the first key in sorted order.
+    """
+    images = {key: mat[key] @ basis for key in mat}
+    if value is None:
+        value = ZERO
+        lead = {}
+        for (j, k), v in basis.data.items():
+            if k not in lead or j < lead[k][0]:
+                lead[k] = (j, v)
+        for a in sorted(case.indices):
+            img = images.get((a, -a))
+            hits = [] if img is None else [k for k, (j, _) in lead.items() if (j, k) in img.data]
+            if hits:
+                k = min(hits)
+                j, v = lead[k]
+                value = img.data[(j, k)] * (v * case.metric_lower(a, -a)).inv()
                 break
-        else:
-            continue
-        break
-    diff = opmat_sub(mat, metric_opmat(case, dim, candidate))
-    bad = _first_opmat_violation(diff, cols)
-    return bad is None, candidate, bad
+    keys = set(images)
+    if value:
+        keys.update((a, -a) for a in case.indices)
+    for key in sorted(keys):
+        diff = images.get(key, SparseOp.zeros(basis.nrows, basis.ncols))
+        want = value * case.metric_lower(*key)
+        if want:
+            diff = diff - basis.scale(want)
+        if diff.data:
+            return False, value, (key, diff.data[min(diff.data)])
+    return True, value, None
 
 
-def opmat_is_scalar_on_span(case: CaseDescriptor, mat: dict, vectors):
-    """Decide mat == c * eps_ab * Id on an invariant span of vectors."""
-    candidate = None
-    for a in sorted(case.indices):
-        op = mat.get((a, -a))
-        if op is None:
-            continue
-        sign_inv = case.metric_lower(a, -a).inv()
-        for vec in vectors:
-            out = op.apply(vec)
-            if out:
-                anchor = next(iter(vec))
-                av = vec.get(anchor, ZERO)
-                if av.is_zero:
-                    continue
-                candidate = out.get(anchor, ZERO) * av.inv() * sign_inv
-                break
-        if candidate is not None:
-            break
-    if candidate is None:
-        candidate = ZERO
-    for key in sorted(mat):
-        a, b = key
-        op = mat[key]
-        want = candidate * case.metric_lower(a, b)
-        for k, vec in enumerate(vectors):
-            out = op.apply(vec)
-            expect = {} if want.is_zero else {
-                j: v * want for j, v in vec.items() if not (v * want).is_zero}
-            if out != expect:
-                diff_keys = set(out) | set(expect)
-                j0 = min(diff_keys)
-                residual = out.get(j0, ZERO) - expect.get(j0, ZERO)
-                return False, candidate, (key, ("span_vector", k, j0), residual)
-    return True, candidate, None
-
-
-def _vacuous(name: str) -> CheckReport:
-    """A check whose safe subspace is empty compared nothing: it fails."""
-    return CheckReport(name, False, counterexample=(("safe_columns", 0), "no columns compared"),
-                       details={"safe_columns": 0})
+def _vacuous(name: str, details: dict | None = None) -> CheckReport:
+    """A check that compared nothing fails; `details` holds the empty count."""
+    details = {"safe_columns": 0} if details is None else details
+    empty = next(k for k, v in details.items() if v == 0)
+    return CheckReport(name, False, counterexample=((empty, 0), "no columns compared"),
+                       details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +270,11 @@ def check_symmetric_constraints(lop: LOperator, span=None) -> CheckReport:
     (typically the cyclic module of the highest weight vector) on which
     genuine scalars are asserted.  c21 and c23 are scalar on any module.
     """
-    case, dim = lop.case, lop.dim
+    case = lop.case
+    b = lop.entry_budget
+    basis, details = _module_basis(lop, 2 * b, span)
+    if not basis.ncols:
+        return _vacuous("symmetric_constraints", details)
     g, h = lop.g_mat, lop.h_mat
     eps = Scalar.of(case.eps)
     beta = case.beta
@@ -298,22 +290,17 @@ def check_symmetric_constraints(lop: LOperator, span=None) -> CheckReport:
                                opmat_scale(opmat_mul_tt(case, g, h), beta)),
                      opmat_scale(h, beta * beta))
 
-    b = lop.entry_budget
     names = ("c21", "c23", "c26", "c28")
-    budgets = (b, 2 * b, 2 * b, 2 * b)
+    # c21 is linear in L, so it is compared on the wider budget-b columns
+    bases = (_module_basis(lop, b, span)[0], basis, basis, basis)
     scalars = {}
-    for name, mat, budget in zip(names, (lhs1, lhs2, lhs3, lhs4), budgets):
-        if span is not None:
-            ok, value, bad = opmat_is_scalar_on_span(case, mat, span)
-        else:
-            cols = lop.space.safe_indices(budget)
-            ok, value, bad = opmat_is_scalar(case, mat, dim, cols)
+    for name, mat, on in zip(names, (lhs1, lhs2, lhs3, lhs4), bases):
+        ok, value, bad = opmat_scalar_on(case, mat, on)
         if not ok:
-            key, entry, val = bad
-            return CheckReport("symmetric_constraints", False, scalars=scalars,
+            key, val = bad
+            return CheckReport("symmetric_constraints", False, scalars=scalars, details=details,
                                counterexample=((name,) + key, BiPoly({(0, 0): val})))
         scalars[name] = value
-    details = {} if span is None else {"span_dimension": len(span)}
     return CheckReport("symmetric_constraints", True, scalars=scalars, details=details)
 
 
@@ -321,23 +308,22 @@ def check_linear_constraint(lop: LOperator, g: dict | None = None) -> CheckRepor
     """G^2 + beta G = c2 I with n c2 = tr G^2 (lowered product)."""
     case, dim = lop.case, lop.dim
     g = lop.g_mat if g is None else g
-    cols = lop.space.safe_indices(2 * lop.entry_budget)
-    if not cols:
-        return _vacuous("linear_constraint")
-    details = {"safe_columns": len(cols)}
+    basis, details = _module_basis(lop, 2 * lop.entry_budget)
+    if not basis.ncols:
+        return _vacuous("linear_constraint", details)
     gg = opmat_mul(case, g, g)
     lhs = opmat_add(gg, opmat_scale(g, case.beta))
-    ok, value, bad = opmat_is_scalar(case, lhs, dim, cols)
+    ok, value, bad = opmat_scalar_on(case, lhs, basis)
     if not ok:
-        key, entry, val = bad
+        key, val = bad
         return CheckReport("linear_constraint", False, details=details,
                            counterexample=(key, BiPoly({(0, 0): val})))
     # cross-check the trace formula n c2 = tr G^2
-    tr_check = _trace(case, gg, dim) - SparseOp.identity(dim, value * case.n)
-    if not tr_check.is_zero_on_cols(cols):
-        entry = tr_check.first_entry_on_cols(cols)
+    tr_check = (_trace(case, gg, dim) - SparseOp.identity(dim, value * case.n)) @ basis
+    if tr_check.data:
         return CheckReport("linear_constraint", False, scalars={"c2": value}, details=details,
-                           counterexample=(("trace",), BiPoly({(0, 0): tr_check.data[entry]})))
+                           counterexample=(("trace",),
+                                           BiPoly({(0, 0): tr_check.data[min(tr_check.data)]})))
     return CheckReport("linear_constraint", True, scalars={"c2": value}, details=details)
 
 
@@ -371,10 +357,9 @@ def check_chi3(lop: LOperator, g: dict | None = None) -> CheckReport:
     """
     case, dim = lop.case, lop.dim
     g = lop.g_mat if g is None else g
-    cols = lop.space.safe_indices(3 * lop.entry_budget)
-    if not cols:
-        return _vacuous("chi3")
-    details = {"safe_columns": len(cols)}
+    basis, details = _module_basis(lop, 3 * lop.entry_budget)
+    if not basis.ncols:
+        return _vacuous("chi3", details)
     eps = Scalar.of(case.eps)
     beta = case.beta
     gg = opmat_mul(case, g, g)
@@ -387,9 +372,9 @@ def check_chi3(lop: LOperator, g: dict | None = None) -> CheckReport:
     for a in case.indices:
         sigma_metric[(a, -a)] = sigma.scale(case.metric_lower(a, -a))
     chi = opmat_sub(chi, sigma_metric)
-    bad = _first_opmat_violation(chi, cols)
-    if bad is not None:
-        key, entry, val = bad
+    ok, _, bad = opmat_scalar_on(case, chi, basis, ZERO)
+    if not ok:
+        key, val = bad
         return CheckReport("chi3", False, details=details,
                            counterexample=(key, BiPoly({(0, 0): val})))
     return CheckReport("chi3", True, details=details)
@@ -412,24 +397,22 @@ def center_function(lop: LOperator, span=None):
     submodule.  The commutation check always runs on the whole safe
     subspace.
     """
-    case, dim = lop.case, lop.dim
+    case = lop.case
+    b = lop.entry_budget
+    comm_basis, _ = _module_basis(lop, 3 * b)
+    basis, details = _module_basis(lop, 2 * b, span)
+    details = {"commutator_columns": comm_basis.ncols, **details}
+    if not (comm_basis.ncols and basis.ncols):
+        return UniPoly(), _vacuous("center", details)
     shifted = opmat_poly_subs(lop.coeffs, ONE, -case.beta)
     c_poly = opmat_poly_mul(shifted, lop.coeffs, lambda x, y: opmat_mul_tt(case, x, y))
 
-    b = lop.entry_budget
-    comm_cols = lop.space.safe_indices(3 * b)
-    cols = lop.space.safe_indices(2 * b)
-    details = {"commutator_columns": len(comm_cols)}
-    if span is None:
-        details["safe_columns"] = len(cols)
-    else:
-        details["span_dimension"] = len(span)
     for k1, cm in enumerate(c_poly):
         for k2, lm in enumerate(lop.coeffs):
             comm = opmat_sub(opmat_mul(case, cm, lm), opmat_mul(case, lm, cm))
-            bad = _first_opmat_violation(comm, comm_cols)
-            if bad is not None:
-                key, entry, val = bad
+            ok, _, bad = opmat_scalar_on(case, comm, comm_basis, ZERO)
+            if not ok:
+                key, val = bad
                 return UniPoly(), CheckReport(
                     "center", False, details=details,
                     counterexample=(("commutator", k1, k2) + key,
@@ -437,12 +420,9 @@ def center_function(lop: LOperator, span=None):
 
     values = []
     for k, cm in enumerate(c_poly):
-        if span is not None:
-            ok, value, bad = opmat_is_scalar_on_span(case, cm, span)
-        else:
-            ok, value, bad = opmat_is_scalar(case, cm, dim, cols)
+        ok, value, bad = opmat_scalar_on(case, cm, basis)
         if not ok:
-            key, entry, val = bad
+            key, val = bad
             return UniPoly(), CheckReport("center", False, details=details,
                                           counterexample=(("coeff", k) + key,
                                                           BiPoly({(0, 0): val})))

@@ -59,8 +59,21 @@ def test_vacuous_w_chi3_linear_exit_1(capsys):
     checks = {c["check"]: c for c in out["checks"]}
     for name in ("linear_constraint", "w_tensor", "chi3"):
         assert not checks[name]["passed"] and checks[name]["details"]["safe_columns"] == 0
-    # center keeps its verdict and reports what it compared
+    assert not checks["center"]["passed"]
     assert checks["center"]["details"] == {"commutator_columns": 0, "safe_columns": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "so", "--m", "2", "--op", "product", "--delta", "1", "--trunc", "2",
+     "--checks", "constraints",
+     "--params", '{"factor1": {"op": "heisenberg"}, "factor2": {"op": "heisenberg"}}'],
+    ["--family", "sp", "--m", "2", "--op", "spinor", "--checks", "center"],
+], ids=["constraints-heisenberg-product-trunc2", "center-sp4-spinor"])
+def test_vacuous_constraints_and_center_exit_1(capsys, argv):
+    code = main(["verify"] + argv)
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 1 and not check["passed"]
+    assert check["counterexample"]["residual"] == "no columns compared"
 
 
 def test_config_errors_exit_2(capsys):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yanglab.exact import (
     ONE,
@@ -199,3 +201,60 @@ def test_nullspace_exact():
     assert [x * v[2].inv() for x in v] == [-ONE, -ONE, ONE]
     # full-rank system has trivial kernel
     assert nullspace([{0: ONE}, {1: ONE}, {2: SQRT2}], 3) == []
+
+
+def _dense_rank(rows, ncols):
+    """Rank by plain Gaussian elimination on dense copies of the rows."""
+    mat = [[row.get(j, ZERO) for j in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        hit = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if hit is None:
+            continue
+        mat[rank], mat[hit] = mat[hit], mat[rank]
+        inv = mat[rank][col].inv()
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col] * inv
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+_entries = st.sampled_from([ZERO, ZERO, ONE, -ONE, Scalar(2), Scalar(-3, 0, 2), Scalar(1, 0, 3),
+                            SQRT2, Scalar(1, -1, 2)])
+
+
+@st.composite
+def linear_systems(draw):
+    """Rows over Q(sqrt2), some of them combinations of earlier rows."""
+    ncols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(_entries), draw(_entries)
+            row = {j: a.get(j, ZERO) * s + b.get(j, ZERO) * t for j in range(ncols)}
+        else:
+            row = {j: draw(_entries) for j in range(ncols)}
+        rows.append({j: v for j, v in row.items() if v})
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_systems())
+def test_nullspace_defining_properties(system):
+    rows, ncols = system
+    basis = nullspace(rows, ncols)
+    assert len(basis) == ncols - _dense_rank(rows, ncols)
+    # each vector has a one at its free column (its last nonzero entry)
+    # and zeros at the free columns of the others
+    free = [max(j for j, x in enumerate(v) if x) for v in basis]
+    assert free == sorted(set(free))
+    for v, fc in zip(basis, free):
+        assert len(v) == ncols and v[fc] == ONE
+        assert all(not v[other] for other in free if other != fc)
+        for row in rows:
+            total = ZERO
+            for j, x in row.items():
+                total = total + x * v[j]
+            assert not total

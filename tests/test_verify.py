@@ -1,8 +1,10 @@
 """Symbolic identity checks: Lie/adjoint relations, RLL, constraints, center."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from yanglab.exact import ONE, ZERO, Scalar, UniPoly, common_denominator
+from yanglab.exact import ONE, ZERO, Scalar, SparseOp, UniPoly, common_denominator
 from yanglab.lops import (
     LOperator,
     build_heisenberg_linear,
@@ -10,6 +12,7 @@ from yanglab.lops import (
     build_product,
     build_spinorial_linear,
     metric_opmat,
+    opmat_acc,
     opmat_mul,
     opmat_scale,
 )
@@ -24,6 +27,7 @@ from yanglab.verify import (
     check_rll,
     check_symmetric_constraints,
     check_w_tensor,
+    opmat_scalar_on,
 )
 
 
@@ -197,6 +201,84 @@ def test_empty_safe_subspace_fails():
                                                    "residual": "no columns compared"}
 
 
+def test_vacuous_constraints_and_center_fail():
+    # two Heisenberg factors at trunc 2: c23, c26 and c28 have no safe column
+    case = make_case("so_even", 2)
+    f = build_heisenberg_linear(case, 0, max_degree=2)
+    rep = check_symmetric_constraints(build_product(f, f, ONE))
+    assert not rep.passed and rep.details == {"safe_columns": 0}
+    assert rep.to_dict()["counterexample"] == {"at": "('safe_columns', 0)",
+                                               "residual": "no columns compared"}
+    # the sp(4) spinor at trunc 4 has no column for the commutator C(u) L(v)
+    c, rep = center_function(build_spinorial_linear(make_case("sp", 2), trunc=4))
+    assert not rep.passed and c.is_zero
+    assert rep.details == {"commutator_columns": 0, "safe_columns": 1}
+    assert rep.to_dict()["counterexample"] == {"at": "('commutator_columns', 0)",
+                                               "residual": "no columns compared"}
+
+
+_SMALL = st.sampled_from([ZERO, ONE, Scalar(-2), Scalar(3, 0, 2), Scalar(1, 1, 1)])
+
+
+@st.composite
+def scalar_cases(draw):
+    """M = c eps Id + t E on a dim-4 module of so(3) or sp(2), and columns."""
+    case = make_case(draw(st.sampled_from(["so_odd", "sp"])), 1)
+    dim = 4
+    mat = metric_opmat(case, dim, draw(_SMALL))
+    key = (draw(st.sampled_from(case.indices)), draw(st.sampled_from(case.indices)))
+    i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    t = draw(_SMALL)
+    if t:
+        opmat_acc(mat, key, SparseOp(dim, dim, {(i, j): t}))
+    cols = sorted(draw(st.sets(st.integers(0, dim - 1), min_size=1)))
+    mix = [draw(_SMALL) for _ in cols]
+    return case, dim, mat, cols, mix
+
+
+def _dense_scalar(case, dim, mat, cols):
+    """(ok, value) by reading every entry of every kept column."""
+    value = ZERO
+    for a in sorted(case.indices):
+        op = mat.get((a, -a), SparseOp(dim, dim))
+        hits = [op.data[(j, j)] for j in cols if (j, j) in op.data]
+        if hits:
+            value = hits[0] * case.metric_lower(a, -a).inv()
+            break
+    for a in case.indices:
+        for b in case.indices:
+            op = mat.get((a, b), SparseOp(dim, dim))
+            for j in cols:
+                for i in range(dim):
+                    want = value * case.metric_lower(a, b) if i == j else ZERO
+                    if op.data.get((i, j), ZERO) != want:
+                        return False, value
+    return True, value
+
+
+@settings(max_examples=120, deadline=None)
+@given(scalar_cases())
+def test_scalar_test_agrees_across_bases(drawn):
+    case, dim, mat, cols, mix = drawn
+    unit = SparseOp(dim, len(cols), {(j, k): ONE for k, j in enumerate(cols)})
+    # an echelon basis of the same columns: e_{c_k} + m_k e_{c_{k+1}}
+    span = SparseOp(dim, len(cols), {**{(j, k): ONE for k, j in enumerate(cols)},
+                                     **{(cols[k + 1], k): m for k, m in enumerate(mix[:-1])}})
+    ok_ref, value_ref = _dense_scalar(case, dim, mat, cols)
+    ok_unit, value_unit, bad_unit = opmat_scalar_on(case, mat, unit)
+    ok_span, value_span, bad_span = opmat_scalar_on(case, mat, span)
+    assert ok_unit == ok_span == ok_ref
+    assert value_unit == value_ref
+    assert (bad_unit is None) == ok_unit and (bad_span is None) == ok_span
+    if ok_ref:
+        assert value_span == value_ref
+    else:
+        assert bad_unit[1] and bad_span[1]
+    # a value passed in is the one tested
+    ok_zero, value_zero, _ = opmat_scalar_on(case, mat, unit, ZERO)
+    assert value_zero == ZERO and ok_zero == (ok_ref and not value_ref)
+
+
 def test_symmetric_constraints_js_so5():
     from yanglab.lops import js_highest_vector
     from yanglab.verify import cyclic_span
@@ -206,7 +288,7 @@ def test_symmetric_constraints_js_so5():
     psi = js_highest_vector(case, lop.space, 2)
     span = cyclic_span(lop, [psi])
     rep = check_symmetric_constraints(lop, span=span)
-    assert rep.passed
+    assert rep.passed and rep.details == {"span_dimension": 14}
     assert rep.scalars["c21"] == ZERO
     assert rep.scalars["c23"] == Scalar(-41, 0, 8)
     # the degree-2 layer is reducible (the trace vector spans a trivial
@@ -214,6 +296,7 @@ def test_symmetric_constraints_js_so5():
     # the whole-space check must report that honestly
     whole = check_symmetric_constraints(lop)
     assert not whole.passed and whole.counterexample[0][0] == "c28"
+    assert whole.details == {"safe_columns": 15}
     assert whole.scalars["c23"] == Scalar(-41, 0, 8)
 
 
