@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .exact import ONE, ZERO, Scalar, SparseOp, UniPoly
+from .exact import ONE, ZERO, Scalar, SparseOp, UniPoly, VectorSpan
 from .spaces import (
     GeneratorSet,
     RepSpace,
@@ -207,20 +207,10 @@ class LOperator:
         }
 
 
-def cyclic_span(lop: LOperator, seeds) -> list:
-    """Basis of the submodule generated by `seeds` under all L-coefficients.
-
-    Only meaningful on closed (untruncated) spaces, where the closure is
-    exactly the cyclic module of the seed vectors: the subspace on which
-    central elements must act as genuine scalars.
-    """
-    from .exact import VectorSpan
-
-    if lop.space.trunc is not None:
-        raise ValueError("cyclic span requires a closed representation space")
-    span = VectorSpan()
-    queue = [dict(v) for v in seeds]
-    ops = [op for mat in lop.coeffs for op in mat.values()]
+def _close_span(span, vectors, ops) -> None:
+    """Grow the VectorSpan `span` by `vectors` and all their images under
+    products of `ops`, one queue of vectors still to insert."""
+    queue = [dict(v) for v in vectors]
     while queue:
         vec = queue.pop()
         if not span.add(vec):
@@ -229,7 +219,43 @@ def cyclic_span(lop: LOperator, seeds) -> list:
             image = op.apply(vec)
             if image:
                 queue.append(image)
+
+
+def cyclic_span(lop: LOperator, seeds) -> list:
+    """Basis of the submodule generated by `seeds` under all L-coefficients.
+
+    Only meaningful on closed (untruncated) spaces, where the closure is
+    exactly the cyclic module of the seed vectors: the subspace on which
+    central elements must act as genuine scalars.
+    """
+    if lop.space.trunc is not None:
+        raise ValueError("cyclic span requires a closed representation space")
+    span = VectorSpan()
+    _close_span(span, seeds, [op for mat in lop.coeffs for op in mat.values()])
     return span.vectors()
+
+
+def generating_set(lop: LOperator, ops) -> list:
+    """Greedy basis positions S whose images under products of `ops` span W.
+
+    The hw vector's position comes first when it is a unit vector, then
+    the unit vectors in basis order; a unit vector outside the span so far
+    joins S, and the span is closed under `ops`.  Stops when the span is
+    all of W, which the unit vectors guarantee.
+    """
+    dim = lop.dim
+    order = list(range(dim))
+    if lop.hw_vector is not None and len(lop.hw_vector) == 1:
+        order.insert(0, next(iter(lop.hw_vector)))
+    span, seeds = VectorSpan(), []
+    for j in order:
+        if len(span) == dim:
+            break
+        before = len(span)
+        _close_span(span, [{j: ONE}], ops)
+        if len(span) > before:
+            seeds.append(j)
+    return seeds
 
 
 def restrict_to_submodule(lop: LOperator, span) -> LOperator:
@@ -239,8 +265,6 @@ def restrict_to_submodule(lop: LOperator, span) -> LOperator:
     restricted LOperator (labels ("v", i), closed space).  Raises if some
     image leaves the span (i.e. the span was not invariant).
     """
-    from .exact import VectorSpan
-
     basis = VectorSpan()
     for vec in span:
         if not basis.add(vec):

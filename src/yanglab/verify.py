@@ -18,6 +18,18 @@ first-slot block row at a time, on integer-cleared operands.  The
 commutator's right side, and W's six terms, are relabellings of those
 blocks.
 
+RLL on a closed space is decided by a covariance certificate.  Three
+premises are checked exactly: the space is closed, the top coefficient
+is C_s = c eps_ab Id with c != 0, and every other coefficient is
+invariant under the action G = C_(s-1) / c (`block_violation` on all
+columns: the Lie relation for C_(s-1), the adjoint one for H).  R lies in
+span{I, P, K}, so the residual then commutes with the diagonal action on
+(V x V) x W and its kernel is a submodule: it vanishes everywhere once it
+vanishes on V x V x S, S a set of unit vectors that generates W under G
+(proof at `check_rll`).  The engine is then called on those n^2 |S|
+columns; a failed premise, or a residual on them, sends it to all the
+safe columns.
+
 The central checks (the linear constraint, the four constraint scalars,
 chi3 and the center) decide M_ab = c eps_ab Id on one basis SparseOp
 whose columns span the module: the safe unit vectors, or the vectors of
@@ -34,6 +46,7 @@ from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly
 from .lops import (
     LOperator,
     cyclic_span,
+    generating_set,
     opmat_add,
     opmat_mul,
     opmat_mul_tt,
@@ -197,22 +210,78 @@ def _slot_coeffs(lop: LOperator, slot: int) -> list:
     return out
 
 
+def _certificate(lop: LOperator):
+    """(seeds, record) of the covariance certificate for RLL.
+
+    seeds is a generating set S of W (basis positions) when all three
+    premises hold, else None; record names the seed count and the n^2 |S|
+    seed columns, or the first premise that failed:
+
+      closed      the space is untruncated (no trunc, no floor);
+      scalar_top  the top coefficient is C_s = c eps_ab Id with c != 0, so
+                  that G = C_(s-1) / c is the action;
+      invariant   every nonzero C_k, k < s, is invariant under G:
+                  `block_violation(G, C_k)` finds nothing on all columns
+                  (the Lie relation for k = s-1, the adjoint one for H).
+    """
+    case, space, dim = lop.case, lop.space, lop.dim
+    if space.trunc is not None or space.floor is not None:
+        return None, {"premise_failed": "closed"}
+    ok, c, _ = opmat_scalar_on(case, lop.coeffs[-1], SparseOp.identity(dim))
+    if not (ok and c):
+        return None, {"premise_failed": "scalar_top"}
+    g = opmat_scale(lop.g_mat, c.inv())
+    for mat in lop.coeffs[:-1]:
+        if mat and block_violation(case, g, mat, dim, range(dim)) is not None:
+            return None, {"premise_failed": "invariant"}
+    seeds = generating_set(lop, list(g.values()))
+    return seeds, {"seeds": len(seeds), "seed_columns": case.n ** 2 * len(seeds)}
+
+
 def check_rll(lop: LOperator) -> CheckReport:
     """R12(u-v) L1(u) L2(v) = L2(v) L1(u) R12(u-v), coefficient-exact.
 
     The u^0 v^0 coefficient covers the H-H commutation relation of the
     quadratic evaluation automatically.
+
+    On a closed space whose premises hold (see `_certificate`) the
+    residual is compared on the columns V x V x S only, S a set that
+    generates W under G; this decides it on all of V x V x W.  Proof: let
+    rho(x_ab) be the action of the generator x_ab on V that the right side
+    of the Lie relation applies to each index (the vector representation,
+    which preserves the metric).  The invariance premise says that every
+    coefficient of L commutes with rho(x_ab) + G_ab on V x W, and R(w), in
+    span{I, P, K}, commutes with rho(x_ab) + rho(x_ab) on V x V.  So the
+    residual Phi(u, v) = R12 L1 L2 - L2 L1 R12 commutes with
+    D_ab = rho1(x_ab) + rho2(x_ab) + G_ab, and ker Phi is D-stable.  If
+    V x V x w lies in ker Phi, then so does every
+
+      m x G_ab w = D_ab (m x w) - (rho1 + rho2)(x_ab) m x w,
+
+    and by induction on the word length so does V x V x (alg(G) S), which
+    is V x V x W by the choice of S.  No further property of G is used.
+    A residual on the seed columns reruns the engine on all the columns,
+    so a refutation reports the first violation of the full comparison.
+
+    `safe_columns` counts the W columns the verdict covers; the certificate
+    record says how many were compared.
     """
     case, space = lop.case, lop.space
     dim_w = space.dim
     safe_w = space.safe_indices(2 * lop.entry_budget)
     if not safe_w:
         return _vacuous("rll")
-    col_keep = [pair * dim_w + w for pair in range(case.n ** 2) for w in safe_w]
     c1, c2 = _slot_coeffs(lop, 1), _slot_coeffs(lop, 2)
-    residual, keys = identity_residual(fundamental_ipk(case), c1, c2, col_keep,
-                                       case.n, k_form(case))
-    details = {"safe_columns": len(safe_w), "keys_compared": keys}
+
+    def residual_on(ws):
+        cols = [pair * dim_w + w for pair in range(case.n ** 2) for w in ws]
+        return identity_residual(fundamental_ipk(case), c1, c2, cols, case.n, k_form(case))
+
+    seeds, certificate = _certificate(lop)
+    residual, keys = residual_on(safe_w if seeds is None else seeds)
+    if residual and seeds is not None:
+        residual, keys = residual_on(safe_w)
+    details = {"safe_columns": len(safe_w), "keys_compared": keys, "certificate": certificate}
     if not residual:
         return CheckReport("rll", True, details=details)
     (row, col), res = first_violation(residual)

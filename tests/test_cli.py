@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from yanglab.cli import ConfigError, build_operator, main, run
+from yanglab.cli import DEFAULT_CHECKS, ConfigError, build_operator, main, run
 
 
 def run_cfg(**cfg):
@@ -67,7 +67,7 @@ def test_vacuous_w_chi3_linear_exit_1(capsys):
     ["--family", "so", "--m", "2", "--op", "product", "--delta", "1", "--trunc", "2",
      "--checks", "constraints",
      "--params", '{"factor1": {"op": "heisenberg"}, "factor2": {"op": "heisenberg"}}'],
-    ["--family", "sp", "--m", "2", "--op", "spinor", "--checks", "center"],
+    ["--family", "sp", "--m", "2", "--op", "spinor", "--trunc", "4", "--checks", "center"],
 ], ids=["constraints-heisenberg-product-trunc2", "center-sp4-spinor"])
 def test_vacuous_constraints_and_center_exit_1(capsys, argv):
     code = main(["verify"] + argv)
@@ -149,6 +149,28 @@ def test_verify_check_order_and_removed_flags(capsys):
     assert [c["check"] for c in out["checks"]] == ["rll", "lie"]
     for flag in (["--mode", "sample"], ["--points", "2"], ["--jobs", "2"]):
         assert main(base + flag) == 2, flag
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_sp_spinor_default_checks_pass(capsys, m):
+    # without --trunc the sp spinor is built at trunc 6, where center has a column
+    code = main(["verify", "--family", "sp", "--m", str(m), "--op", "spinor"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["construction"]["params"]["trunc"] == "6"
+    center = next(c for c in out["checks"] if c["check"] == "center")
+    assert center["details"]["commutator_columns"] == 1
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["--op", "js", "--twoL", "2"], DEFAULT_CHECKS["js"]),
+    (["--op", "spinor", "--checks", "rll,lie"], ["rll", "lie"]),
+])
+def test_per_check_seconds(capsys, argv, names):
+    main(["verify", "--family", "so", "--m", "2"] + argv)
+    out = json.loads(capsys.readouterr().out)
+    seconds = out["timings"]["checks"]
+    assert sorted(seconds) == sorted(names)
+    assert all(isinstance(s, float) and s >= 0 for s in seconds.values())
 
 
 def test_verify_js_so3_two_l_3(capsys):

@@ -1,5 +1,7 @@
 """Symbolic identity checks: Lie/adjoint relations, RLL, constraints, center."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,17 +9,29 @@ from hypothesis import strategies as st
 from yanglab.exact import ONE, ZERO, Scalar, SparseOp, UniPoly, common_denominator
 from yanglab.lops import (
     LOperator,
+    build_gl2_js_chain,
     build_heisenberg_linear,
     build_js_quadratic,
     build_product,
     build_spinorial_linear,
+    fuse_so3_from_gl2,
     metric_opmat,
     opmat_acc,
+    opmat_add,
     opmat_mul,
     opmat_scale,
 )
-from yanglab.structure import make_case
+from yanglab.spaces import RepSpace
+from yanglab.structure import (
+    describe_flat,
+    first_violation,
+    fundamental_ipk,
+    identity_residual,
+    k_form,
+    make_case,
+)
 from yanglab.verify import (
+    _slot_coeffs,
     center_decomposition,
     center_function,
     check_adjoint,
@@ -29,6 +43,9 @@ from yanglab.verify import (
     check_w_tensor,
     opmat_scalar_on,
 )
+
+# the conjugated so(3)/sp(2) solutions of the block-kernel property test
+from test_structure import _base_solution, _conjugate, _padded, _unipotent, nonzero
 
 
 def test_lie_spinor_so4_and_negative_control():
@@ -121,12 +138,17 @@ RLL_REFUTATIONS = [
     (lambda: _spinor_g_scaled("so_odd", 2),
      "((-2, -2, 2), (-2, -1, 1))",
      {"0,1": "-9/1", "0,2": "6/1", "1,0": "9/1", "1,1": "-12/1", "2,0": "6/1"}),
+    # k + 1 keeps the certificate's premises, and the first violation lies off
+    # its seed columns: the refutation must come from all the columns
+    (lambda: build_js_quadratic(make_case("so_even", 2), 2, k=-3),
+     "((-2, -2, (1, 1, 0, 0)), (-2, -1, (2, 0, 0, 0)))",
+     {"0,1": "1/1", "0,2": "-1/1", "1,0": "-1/1", "1,1": "2/1", "2,0": "-1/1"}),
 ]
 
 
 @pytest.mark.parametrize("build,at,residual", RLL_REFUTATIONS,
                          ids=["js-so4-no-h", "js-so5-no-h", "spinor-sp4-corrupted",
-                              "js-so5-h-third", "spinor-so5-corrupted"])
+                              "js-so5-h-third", "spinor-so5-corrupted", "js-so4-k-plus-1"])
 def test_rll_refutations_pinned(build, at, residual):
     rep = check_rll(build()).to_dict()
     assert rep["passed"] is False
@@ -144,6 +166,170 @@ def test_rll_js_so7_rank_three():
     lop = build_js_quadratic(make_case("so_odd", 3), 2)
     rep = check_rll(lop)
     assert rep.passed and rep.details["safe_columns"] == lop.dim == 28
+
+
+def _closed(case, coeffs, dim, hw=None):
+    """An L-operator on a closed test space of dimension dim."""
+    space = RepSpace("test", list(range(dim)), [0] * dim)
+    return LOperator(case, space, coeffs, hw_vector=hw)
+
+
+def _assert_matches_full_engine(lop):
+    """check_rll agrees with the engine on every column: verdict and, on a
+    refutation, the first violation and its residual."""
+    case, n = lop.case, lop.case.n
+    full, _ = identity_residual(fundamental_ipk(case), _slot_coeffs(lop, 1), _slot_coeffs(lop, 2),
+                                range(n * n * lop.dim), n, k_form(case))
+    rep = check_rll(lop)
+    assert rep.passed == (not full)
+    if full:
+        (row, col), res = first_violation(full)
+        labels = lop.space.labels
+        assert rep.counterexample == ((describe_flat(case, labels, row, lop.dim),
+                                       describe_flat(case, labels, col, lop.dim)), res)
+    return rep
+
+
+def _fuse3(chain):
+    return fuse_so3_from_gl2(build_gl2_js_chain([(Scalar.of(u), d) for u, d in chain]))[0]
+
+
+def _top_scaled_once(family, m):
+    """JS 2l=2 with one key of the top coefficient doubled: not c eps Id."""
+    lop = build_js_quadratic(make_case(family, m), 2)
+    top = dict(lop.coeffs[2])
+    top[(1, -1)] = top[(1, -1)].scale(2)
+    return LOperator(lop.case, lop.space, [lop.h_mat, lop.g_mat, top])
+
+
+# What decided each RLL verdict: the seed count and n^2 |S| compared columns
+# of the covariance certificate, or the premise that sent it to all columns.
+CERTIFICATES = [
+    (lambda: build_spinorial_linear(make_case("so_odd", 2)), True,
+     {"seeds": 1, "seed_columns": 25}),
+    (lambda: build_spinorial_linear(make_case("so_even", 3)), True,
+     {"seeds": 2, "seed_columns": 72}),
+    (lambda: build_js_quadratic(make_case("so_odd", 2), 2), True,
+     {"seeds": 2, "seed_columns": 50}),
+    (lambda: build_js_quadratic(make_case("sp", 2), 1), True,
+     {"seeds": 1, "seed_columns": 16}),
+    (lambda: build_product(*[build_spinorial_linear(make_case("so_even", 2))] * 2, ONE), True,
+     {"seeds": 6, "seed_columns": 96}),
+    (lambda: _fuse3([(0, 1)]), True, {"seeds": 1, "seed_columns": 9}),
+    (lambda: _fuse3([(0, 1), (Scalar(1, 0, 2), 1)]), True, {"seeds": 2, "seed_columns": 18}),
+    (lambda: _js_without_h("so_odd", 2), False, {"seeds": 2, "seed_columns": 50}),
+    (lambda: build_heisenberg_linear(make_case("so_even", 2), 1, max_degree=3), True,
+     {"premise_failed": "closed"}),
+    (lambda: build_spinorial_linear(make_case("sp", 2)), True, {"premise_failed": "closed"}),
+    (lambda: _top_scaled_once("so_odd", 2), False, {"premise_failed": "scalar_top"}),
+    (lambda: _spinor_g_scaled("so_even", 2), False, {"premise_failed": "invariant"}),
+]
+
+
+@pytest.mark.parametrize("build,passed,certificate", CERTIFICATES,
+                         ids=["spinor-so5", "spinor-so6", "js-so5", "js-sp4", "product-so4",
+                              "fuse3-one-site", "fuse3-two-sites", "js-so5-no-h", "heisenberg",
+                              "spinor-sp4", "top-not-scalar", "spinor-g-times-3"])
+def test_rll_certificate_record(build, passed, certificate):
+    rep = check_rll(build())
+    assert rep.passed is passed and rep.details["certificate"] == certificate
+
+
+def _direct_sum(l1, l2):
+    """Block-diagonal L1 + L2 on W1 + W2, with L1's highest-weight vector."""
+    d1, dim = l1.dim, l1.dim + l2.dim
+    coeffs = []
+    for m1, m2 in zip(l1.coeffs, l2.coeffs):
+        mat = {}
+        for key in set(m1) | set(m2):
+            data = dict(m1[key].data) if key in m1 else {}
+            if key in m2:
+                data.update({(i + d1, j + d1): v for (i, j), v in m2[key].data.items()})
+            mat[key] = SparseOp(dim, dim, data)
+        coeffs.append(mat)
+    return _closed(l1.case, coeffs, dim, hw=l1.hw_vector)
+
+
+def test_rll_certificate_needs_every_seed():
+    # JS(k) passes and JS(k + 1) fails; the hw vector generates only the
+    # first summand, so only the second seed, in JS(k + 1), can refute the sum
+    case = make_case("sp", 2)
+    good = build_js_quadratic(case, 1)
+    bad = build_js_quadratic(case, 1, k=good.params["k"] + 1)
+    assert check_rll(good).passed and not check_rll(bad).passed
+    rep = _assert_matches_full_engine(_direct_sum(good, bad))
+    assert not rep.passed and rep.details["certificate"] == {"seeds": 2, "seed_columns": 32}
+
+
+def test_rll_certificate_needs_invariance():
+    # one entry of H on the lowest vector of the so(3) spin-3 module: the
+    # hw seed columns cannot see it, so only the invariance premise does
+    case = make_case("so_odd", 1)
+    lop = build_js_quadratic(case, 3)
+    h = opmat_add(lop.h_mat, {(1, -1): SparseOp(7, 7, {(6, 6): ONE})})
+    bad = LOperator(case, lop.space, [h, lop.g_mat, lop.coeffs[2]], hw_vector=lop.hw_vector)
+    seed_cols = [pair * 7 for pair in range(9)]  # the hw vector is the first basis vector
+    seed_residual, _ = identity_residual(fundamental_ipk(case), _slot_coeffs(bad, 1),
+                                         _slot_coeffs(bad, 2), seed_cols, 3, k_form(case))
+    assert lop.hw_vector == {0: ONE} and not seed_residual
+    rep = _assert_matches_full_engine(bad)
+    assert not rep.passed and rep.details["certificate"] == {"premise_failed": "invariant"}
+
+
+@st.composite
+def rll_operands(draw):
+    """(L-operator, kind) on a closed space of so(3) or sp(2).
+
+    Solutions conjugate a base representation (JS 2l=1 with its H, or the
+    so(3) spinor), padded by a trivial summand to dim 3 at random, by
+    I + t E_pq, so no seed is the natural basis.  Covariant corruptions keep
+    every premise and must be refuted on the seed columns: H scaled, k
+    shifted (H + s eps Id) or H dropped.  Non-covariant ones scale G by 3 or
+    change one entry of one coefficient.
+    """
+    kind = draw(st.sampled_from(["solution", "covariant", "non-covariant"]))
+    bases = [("so_odd", "js"), ("sp", "js")]
+    if kind != "covariant":  # the spinor's one covariant change, a shift of u, still solves
+        bases.append(("so_odd", "spinor"))
+    family, rep = draw(st.sampled_from(bases))
+    case, g, h, dim = _base_solution(family, rep)
+    if dim == 2 and draw(st.booleans()):
+        dim = 3
+        g, h = _padded(g, dim), _padded(h, dim)
+    p, q = draw(st.sampled_from([(p, q) for p in range(dim) for q in range(dim) if p != q]))
+    t = draw(nonzero)
+    m, m_inv = _unipotent(dim, p, q, t), _unipotent(dim, p, q, -t)
+    g, h = _conjugate(g, m, m_inv), _conjugate(h, m, m_inv)
+    if kind == "covariant":
+        way = draw(st.sampled_from(["shift", "scale", "drop"] if h else ["shift"]))
+        if way == "shift":
+            h = opmat_add(h, metric_opmat(case, dim, draw(nonzero)))
+        elif way == "scale":
+            h = opmat_scale(h, draw(nonzero.filter(lambda s: s != 1)))
+        else:
+            h = {}
+    top = metric_opmat(case, dim)
+    coeffs = [h, g, top] if rep == "js" else [g, top]
+    if kind == "non-covariant":
+        if draw(st.booleans()):
+            coeffs[-2] = opmat_scale(coeffs[-2], 3)
+        else:
+            k = draw(st.integers(0, len(coeffs) - 1))
+            key = draw(st.sampled_from(sorted(product(case.indices, repeat=2))))
+            i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+            coeffs[k] = opmat_add(coeffs[k], {key: SparseOp(dim, dim, {(i, j): draw(nonzero)})})
+    return _closed(case, coeffs, dim), kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(rll_operands())
+def test_rll_certificate_matches_full_engine(drawn):
+    lop, kind = drawn
+    rep = _assert_matches_full_engine(lop)
+    if kind == "solution":
+        assert rep.passed and "seeds" in rep.details["certificate"]
+    if kind == "covariant":
+        assert not rep.passed and "seeds" in rep.details["certificate"]
 
 
 def test_lie_refutation_pinned():
