@@ -2,6 +2,11 @@
 identity engine and the YBE checker built on it, and the block kernel of
 the Lie, adjoint and W relations.
 
+The block kernel compares every first-slot pair (a, b), or only a given
+set of them: the Chevalley pairs (`chevalley_pairs`) generate g, and a
+relation whose set of solutions x is a Lie subalgebra of g holds on all of
+g once it holds on them (the premises are decided in the verify module).
+
 Index conventions used everywhere in this package: the fundamental space
 of so(2m) / sp(2m) carries indices (-m, ..., -1, +1, ..., +m) and so(2m+1)
 additionally the index 0.  Basis order is (-m, ..., -1, 0, 1, ..., m) and
@@ -360,8 +365,27 @@ def _row_blocks(op: SparseOp, size: int, count: int) -> list:
     return blocks
 
 
+def chevalley_pairs(case: CaseDescriptor) -> list:
+    """First-slot pairs (a, b) whose generators x_ab generate g as a Lie algebra.
+
+    g is spanned by the x_ab modulo x_ab = -eps x_ba, with the bracket that
+    the right side of the Lie relation (`block_violation`) applies to the
+    indices.  The pairs are the Chevalley generators e_i, f_i: for i < m
+    the simple root vectors (i, -(i+1)) and (-i, i+1), and one more pair
+    with its negative, (m, 0) and (-m, 0) for so(2m+1), (m-1, m) and
+    (-(m-1), -m) for so(2m), (m, m) and (-m, -m) for sp(2m).  so(2) is
+    abelian and spanned by its one pair (-1, 1).
+    """
+    m = case.m
+    if case.family == "so_even" and m == 1:
+        return [(-1, 1)]
+    pairs = [p for i in range(1, m) for p in ((i, -(i + 1)), (-i, i + 1))]
+    last = {"so_odd": (m, 0), "so_even": (m - 1, m), "sp": (m, m)}[case.family]
+    return pairs + [last, (-last[0], -last[1])]
+
+
 def block_violation(case: CaseDescriptor, g: dict, x: dict, dim_w: int, cols,
-                    w_tensor: bool = False):
+                    w_tensor: bool = False, pairs=None):
     """First violation of the Lie-type identity of G and X on (V x V) x W.
 
     S1 carries G in slot 1 and S2 carries X in slot 2 (`slot_operator`), so
@@ -384,6 +408,12 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, dim_w: int, cols,
     by D_G D_X is the exact residual.  An operand carrying sqrt2 keeps its
     Scalar entries (and D = 1).
 
+    `pairs`, for the Lie-type relation only, restricts the comparison to
+    the first-slot pairs (a, b) it lists, for every (c, d): S1 carries only
+    the blocks G_ab of those pairs, a row a with no pair is skipped, and in
+    the others S1 S2 takes only the rows b of its pairs from S2 and the
+    right side only their blocks b.  None compares every pair.
+
     Returns None when the identity holds on the columns `cols` of W, else
     ((a, b, c, d), residual): the first index tuple in sorted order and
     the residual Scalar at its lexicographically first entry (i, j) with j
@@ -392,19 +422,35 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, dim_w: int, cols,
     n, idx = case.n, case.indices
     pos = {a: p for p, a in enumerate(idx)}
     size = n * dim_w  # rows of one first-slot block row
+    rows = dict.fromkeys(range(n))  # row a -> its blocks b, None for all
+    if pairs is not None:  # only the pairs' blocks of G enter the products
+        rows = {}
+        for a, b in pairs:
+            rows.setdefault(pos[a], set()).add(pos[b])
+        g = {key: g[key] for key in pairs if key in g}
     g_blocks, d_g = _cleared_blocks(case, g)
     x_blocks, d_x = _cleared_blocks(case, x)
     s1, s2 = _slot(n, g_blocks, dim_w, 1), _slot(n, x_blocks, dim_w, 2)
-    keep = {pair * dim_w + j for pair in range(n * n) for j in cols}
     s1_rows, s2_rows = _row_blocks(s1, size, n), _row_blocks(s2, size, n)
-    s1k_rows = _row_blocks(s1.restrict_cols(keep), size, n)
-    s2k = s2.restrict_cols(keep)
     kept = set(cols)
+    s1k_rows, s2k = s1_rows, s2
+    if len(kept) < dim_w:
+        keep = {pair * dim_w + j for pair in range(n * n) for j in kept}
+        s1k_rows, s2k = _row_blocks(s1.restrict_cols(keep), size, n), s2.restrict_cols(keep)
+    if pairs is not None:  # the kept S2 by first-slot block, to pick the pairs' rows b
+        s2k_rows = s2_rows if s2k is s2 else _row_blocks(s2k, size, n)
     xk = {key: [(i, j, v) for (i, j), v in op.data.items() if j in kept]
           for key, op in x_blocks.items()}
     for pa, a in enumerate(idx):
+        if pa not in rows:
+            continue
         base = pa * size
-        acc = dict((s1_rows[pa] @ s2k).data)
+        blocks, right = rows[pa], s2k
+        if blocks is not None:
+            right = SparseOp(s2k.nrows, s2k.ncols)
+            for pb in blocks:
+                right.data.update(s2k_rows[pb].data)
+        acc = dict((s1_rows[pa] @ right).data)
         other = (s2_rows[pa] @ s1k_rows[pa]).data
         if w_tensor:
             for key, v in other.items():
@@ -429,7 +475,7 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, dim_w: int, cols,
             terms += [(case.sign(-b), (c, a), c, b, -b) for c in idx for b in idx]
             for sign, (r, s), c, b, d in terms:  # acc += sign D_G X_rs at ((a, c), (b, d))
                 blk = xk.get((pos[r], pos[s]))
-                if blk is None:
+                if blk is None or blocks is not None and pos[b] not in blocks:
                     continue
                 row0, col0 = base + pos[c] * dim_w, (pos[b] * n + pos[d]) * dim_w
                 coef = sign * d_g

@@ -18,11 +18,23 @@ first-slot block row at a time, on integer-cleared operands.  The
 commutator's right side, and W's six terms, are relabellings of those
 blocks.
 
+On a closed space these relations are decided on generators of g
+(`_generators`).  If G is symmetric, G + eps G^t = c eps_ab Id, it is a
+linear map on g plus a central scalar, and the x in g on which the Lie
+relation holds form a Lie subalgebra (Jacobi); so do the x at which X is
+invariant, once G is a representation.  Both relations are then compared
+on the 2m Chevalley pairs (a, b) only (`structure.chevalley_pairs`), for
+every (c, d), and W on the columns of a set that generates W under G.  A
+failed premise, or a violation there, reruns the kernel on every pair and
+safe column, so verdicts and counterexamples are those of the full
+comparison.
+
 RLL on a closed space is decided by a covariance certificate.  Three
 premises are checked exactly: the space is closed, the top coefficient
 is C_s = c eps_ab Id with c != 0, and every other coefficient is
-invariant under the action G = C_(s-1) / c (`block_violation` on all
-columns: the Lie relation for C_(s-1), the adjoint one for H).  R lies in
+invariant under the action G = C_(s-1) / c (`block_violation`, on the
+Chevalley pairs when the premises above hold: the Lie relation for
+C_(s-1), the adjoint one for H).  R lies in
 span{I, P, K}, so the residual then commutes with the diagonal action on
 (V x V) x W and its kernel is a submodule: it vanishes everywhere once it
 vanishes on V x V x S, S a set of unit vectors that generates W under G
@@ -60,6 +72,7 @@ from .structure import (
     YANG_GL2_IPK,
     CaseDescriptor,
     block_violation,
+    chevalley_pairs,
     describe_flat,
     first_violation,
     fundamental_ipk,
@@ -165,14 +178,78 @@ def _vacuous(name: str, details: dict | None = None) -> CheckReport:
 # Lie-algebra and adjoint relations
 
 
+def _generators(lop: LOperator, g: dict):
+    """(P, record): the Chevalley pairs P when the relations of G may be
+    decided on them, else None; record is {"pairs": |P|} or names the first
+    premise that failed.  Each premise is decided exactly, in this order:
+
+      closed     the space is untruncated (no trunc, no floor);
+      symmetric  G + eps G^t = c eps_ab Id (`opmat_scalar_on` on the
+                 identity), so G_ab = G(x_ab) + c/2 eps_ab Id for a linear
+                 map G on g, x_ab = -eps x_ba (`chevalley_pairs`), plus a
+                 central scalar, which neither side of a relation sees;
+      lie        the Lie relation of G holds on the pairs P, for all (c, d).
+
+    Generator lemma (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, sec. 18).  Given symmetry, the set S of x in g
+    with [G(x), G(y)] = G([x, y]) for every y is a subspace, and by Jacobi
+
+      [G([x, x']), G(y)] = [G(x), G([x', y])] - [G(x'), G([x, y])]
+                         = G([x, [x', y]] - [x', [x, y]]) = G([[x, x'], y])
+
+    for x, x' in S, so S is a Lie subalgebra.  It contains P, which
+    generates g, so it is g: the Lie relation holds for every (a, b, c, d).
+    Given that, D(x) = ad G(x) + rho(x), rho(x) the action of x on the
+    index pair (c, d) that the relation's right side applies, is a
+    representation on the tensors X_cd, and X is invariant at x when
+    D(x) X = 0.  D([x, y]) X = D(x) D(y) X - D(y) D(x) X, so the set of x
+    at which X is invariant is a subalgebra too: X is invariant as soon as
+    `block_violation(G, X, pairs=P)` finds nothing.
+    """
+    case, space, dim = lop.case, lop.space, lop.dim
+    if space.trunc is not None or space.floor is not None:
+        return None, {"premise_failed": "closed"}
+    sym = opmat_add(g, opmat_scale(opmat_transpose(g), Scalar.of(case.eps)))
+    if not opmat_scalar_on(case, sym, SparseOp.identity(dim))[0]:
+        return None, {"premise_failed": "symmetric"}
+    pairs = chevalley_pairs(case)
+    if block_violation(case, g, g, dim, range(dim), pairs=pairs) is not None:
+        return None, {"premise_failed": "lie"}
+    return pairs, {"pairs": len(pairs)}
+
+
 def _block_check(lop, g, x, budget, name, w_tensor=False):
     """A Lie-type relation of G and X decided by `structure.block_violation`,
-    on the columns safe for `budget` compositions of the entry budget."""
+    on the columns safe for `budget` compositions of the entry budget.
+
+    When the premises of `_generators` hold, the Lie relation holds (its
+    last premise is the relation on the pairs P), the adjoint one is
+    compared on P, and W on the seed columns of a set S that generates W
+    under the G_p, p in P (`lops.generating_set`; G is a representation and
+    P generates g, so a subspace stable under the G_p is stable under all
+    of G): W is built from products of the invariant G, so it is an
+    invariant tensor and its kernel {w : W_abcd w = 0 for all (a, b, c, d)}
+    is G-stable, hence all of W once it holds S.  For `lie` a violation on
+    P is the failed premise "lie".  A failed premise, or a violation, reruns
+    the kernel on every pair and safe column, so a refutation reports the
+    first violation of the full comparison.  `details.generators` records
+    the pair count (and for W the seed count) or the failed premise.
+    """
+    case, dim = lop.case, lop.dim
     cols = lop.space.safe_indices(budget * lop.entry_budget)
     if not cols:
         return _vacuous(name)
-    details = {"safe_columns": len(cols)}
-    bad = block_violation(lop.case, g, x, lop.dim, cols, w_tensor)
+    pairs, generators = _generators(lop, g)
+    bad = None
+    if pairs is not None and w_tensor:
+        seeds = generating_set(lop, [g[key] for key in pairs if key in g])
+        generators["seeds"] = len(seeds)
+        bad = block_violation(case, g, x, dim, seeds, w_tensor)
+    elif pairs is not None and x is not g:  # X = G: the Lie premise decided it
+        bad = block_violation(case, g, x, dim, cols, pairs=pairs)
+    if pairs is None or bad is not None:
+        bad = block_violation(case, g, x, dim, cols, w_tensor)
+    details = {"safe_columns": len(cols), "generators": generators}
     if bad is None:
         return CheckReport(name, True, details=details)
     at, residual = bad
@@ -181,13 +258,23 @@ def _block_check(lop, g, x, budget, name, w_tensor=False):
 
 
 def check_lie(lop: LOperator, g: dict | None = None) -> CheckReport:
-    """[G_ab, G_cd] equals the structure-constant combination, exactly."""
+    """[G_ab, G_cd] equals the structure-constant combination, exactly.
+
+    On a closed space with G symmetric (G + eps G^t = c eps_ab Id) the
+    relation is decided on the 2m Chevalley pairs (a, b) alone, for all
+    (c, d): the x on which it holds form a Lie subalgebra (proof at
+    `_generators`), and the pairs generate g.
+    """
     g = lop.g_mat if g is None else g
     return _block_check(lop, g, g, 2, "lie")
 
 
 def check_adjoint(lop: LOperator, g: dict | None = None, h: dict | None = None) -> CheckReport:
-    """[G_ab, H_cd] equals the adjoint-action combination of H."""
+    """[G_ab, H_cd] equals the adjoint-action combination of H.
+
+    Decided on the Chevalley pairs once the premises of `_generators` hold
+    (G symmetric and a representation).
+    """
     g = lop.g_mat if g is None else g
     h = lop.h_mat if h is None else h
     return _block_check(lop, g, h, 3, "adjoint")
@@ -223,6 +310,12 @@ def _certificate(lop: LOperator):
       invariant   every nonzero C_k, k < s, is invariant under G:
                   `block_violation(G, C_k)` finds nothing on all columns
                   (the Lie relation for k = s-1, the adjoint one for H).
+
+    The invariance premise is decided on the Chevalley pairs when the
+    premises of `_generators` hold; they include the Lie relation, which is
+    the invariance of C_(s-1) = c G, and S then generates W under the G_p,
+    p in P, alone.  Otherwise every C_k, k < s, runs on every pair and S is
+    grown under every G_ab.
     """
     case, space, dim = lop.case, lop.space, lop.dim
     if space.trunc is not None or space.floor is not None:
@@ -231,10 +324,11 @@ def _certificate(lop: LOperator):
     if not (ok and c):
         return None, {"premise_failed": "scalar_top"}
     g = opmat_scale(lop.g_mat, c.inv())
-    for mat in lop.coeffs[:-1]:
-        if mat and block_violation(case, g, mat, dim, range(dim)) is not None:
+    pairs, _ = _generators(lop, g)
+    for mat in lop.coeffs[:-2] if pairs else lop.coeffs[:-1]:
+        if mat and block_violation(case, g, mat, dim, range(dim), pairs=pairs) is not None:
             return None, {"premise_failed": "invariant"}
-    seeds = generating_set(lop, list(g.values()))
+    seeds = generating_set(lop, [g[key] for key in pairs if key in g] if pairs else list(g.values()))
     return seeds, {"seeds": len(seeds), "seed_columns": case.n ** 2 * len(seeds)}
 
 

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yanglab.exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly
+from yanglab.exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly, VectorSpan
 from yanglab.lops import build_js_quadratic, build_spinorial_linear
 from yanglab.structure import (
     YANG_GL2_IPK,
     block_violation,
+    chevalley_pairs,
     check_ybe,
     fundamental_r,
     identity_residual,
@@ -347,3 +348,46 @@ def test_block_violation_matches_n4_reference(draw):
     assert got == _reference_block_violation(case, g, x, dim, cols, w_tensor)
     if solves:
         assert got is None
+
+
+# ---------------------------------------------------------------------------
+# the Chevalley pairs generate g
+
+
+def _x(case, a, b, coeff=ONE):
+    """x_ab in g as {canonical pair: coefficient}, x_ab = -eps x_ba."""
+    if a == b and case.eps == 1:
+        return {}
+    return {(a, b): coeff} if a <= b else {(b, a): coeff * -case.eps}
+
+
+def _bracket(case, x, y):
+    """[x, y] by the right side of the Lie relation on the generators:
+    [x_ab, x_cd] = -eps_cb x_ad + eps_ad x_cb + eps_ac x_bd - eps_db x_ca."""
+    eps = case.metric_lower
+    out = {}
+    for (a, b), s in x.items():
+        for (c, d), t in y.items():
+            for coeff, (p, q) in ((-eps(c, b), (a, d)), (eps(a, d), (c, b)),
+                                  (eps(a, c), (b, d)), (-eps(d, b), (c, a))):
+                for key, v in _x(case, p, q, coeff * s * t).items():
+                    out[key] = out.get(key, ZERO) + v
+    return {key: v for key, v in out.items() if v}
+
+
+@pytest.mark.parametrize("family,m", [("so_odd", m) for m in range(1, 5)]
+                         + [("so_even", m) for m in range(1, 5)]
+                         + [("sp", m) for m in range(1, 4)])
+def test_chevalley_pairs_generate_g(family, m):
+    # the ad-closure of the pairs' span is the subalgebra they generate
+    case = make_case(family, m)
+    pairs = chevalley_pairs(case)
+    assert len(pairs) == (1 if (family, m) == ("so_even", 1) else 2 * m)
+    gens = [_x(case, a, b) for a, b in pairs]
+    span, queue = VectorSpan(), list(gens)
+    while queue:
+        vec = queue.pop()
+        if span.add(vec):
+            queue.extend(_bracket(case, p, vec) for p in gens)
+    n = case.n
+    assert len(span) == (m * (2 * m + 1) if family == "sp" else n * (n - 1) // 2)

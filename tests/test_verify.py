@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yanglab.exact import ONE, ZERO, Scalar, SparseOp, UniPoly, common_denominator
+from yanglab import verify
+from yanglab.exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly, common_denominator
 from yanglab.lops import (
     LOperator,
     build_gl2_js_chain,
@@ -23,6 +24,8 @@ from yanglab.lops import (
 )
 from yanglab.spaces import RepSpace
 from yanglab.structure import (
+    block_violation,
+    chevalley_pairs,
     describe_flat,
     first_violation,
     fundamental_ipk,
@@ -375,6 +378,166 @@ def test_block_refutations_pinned(check, build, at, residual):
     rep = check(lop, **operands).to_dict()
     assert rep["passed"] is False and rep["details"]["safe_columns"] > 0
     assert rep["counterexample"] == {"at": at, "residual": {"0,0": residual}}
+
+
+# ---------------------------------------------------------------------------
+# lie, adjoint and W decided on the Chevalley pairs
+
+
+def _generator_record(check, lop, **operands):
+    return check(lop, **operands).details["generators"]
+
+
+# What decided lie, W and adjoint (quadratic operators only): the pair count
+# and W's seed count, or the premise that sent the check to every pair.
+GENERATOR_RECORDS = [
+    (lambda: build_js_quadratic(make_case("so_odd", 2), 2), 4, 2),
+    (lambda: build_js_quadratic(make_case("so_even", 3), 2), 6, 2),
+    (lambda: build_js_quadratic(make_case("sp", 2), 1), 4, 1),
+    (lambda: build_spinorial_linear(make_case("so_odd", 2)), 4, 1),
+    (lambda: build_spinorial_linear(make_case("so_even", 3)), 6, 2),
+    (lambda: build_product(*[build_spinorial_linear(make_case("so_even", 2))] * 2, ONE), 4, 6),
+    (lambda: build_heisenberg_linear(make_case("so_even", 2), 1, max_degree=3), None, None),
+]
+
+
+@pytest.mark.parametrize("build,pairs,seeds", GENERATOR_RECORDS,
+                         ids=["js-so5", "js-so6", "js-sp4", "spinor-so5", "spinor-so6",
+                              "product-so4", "heisenberg"])
+def test_generator_path_taken(monkeypatch, build, pairs, seeds):
+    # counts the block-kernel calls that compare every pair on every column:
+    # none for a verdict reached on the generators, one for a rerun
+    lop = build()
+    calls = []
+
+    def counting(case, g, x, dim_w, cols, w_tensor=False, pairs=None):
+        calls.append(len(cols) if pairs is None else None)
+        return block_violation(case, g, x, dim_w, cols, w_tensor, pairs)
+
+    monkeypatch.setattr(verify, "block_violation", counting)
+    checks = [check_lie, check_w_tensor] + [check_adjoint] * (lop.order == 2)
+    for check in checks + [check_rll]:
+        calls.clear()
+        rep = check(lop)
+        full = calls.count(rep.details["safe_columns"])
+        if check is check_rll:
+            assert rep.passed and full == 0
+        elif pairs is None:
+            assert rep.details["generators"] == {"premise_failed": "closed"} and full == 1
+        else:
+            want = {"pairs": pairs, "seeds": seeds} if check is check_w_tensor else {"pairs": pairs}
+            assert rep.details["generators"] == want and full == (not rep.passed)
+
+
+def test_generator_premise_failures_named():
+    # G_(-2,-1) halved breaks the symmetry G + eps G^t = c eps Id; G times 3
+    # is symmetric but fails the Lie relation on the pairs
+    lop, operands = _js_so5_block_scaled("g", (-2, -1), Scalar(1, 0, 2))
+    assert _generator_record(check_lie, lop, **operands) == {"premise_failed": "symmetric"}
+    assert _generator_record(check_w_tensor, lop, **operands) == {"premise_failed": "symmetric"}
+    lop, operands = _spinor_so5(3)
+    assert _generator_record(check_lie, lop, **operands) == {"premise_failed": "lie"}
+    # an adjoint refutation on the pairs keeps the pair record
+    lop, operands = _js_so5_block_scaled("h", (-2, -2), Scalar(1, 0, 3))
+    assert _generator_record(check_adjoint, lop, **operands) == {"pairs": 4}
+
+
+@pytest.mark.parametrize("family,m,two_l", [("so_odd", 2, 2), ("so_even", 3, 2), ("sp", 2, 1),
+                                             ("so_odd", 3, 2)])
+def test_symmetric_off_generator_corruption_fails_on_pairs(family, m, two_l):
+    # G_ab and G_ba doubled for an x_ab outside the pairs: G stays symmetric,
+    # so the generator lemma says the pairs themselves must see it
+    lop = build_js_quadratic(make_case(family, m), two_l)
+    case, g = lop.case, lop.g_mat
+    a, b = _off_generator_keys(case, g)[0]
+    g = {**g, (a, b): g[a, b].scale(2), (b, a): g[b, a].scale(2)}
+    assert block_violation(case, g, g, lop.dim, range(lop.dim), pairs=chevalley_pairs(case))
+    rep = check_lie(lop, g)
+    assert not rep.passed and rep.details["generators"] == {"premise_failed": "lie"}
+
+
+_VECTOR_REPS = {}
+
+
+def _vector_rep(family, m):
+    """(case, G, H, dim) of JS 2l=1, the vector representation, built once."""
+    if (family, m) not in _VECTOR_REPS:
+        lop = build_js_quadratic(make_case(family, m), 1)
+        _VECTOR_REPS[family, m] = (lop.case, lop.g_mat, lop.h_mat, lop.dim)
+    return _VECTOR_REPS[family, m]
+
+
+def _off_generator_keys(case, g):
+    """Blocks (a, b), b != -a, of G whose generator x_ab is no Chevalley pair."""
+    pairs = set(chevalley_pairs(case))
+    return sorted(key for key in g if key[1] != -key[0]
+                  and key not in pairs and key[::-1] not in pairs)
+
+
+@st.composite
+def generator_operands(draw):
+    """(L-operator, kind) on a closed space for the generator premises.
+
+    A solution (the vector representation of so(3), so(4), so(5), sp(2) or
+    sp(4) with its H, or the so(3) spinor with H = 0; rank one padded by a
+    trivial summand to dim 3 at random) is conjugated by I + t E_pq and
+    then changed: "asymmetric" adds to one entry of one block of G, "g3"
+    scales G by 3, "h" adds to one entry of one block of H, and
+    "off-generator" doubles G_ab and G_ba for a generator x_ab outside the
+    Chevalley pairs, which keeps G symmetric.
+    """
+    family, m = draw(st.sampled_from([("so_odd", 1), ("so_even", 2), ("so_odd", 2),
+                                      ("sp", 1), ("sp", 2), ("spinor", 1)]))
+    if family == "spinor":
+        case, g, h, dim = _base_solution("so_odd", "spinor")
+    else:
+        case, g, h, dim = _vector_rep(family, m)
+    kinds = ["solution", "asymmetric", "g3"] + ["h"] * bool(h)
+    if _off_generator_keys(case, g):
+        kinds.append("off-generator")
+    kind = draw(st.sampled_from(kinds))
+    if dim == 2 and draw(st.booleans()):
+        dim = 3
+        g, h = _padded(g, dim), _padded(h, dim)
+    p, q = draw(st.sampled_from([(p, q) for p in range(dim) for q in range(dim) if p != q]))
+    t = draw(nonzero)
+    mat, mat_inv = _unipotent(dim, p, q, t), _unipotent(dim, p, q, -t)
+    g, h = _conjugate(g, mat, mat_inv), _conjugate(h, mat, mat_inv)
+    if kind in ("asymmetric", "h"):
+        key = draw(st.sampled_from(sorted(product(case.indices, repeat=2))))
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        entry = {key: SparseOp(dim, dim, {(i, j): draw(nonzero)})}
+        if kind == "h":
+            h = opmat_add(h, entry)
+        else:
+            g = opmat_add(g, entry)
+    elif kind == "g3":
+        g = opmat_scale(g, 3)
+    elif kind == "off-generator":
+        a, b = draw(st.sampled_from(_off_generator_keys(case, g)))
+        g = {**g, (a, b): g[a, b].scale(2), (b, a): g[b, a].scale(2)}
+    return _closed(case, [h, g, metric_opmat(case, dim)], dim), kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_operands())
+def test_generator_verdicts_match_full_kernel(drawn):
+    lop, kind = drawn
+    case, dim, g = lop.case, lop.dim, lop.g_mat
+    for check, x, w_tensor in ((check_lie, g, False), (check_adjoint, lop.h_mat, False),
+                               (check_w_tensor, g, True)):
+        full = block_violation(case, g, x, dim, range(dim), w_tensor)
+        rep = check(lop)
+        assert rep.passed == (full is None)
+        if full is not None:
+            at, residual = full
+            assert rep.counterexample == (at, BiPoly({(0, 0): residual}))
+    if kind == "solution":
+        assert check_lie(lop).details["generators"] == {"pairs": len(chevalley_pairs(case))}
+    if kind == "off-generator":
+        # symmetric, so the Lie relation fails on the pairs themselves
+        assert block_violation(case, g, g, dim, range(dim), pairs=chevalley_pairs(case))
+        assert check_lie(lop).details["generators"] == {"premise_failed": "lie"}
 
 
 def test_empty_safe_subspace_fails():
