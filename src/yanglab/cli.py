@@ -113,9 +113,11 @@ def build_operator(cfg):
     """Build the requested construction; returns (lop, canonical hw vector)."""
     op = cfg.get("op")
     params = cfg.get("params") or {}
-    trunc = cfg.get("trunc") or 4
     if op in (None, ""):
         raise ConfigError("--op is required for this command")
+    trunc = cfg.get("trunc")
+    if trunc is not None and (not isinstance(trunc, int) or trunc < 1):
+        raise ConfigError(f"--trunc must be a positive integer, got {trunc!r}")
     if op == "gl2chain" or op == "fuse3":
         chain = params.get("chain")
         if chain is None:
@@ -132,11 +134,11 @@ def build_operator(cfg):
         return lop, {gl2.hw_index: Scalar.of(1)}
 
     case = resolve_case(cfg)
+    if trunc is None:
+        # the sp spinor's center compares on the columns safe for 3
+        # compositions of the entry budget 2: trunc 6 is the least that leaves it one
+        trunc = 6 if (op, case.family) == ("spinor", "sp") else 4
     if op == "spinor":
-        if case.family == "sp" and not cfg.get("trunc"):
-            # center compares on the columns safe for 3 compositions of the
-            # entry budget 2: trunc 6 is the least that leaves it one
-            trunc = 6
         return _build_linear_factor(case, {"op": "spinor", **params}, trunc)
     if op == "heisenberg":
         ell = _scalar_arg(cfg.get("ell", params.get("ell", 0)), "ell")

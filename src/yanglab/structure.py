@@ -2,10 +2,13 @@
 identity engine and the YBE checker built on it, and the block kernel of
 the Lie, adjoint and W relations.
 
-The block kernel compares every first-slot pair (a, b), or only a given
-set of them: the Chevalley pairs (`chevalley_pairs`) generate g, and a
-relation whose set of solutions x is a Lie subalgebra of g holds on all of
-g once it holds on them (the premises are decided in the verify module).
+The block kernel works on the blocks G_ab and X_cd of two opmats, which act
+on W alone: per first-slot pair (a, b) one product with every X_cd side by
+side and one with every X_cd stacked give G_ab X_cd and X_cd G_ab for all
+(c, d).  It compares every first-slot pair, or only a given set of them:
+the Chevalley pairs (`chevalley_pairs`) generate g, and a relation whose
+set of solutions x is a Lie subalgebra of g holds on all of g once it holds
+on them (the premises are decided in the verify module).
 
 Index conventions used everywhere in this package: the fundamental space
 of so(2m) / sp(2m) carries indices (-m, ..., -1, +1, ..., +m) and so(2m+1)
@@ -22,7 +25,9 @@ conventions (the sign matters in the symplectic case).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby, product
 from math import comb
+from operator import itemgetter
 
 from .exact import (
     ONE,
@@ -342,27 +347,7 @@ def describe_flat(case: CaseDescriptor, labels, flat: int, dim_w: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the (V x V) x W block kernel of the Lie, adjoint and W relations
-
-
-def _cleared_blocks(case: CaseDescriptor, mat: dict):
-    """({(pos a, pos b): op}, D): the opmat `mat` times D on ints, by position."""
-    keys = list(mat)
-    ops, den = clear_denominators([mat[key] for key in keys])
-    return {(case.pos(a), case.pos(b)): op for (a, b), op in zip(keys, ops)}, den
-
-
-def _slot(n: int, blocks: dict, dim_w: int, slot: int) -> SparseOp:
-    entries = ((pa, pb, i, j, v) for (pa, pb), op in blocks.items() for (i, j), v in op.data.items())
-    return slot_operator(n, entries, dim_w, slot)
-
-
-def _row_blocks(op: SparseOp, size: int, count: int) -> list:
-    """op split into `count` SparseOps holding `size` consecutive rows each."""
-    blocks = [SparseOp(op.nrows, op.ncols) for _ in range(count)]
-    for key, val in op.data.items():
-        blocks[key[0] // size].data[key] = val
-    return blocks
+# the block kernel of the Lie, adjoint and W relations
 
 
 def chevalley_pairs(case: CaseDescriptor) -> list:
@@ -386,114 +371,91 @@ def chevalley_pairs(case: CaseDescriptor) -> list:
 
 def block_violation(case: CaseDescriptor, g: dict, x: dict, dim_w: int, cols,
                     w_tensor: bool = False, pairs=None):
-    """First violation of the Lie-type identity of G and X on (V x V) x W.
+    """First violation of the Lie-type identity of the blocks G_ab and X_cd.
 
-    S1 carries G in slot 1 and S2 carries X in slot 2 (`slot_operator`), so
-    the block ((a, c), (b, d)) of S1 S2 is G_ab X_cd and that of S2 S1 is
-    X_cd G_ab.  The identity is the relation
+    G and X are opmats {(a, b): SparseOp on W}.  The identity is the relation
 
       [G_ab, X_cd] = -eps_cb X_ad + eps_ad X_cb + eps_ac X_bd - eps_db X_ca
 
-    (lie with X = G, adjoint with X = H), whose right side is placed block
-    by block through index relabelling, with no product; or, with
-    `w_tensor`, W_abcd = 0 for the cyclic sum over (b, c, d) of
-    G_ab X_cd + X_cd G_ab, which is the six-term W tensor when X = G.
+    (lie with X = G, adjoint with X = H), or, with `w_tensor`, W_abcd = 0
+    for W_abcd = A_ab[c, d] + A_ac[d, b] + A_ad[b, c], the cyclic sum over
+    (b, c, d) of the anticommutators A_ab[c, d] = G_ab X_cd + X_cd G_ab,
+    which is the six-term W tensor when X = G.
 
-    The residual is streamed one first-slot block row a at a time: two
-    SparseOp products per row (the rows a of S1 S2 and S2 S1, kept columns
-    only), so the whole product is never formed, and the scan stops after
-    the first row that holds a violation.  G and X are cleared to ints
-    (D_G, D_X): the bilinear left side scales by D_G D_X and the right
-    side, linear in X, is multiplied by D_G, so a surviving entry divided
-    by D_G D_X is the exact residual.  An operand carrying sqrt2 keeps its
-    Scalar entries (and D = 1).
+    Every X_cd is placed side by side (X_wide, the columns `cols` only) and
+    stacked (X_tall), so each first-slot pair (a, b) takes two SparseOp
+    products, G_ab @ X_wide and X_tall @ G_ab[:, cols], which hold
+    G_ab X_cd and X_cd G_ab for every (c, d).  The commutator's right side
+    adds blocks of X, placed by their indices with no product; W sums the
+    anticommutator blocks of the pairs of one row a.  G and X are cleared
+    to ints (D_G, D_X): the bilinear left side scales by D_G D_X and the
+    right side, linear in X, is multiplied by D_G, so a surviving entry
+    divided by D_G D_X is the exact residual.  An operand carrying sqrt2
+    keeps its Scalar entries (and D = 1).
 
     `pairs`, for the Lie-type relation only, restricts the comparison to
-    the first-slot pairs (a, b) it lists, for every (c, d): S1 carries only
-    the blocks G_ab of those pairs, a row a with no pair is skipped, and in
-    the others S1 S2 takes only the rows b of its pairs from S2 and the
-    right side only their blocks b.  None compares every pair.
+    the first-slot pairs (a, b) it lists, for every (c, d); None compares
+    every pair.
 
     Returns None when the identity holds on the columns `cols` of W, else
     ((a, b, c, d), residual): the first index tuple in sorted order and
     the residual Scalar at its lexicographically first entry (i, j) with j
-    in `cols`.
+    in `cols`.  The scan stops there.
     """
     n, idx = case.n, case.indices
-    pos = {a: p for p, a in enumerate(idx)}
-    size = n * dim_w  # rows of one first-slot block row
-    rows = dict.fromkeys(range(n))  # row a -> its blocks b, None for all
-    if pairs is not None:  # only the pairs' blocks of G enter the products
-        rows = {}
-        for a, b in pairs:
-            rows.setdefault(pos[a], set()).add(pos[b])
-        g = {key: g[key] for key in pairs if key in g}
-    g_blocks, d_g = _cleared_blocks(case, g)
-    x_blocks, d_x = _cleared_blocks(case, x)
-    s1, s2 = _slot(n, g_blocks, dim_w, 1), _slot(n, x_blocks, dim_w, 2)
-    s1_rows, s2_rows = _row_blocks(s1, size, n), _row_blocks(s2, size, n)
+    flat = {(c, d): p * n + q for p, c in enumerate(idx) for q, d in enumerate(idx)}
+    todo = sorted(flat if pairs is None else pairs)
+    (g_ops, d_g), (x_ops, d_x) = clear_denominators(g.values()), clear_denominators(x.values())
+    g, x = dict(zip(g, g_ops)), dict(zip(x, x_ops))
     kept = set(cols)
-    s1k_rows, s2k = s1_rows, s2
-    if len(kept) < dim_w:
-        keep = {pair * dim_w + j for pair in range(n * n) for j in kept}
-        s1k_rows, s2k = _row_blocks(s1.restrict_cols(keep), size, n), s2.restrict_cols(keep)
-    if pairs is not None:  # the kept S2 by first-slot block, to pick the pairs' rows b
-        s2k_rows = s2_rows if s2k is s2 else _row_blocks(s2k, size, n)
-    xk = {key: [(i, j, v) for (i, j), v in op.data.items() if j in kept]
-          for key, op in x_blocks.items()}
-    for pa, a in enumerate(idx):
-        if pa not in rows:
-            continue
-        base = pa * size
-        blocks, right = rows[pa], s2k
-        if blocks is not None:
-            right = SparseOp(s2k.nrows, s2k.ncols)
-            for pb in blocks:
-                right.data.update(s2k_rows[pb].data)
-        acc = dict((s1_rows[pa] @ right).data)
-        other = (s2_rows[pa] @ s1k_rows[pa]).data
-        if w_tensor:
-            for key, v in other.items():
-                acc[key] = acc.get(key, 0) + v
-            res: dict = {}
-            for (r, c), v in acc.items():
-                if not v:
-                    continue
-                pz, i = divmod(r - base, dim_w)
-                pyw, j = divmod(c, dim_w)
-                py, pw = divmod(pyw, n)
-                for key in ((r, c), (base + py * dim_w + i, (pw * n + pz) * dim_w + j),
-                            (base + pw * dim_w + i, (pz * n + py) * dim_w + j)):
-                    res[key] = res.get(key, 0) + v
-        else:
-            for key, v in other.items():
-                acc[key] = acc.get(key, 0) - v
-            sa = case.sign(a)
-            terms = [(case.sign(c), (a, d), c, -c, d) for c in idx for d in idx]
-            terms += [(-sa, (c, b), c, b, -a) for c in idx for b in idx]
-            terms += [(-sa, (b, d), -a, b, d) for b in idx for d in idx]
-            terms += [(case.sign(-b), (c, a), c, b, -b) for c in idx for b in idx]
-            for sign, (r, s), c, b, d in terms:  # acc += sign D_G X_rs at ((a, c), (b, d))
-                blk = xk.get((pos[r], pos[s]))
-                if blk is None or blocks is not None and pos[b] not in blocks:
-                    continue
-                row0, col0 = base + pos[c] * dim_w, (pos[b] * n + pos[d]) * dim_w
-                coef = sign * d_g
-                for i, j, v in blk:
-                    key = (row0 + i, col0 + j)
-                    acc[key] = acc.get(key, 0) + coef * v
-            res = acc
-        bad = [key for key, v in res.items() if v]
-        if bad:
-            def order(key):
-                pc, i = divmod(key[0] - base, dim_w)
-                pbd, j = divmod(key[1], dim_w)
-                pb, pd = divmod(pbd, n)
-                return (pb, pc, pd, i, j)
+    xk = {key: [(i, j, v) for (i, j), v in op.data.items() if j in kept] for key, op in x.items()}
+    wide = SparseOp(dim_w, n * n * dim_w, {(i, flat[key] * dim_w + j): v
+                                           for key, entries in xk.items() for i, j, v in entries})
+    tall = SparseOp(n * n * dim_w, dim_w, {(flat[key] * dim_w + i, j): v
+                                           for key, op in x.items() for (i, j), v in op.data.items()})
+    sign = 1 if w_tensor else -1
 
-            first = min(bad, key=order)
-            pb, pc, pd, _, _ = order(first)
-            return (a, idx[pb], idx[pc], idx[pd]), _divide(res[first], d_g * d_x)
+    def residual(blk):  # the exact residual at blk's first nonzero entry, or None
+        bad = [key for key, v in blk.items() if v]
+        return _divide(blk[min(bad)], d_g * d_x) if bad else None
+
+    for a, row in groupby(todo, key=itemgetter(0)):
+        row_blocks = {}  # for W: the anticommutator blocks of row a, by b
+        for _, b in row:
+            blocks: dict = {}  # {flat (c, d): {(i, j): cleared entry}}
+            op = g.get((a, b))
+            if op is not None:
+                for (i, col), v in (op @ wide).data.items():
+                    cd, j = divmod(col, dim_w)
+                    blocks.setdefault(cd, {})[(i, j)] = v
+                for (r, j), v in (tall @ op.restrict_cols(kept)).data.items():
+                    cd, i = divmod(r, dim_w)
+                    blk = blocks.setdefault(cd, {})
+                    blk[(i, j)] = blk.get((i, j), 0) + sign * v
+            if w_tensor:
+                row_blocks[b] = blocks
+                continue
+            s_a, s_b = case.sign(a), case.sign(-b)
+            terms = [(s_b, (a, d), -b, d) for d in idx] + [(-s_a, (c, b), c, -a) for c in idx]
+            terms += [(-s_a, (b, d), -a, d) for d in idx] + [(s_b, (c, a), c, -b) for c in idx]
+            for s, key, c, d in terms:  # blocks[(c, d)] += s D_G X_key
+                blk, coef = blocks.setdefault(flat[c, d], {}), s * d_g
+                for i, j, v in xk.get(key, ()):
+                    blk[(i, j)] = blk.get((i, j), 0) + coef * v
+            for cd in sorted(blocks):
+                res = residual(blocks[cd])
+                if res is not None:
+                    c, d = divmod(cd, n)
+                    return (a, b, idx[c], idx[d]), res
+        if w_tensor:
+            for b, c, d in product(idx, repeat=3):
+                total: dict = {}
+                for p, q, r in ((b, c, d), (c, d, b), (d, b, c)):
+                    for key, v in row_blocks.get(p, {}).get(flat[q, r], {}).items():
+                        total[key] = total.get(key, 0) + v
+                res = residual(total)
+                if res is not None:
+                    return (a, b, c, d), res
     return None
 
 

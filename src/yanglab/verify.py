@@ -11,11 +11,11 @@ the first violation is recorded together with its residual polynomial.
 
 YBE, RLL and gl(2)-RLL run on `structure.identity_residual`.  The Lie
 relation (G with itself), the adjoint relation (G with H) and the W
-tensor (G with itself) run on `structure.block_violation`: G in slot 1
-and X in slot 2 of (V x V) x W make the blocks of S1 S2 and S2 S1 the
-products G_ab X_cd and X_cd G_ab for every index tuple at once, one
-first-slot block row at a time, on integer-cleared operands.  The
-commutator's right side, and W's six terms, are relabellings of those
+tensor (G with itself) run on `structure.block_violation`, on the blocks
+G_ab and X_cd on W: per first-slot pair (a, b), two products with every
+X_cd side by side and stacked give G_ab X_cd and X_cd G_ab for all (c, d)
+at once, on integer-cleared operands.  The commutator's right side is
+blocks of X placed by their indices, and W sums three anticommutator
 blocks.
 
 On a closed space these relations are decided on generators of g

@@ -106,8 +106,10 @@ def test_non_highest_weight_vector_exits_1(capsys):
     ["weights", "--family", "so", "--m", "2", "--op", "spinor", "--vector", "99"],
     ["weights", "--family", "so", "--m", "1", "--op", "spinor"],
     ["construct", "--family", "so", "--m", "2", "--op", "js", "--params", "[2]"],
+    ["construct", "--family", "sp", "--m", "1", "--op", "spinor", "--trunc", "0"],
+    ["construct", "--family", "sp", "--m", "1", "--op", "spinor", "--trunc", "-1"],
 ], ids=["chain-d", "chain-shape", "chain-negative", "twoL", "sp-twoL", "vector-range", "so2",
-        "params-object"])
+        "params-object", "trunc-0", "trunc-negative"])
 def test_bad_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("yanglab: ")

@@ -219,7 +219,7 @@ def test_identity_residual_reference_sees_failures():
 
 
 # ---------------------------------------------------------------------------
-# the (V x V) x W block kernel against a plain n^4 scan (Lie, adjoint and W)
+# the block kernel against a plain n^4 scan (Lie, adjoint and W)
 
 
 def _dense(op, dim):
@@ -232,13 +232,16 @@ def _mm(x, y):
             for i in range(len(x))]
 
 
-def _reference_block_violation(case, g, x, dim, cols, w_tensor):
-    """First (a, b, c, d) in sorted order, then first (i, j), j in cols, where
-    [G_ab, X_cd] - (adjoint combination of X), or W_abcd, is nonzero."""
+def _reference_block_violation(case, g, x, dim, cols, w_tensor, pairs=None):
+    """First (a, b, c, d) in sorted order, (a, b) in pairs unless None, then
+    first (i, j), j in cols, where [G_ab, X_cd] - (adjoint combination of X),
+    or W_abcd, is nonzero."""
     gd = {key: _dense(g.get(key), dim) for key in product(case.indices, repeat=2)}
     xd = {key: _dense(x.get(key), dim) for key in product(case.indices, repeat=2)}
     eps = case.metric_lower
     for a, b, c, d in product(case.indices, repeat=4):
+        if pairs is not None and (a, b) not in pairs:
+            continue
         if w_tensor:
             terms = [(ONE, _mm(gd[p], xd[q])) for p, q in (
                 ((a, b), (c, d)), ((a, c), (d, b)), ((a, d), (b, c)))]
@@ -286,13 +289,15 @@ nonzero = scalars.filter(bool)
 
 @st.composite
 def block_operands(draw):
-    """(case, g, x, dim, cols, w_tensor, solves) for the block kernel.
+    """(case, g, x, dim, cols, w_tensor, pairs, solves) for the block kernel.
 
     Solutions conjugate a base representation (padded by a trivial summand
     to dim 3 at random) by I + t E_pq, so G and X carry mixed denominators;
     the adjoint X is H + s G.  Perturbed solutions change one entry of X
     (of G for lie and W, where X = G).  Random draws fill about half the
     entries of G and X with small fractions, one of them possibly times sqrt2.
+    For lie and adjoint, pairs is None, the Chevalley pairs or a random
+    nonempty set of first-slot pairs; for W it is None.
     """
     check = draw(st.sampled_from(["lie", "adjoint", "w"]))
     kind = draw(st.sampled_from(["solution", "perturbed", "random"]))
@@ -337,15 +342,19 @@ def block_operands(draw):
             i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
             x[key] = x[key] + SparseOp(dim, dim, {(i, j): draw(nonzero)})
     cols = draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True).map(sorted))
-    return case, g, x, dim, cols, check == "w", kind == "solution"
+    pairs = None
+    if check != "w":
+        pairs = draw(st.one_of(st.none(), st.just(chevalley_pairs(case)), st.lists(
+            st.sampled_from(list(product(case.indices, repeat=2))), min_size=1, unique=True)))
+    return case, g, x, dim, cols, check == "w", pairs, kind == "solution"
 
 
 @settings(max_examples=60, deadline=None)
 @given(block_operands())
 def test_block_violation_matches_n4_reference(draw):
-    case, g, x, dim, cols, w_tensor, solves = draw
-    got = block_violation(case, g, x, dim, cols, w_tensor)
-    assert got == _reference_block_violation(case, g, x, dim, cols, w_tensor)
+    case, g, x, dim, cols, w_tensor, pairs, solves = draw
+    got = block_violation(case, g, x, dim, cols, w_tensor, pairs)
+    assert got == _reference_block_violation(case, g, x, dim, cols, w_tensor, pairs)
     if solves:
         assert got is None
 
