@@ -25,7 +25,7 @@ import json
 import sys
 import time
 
-from .exact import Scalar
+from .exact import Scalar, reduce_ratio
 from .lops import (
     LOperator,
     build_gl2_js_chain,
@@ -138,12 +138,9 @@ def build_operator(cfg):
         # the sp spinor's center compares on the columns safe for 3
         # compositions of the entry budget 2: trunc 6 is the least that leaves it one
         trunc = 6 if (op, case.family) == ("spinor", "sp") else 4
-    if op == "spinor":
-        return _build_linear_factor(case, {"op": "spinor", **params}, trunc)
-    if op == "heisenberg":
-        ell = _scalar_arg(cfg.get("ell", params.get("ell", 0)), "ell")
-        lop = build_heisenberg_linear(case, ell, max_degree=trunc)
-        return lop, heisenberg_vacuum(lop.space)
+    if op in ("spinor", "heisenberg"):
+        spec = {**params, "op": op, "ell": cfg.get("ell", params.get("ell", 0))}
+        return _build_linear_factor(case, spec, trunc)
     if op == "js":
         two_l = cfg.get("twoL", params.get("twoL"))
         if two_l is None:
@@ -233,8 +230,6 @@ def _weights_stage(cfg, lop, vec):
         return [weight_report(lop, v, k=k) for v in vectors]
     # gl(2) chain: report its ratio and the shift-one criterion directly
     num, den = lop.ratio()
-    from .exact import reduce_ratio
-
     reduced = [reduce_ratio(num, den)]
     gl2_case = make_case("so_even", 2)  # shift 1 for the single gl(2) ratio
     return [drinfeld_test(reduced, gl2_case)]

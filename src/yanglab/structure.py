@@ -2,13 +2,16 @@
 identity engine and the YBE checker built on it, and the block kernel of
 the Lie, adjoint and W relations.
 
-The block kernel works on the blocks G_ab and X_cd of two opmats, which act
-on W alone: per first-slot pair (a, b) one product with every X_cd side by
-side and one with every X_cd stacked give G_ab X_cd and X_cd G_ab for all
-(c, d).  It compares every first-slot pair, or only a given set of them:
-the Chevalley pairs (`chevalley_pairs`) generate g, and a relation whose
-set of solutions x is a Lie subalgebra of g holds on all of g once it holds
-on them (the premises are decided in the verify module).
+The engine and the kernel work on operator matrices by their blocks on W
+and read every block product off two SparseOp products: one operand's
+blocks stacked (`_stacked`) times the other's side by side, and the other
+way round.  The engine places those entries at their flat (V x V) x W
+indices, where I, P and K act; no other module knows that flat layout.
+The kernel compares the relations of G_ab and X_cd on every first-slot
+pair, or only on a given set: the Chevalley pairs (`chevalley_pairs`)
+generate g, and a relation whose set of solutions x is a Lie subalgebra
+of g holds on all of g once it holds on them (the premises are decided in
+the verify module).
 
 Index conventions used everywhere in this package: the fundamental space
 of so(2m) / sp(2m) carries indices (-m, ..., -1, +1, ..., +m) and so(2m+1)
@@ -185,22 +188,20 @@ def fundamental_r(case: CaseDescriptor, flip_k: bool = False) -> RMatrix:
 # the RLL identity engine (the Yang-Baxter equation is RLL with L = R)
 
 
-def slot_operator(n: int, entries, dim_w: int, slot: int) -> SparseOp:
-    """Embed an operator matrix into slot 1 or 2 of (V x V) x W.
-
-    `entries` yields (pa, pb, i, j, value): the (i, j) entry of the
-    operator on W at matrix position (pa, pb), positions counted from 0.
-    The flat index of (p1, p2, w) is (p1 * n + p2) * dim_w + w.
-    """
-    big = {}
-    for pa, pb, i, j, val in entries:
-        for c in range(n):
-            if slot == 1:
-                big[((pa * n + c) * dim_w + i, (pb * n + c) * dim_w + j)] = val
-            else:
-                big[((c * n + pa) * dim_w + i, (c * n + pb) * dim_w + j)] = val
-    size = n * n * dim_w
-    return SparseOp(size, size, big)
+def _stacked(blocks: dict, count: int, dim_w: int, keep) -> tuple:
+    """(tall, wide): the blocks {k: SparseOp on W}, k < count, stacked, block
+    k in rows k dim_w .. k dim_w + dim_w - 1, and side by side, block k in
+    those columns with only its columns j in `keep`.  So tall @ Y holds
+    every B_k Y in its row blocks and Y @ wide every Y B_k in its column
+    blocks."""
+    tall, wide = {}, {}
+    for k, op in blocks.items():
+        off = k * dim_w
+        for (i, j), v in op.data.items():
+            tall[(off + i, j)] = v
+            if j in keep:
+                wide[(i, off + j)] = v
+    return SparseOp(count * dim_w, dim_w, tall), SparseOp(dim_w, count * dim_w, wide)
 
 
 def _axpy(acc: dict, c, data: dict) -> None:
@@ -249,44 +250,67 @@ def _k_apply(k, data: dict, dim_w: int, left: bool) -> dict:
     return out
 
 
-def identity_residual(ipk, c1, c2, cols, n: int, k=None):
+def identity_residual(ipk, coeffs, n: int, dim_w: int, cols, k=None):
     """Residual of R12(u-v) L1(u) L2(v) - L2(v) L1(u) R12(u-v) by (u, v) key.
 
     R(w) = f_I(w) I + f_P(w) P + f_K(w) K acts on the pair of (V x V) x W;
     `ipk` = (f_I, f_P, f_K) as coefficient tuples by power of w, `k` the
-    `k_form` of K (needed when f_K is nonzero).  `c1` and `c2` list the
-    coefficients of L1(u) and L2(v) as slot operators (`slot_operator`).
-    Only the columns `cols` are compared, exactly.
+    `k_form` of K (needed when f_K is nonzero).  `coeffs` lists the
+    coefficients L_i of L(u) = sum_i L_i u^i as opmats {(p, q): SparseOp
+    on W}, the first index raised, p and q positions in range(n); L1 acts
+    on the first V and L2 on the second.  Only the columns (q1, q2, w)
+    with w in the W columns `cols` are compared, exactly.
 
-    For each (i, j) the products C1_i C2_j and C2_j C1_i are formed once,
-    then D_X = X C1_i C2_j - C2_j C1_i X once for X in {I, P, K}; the sum
-    over X of f_X[t] D_X is expanded over (u - v)^t into one residual.
+    The entry block ((p1, p2), (q1, q2)) of C1_i C2_j is L_i^{p1 q1}
+    L_j^{p2 q2}, so L_i's blocks stacked times L_j's side by side give all
+    of C1_i C2_j in one SparseOp product, and L_j's stacked times L_i's
+    side by side all of C2_j C1_i; their entries go to the flat index
+    (p1 n + p2) dim_w + w.  Then D_X = X C1_i C2_j - C2_j C1_i X once for X
+    in {I, P, K}; the sum over X of f_X[t] D_X is expanded over (u - v)^t
+    into one residual.
 
-    The residual is linear in R's coefficients and bilinear in (L1, L2),
-    so C1, C2 and f_X are first multiplied by the lcm of their
-    denominators (D1, D2, Dr) and the loop runs on plain ints; only the
-    surviving residual entries are divided by D1 D2 Dr, at return.  An
-    operand carrying sqrt2 keeps its Scalar entries (and a factor 1).
+    The residual is linear in R's coefficients and quadratic in L, so L
+    and f_X are first multiplied by the lcm of their denominators (D, Dr)
+    and the loop runs on plain ints; only the surviving residual entries
+    are divided by D^2 Dr, at return.  An operand carrying sqrt2 keeps
+    its Scalar entries (and a factor 1).
 
     Returns (residual, keys): residual maps each (deg_u, deg_v) key whose
-    coefficient does not vanish to its entries {(row, col): Scalar}, and
-    keys is the number of (u, v) keys compared.
+    coefficient does not vanish to its entries {(row, col): Scalar} at
+    flat indices, and keys is the number of (u, v) keys compared.
     """
-    c1, d1 = clear_denominators(c1)
-    c2, d2 = clear_denominators(c2)
+    keep = set(cols)
+    ops, d = clear_denominators([op for mat in coeffs for op in _stacked(
+        {p * n + q: blk for (p, q), blk in mat.items()}, n * n, dim_w, keep)])
+    talls, wides = ops[::2], ops[1::2]
     dr = common_denominator(c for f in ipk for c in f)
     if dr is None:
         dr = 1
     else:
         ipk = [[c.p * (dr // c.r) for c in f] for f in ipk]
-    den = d1 * d2 * dr
-    dim = c1[0].nrows
-    dim_w = dim // (n * n)
-    swap = []
-    for r in range(dim):
-        pair, w = divmod(r, dim_w)
-        p1, p2 = divmod(pair, n)
-        swap.append((p2 * n + p1) * dim_w + w)
+    den = d * d * dr
+    dim, stride1 = n * n * dim_w, n * dim_w
+    # x = (p n + q) dim_w + w: swap[x] exchanges p and q (P on a flat index);
+    # as the stacked index of a block of L1 (of L2) x adds (p S + w, q S) to
+    # the flat (row, col) when stacked, (p S, q S + w) when side by side,
+    # S = n dim_w (S = dim_w)
+    swap, tall1, wide1, tall2, wide2 = [], [], [], [], []
+    for x in range(dim):
+        pq, w = divmod(x, dim_w)
+        p, q = divmod(pq, n)
+        swap.append((q * n + p) * dim_w + w)
+        tall1.append((p * stride1 + w, q * stride1))
+        wide1.append((p * stride1, q * stride1 + w))
+        tall2.append((p * dim_w + w, q * dim_w))
+        wide2.append((p * dim_w, q * dim_w + w))
+
+    def place(data, at_row, at_col):  # product entries at their flat (row, col)
+        out = {}
+        for (r, c), v in data.items():
+            (r1, c1), (r2, c2) = at_row[r], at_col[c]
+            out[r1 + r2, c1 + c2] = v
+        return out
+
     actions = (  # (X times data, data times X) for X = I, P, K; left ones copy
         (dict, lambda d: d),
         (lambda d: {(swap[r], c): v for (r, c), v in d.items()},
@@ -297,17 +321,15 @@ def identity_residual(ipk, c1, c2, cols, n: int, k=None):
     terms = [[(f[t], x) for x, f in enumerate(ipk) if t < len(f) and f[t]]
              for t in range(max(map(len, ipk)))]
     used = sorted({x for t_terms in terms for _, x in t_terms})
-    keep = set(cols)
-    c1r = [op.restrict_cols(keep) for op in c1]
-    c2r = [op.restrict_cols(keep) for op in c2]
 
     residual: dict = {}
     keys = set()
-    for i, a in enumerate(c1):
-        for j, b in enumerate(c2):
-            if a.is_zero or b.is_zero:
+    for i, tall_i in enumerate(talls):
+        for j, tall_j in enumerate(talls):
+            if tall_i.is_zero or tall_j.is_zero:
                 continue
-            left, right = (a @ c2r[j]).data, (b @ c1r[i]).data
+            left = place((tall_i @ wides[j]).data, tall1, wide2)
+            right = place((tall_j @ wides[i]).data, tall2, wide1)
             diffs = {}
             for x in used:
                 diffs[x] = actions[x][0](left)
@@ -383,15 +405,16 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, dim_w: int, cols,
     which is the six-term W tensor when X = G.
 
     Every X_cd is placed side by side (X_wide, the columns `cols` only) and
-    stacked (X_tall), so each first-slot pair (a, b) takes two SparseOp
-    products, G_ab @ X_wide and X_tall @ G_ab[:, cols], which hold
-    G_ab X_cd and X_cd G_ab for every (c, d).  The commutator's right side
-    adds blocks of X, placed by their indices with no product; W sums the
-    anticommutator blocks of the pairs of one row a.  G and X are cleared
-    to ints (D_G, D_X): the bilinear left side scales by D_G D_X and the
-    right side, linear in X, is multiplied by D_G, so a surviving entry
-    divided by D_G D_X is the exact residual.  An operand carrying sqrt2
-    keeps its Scalar entries (and D = 1).
+    stacked (X_tall), and so are the G_ab of each first-slot row a: two
+    SparseOp products per row hold G_ab X_cd and X_cd G_ab for every b of
+    the row and every (c, d), at the positions of the first product.  The
+    commutator's right side adds blocks of X there, with no product; only
+    the entries that survive are read as (b, c, d, i, j), and for W each
+    anticommutator entry is added to the three W_abcd it enters.  G and X
+    are cleared to ints (D_G, D_X): the bilinear left side scales by
+    D_G D_X and the right side, linear in X, is multiplied by D_G, so a
+    surviving entry divided by D_G D_X is the exact residual.  An operand
+    carrying sqrt2 keeps its Scalar entries (and D = 1).
 
     `pairs`, for the Lie-type relation only, restricts the comparison to
     the first-slot pairs (a, b) it lists, for every (c, d); None compares
@@ -409,53 +432,41 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, dim_w: int, cols,
     g, x = dict(zip(g, g_ops)), dict(zip(x, x_ops))
     kept = set(cols)
     xk = {key: [(i, j, v) for (i, j), v in op.data.items() if j in kept] for key, op in x.items()}
-    wide = SparseOp(dim_w, n * n * dim_w, {(i, flat[key] * dim_w + j): v
-                                           for key, entries in xk.items() for i, j, v in entries})
-    tall = SparseOp(n * n * dim_w, dim_w, {(flat[key] * dim_w + i, j): v
-                                           for key, op in x.items() for (i, j), v in op.data.items()})
+    tall, wide = _stacked({flat[key]: op for key, op in x.items()}, n * n, dim_w, kept)
+    hi = [v - v % dim_w for v in range(n * n * dim_w)]  # the block offset of an index
     sign = 1 if w_tensor else -1
 
-    def residual(blk):  # the exact residual at blk's first nonzero entry, or None
-        bad = [key for key, v in blk.items() if v]
-        return _divide(blk[min(bad)], d_g * d_x) if bad else None
-
     for a, row in groupby(todo, key=itemgetter(0)):
-        row_blocks = {}  # for W: the anticommutator blocks of row a, by b
-        for _, b in row:
-            blocks: dict = {}  # {flat (c, d): {(i, j): cleared entry}}
-            op = g.get((a, b))
-            if op is not None:
-                for (i, col), v in (op @ wide).data.items():
-                    cd, j = divmod(col, dim_w)
-                    blocks.setdefault(cd, {})[(i, j)] = v
-                for (r, j), v in (tall @ op.restrict_cols(kept)).data.items():
-                    cd, i = divmod(r, dim_w)
-                    blk = blocks.setdefault(cd, {})
-                    blk[(i, j)] = blk.get((i, j), 0) + sign * v
-            if w_tensor:
-                row_blocks[b] = blocks
-                continue
+        bs = [b for _, b in row]
+        g_tall, g_wide = _stacked({case.pos(b): g[a, b] for b in bs if (a, b) in g},
+                                  n, dim_w, kept)
+        # acc[(b dim_w + i, (c, d) dim_w + j)]: G_ab X_cd -+ X_cd G_ab at (i, j)
+        acc = (g_tall @ wide).data
+        for (r, c), v in (tall @ g_wide).data.items():
+            key = (hi[c] + r - hi[r], hi[r] + c - hi[c])
+            acc[key] = acc.get(key, 0) + sign * v
+        for b in [] if w_tensor else bs:
             s_a, s_b = case.sign(a), case.sign(-b)
             terms = [(s_b, (a, d), -b, d) for d in idx] + [(-s_a, (c, b), c, -a) for c in idx]
             terms += [(-s_a, (b, d), -a, d) for d in idx] + [(s_b, (c, a), c, -b) for c in idx]
-            for s, key, c, d in terms:  # blocks[(c, d)] += s D_G X_key
-                blk, coef = blocks.setdefault(flat[c, d], {}), s * d_g
+            for s, key, c, d in terms:  # acc[b, (c, d)] += s D_G X_key
+                r0, c0, coef = case.pos(b) * dim_w, flat[c, d] * dim_w, s * d_g
                 for i, j, v in xk.get(key, ()):
-                    blk[(i, j)] = blk.get((i, j), 0) + coef * v
-            for cd in sorted(blocks):
-                res = residual(blocks[cd])
-                if res is not None:
-                    c, d = divmod(cd, n)
-                    return (a, b, idx[c], idx[d]), res
-        if w_tensor:
-            for b, c, d in product(idx, repeat=3):
-                total: dict = {}
-                for p, q, r in ((b, c, d), (c, d, b), (d, b, c)):
-                    for key, v in row_blocks.get(p, {}).get(flat[q, r], {}).items():
-                        total[key] = total.get(key, 0) + v
-                res = residual(total)
-                if res is not None:
-                    return (a, b, c, d), res
+                    acc[r0 + i, c0 + j] = acc.get((r0 + i, c0 + j), 0) + coef * v
+        found: dict = {}  # {(b, c, d, i, j) as positions: residual entry}
+        for r, col in [key for key, v in acc.items() if v]:
+            (q, i), (cd, j) = divmod(r, dim_w), divmod(col, dim_w)
+            p, pd = divmod(cd, n)
+            if not w_tensor:
+                found[q, p, pd, i, j] = acc[r, col]
+                continue
+            # A_ab[c, d] enters W_abcd, W_adbc and W_acdb
+            for key in ((q, p, pd, i, j), (pd, q, p, i, j), (p, pd, q, i, j)):
+                found[key] = found.get(key, 0) + acc[r, col]
+        bad = [key for key, v in found.items() if v]
+        if bad:
+            first = min(bad)
+            return (a,) + tuple(idx[p] for p in first[:3]), _divide(found[first], d_g * d_x)
     return None
 
 
@@ -475,7 +486,8 @@ def check_ybe(case: CaseDescriptor, rmat: RMatrix | None = None) -> YbeReport:
     """Verify R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v) exactly.
 
     This is the RLL relation with W = V and L = R, so it runs on the
-    identity engine with C1 = R13 and C2 = R23; the test is full
+    identity engine with the blocks of R: R[(a1, a3), (b1, b3)] is the
+    (a3, b3) entry of the block (a1, b1) on W = V.  The test is full
     polynomial identity, not sampling.  On failure the report carries the
     first violating entry (sorted index order) together with its residual
     polynomial.
@@ -483,16 +495,14 @@ def check_ybe(case: CaseDescriptor, rmat: RMatrix | None = None) -> YbeReport:
     if rmat is None:
         rmat = fundamental_r(case)
     n = case.n
-
-    def slot(coeff, which):
-        # R[(a1, a3), (b1, b3)] is the (a3, b3) entry of the block (a1, b1)
-        entries = ((row // n, col // n, row % n, col % n, val)
-                   for (row, col), val in coeff.data.items())
-        return slot_operator(n, entries, n, which)
-
-    r13 = [slot(c, 1) for c in rmat.coeffs]
-    r23 = [slot(c, 2) for c in rmat.coeffs]
-    residual, _ = identity_residual(rmat.ipk, r13, r23, range(n ** 3), n, k_form(case))
+    blocks = []
+    for coeff in rmat.coeffs:
+        mat: dict = {}
+        for (row, col), val in coeff.data.items():
+            (a1, a3), (b1, b3) = divmod(row, n), divmod(col, n)
+            mat.setdefault((a1, b1), {})[(a3, b3)] = val
+        blocks.append({key: SparseOp(n, n, data) for key, data in mat.items()})
+    residual, _ = identity_residual(rmat.ipk, blocks, n, n, range(n), k_form(case))
     if not residual:
         return YbeReport(case, True)
     (row, col), res = first_violation(residual)

@@ -9,14 +9,16 @@ check whose safe subspace is empty compared nothing and fails.
 Reports are deterministic: index tuples are scanned in sorted order and
 the first violation is recorded together with its residual polynomial.
 
-YBE, RLL and gl(2)-RLL run on `structure.identity_residual`.  The Lie
-relation (G with itself), the adjoint relation (G with H) and the W
-tensor (G with itself) run on `structure.block_violation`, on the blocks
-G_ab and X_cd on W: per first-slot pair (a, b), two products with every
-X_cd side by side and stacked give G_ab X_cd and X_cd G_ab for all (c, d)
-at once, on integer-cleared operands.  The commutator's right side is
-blocks of X placed by their indices, and W sums three anticommutator
-blocks.
+YBE, RLL and gl(2)-RLL run on `structure.identity_residual`, which takes
+the coefficients of L(u) as their blocks on W, the first index raised
+(`_raised_coeffs`), and the compared columns of W; the flat layout of
+(V x V) x W stays inside `structure`.  The Lie relation (G with itself),
+the adjoint relation (G with H) and the W tensor (G with itself) run on
+`structure.block_violation`, on the blocks G_ab and X_cd on W: per
+first-slot row a, two products of the row's G_ab with every X_cd side by
+side and stacked give G_ab X_cd and X_cd G_ab for all b and (c, d) at once,
+on integer-cleared operands.  The commutator's right side is blocks of X
+placed by their indices, and W sums three anticommutator blocks.
 
 On a closed space these relations are decided on generators of g
 (`_generators`).  If G is symmetric, G + eps G^t = c eps_ab Id, it is a
@@ -38,9 +40,9 @@ C_(s-1), the adjoint one for H).  R lies in
 span{I, P, K}, so the residual then commutes with the diagonal action on
 (V x V) x W and its kernel is a submodule: it vanishes everywhere once it
 vanishes on V x V x S, S a set of unit vectors that generates W under G
-(proof at `check_rll`).  The engine is then called on those n^2 |S|
-columns; a failed premise, or a residual on them, sends it to all the
-safe columns.
+(proof at `check_rll`).  The engine is then called on the W columns S
+(n^2 |S| columns of (V x V) x W); a failed premise, or a residual on them,
+sends it to all the safe columns.
 
 The central checks (the linear constraint, the four constraint scalars,
 chi3 and the center) decide M_ab = c eps_ab Id on one basis SparseOp
@@ -78,7 +80,6 @@ from .structure import (
     fundamental_ipk,
     identity_residual,
     k_form,
-    slot_operator,
 )
 
 
@@ -284,17 +285,12 @@ def check_adjoint(lop: LOperator, g: dict | None = None, h: dict | None = None) 
 # the RLL relation
 
 
-def _slot_coeffs(lop: LOperator, slot: int) -> list:
+def _raised_coeffs(lop: LOperator) -> list:
     """Coefficients of L(u) with the first index raised, (C_k)^a_b =
-    eps_a C_k[-a, b], embedded in slot 1 or 2 of (V x V) x W."""
+    eps_a C_k[-a, b], as opmats keyed by the positions of (a, b)."""
     case = lop.case
-    pos = {a: case.pos(a) for a in case.indices}
-    out = []
-    for mat in lop.coeffs:
-        entries = ((pos[-a], pos[b], i, j, v if case.sign(a) == 1 else -v)
-                   for (a, b), op in mat.items() for (i, j), v in op.data.items())
-        out.append(slot_operator(case.n, entries, lop.dim, slot))
-    return out
+    return [{(case.pos(-a), case.pos(b)): op if case.sign(a) == 1 else -op
+             for (a, b), op in mat.items()} for mat in lop.coeffs]
 
 
 def _certificate(lop: LOperator):
@@ -361,26 +357,21 @@ def check_rll(lop: LOperator) -> CheckReport:
     record says how many were compared.
     """
     case, space = lop.case, lop.space
-    dim_w = space.dim
     safe_w = space.safe_indices(2 * lop.entry_budget)
     if not safe_w:
         return _vacuous("rll")
-    c1, c2 = _slot_coeffs(lop, 1), _slot_coeffs(lop, 2)
-
-    def residual_on(ws):
-        cols = [pair * dim_w + w for pair in range(case.n ** 2) for w in ws]
-        return identity_residual(fundamental_ipk(case), c1, c2, cols, case.n, k_form(case))
-
+    ipk, coeffs, k = fundamental_ipk(case), _raised_coeffs(lop), k_form(case)
     seeds, certificate = _certificate(lop)
-    residual, keys = residual_on(safe_w if seeds is None else seeds)
+    residual, keys = identity_residual(ipk, coeffs, case.n, space.dim,
+                                       safe_w if seeds is None else seeds, k)
     if residual and seeds is not None:
-        residual, keys = residual_on(safe_w)
+        residual, keys = identity_residual(ipk, coeffs, case.n, space.dim, safe_w, k)
     details = {"safe_columns": len(safe_w), "keys_compared": keys, "certificate": certificate}
     if not residual:
         return CheckReport("rll", True, details=details)
     (row, col), res = first_violation(residual)
-    where = (describe_flat(case, space.labels, row, dim_w),
-             describe_flat(case, space.labels, col, dim_w))
+    where = (describe_flat(case, space.labels, row, space.dim),
+             describe_flat(case, space.labels, col, space.dim))
     return CheckReport("rll", False, counterexample=(where, res), details=details)
 
 
@@ -394,15 +385,8 @@ def check_gl2_rll(coeffs, dim, safe_cols=None, name="gl2_rll") -> CheckReport:
     safe_cols = list(range(dim)) if safe_cols is None else sorted(safe_cols)
     if not safe_cols:
         return _vacuous(name)
-    keep = [pair * dim + w for pair in range(4) for w in safe_cols]
-
-    def slot(mat, which):
-        entries = ((alpha - 1, beta - 1, i, j, v)
-                   for (alpha, beta), op in mat.items() for (i, j), v in op.data.items())
-        return slot_operator(2, entries, dim, which)
-
-    residual, keys = identity_residual(YANG_GL2_IPK, [slot(m, 1) for m in coeffs],
-                                       [slot(m, 2) for m in coeffs], keep, 2)
+    blocks = [{(alpha - 1, beta - 1): op for (alpha, beta), op in mat.items()} for mat in coeffs]
+    residual, keys = identity_residual(YANG_GL2_IPK, blocks, 2, dim, safe_cols)
     details = {"safe_columns": len(safe_cols), "keys_compared": keys}
     if residual:
         key = min(residual)

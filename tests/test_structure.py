@@ -17,7 +17,6 @@ from yanglab.structure import (
     fundamental_r,
     identity_residual,
     make_case,
-    slot_operator,
     sp2_gl2_comparison,
     tensor_i,
     tensor_k,
@@ -88,14 +87,21 @@ def test_ybe_passes(family, m):
     assert report.passed and report.violation is None
 
 
-def test_ybe_negative_control():
-    case = make_case("so_odd", 1)
+@pytest.mark.parametrize("family,m,row,col,expected", [
+    ("so_odd", 1, (-1, -1, 1), (-1, 0, 0),
+     {"1,2": "-1/1", "1,3": "2/1", "2,1": "1/1", "2,2": "-4/1", "3,1": "2/1"}),
+    ("sp", 2, (-2, -2, 2), (-2, -1, 1),
+     {"1,2": "-6/1", "1,3": "2/1", "2,1": "6/1", "2,2": "-4/1", "3,1": "2/1"}),
+    ("so_even", 2, (-2, -2, 2), (-2, -1, 1),
+     {"1,2": "-2/1", "1,3": "2/1", "2,1": "2/1", "2,2": "-4/1", "3,1": "2/1"}),
+], ids=["so3", "sp4", "so4"])
+def test_ybe_negative_control(family, m, row, col, expected):
+    case = make_case(family, m)
     report = check_ybe(case, fundamental_r(case, flip_k=True))
     assert not report.passed
-    row, col, residual = report.violation
-    assert (row, col) == ((-1, -1, 1), (-1, 0, 0))
-    assert residual.to_strings() == {"1,2": "-1/1", "1,3": "2/1", "2,1": "1/1",
-                                     "2,2": "-4/1", "3,1": "2/1"}
+    got_row, got_col, residual = report.violation
+    assert (got_row, got_col) == (row, col)
+    assert residual.to_strings() == expected
 
 
 def test_sp2_matches_gl2_at_half_argument():
@@ -148,14 +154,12 @@ def _reference_gl2_residual(coeffs, w):
     return residual
 
 
-def _engine_gl2_residual(coeffs, w):
-    def slot(m, which):
-        entries = ((a, b, i, j, Scalar.of(v)) for (a, b), mat in m.items()
-                   for i, row in enumerate(mat) for j, v in enumerate(row) if v)
-        return slot_operator(2, entries, w, which)
-
-    residual, _ = identity_residual(YANG_GL2_IPK, [slot(m, 1) for m in coeffs],
-                                    [slot(m, 2) for m in coeffs], range(4 * w), 2)
+def _engine_gl2_residual(coeffs, w, cols=None):
+    blocks = [{pair: SparseOp(w, w, {(i, j): Scalar.of(v) for i, row in enumerate(mat)
+                                     for j, v in enumerate(row)})
+               for pair, mat in m.items()} for m in coeffs]
+    residual, _ = identity_residual(YANG_GL2_IPK, blocks, 2, w,
+                                    range(w) if cols is None else cols)
     return residual
 
 
@@ -196,13 +200,18 @@ def gl2_operators(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(gl2_operators())
-def test_identity_residual_matches_bipoly_reference(draw):
+@given(gl2_operators(), st.data())
+def test_identity_residual_matches_bipoly_reference(draw, data):
     coeffs, w, solves = draw
     engine = _engine_gl2_residual(coeffs, w)
     assert engine == _reference_gl2_residual(coeffs, w)
     if solves:
         assert engine == {}
+    # on a subset of the W columns: the entries at the flat columns (q1, q2, x), x in it
+    cols = data.draw(st.lists(st.integers(0, w - 1), min_size=1, unique=True))
+    kept = {key: {pos: v for pos, v in entries.items() if pos[1] % w in cols}
+            for key, entries in engine.items()}
+    assert _engine_gl2_residual(coeffs, w, cols) == {key: e for key, e in kept.items() if e}
 
 
 def test_identity_residual_reference_sees_failures():

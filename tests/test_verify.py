@@ -34,7 +34,7 @@ from yanglab.structure import (
     make_case,
 )
 from yanglab.verify import (
-    _slot_coeffs,
+    _raised_coeffs,
     center_decomposition,
     center_function,
     check_adjoint,
@@ -181,8 +181,8 @@ def _assert_matches_full_engine(lop):
     """check_rll agrees with the engine on every column: verdict and, on a
     refutation, the first violation and its residual."""
     case, n = lop.case, lop.case.n
-    full, _ = identity_residual(fundamental_ipk(case), _slot_coeffs(lop, 1), _slot_coeffs(lop, 2),
-                                range(n * n * lop.dim), n, k_form(case))
+    full, _ = identity_residual(fundamental_ipk(case), _raised_coeffs(lop), n, lop.dim,
+                                range(lop.dim), k_form(case))
     rep = check_rll(lop)
     assert rep.passed == (not full)
     if full:
@@ -271,9 +271,9 @@ def test_rll_certificate_needs_invariance():
     lop = build_js_quadratic(case, 3)
     h = opmat_add(lop.h_mat, {(1, -1): SparseOp(7, 7, {(6, 6): ONE})})
     bad = LOperator(case, lop.space, [h, lop.g_mat, lop.coeffs[2]], hw_vector=lop.hw_vector)
-    seed_cols = [pair * 7 for pair in range(9)]  # the hw vector is the first basis vector
-    seed_residual, _ = identity_residual(fundamental_ipk(case), _slot_coeffs(bad, 1),
-                                         _slot_coeffs(bad, 2), seed_cols, 3, k_form(case))
+    seed_cols = [0]  # the hw vector is the first basis vector
+    seed_residual, _ = identity_residual(fundamental_ipk(case), _raised_coeffs(bad), 3, 7,
+                                         seed_cols, k_form(case))
     assert lop.hw_vector == {0: ONE} and not seed_residual
     rep = _assert_matches_full_engine(bad)
     assert not rep.passed and rep.details["certificate"] == {"premise_failed": "invariant"}
