@@ -33,6 +33,7 @@ from .lops import (
     build_js_quadratic,
     build_product,
     build_spinorial_linear,
+    cyclic_span,
     fuse_so3_from_gl2,
     heisenberg_vacuum,
     product_vector,
@@ -42,6 +43,7 @@ from .lops import (
 from .spaces import spinor_space
 from .structure import check_ybe, make_case
 from .verify import (
+    Premises,
     center_function,
     check_adjoint,
     check_chi3,
@@ -50,7 +52,6 @@ from .verify import (
     check_rll,
     check_symmetric_constraints,
     check_w_tensor,
-    cyclic_span,
 )
 from .weights import drinfeld_test, find_highest_weight, weight_report
 
@@ -174,9 +175,13 @@ def run_checks(lop: LOperator, vec, names):
     """Run the named identity checks in the order given.
 
     Returns (reports, seconds): seconds maps each check's name to its wall
-    time, the cyclic span included in the first check that needs it.
+    time, the cyclic span included in the first check that needs it.  The
+    checks share one `Premises` record, so each generator premise (the
+    Chevalley pairs, the invariance of H, the generating set) is decided
+    at most once, in the first check that needs it.
     """
     span = None
+    premises = Premises(lop)
 
     def get_span():
         nonlocal span
@@ -186,21 +191,21 @@ def run_checks(lop: LOperator, vec, names):
 
     def dispatch(name):
         if name == "lie":
-            return check_lie(lop)
+            return check_lie(lop, premises=premises)
         if name == "adjoint":
-            return check_adjoint(lop)
+            return check_adjoint(lop, premises=premises)
         if name == "rll":
-            return check_rll(lop)
+            return check_rll(lop, premises=premises)
         if name == "linear":
             return check_linear_constraint(lop)
         if name == "constraints":
-            return check_symmetric_constraints(lop, span=get_span())
+            return check_symmetric_constraints(lop, span=get_span(), premises=premises)
         if name == "w":
-            return check_w_tensor(lop)
+            return check_w_tensor(lop, premises=premises)
         if name == "chi3":
-            return check_chi3(lop)
+            return check_chi3(lop, premises=premises)
         if name == "center":
-            c, rep = center_function(lop, span=get_span())
+            c, rep = center_function(lop, span=get_span(), premises=premises)
             return rep
         raise ConfigError(f"unknown check {name!r}")
 
@@ -209,7 +214,10 @@ def run_checks(lop: LOperator, vec, names):
     return reports, seconds
 
 
-def _weights_stage(cfg, lop, vec):
+def _weights_stage(cfg, lop, vec, constraints=None):
+    """Weight reports of the selected vectors.  `constraints`, the verify
+    stage's symmetric_constraints report on the cyclic module of `vec`,
+    gives k = c23 for the auto vector instead of a second run; --k wins."""
     selector = cfg.get("vector", "auto")
     if isinstance(lop, LOperator):
         if selector == "auto":
@@ -226,8 +234,10 @@ def _weights_stage(cfg, lop, vec):
             if not all(0 <= p < lop.dim for p in positions):
                 raise ConfigError(f"--vector positions must lie in [0, {lop.dim})")
             vectors = [{p: Scalar.of(1) for p in positions}]
+        if selector != "auto":  # other vectors generate other modules
+            constraints = None
         k = _scalar_arg(cfg.get("k"), "k")
-        return [weight_report(lop, v, k=k) for v in vectors]
+        return [weight_report(lop, v, k=k, constraints=constraints) for v in vectors]
     # gl(2) chain: report its ratio and the shift-one criterion directly
     num, den = lop.ratio()
     reduced = [reduce_ratio(num, den)]
@@ -242,6 +252,7 @@ def run(cfg) -> tuple[dict, int]:
                                                  if v is not None}}
     command = cfg["command"]
     failed = False
+    constraints = None  # the verify stage's constraints report, if it ran
 
     if command == "r-check":
         case = resolve_case(cfg)
@@ -279,11 +290,12 @@ def run(cfg) -> tuple[dict, int]:
         names = cfg.get("checks") or DEFAULT_CHECKS.get(lop.kind, ["rll"])
         results, timings["checks"] = _stage(timings, "verify", run_checks, lop, vec, names)
         report["checks"] = [r.to_dict() for r in results]
+        constraints = next((r for r in results if r.name == "symmetric_constraints"), None)
         failed = failed or not all(r.passed for r in results)
 
     if command in ("weights", "finiteness", "all"):
         try:
-            outcomes = _stage(timings, "weights", _weights_stage, cfg, lop, vec)
+            outcomes = _stage(timings, "weights", _weights_stage, cfg, lop, vec, constraints)
         except ValueError as exc:  # ratio data outside the finiteness test's domain
             raise ConfigError(str(exc)) from exc
         if isinstance(lop, LOperator):

@@ -45,11 +45,23 @@ vanishes on V x V x S, S a set of unit vectors that generates W under G
 sends it to all the safe columns.
 
 The central checks (the linear constraint, the four constraint scalars,
-chi3 and the center) decide M_ab = c eps_ab Id on one basis SparseOp
-whose columns span the module: the safe unit vectors, or the vectors of
-an invariant span.  `opmat_scalar_on` forms M_ab @ basis per key and
-compares it with c eps_ab basis; c is read off the first diagonal key,
-or is 0 for chi3 and the center commutator.
+chi3 and the center) apply each left side right to left to the columns
+of one basis SparseOp, and decide M_ab = c eps_ab Id on the images
+through one routine (`scalar_images`; c is read off the first diagonal
+key, or is 0 for chi3 and the center commutator).  On seed columns
+G o G, G^t o H and C(u) are never formed as operators.  On a closed
+space whose premises hold (`Premises`: G symmetric and a representation
+and, where the check needs them, H invariant and the top coefficient
+scalar), every left side is a covariant family, so the kernel of
+M_ab - c eps_ab Id is G-stable and the check is decided on the columns
+of a set S that generates the module under the Chevalley blocks G_p
+(proof at `check_symmetric_constraints`): the unit vectors of
+`lops.generating_set`, or, given an invariant `span`, a subset of its
+vectors whose G_p-closure is the span.  A failed premise, or a violation
+on S, reruns the check on every safe column (or span vector), so
+verdicts, scalars and counterexamples are those of the full comparison.
+`Premises` decides each premise once per record; `cli.run_checks` shares
+one record between the checks of a run.
 """
 
 from __future__ import annotations
@@ -59,9 +71,9 @@ from dataclasses import dataclass, field
 from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly
 from .lops import (
     LOperator,
-    cyclic_span,
     generating_set,
     opmat_add,
+    opmat_apply,
     opmat_mul,
     opmat_mul_tt,
     opmat_poly_mul,
@@ -69,6 +81,7 @@ from .lops import (
     opmat_scale,
     opmat_sub,
     opmat_transpose,
+    side_by_side,
 )
 from .structure import (
     YANG_GL2_IPK,
@@ -118,28 +131,38 @@ class CheckReport:
         return out
 
 
+def _vector_basis(dim: int, vectors) -> SparseOp:
+    """The sparse vectors {index: Scalar} as the columns of a SparseOp."""
+    vectors = list(vectors)
+    return SparseOp(dim, len(vectors), {(j, k): v for k, vec in enumerate(vectors)
+                                        for j, v in vec.items()})
+
+
+def _unit_basis(dim: int, cols) -> SparseOp:
+    """The unit vectors at the positions `cols`, as the columns of a SparseOp."""
+    return _vector_basis(dim, ({j: ONE} for j in cols))
+
+
 def _module_basis(lop: LOperator, budget: int, span=None):
     """(basis, details): the module a central check decides on, as the
     columns of one SparseOp.  Those are the unit vectors safe for `budget`
     or, when given, the vectors of an invariant `span`."""
     if span is not None:
-        data = {(j, k): v for k, vec in enumerate(span) for j, v in vec.items()}
-        return SparseOp(lop.dim, len(span), data), {"span_dimension": len(span)}
+        return _vector_basis(lop.dim, span), {"span_dimension": len(span)}
     cols = lop.space.safe_indices(budget)
-    data = {(j, k): ONE for k, j in enumerate(cols)}
-    return SparseOp(lop.dim, len(cols), data), {"safe_columns": len(cols)}
+    return _unit_basis(lop.dim, cols), {"safe_columns": len(cols)}
 
 
-def opmat_scalar_on(case: CaseDescriptor, mat: dict, basis: SparseOp, value=None):
-    """Decide mat == value * eps_ab * Id on the columns of `basis`.
+def scalar_images(case: CaseDescriptor, images: dict, basis: SparseOp, value=None):
+    """Decide M == value * eps_ab * Id on the columns of `basis`, given the
+    images {key: M_ab @ basis} (a missing key is a zero image).
 
-    Each M_ab @ basis is compared with value * eps_ab * basis.  A value of
-    None is read off the first diagonal key (a, -a) in sorted order, at
-    the first basis column whose image is nonzero at that column's leading
-    row.  Returns (ok, value, bad); bad = (key, residual) at the first
-    differing entry (row, column) of the first key in sorted order.
+    Each image is compared with value * eps_ab * basis.  A value of None is
+    read off the first diagonal key (a, -a) in sorted order, at the first
+    basis column whose image is nonzero at that column's leading row.
+    Returns (ok, value, bad); bad = (key, residual) at the first differing
+    entry (row, column) of the first key in sorted order.
     """
-    images = {key: mat[key] @ basis for key in mat}
     if value is None:
         value = ZERO
         lead = {}
@@ -185,7 +208,7 @@ def _generators(lop: LOperator, g: dict):
     premise that failed.  Each premise is decided exactly, in this order:
 
       closed     the space is untruncated (no trunc, no floor);
-      symmetric  G + eps G^t = c eps_ab Id (`opmat_scalar_on` on the
+      symmetric  G + eps G^t = c eps_ab Id (`scalar_images` on the
                  identity), so G_ab = G(x_ab) + c/2 eps_ab Id for a linear
                  map G on g, x_ab = -eps x_ba (`chevalley_pairs`), plus a
                  central scalar, which neither side of a relation sees;
@@ -211,7 +234,7 @@ def _generators(lop: LOperator, g: dict):
     if space.trunc is not None or space.floor is not None:
         return None, {"premise_failed": "closed"}
     sym = opmat_add(g, opmat_scale(opmat_transpose(g), Scalar.of(case.eps)))
-    if not opmat_scalar_on(case, sym, SparseOp.identity(dim))[0]:
+    if not scalar_images(case, sym, SparseOp.identity(dim))[0]:  # sym @ Id = sym
         return None, {"premise_failed": "symmetric"}
     pairs = chevalley_pairs(case)
     if block_violation(case, g, g, dim, range(dim), pairs=pairs) is not None:
@@ -219,16 +242,93 @@ def _generators(lop: LOperator, g: dict):
     return pairs, {"pairs": len(pairs)}
 
 
-def _block_check(lop, g, x, budget, name, w_tensor=False):
+class Premises:
+    """The premises of the generator lemma and of the covariance lemma, for
+    one operator and one G, each decided once, when a check first needs it.
+
+      generators  `_generators`: closed, symmetric, lie; the pairs P;
+      top         the top coefficient is c eps_ab Id: (ok, c);
+      invariant   every coefficient below G (H for a quadratic evaluation)
+                  is invariant under G, decided on P by `block_violation`;
+      seeds       a set that generates W under the G_p, p in P (under every
+                  G_ab when P is None), by `lops.generating_set`.
+
+    `cli.run_checks` shares one record between the checks of a run; a check
+    called without one decides its own, so a library call does the premise
+    work it did on its own.  The record lives beside the operator, not on
+    it, since an operator may be reused after it is changed.
+    """
+
+    def __init__(self, lop: LOperator, g: dict | None = None):
+        self.lop = lop
+        self.g = lop.g_mat if g is None else g
+        self._memo: dict = {}
+
+    def _once(self, name, decide):
+        if name not in self._memo:
+            self._memo[name] = decide()
+        return self._memo[name]
+
+    def generators(self):
+        """(P, record) of `_generators`; the record is a fresh dict."""
+        pairs, record = self._once("generators", lambda: _generators(self.lop, self.g))
+        return pairs, dict(record)
+
+    def top(self):
+        """(ok, c): the top coefficient is c eps_ab Id (decided on itself,
+        its images on the identity)."""
+        lop = self.lop
+        return self._once("top", lambda: scalar_images(
+            lop.case, lop.coeffs[-1], SparseOp.identity(lop.dim))[:2])
+
+    def invariant(self) -> bool:
+        """Every nonzero coefficient below G is invariant under G, decided on
+        the pairs; False when the pairs premise failed."""
+        lop, pairs = self.lop, self.generators()[0]
+        return pairs is not None and self._once("invariant", lambda: all(
+            block_violation(lop.case, self.g, mat, lop.dim, range(lop.dim), pairs=pairs) is None
+            for mat in lop.coeffs[:-2] if mat))
+
+    def ops(self) -> list:
+        """The G_p, p in P, or every G_ab when the pairs premise failed."""
+        pairs, g = self.generators()[0], self.g
+        return [g[key] for key in pairs if key in g] if pairs else list(g.values())
+
+    def seeds(self) -> list:
+        """Basis positions of a set that generates W under `ops`."""
+        return self._once("seeds", lambda: generating_set(self.lop, self.ops()))
+
+    def central(self, scalar_top: bool = False, invariant: bool = False):
+        """(P, record) for a central check: P when the generator premises
+        hold and, if asked, the top is scalar and the lower coefficients
+        invariant; else None and the record names the first that failed."""
+        pairs, record = self.generators()
+        if pairs is not None and scalar_top and not self.top()[0]:
+            return None, {"premise_failed": "scalar_top"}
+        if pairs is not None and invariant and not self.invariant():
+            return None, {"premise_failed": "invariant"}
+        return pairs, record
+
+
+def _premises(lop: LOperator, g, premises):
+    """`premises` when it was decided for this operator and G, else a new record."""
+    g = lop.g_mat if g is None else g
+    if premises is not None and premises.lop is lop and premises.g is g:
+        return premises
+    return Premises(lop, g)
+
+
+def _block_check(lop, g, x, budget, name, w_tensor=False, premises=None):
     """A Lie-type relation of G and X decided by `structure.block_violation`,
     on the columns safe for `budget` compositions of the entry budget.
 
     When the premises of `_generators` hold, the Lie relation holds (its
     last premise is the relation on the pairs P), the adjoint one is
-    compared on P, and W on the seed columns of a set S that generates W
-    under the G_p, p in P (`lops.generating_set`; G is a representation and
-    P generates g, so a subspace stable under the G_p is stable under all
-    of G): W is built from products of the invariant G, so it is an
+    compared on P (for X = H it is the invariance premise of `Premises`),
+    and W on the seed columns of a set S that generates W under the G_p,
+    p in P (`lops.generating_set`; G is a representation and P generates
+    g, so a subspace stable under the G_p is stable under all of G): W is
+    built from products of the invariant G, so it is an
     invariant tensor and its kernel {w : W_abcd w = 0 for all (a, b, c, d)}
     is G-stable, hence all of W once it holds S.  For `lie` a violation on
     P is the failed premise "lie".  A failed premise, or a violation, reruns
@@ -240,16 +340,20 @@ def _block_check(lop, g, x, budget, name, w_tensor=False):
     cols = lop.space.safe_indices(budget * lop.entry_budget)
     if not cols:
         return _vacuous(name)
-    pairs, generators = _generators(lop, g)
-    bad = None
+    premises = _premises(lop, g, premises)
+    pairs, generators = premises.generators()
+    holds = False
     if pairs is not None and w_tensor:
-        seeds = generating_set(lop, [g[key] for key in pairs if key in g])
+        seeds = premises.seeds()
         generators["seeds"] = len(seeds)
-        bad = block_violation(case, g, x, dim, seeds, w_tensor)
-    elif pairs is not None and x is not g:  # X = G: the Lie premise decided it
-        bad = block_violation(case, g, x, dim, cols, pairs=pairs)
-    if pairs is None or bad is not None:
-        bad = block_violation(case, g, x, dim, cols, w_tensor)
+        holds = block_violation(case, g, x, dim, seeds, w_tensor) is None
+    elif pairs is not None and x is g:  # the Lie premise decided it
+        holds = True
+    elif pairs is not None and lop.order == 2 and x is lop.coeffs[0]:
+        holds = premises.invariant()
+    elif pairs is not None:
+        holds = block_violation(case, g, x, dim, cols, pairs=pairs) is None
+    bad = None if holds else block_violation(case, g, x, dim, cols, w_tensor)
     details = {"safe_columns": len(cols), "generators": generators}
     if bad is None:
         return CheckReport(name, True, details=details)
@@ -258,7 +362,7 @@ def _block_check(lop, g, x, budget, name, w_tensor=False):
                        details=details)
 
 
-def check_lie(lop: LOperator, g: dict | None = None) -> CheckReport:
+def check_lie(lop: LOperator, g: dict | None = None, premises=None) -> CheckReport:
     """[G_ab, G_cd] equals the structure-constant combination, exactly.
 
     On a closed space with G symmetric (G + eps G^t = c eps_ab Id) the
@@ -267,10 +371,11 @@ def check_lie(lop: LOperator, g: dict | None = None) -> CheckReport:
     `_generators`), and the pairs generate g.
     """
     g = lop.g_mat if g is None else g
-    return _block_check(lop, g, g, 2, "lie")
+    return _block_check(lop, g, g, 2, "lie", premises=premises)
 
 
-def check_adjoint(lop: LOperator, g: dict | None = None, h: dict | None = None) -> CheckReport:
+def check_adjoint(lop: LOperator, g: dict | None = None, h: dict | None = None,
+                  premises=None) -> CheckReport:
     """[G_ab, H_cd] equals the adjoint-action combination of H.
 
     Decided on the Chevalley pairs once the premises of `_generators` hold
@@ -278,7 +383,7 @@ def check_adjoint(lop: LOperator, g: dict | None = None, h: dict | None = None) 
     """
     g = lop.g_mat if g is None else g
     h = lop.h_mat if h is None else h
-    return _block_check(lop, g, h, 3, "adjoint")
+    return _block_check(lop, g, h, 3, "adjoint", premises=premises)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +398,7 @@ def _raised_coeffs(lop: LOperator) -> list:
              for (a, b), op in mat.items()} for mat in lop.coeffs]
 
 
-def _certificate(lop: LOperator):
+def _certificate(lop: LOperator, premises=None):
     """(seeds, record) of the covariance certificate for RLL.
 
     seeds is a generating set S of W (basis positions) when all three
@@ -311,24 +416,30 @@ def _certificate(lop: LOperator):
     premises of `_generators` hold; they include the Lie relation, which is
     the invariance of C_(s-1) = c G, and S then generates W under the G_p,
     p in P, alone.  Otherwise every C_k, k < s, runs on every pair and S is
-    grown under every G_ab.
+    grown under every G_ab.  A record of `premises` for G = C_(s-1) is
+    reused when c = 1, since then the action is that G.
     """
     case, space, dim = lop.case, lop.space, lop.dim
     if space.trunc is not None or space.floor is not None:
         return None, {"premise_failed": "closed"}
-    ok, c, _ = opmat_scalar_on(case, lop.coeffs[-1], SparseOp.identity(dim))
+    premises = _premises(lop, None, premises)
+    ok, c = premises.top()
     if not (ok and c):
         return None, {"premise_failed": "scalar_top"}
-    g = opmat_scale(lop.g_mat, c.inv())
-    pairs, _ = _generators(lop, g)
-    for mat in lop.coeffs[:-2] if pairs else lop.coeffs[:-1]:
-        if mat and block_violation(case, g, mat, dim, range(dim), pairs=pairs) is not None:
-            return None, {"premise_failed": "invariant"}
-    seeds = generating_set(lop, [g[key] for key in pairs if key in g] if pairs else list(g.values()))
+    if c != ONE:
+        premises = Premises(lop, opmat_scale(lop.g_mat, c.inv()))
+    if premises.generators()[0] is not None:
+        invariant = premises.invariant()
+    else:
+        invariant = all(block_violation(case, premises.g, mat, dim, range(dim)) is None
+                        for mat in lop.coeffs[:-1] if mat)
+    if not invariant:
+        return None, {"premise_failed": "invariant"}
+    seeds = premises.seeds()
     return seeds, {"seeds": len(seeds), "seed_columns": case.n ** 2 * len(seeds)}
 
 
-def check_rll(lop: LOperator) -> CheckReport:
+def check_rll(lop: LOperator, premises=None) -> CheckReport:
     """R12(u-v) L1(u) L2(v) = L2(v) L1(u) R12(u-v), coefficient-exact.
 
     The u^0 v^0 coefficient covers the H-H commutation relation of the
@@ -361,7 +472,7 @@ def check_rll(lop: LOperator) -> CheckReport:
     if not safe_w:
         return _vacuous("rll")
     ipk, coeffs, k = fundamental_ipk(case), _raised_coeffs(lop), k_form(case)
-    seeds, certificate = _certificate(lop)
+    seeds, certificate = _certificate(lop, premises)
     residual, keys = identity_residual(ipk, coeffs, case.n, space.dim,
                                        safe_w if seeds is None else seeds, k)
     if residual and seeds is not None:
@@ -400,7 +511,58 @@ def check_gl2_rll(coeffs, dim, safe_cols=None, name="gl2_rll") -> CheckReport:
 # truncation constraints of the quadratic and linear evaluations
 
 
-def check_symmetric_constraints(lop: LOperator, span=None) -> CheckReport:
+def _seed_basis(lop: LOperator, premises: Premises, span, generators: dict) -> SparseOp:
+    """The columns S a central check is decided on when its premises hold:
+    the unit vectors of `premises.seeds`, or the vectors of the invariant
+    `span` that `lops.generating_set` picks, whose G_p-closure is the span.
+    Their count goes into `generators`."""
+    if span is None:
+        seeds = premises.seeds()
+        generators["seeds"] = len(seeds)
+        return _unit_basis(lop.dim, seeds)
+    vectors = generating_set(lop, premises.ops(), span)
+    generators["span_seeds"] = len(vectors)
+    return _vector_basis(lop.dim, vectors)
+
+
+def _constraint_images(lop: LOperator, basis1: SparseOp, basis: SparseOp):
+    """Yield (name, basis, images): each constraint left side applied right
+    to left to the columns of its basis (c21 on basis1), so that every
+    product has a right operand of the basis's width: (G^t o G) @ B is
+    G *tt (G @ B), and (H^t @ B) is H @ B with its keys swapped."""
+    case, g, h = lop.case, lop.g_mat, lop.h_mat
+    eps, beta = Scalar.of(case.eps), case.beta
+
+    def tt(x, y):
+        return opmat_mul_tt(case, x, y)
+
+    def plus_t(images, sign):  # (M + sign eps M^t) @ B from M @ B
+        return opmat_add(images, opmat_scale(opmat_transpose(images), eps * sign))
+
+    g1 = opmat_apply(g, basis1)
+    yield "c21", basis1, plus_t(g1, 1)
+    gb = g1 if basis is basis1 else opmat_apply(g, basis)
+    hb = opmat_apply(h, basis)
+    yield "c23", basis, opmat_add(plus_t(hb, 1), opmat_sub(tt(g, gb), opmat_scale(gb, beta)))
+    g_hb = tt(g, hb)
+    yield "c26", basis, opmat_add(opmat_add(tt(h, gb), g_hb), opmat_scale(plus_t(hb, -1), -beta))
+    yield "c28", basis, opmat_add(opmat_sub(tt(h, hb), opmat_scale(g_hb, beta)),
+                                  opmat_scale(hb, beta * beta))
+
+
+def _constraints_on(lop: LOperator, basis1, basis, details) -> CheckReport:
+    scalars = {}
+    for name, on, images in _constraint_images(lop, basis1, basis):
+        ok, value, bad = scalar_images(lop.case, images, on)
+        if not ok:
+            key, val = bad
+            return CheckReport("symmetric_constraints", False, scalars=scalars, details=details,
+                               counterexample=((name,) + key, BiPoly({(0, 0): val})))
+        scalars[name] = value
+    return CheckReport("symmetric_constraints", True, scalars=scalars, details=details)
+
+
+def check_symmetric_constraints(lop: LOperator, span=None, premises=None) -> CheckReport:
     """The four scalar constraints tying G, H and the center together.
 
       G + eps G^t                                    = c21 I
@@ -416,57 +578,58 @@ def check_symmetric_constraints(lop: LOperator, span=None) -> CheckReport:
     blockwise, so `span` may supply a basis of an invariant submodule
     (typically the cyclic module of the highest weight vector) on which
     genuine scalars are asserted.  c21 and c23 are scalar on any module.
+
+    Each left side is applied right to left to the columns of the module
+    (`_constraint_images`).  On a closed space whose premises hold (G
+    symmetric and a representation, decided on the Chevalley pairs P, and
+    H invariant on P; see `Premises`) it is applied to a set S that
+    generates the module under the G_p alone.  Proof: every left side M_ab
+    is built from G, H, their transposes, the metric and contractions over
+    the metric, all of them invariant under the action of x in g on the
+    operator (ad G(x)) and on the indices (the vector representation,
+    which preserves the metric), so M is covariant,
+    [G(x), M_ab] = -(rho(x) M)_ab.  eps_ab Id is invariant, so
+    N_ab = M_ab - c eps_ab Id is covariant too, and K = the intersection
+    of the ker N_ab is G-stable: for w in K,
+    N_ab G(x) w = G(x) N_ab w + (rho(x) N)_ab w = 0.  If S lies in K, so
+    does the G_p-closure of S, which is W (or the span).  A failed premise,
+    or a violation on S, reruns the check on every safe column (or span
+    vector), so a refutation reports the full comparison's first violation.
+    `details.generators` records the pairs and seeds (`span_seeds` with a
+    span), or the failed premise.
     """
-    case = lop.case
     b = lop.entry_budget
     basis, details = _module_basis(lop, 2 * b, span)
+    premises = _premises(lop, None, premises)
+    pairs, details["generators"] = premises.central(invariant=True)
     if not basis.ncols:
         return _vacuous("symmetric_constraints", details)
-    g, h = lop.g_mat, lop.h_mat
-    eps = Scalar.of(case.eps)
-    beta = case.beta
-    gt = opmat_transpose(g)
-    ht = opmat_transpose(h)
-
-    lhs1 = opmat_add(g, opmat_scale(gt, eps))
-    lhs2 = opmat_add(opmat_add(h, opmat_scale(ht, eps)),
-                     opmat_sub(opmat_mul_tt(case, g, g), opmat_scale(g, beta)))
-    lhs3 = opmat_add(opmat_add(opmat_mul_tt(case, h, g), opmat_mul_tt(case, g, h)),
-                     opmat_scale(opmat_sub(h, opmat_scale(ht, eps)), -beta))
-    lhs4 = opmat_add(opmat_sub(opmat_mul_tt(case, h, h),
-                               opmat_scale(opmat_mul_tt(case, g, h), beta)),
-                     opmat_scale(h, beta * beta))
-
-    names = ("c21", "c23", "c26", "c28")
+    if pairs is not None:
+        seeds = _seed_basis(lop, premises, span, details["generators"])
+        report = _constraints_on(lop, seeds, seeds, details)
+        if report.passed:
+            return report
     # c21 is linear in L, so it is compared on the wider budget-b columns
-    bases = (_module_basis(lop, b, span)[0], basis, basis, basis)
-    scalars = {}
-    for name, mat, on in zip(names, (lhs1, lhs2, lhs3, lhs4), bases):
-        ok, value, bad = opmat_scalar_on(case, mat, on)
-        if not ok:
-            key, val = bad
-            return CheckReport("symmetric_constraints", False, scalars=scalars, details=details,
-                               counterexample=((name,) + key, BiPoly({(0, 0): val})))
-        scalars[name] = value
-    return CheckReport("symmetric_constraints", True, scalars=scalars, details=details)
+    return _constraints_on(lop, _module_basis(lop, b, span)[0], basis, details)
 
 
 def check_linear_constraint(lop: LOperator, g: dict | None = None) -> CheckReport:
-    """G^2 + beta G = c2 I with n c2 = tr G^2 (lowered product)."""
-    case, dim = lop.case, lop.dim
+    """G^2 + beta G = c2 I with n c2 = tr G^2 (lowered product), both
+    applied right to left to the safe columns B: (G o G) B = G o (G B)."""
+    case = lop.case
     g = lop.g_mat if g is None else g
     basis, details = _module_basis(lop, 2 * lop.entry_budget)
     if not basis.ncols:
         return _vacuous("linear_constraint", details)
-    gg = opmat_mul(case, g, g)
-    lhs = opmat_add(gg, opmat_scale(g, case.beta))
-    ok, value, bad = opmat_scalar_on(case, lhs, basis)
+    gb = opmat_apply(g, basis)
+    gg = opmat_mul(case, g, gb)
+    ok, value, bad = scalar_images(case, opmat_add(gg, opmat_scale(gb, case.beta)), basis)
     if not ok:
         key, val = bad
         return CheckReport("linear_constraint", False, details=details,
                            counterexample=(key, BiPoly({(0, 0): val})))
     # cross-check the trace formula n c2 = tr G^2
-    tr_check = (_trace(case, gg, dim) - SparseOp.identity(dim, value * case.n)) @ basis
+    tr_check = _trace(case, gg, basis) - basis.scale(value * case.n)
     if tr_check.data:
         return CheckReport("linear_constraint", False, scalars={"c2": value}, details=details,
                            counterexample=(("trace",),
@@ -478,15 +641,16 @@ def check_linear_constraint(lop: LOperator, g: dict | None = None) -> CheckRepor
 # W-tensor and the cubic characteristic identity
 
 
-def check_w_tensor(lop: LOperator, g: dict | None = None) -> CheckReport:
+def check_w_tensor(lop: LOperator, g: dict | None = None, premises=None) -> CheckReport:
     """Six-term symmetrized product W_{ab,cd} vanishes for all indices."""
     g = lop.g_mat if g is None else g
-    return _block_check(lop, g, g, 2, "w_tensor", w_tensor=True)
+    return _block_check(lop, g, g, 2, "w_tensor", w_tensor=True, premises=premises)
 
 
-def _trace(case: CaseDescriptor, mat: dict, dim: int) -> SparseOp:
-    """tr M = sum_a eps_{-a} M_{-a,a} of a lowered opmat, as an operator."""
-    out = SparseOp.zeros(dim, dim)
+def _trace(case: CaseDescriptor, mat: dict, basis: SparseOp) -> SparseOp:
+    """tr M @ B = sum_a eps_{-a} M_{-a,a} @ B from the images of a lowered
+    opmat M on the columns of B."""
+    out = SparseOp.zeros(basis.nrows, basis.ncols)
     for a in case.indices:
         op = mat.get((-a, a))
         if op is not None:
@@ -494,32 +658,78 @@ def _trace(case: CaseDescriptor, mat: dict, dim: int) -> SparseOp:
     return out
 
 
-def check_chi3(lop: LOperator, g: dict | None = None) -> CheckReport:
+def _casimir(case: CaseDescriptor, g: dict, y: dict) -> dict:
+    """{key: sigma @ Y_key} for an opmat Y of thin blocks, sigma = tr(G o G) / 2.
+
+    sigma = (1/2) sum_{a,d} eps_-a eps_-d G[-a, d] G[-d, a] is applied right
+    to left to every block of Y at once, placed side by side as X: the G
+    blocks stacked times X, then the signed partner blocks side by side
+    times that, two products whose right operands have the width of X.
+    """
+    keys = list(y)
+    if not keys:
+        return {}
+    x, width = side_by_side(y[key] for key in keys), y[keys[0]].ncols
+    dim, pos = x.nrows, {key: p for p, key in enumerate(g)}
+    tall, wide = {}, {}
+    for (r, d), op in g.items():  # the term G[r, d] G[-d, -r], a = -r
+        off = pos[r, d] * dim
+        for (i, j), v in op.data.items():
+            tall[off + i, j] = v
+        p = pos.get((-d, -r))
+        if p is not None:
+            sign = Scalar(case.sign(r) * case.sign(-d), 0, 2)
+            for (i, j), v in op.data.items():
+                wide[i, p * dim + j] = v * sign
+    sigma_x = (SparseOp(dim, len(pos) * dim, wide)
+               @ (SparseOp(len(pos) * dim, dim, tall) @ x))
+    out: dict = {}
+    for (i, col), v in sigma_x.data.items():
+        k, j = divmod(col, width)
+        out.setdefault(keys[k], {})[i, j] = v
+    return {key: SparseOp(dim, width, data) for key, data in out.items()}
+
+
+def _chi3_on(case: CaseDescriptor, g: dict, basis: SparseOp):
+    """(ok, 0, bad) of chi3 on the columns of `basis`, applied right to left."""
+    eps, beta = Scalar.of(case.eps), case.beta
+    y1 = opmat_apply(g, basis)
+    y2 = opmat_mul(case, g, y1)
+    y3 = opmat_mul(case, g, y2)
+    chi = opmat_add(y3, opmat_scale(y2, eps + beta + beta))
+    chi = opmat_add(chi, opmat_scale(y1, eps * beta * Scalar(2)))
+    # sigma (eps G_ab + eps_ab Id) @ basis
+    metric = {(a, -a): basis.scale(case.metric_lower(a, -a)) for a in case.indices}
+    chi = opmat_sub(chi, _casimir(case, g, opmat_add(opmat_scale(y1, eps), metric)))
+    return scalar_images(case, chi, basis, ZERO)
+
+
+def check_chi3(lop: LOperator, g: dict | None = None, premises=None) -> CheckReport:
     """G^3 + (eps+2beta) G^2 + (2 eps beta - eps s) G - s = 0, s = tr G^2 / 2.
 
     s is inserted as the (central) operator it is, so the identity is
     exact on the whole safe subspace, not just on highest weight
     vectors; the half-trace normalization is the one that the bilinear
     construction actually satisfies (verified by exact fit).
+
+    The left side is applied right to left (`_chi3_on`).  It is covariant
+    once G is symmetric and a representation (s is a contraction of G o G
+    over the metric), so, as for the constraints, it is decided on a set
+    that generates W under the Chevalley blocks when those premises hold,
+    and on every safe column otherwise or after a violation there.
     """
     case, dim = lop.case, lop.dim
     g = lop.g_mat if g is None else g
     basis, details = _module_basis(lop, 3 * lop.entry_budget)
+    premises = _premises(lop, g, premises)
+    pairs, details["generators"] = premises.central()
     if not basis.ncols:
         return _vacuous("chi3", details)
-    eps = Scalar.of(case.eps)
-    beta = case.beta
-    gg = opmat_mul(case, g, g)
-    ggg = opmat_mul(case, gg, g)
-    sigma = _trace(case, gg, dim).scale(Scalar(1, 0, 2))
-    chi = opmat_add(ggg, opmat_scale(gg, eps + beta + beta))
-    chi = opmat_add(chi, opmat_scale(g, eps * beta * Scalar(2)))
-    chi = opmat_sub(chi, {key: (sigma @ op).scale(eps) for key, op in g.items()})
-    sigma_metric = {}
-    for a in case.indices:
-        sigma_metric[(a, -a)] = sigma.scale(case.metric_lower(a, -a))
-    chi = opmat_sub(chi, sigma_metric)
-    ok, _, bad = opmat_scalar_on(case, chi, basis, ZERO)
+    ok = False
+    if pairs is not None:
+        ok, _, bad = _chi3_on(case, g, _seed_basis(lop, premises, None, details["generators"]))
+    if not ok:
+        ok, _, bad = _chi3_on(case, g, basis)
     if not ok:
         key, val = bad
         return CheckReport("chi3", False, details=details,
@@ -531,7 +741,52 @@ def check_chi3(lop: LOperator, g: dict | None = None) -> CheckReport:
 # the center generating function
 
 
-def center_function(lop: LOperator, span=None):
+def _center_on(lop: LOperator, comm_basis: SparseOp, basis: SparseOp, thin: bool):
+    """(c, bad): the center decided right to left, the commutators on the
+    columns of `comm_basis` and the coefficients of C(u) on `basis`.
+
+    C_k @ B = sum_(i+j=k) shifted_i *tt (L_j @ B), and the commutator is
+    [C_k, L_j] @ B = C_k o (L_j @ B) - L_j o (C_k @ B).  On `thin` bases
+    C_k o Y = sum_(i+i'=k) shifted_i *tt (L_i' o Y) (the contractions are
+    associative), so every product has a right operand of the basis's
+    width; on every column, C(u) formed once as operators costs less.
+    bad = (where, (key, residual)) names the first failure, commutators
+    first.
+    """
+    case, coeffs = lop.case, lop.coeffs
+    shifted = opmat_poly_subs(coeffs, ONE, -case.beta)
+    size = len(shifted) + len(coeffs) - 1
+
+    def c_on(images):  # [C_k @ B] from [L_j @ B]
+        out = opmat_poly_mul(shifted, images, lambda x, y: opmat_mul_tt(case, x, y))
+        return out + [{} for _ in range(size - len(out))]
+
+    lb = [opmat_apply(mat, comm_basis) for mat in coeffs]
+    if thin:
+        cb = c_on(lb)
+        c_lb = [c_on([opmat_mul(case, mat, y) for mat in coeffs]) for y in lb]
+    else:
+        c_ops = c_on(list(coeffs))
+        cb = [opmat_apply(cm, comm_basis) for cm in c_ops]
+        c_lb = [[opmat_mul(case, cm, y) for cm in c_ops] for y in lb]
+    for k1 in range(size):
+        for k2, mat in enumerate(coeffs):
+            comm = opmat_sub(c_lb[k2][k1], opmat_mul(case, mat, cb[k1]))
+            ok, _, bad = scalar_images(case, comm, comm_basis, ZERO)
+            if not ok:
+                return None, (("commutator", k1, k2), bad)
+    if basis is not comm_basis:
+        cb = c_on([opmat_apply(mat, basis) for mat in coeffs])
+    values = []
+    for k, images in enumerate(cb):
+        ok, value, bad = scalar_images(case, images, basis)
+        if not ok:
+            return None, (("coeff", k), bad)
+        values.append(value)
+    return UniPoly(values), None
+
+
+def center_function(lop: LOperator, span=None, premises=None):
     """C_ab(u) = sum_d eps_d L_da(u - beta) L_{-d,b}(u) = c(u) eps_ab.
 
     Returns (c, report).  The report asserts that every coefficient of
@@ -543,38 +798,39 @@ def center_function(lop: LOperator, span=None):
     `span` may restrict the scalarity assertion to an invariant
     submodule.  The commutation check always runs on the whole safe
     subspace.
+
+    Both are decided right to left (`_center_on`).  On a closed space
+    whose premises hold (G symmetric and a representation, the top
+    coefficient c eps_ab Id and every lower one invariant; see `Premises`),
+    every coefficient of L(u), and so of C(u), is a covariant family (the
+    proof at `check_symmetric_constraints`).  The commutator
+    [C_i, L_j] = C_i o L_j - L_j o C_i is then covariant too, and so is
+    C_i - c_i eps Id; the kernels are G-stable, so the commutators are
+    decided on a set that generates W under the Chevalley blocks G_p and
+    the coefficients on one that generates the module (W, or the span).
+    A failed premise, or a violation there, reruns both on every safe
+    column (or span vector).  `details.generators` records the pairs and
+    seeds (`span_seeds` with a span), or the failed premise.
     """
-    case = lop.case
     b = lop.entry_budget
     comm_basis, _ = _module_basis(lop, 3 * b)
     basis, details = _module_basis(lop, 2 * b, span)
     details = {"commutator_columns": comm_basis.ncols, **details}
+    premises = _premises(lop, None, premises)
+    pairs, details["generators"] = premises.central(scalar_top=True, invariant=True)
     if not (comm_basis.ncols and basis.ncols):
         return UniPoly(), _vacuous("center", details)
-    shifted = opmat_poly_subs(lop.coeffs, ONE, -case.beta)
-    c_poly = opmat_poly_mul(shifted, lop.coeffs, lambda x, y: opmat_mul_tt(case, x, y))
-
-    for k1, cm in enumerate(c_poly):
-        for k2, lm in enumerate(lop.coeffs):
-            comm = opmat_sub(opmat_mul(case, cm, lm), opmat_mul(case, lm, cm))
-            ok, _, bad = opmat_scalar_on(case, comm, comm_basis, ZERO)
-            if not ok:
-                key, val = bad
-                return UniPoly(), CheckReport(
-                    "center", False, details=details,
-                    counterexample=(("commutator", k1, k2) + key,
-                                    BiPoly({(0, 0): val})))
-
-    values = []
-    for k, cm in enumerate(c_poly):
-        ok, value, bad = opmat_scalar_on(case, cm, basis)
-        if not ok:
-            key, val = bad
-            return UniPoly(), CheckReport("center", False, details=details,
-                                          counterexample=(("coeff", k) + key,
-                                                          BiPoly({(0, 0): val})))
-        values.append(value)
-    c = UniPoly(values)
+    c = None
+    if pairs is not None:
+        seeds = _seed_basis(lop, premises, None, details["generators"])
+        on = seeds if span is None else _seed_basis(lop, premises, span, details["generators"])
+        c, bad = _center_on(lop, seeds, on, thin=True)
+    if c is None:
+        c, bad = _center_on(lop, comm_basis, basis, thin=False)
+    if c is None:
+        where, (key, val) = bad
+        return UniPoly(), CheckReport("center", False, details=details,
+                                      counterexample=(where + key, BiPoly({(0, 0): val})))
     return c, CheckReport("center", True, scalars={"c(u)": c}, details=details)
 
 

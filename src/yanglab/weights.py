@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import ONE, ZERO, Scalar, SparseOp, UniPoly, nullspace, rational_roots, reduce_ratio
-from .lops import LOperator, metric_opmat
+from .lops import LOperator, cyclic_span, metric_opmat
 from .structure import CaseDescriptor
-from .verify import CheckReport, check_symmetric_constraints, cyclic_span
+from .verify import CheckReport, check_symmetric_constraints
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +504,14 @@ def standard_normalization(lop: LOperator) -> bool:
     return lop.coeffs[lop.order] == metric_opmat(lop.case, lop.dim)
 
 
-def weight_report(lop: LOperator, vec: dict, k=None) -> WeightReport:
+def weight_report(lop: LOperator, vec: dict, k=None, constraints=None) -> WeightReport:
     """Run the full highest-weight pipeline on one vector.
 
     A vector that is not highest-weight gives a failing report that
-    carries the highest-weight counterexample and nothing else.
+    carries the highest-weight counterexample and nothing else.  k, when
+    not given, is c23 of the symmetric constraints on the cyclic module of
+    `vec`: of the report `constraints` when the caller already decided it
+    there, else of a new check.
     """
     case = lop.case
     hw = verify_highest_weight(lop, vec)
@@ -525,10 +528,10 @@ def weight_report(lop: LOperator, vec: dict, k=None) -> WeightReport:
     elif lop.order == 2 and standard_normalization(lop):
         comps = weight_components(wf)
         if k is None:
-            span = None
-            if lop.space.trunc is None:
-                span = cyclic_span(lop, [vec])
-            sym = check_symmetric_constraints(lop, span=span)
+            sym = constraints
+            if sym is None:
+                span = cyclic_span(lop, [vec]) if lop.space.trunc is None else None
+                sym = check_symmetric_constraints(lop, span=span)
             if sym.passed:
                 k = sym.scalars["c23"]
         cond = check_quadratic_conditions(wf, case, k=k)

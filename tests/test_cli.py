@@ -1,10 +1,12 @@
 """CLI pipelines, exit codes and report round-trips."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from yanglab.cli import DEFAULT_CHECKS, ConfigError, build_operator, main, run
+from yanglab import cli, verify, weights
+from yanglab.cli import DEFAULT_CHECKS, ConfigError, build_operator, main, run, run_checks
 
 
 def run_cfg(**cfg):
@@ -60,7 +62,8 @@ def test_vacuous_w_chi3_linear_exit_1(capsys):
     for name in ("linear_constraint", "w_tensor", "chi3"):
         assert not checks[name]["passed"] and checks[name]["details"]["safe_columns"] == 0
     assert not checks["center"]["passed"]
-    assert checks["center"]["details"] == {"commutator_columns": 0, "safe_columns": 0}
+    assert checks["center"]["details"] == {"commutator_columns": 0, "safe_columns": 0,
+                                           "generators": {"premise_failed": "closed"}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -197,3 +200,61 @@ def test_run_api_direct():
     with pytest.raises(ConfigError):
         build_operator({"op": "product", "family": "sp", "m": 1,
                         "params": {"factor1": {"op": "js"}}})
+
+
+def test_run_checks_decides_each_premise_once(monkeypatch):
+    # lie, adjoint, w, rll, constraints, chi3 and center share one record:
+    # the generator premises, the invariance of H on the pairs (the adjoint
+    # check and the RLL certificate) and the generating set of W are each
+    # decided once; the span's seeds are picked per check
+    lop, vec = build_operator({"family": "so", "m": 2, "odd": True, "op": "js", "twoL": 2})
+    calls = Counter()
+    generators, generating_set, kernel = (verify._generators, verify.generating_set,
+                                          verify.block_violation)
+
+    def counted_generators(*args):
+        calls["generators"] += 1
+        return generators(*args)
+
+    def counted_generating_set(lop, ops, span=None):
+        calls["seeds" if span is None else "span"] += 1
+        return generating_set(lop, ops, span)
+
+    def counted_kernel(*args, **kwargs):
+        calls["on_pairs"] += kwargs.get("pairs") is not None
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_generators", counted_generators)
+    monkeypatch.setattr(verify, "generating_set", counted_generating_set)
+    monkeypatch.setattr(verify, "block_violation", counted_kernel)
+    reports, _ = run_checks(lop, vec, DEFAULT_CHECKS["js"])
+    assert all(rep.passed for rep in reports)
+    # the Lie relation and the invariance of H, each on the pairs once
+    assert calls == {"generators": 1, "seeds": 1, "span": 2, "on_pairs": 2}
+    records = {rep.name: rep.details.get("generators") for rep in reports}
+    assert records == {"lie": {"pairs": 4}, "adjoint": {"pairs": 4}, "rll": None,
+                       "symmetric_constraints": {"pairs": 4, "span_seeds": 1},
+                       "w_tensor": {"pairs": 4, "seeds": 2}, "chi3": {"pairs": 4, "seeds": 2},
+                       "center": {"pairs": 4, "seeds": 2, "span_seeds": 1}}
+    assert reports[2].details["certificate"] == {"seeds": 2, "seed_columns": 50}
+
+
+@pytest.mark.parametrize("extra,runs", [([], 1), (["--k=-41/8"], 1), (["--vector", "kernel"], 3)],
+                         ids=["auto", "explicit-k", "kernel"])
+def test_weights_stage_reuses_constraints(monkeypatch, capsys, extra, runs):
+    # `all` reads k = c23 off the verify stage's constraints report; with
+    # --k none is needed, and each kernel vector runs them on its own module
+    calls = []
+    check = verify.check_symmetric_constraints
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_symmetric_constraints", counting)
+    monkeypatch.setattr(weights, "check_symmetric_constraints", counting)
+    code = main(["all", "--family", "so", "--m", "2", "--odd", "--op", "js", "--twoL", "2"] + extra)
+    out = json.loads(capsys.readouterr().out)
+    constraints = {c["check"]: c for c in out["checks"]}["symmetric_constraints"]
+    assert code == 0 and len(calls) == runs
+    assert out["weights"][0]["k"] == constraints["scalars"]["c23"] == "-41/8"

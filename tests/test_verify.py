@@ -15,12 +15,19 @@ from yanglab.lops import (
     build_js_quadratic,
     build_product,
     build_spinorial_linear,
+    cyclic_span,
     fuse_so3_from_gl2,
     metric_opmat,
     opmat_acc,
     opmat_add,
+    opmat_apply,
     opmat_mul,
+    opmat_mul_tt,
+    opmat_poly_mul,
+    opmat_poly_subs,
     opmat_scale,
+    opmat_sub,
+    opmat_transpose,
 )
 from yanglab.spaces import RepSpace
 from yanglab.structure import (
@@ -34,6 +41,7 @@ from yanglab.structure import (
     make_case,
 )
 from yanglab.verify import (
+    Premises,
     _raised_coeffs,
     center_decomposition,
     center_function,
@@ -44,7 +52,7 @@ from yanglab.verify import (
     check_rll,
     check_symmetric_constraints,
     check_w_tensor,
-    opmat_scalar_on,
+    scalar_images,
 )
 
 # the conjugated so(3)/sp(2) solutions of the block-kernel property test
@@ -555,15 +563,22 @@ def test_vacuous_constraints_and_center_fail():
     case = make_case("so_even", 2)
     f = build_heisenberg_linear(case, 0, max_degree=2)
     rep = check_symmetric_constraints(build_product(f, f, ONE))
-    assert not rep.passed and rep.details == {"safe_columns": 0}
+    assert not rep.passed
+    assert rep.details == {"safe_columns": 0, "generators": {"premise_failed": "closed"}}
     assert rep.to_dict()["counterexample"] == {"at": "('safe_columns', 0)",
                                                "residual": "no columns compared"}
     # the sp(4) spinor at trunc 4 has no column for the commutator C(u) L(v)
     c, rep = center_function(build_spinorial_linear(make_case("sp", 2), trunc=4))
     assert not rep.passed and c.is_zero
-    assert rep.details == {"commutator_columns": 0, "safe_columns": 1}
+    assert rep.details == {"commutator_columns": 0, "safe_columns": 1,
+                           "generators": {"premise_failed": "closed"}}
     assert rep.to_dict()["counterexample"] == {"at": "('commutator_columns', 0)",
                                                "residual": "no columns compared"}
+
+
+def _scalar_on(case, mat, basis, value=None):
+    """The scalar test on the images of a formed opmat."""
+    return scalar_images(case, opmat_apply(mat, basis), basis, value)
 
 
 _SMALL = st.sampled_from([ZERO, ONE, Scalar(-2), Scalar(3, 0, 2), Scalar(1, 1, 1)])
@@ -614,8 +629,8 @@ def test_scalar_test_agrees_across_bases(drawn):
     span = SparseOp(dim, len(cols), {**{(j, k): ONE for k, j in enumerate(cols)},
                                      **{(cols[k + 1], k): m for k, m in enumerate(mix[:-1])}})
     ok_ref, value_ref = _dense_scalar(case, dim, mat, cols)
-    ok_unit, value_unit, bad_unit = opmat_scalar_on(case, mat, unit)
-    ok_span, value_span, bad_span = opmat_scalar_on(case, mat, span)
+    ok_unit, value_unit, bad_unit = _scalar_on(case, mat, unit)
+    ok_span, value_span, bad_span = _scalar_on(case, mat, span)
     assert ok_unit == ok_span == ok_ref
     assert value_unit == value_ref
     assert (bad_unit is None) == ok_unit and (bad_span is None) == ok_span
@@ -624,20 +639,20 @@ def test_scalar_test_agrees_across_bases(drawn):
     else:
         assert bad_unit[1] and bad_span[1]
     # a value passed in is the one tested
-    ok_zero, value_zero, _ = opmat_scalar_on(case, mat, unit, ZERO)
+    ok_zero, value_zero, _ = _scalar_on(case, mat, unit, ZERO)
     assert value_zero == ZERO and ok_zero == (ok_ref and not value_ref)
 
 
 def test_symmetric_constraints_js_so5():
     from yanglab.lops import js_highest_vector
-    from yanglab.verify import cyclic_span
 
     case = make_case("so_odd", 2)
     lop = build_js_quadratic(case, 2)
     psi = js_highest_vector(case, lop.space, 2)
     span = cyclic_span(lop, [psi])
     rep = check_symmetric_constraints(lop, span=span)
-    assert rep.passed and rep.details == {"span_dimension": 14}
+    assert rep.passed
+    assert rep.details == {"span_dimension": 14, "generators": {"pairs": 4, "span_seeds": 1}}
     assert rep.scalars["c21"] == ZERO
     assert rep.scalars["c23"] == Scalar(-41, 0, 8)
     # the degree-2 layer is reducible (the trace vector spans a trivial
@@ -645,7 +660,7 @@ def test_symmetric_constraints_js_so5():
     # the whole-space check must report that honestly
     whole = check_symmetric_constraints(lop)
     assert not whole.passed and whole.counterexample[0][0] == "c28"
-    assert whole.details == {"safe_columns": 15}
+    assert whole.details == {"safe_columns": 15, "generators": {"pairs": 4, "seeds": 2}}
     assert whole.scalars["c23"] == Scalar(-41, 0, 8)
 
 
@@ -723,7 +738,6 @@ def test_center_spinor_so3():
 
 def test_center_js_so5_decomposes_into_constraint_scalars():
     from yanglab.lops import js_highest_vector
-    from yanglab.verify import cyclic_span
 
     case = make_case("so_odd", 2)
     lop = build_js_quadratic(case, 2)
@@ -738,3 +752,182 @@ def test_center_js_so5_decomposes_into_constraint_scalars():
     eig1 = UniPoly([Scalar(15, 0, 16), Scalar(-2), Scalar(1)])
     eig_m1 = eig1.reflect()  # lambda_{-1}(-u) = eps lambda_1(u)
     assert c == eig1.shift(-case.beta) * eig_m1
+
+
+# ---------------------------------------------------------------------------
+# constraints, chi3 and center decided on seed columns
+
+
+def _reference_constraints(lop, span=None):
+    """(passed, scalars, counterexample): the four left sides formed as full
+    operators, then compared on the module."""
+    case, b, g, h = lop.case, lop.entry_budget, lop.g_mat, lop.h_mat
+    eps, beta = Scalar.of(case.eps), case.beta
+    gt, ht = opmat_transpose(g), opmat_transpose(h)
+
+    def tt(x, y):
+        return opmat_mul_tt(case, x, y)
+
+    lhs = [("c21", b, opmat_add(g, opmat_scale(gt, eps))),
+           ("c23", 2 * b, opmat_add(opmat_add(h, opmat_scale(ht, eps)),
+                                    opmat_sub(tt(g, g), opmat_scale(g, beta)))),
+           ("c26", 2 * b, opmat_add(opmat_add(tt(h, g), tt(g, h)),
+                                    opmat_scale(opmat_sub(h, opmat_scale(ht, eps)), -beta))),
+           ("c28", 2 * b, opmat_add(opmat_sub(tt(h, h), opmat_scale(tt(g, h), beta)),
+                                    opmat_scale(h, beta * beta)))]
+    scalars = {}
+    for name, budget, mat in lhs:
+        ok, value, bad = _scalar_on(case, mat, verify._module_basis(lop, budget, span)[0])
+        if not ok:
+            return False, scalars, ((name,) + bad[0], BiPoly({(0, 0): bad[1]}))
+        scalars[name] = value
+    return True, scalars, None
+
+
+def _reference_chi3(lop):
+    case, dim, g = lop.case, lop.dim, lop.g_mat
+    eps, beta = Scalar.of(case.eps), case.beta
+    gg = opmat_mul(case, g, g)
+    sigma = SparseOp(dim, dim)
+    for a in case.indices:
+        if (-a, a) in gg:
+            sigma = sigma + gg[-a, a].scale(Scalar(case.sign(-a), 0, 2))
+    chi = opmat_add(opmat_mul(case, gg, g), opmat_scale(gg, eps + beta + beta))
+    chi = opmat_add(chi, opmat_scale(g, eps * beta * Scalar(2)))
+    chi = opmat_sub(chi, {key: (sigma @ op).scale(eps) for key, op in g.items()})
+    chi = opmat_sub(chi, {(a, -a): sigma.scale(case.metric_lower(a, -a)) for a in case.indices})
+    basis = verify._module_basis(lop, 3 * lop.entry_budget)[0]
+    ok, _, bad = _scalar_on(case, chi, basis, ZERO)
+    return ok, {}, None if ok else (bad[0], BiPoly({(0, 0): bad[1]}))
+
+
+def _reference_center(lop, span=None):
+    """(passed, {"c(u)": c}, counterexample) with C(u) formed as operators."""
+    case, b = lop.case, lop.entry_budget
+    comm_basis = verify._module_basis(lop, 3 * b)[0]
+    basis = verify._module_basis(lop, 2 * b, span)[0]
+    shifted = opmat_poly_subs(lop.coeffs, ONE, -case.beta)
+    c_poly = opmat_poly_mul(shifted, lop.coeffs, lambda x, y: opmat_mul_tt(case, x, y))
+    for k1, cm in enumerate(c_poly):
+        for k2, lm in enumerate(lop.coeffs):
+            comm = opmat_sub(opmat_mul(case, cm, lm), opmat_mul(case, lm, cm))
+            ok, _, bad = _scalar_on(case, comm, comm_basis, ZERO)
+            if not ok:
+                return False, {}, (("commutator", k1, k2) + bad[0], BiPoly({(0, 0): bad[1]}))
+    values = []
+    for k, cm in enumerate(c_poly):
+        ok, value, bad = _scalar_on(case, cm, basis)
+        if not ok:
+            return False, {}, (("coeff", k) + bad[0], BiPoly({(0, 0): bad[1]}))
+        values.append(value)
+    return True, {"c(u)": UniPoly(values)}, None
+
+
+_CENTRAL_BASES = {}
+
+
+def _central_base(name):
+    """A closed solution with a hw vector, built once: JS or a spinor product."""
+    if name not in _CENTRAL_BASES:
+        if name == "product":
+            factor = build_spinorial_linear(make_case("so_even", 2))
+            lop = build_product(factor, factor, ONE)
+        else:
+            family, m, two_l = name
+            lop = build_js_quadratic(make_case(family, m), two_l)
+        _CENTRAL_BASES[name] = lop
+    return _CENTRAL_BASES[name]
+
+
+@st.composite
+def central_operands(draw):
+    """(L-operator, span, kind) for the central checks.
+
+    The conjugated small solutions and corruptions of `generator_operands`
+    and `rll_operands`, or a closed solution with its hw vector: JS so(4)
+    and so(5) with 2l <= 3, JS sp(4) at 2l = 1 or a product of two so(4)
+    spinors.  That is changed covariantly (H + t eps Id or H + t G, which
+    keep every premise) or not (one block of H, or one G_ab whose x_ab is
+    no Chevalley generator, scaled), and decided on its cyclic span or on W.
+    """
+    source = draw(st.sampled_from(["generator", "rll", "closed"]))
+    if source != "closed":
+        lop, kind = draw(generator_operands() if source == "generator" else rll_operands())
+        return lop, None, kind
+    base = _central_base(draw(st.sampled_from(
+        [("so_even", 2, 1), ("so_even", 2, 2), ("so_even", 2, 3), ("so_odd", 2, 1),
+         ("so_odd", 2, 2), ("so_odd", 2, 3), ("sp", 2, 1), "product"])))
+    case, dim = base.case, base.dim
+    h, g, top = base.coeffs
+    kind = draw(st.sampled_from(["solution", "covariant", "non-covariant"]))
+    if kind == "covariant":
+        t = draw(nonzero)
+        h = opmat_add(h, metric_opmat(case, dim, t) if draw(st.booleans()) else opmat_scale(g, t))
+    elif kind == "non-covariant":
+        part = draw(st.sampled_from(["g"] * bool(_off_generator_keys(case, g)) + ["h"]))
+        mat = dict(g if part == "g" else h)
+        key = draw(st.sampled_from(_off_generator_keys(case, g) if part == "g" else sorted(h)))
+        mat[key] = mat[key].scale(draw(nonzero.filter(lambda s: s != 1)))
+        g, h = (mat, h) if part == "g" else (g, mat)
+    lop = LOperator(case, base.space, [h, g, top], hw_vector=base.hw_vector)
+    span = cyclic_span(lop, [lop.hw_vector]) if draw(st.booleans()) else None
+    return lop, span, kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(central_operands())
+def test_central_seed_verdicts_match_full_operators(drawn):
+    lop, span, kind = drawn
+    runs = [(lambda: check_chi3(lop), lambda: _reference_chi3(lop)),
+            (lambda: center_function(lop, span=span)[1], lambda: _reference_center(lop, span))]
+    if lop.order == 2:
+        runs.append((lambda: check_symmetric_constraints(lop, span=span),
+                     lambda: _reference_constraints(lop, span)))
+    for check, reference in runs:
+        rep = check()
+        assert (rep.passed, rep.scalars, rep.counterexample) == reference()
+        if kind in ("solution", "covariant"):  # every premise holds: S was compared
+            generators = rep.details["generators"]
+            assert "seeds" in generators or "span_seeds" in generators
+
+
+def test_central_checks_apply_thin_products(monkeypatch):
+    # no product inside constraints, chi3 or center has a right operand wider
+    # than n^2 |S|: a fall-back to dim x dim products (dim 50 > 36) shows here
+    lop = build_js_quadratic(make_case("so_even", 3), 3)
+    span = cyclic_span(lop, [lop.hw_vector])
+    premises = Premises(lop)
+    assert premises.central(scalar_top=True, invariant=True)[0] is not None
+    seeds = len(premises.seeds())
+    widths = []
+    matmul = SparseOp.__matmul__
+
+    def counting(a, b):
+        widths.append(b.ncols)
+        return matmul(a, b)
+
+    monkeypatch.setattr(SparseOp, "__matmul__", counting)
+    reports = [check_symmetric_constraints(lop, premises=premises),
+               check_symmetric_constraints(lop, span=span, premises=premises),
+               check_chi3(lop, premises=premises),
+               center_function(lop, premises=premises)[1],
+               center_function(lop, span=span, premises=premises)[1]]
+    assert all(rep.passed for rep in reports)
+    assert seeds == 1 and widths and max(widths) <= lop.case.n ** 2 * seeds < lop.dim
+    assert [rep.details["generators"] for rep in reports] == [
+        {"pairs": 6, "seeds": 1}, {"pairs": 6, "span_seeds": 1}, {"pairs": 6, "seeds": 1},
+        {"pairs": 6, "seeds": 1}, {"pairs": 6, "seeds": 1, "span_seeds": 1}]
+
+
+def test_central_premise_failures_named():
+    # truncated spaces keep the full path; a non-scalar top only stops the
+    # center, whose C(u) contains it, and a changed H stops constraints
+    heis = build_heisenberg_linear(make_case("so_even", 2), 1, max_degree=3)
+    assert center_function(heis)[1].details["generators"] == {"premise_failed": "closed"}
+    top = _top_scaled_once("so_odd", 2)
+    assert center_function(top)[1].details["generators"] == {"premise_failed": "scalar_top"}
+    assert check_chi3(top).details["generators"] == {"pairs": 4, "seeds": 2}
+    lop, operands = _js_so5_block_scaled("h", (-2, -2), Scalar(1, 0, 3))
+    bad_h = LOperator(lop.case, lop.space, [operands["h"], lop.g_mat, lop.coeffs[2]])
+    rep = check_symmetric_constraints(bad_h)
+    assert not rep.passed and rep.details["generators"] == {"premise_failed": "invariant"}
