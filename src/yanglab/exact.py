@@ -724,6 +724,42 @@ def clear_denominators(ops):
     return out, d
 
 
+def placed(blocks: dict, count: int, shape: tuple, across: bool = False, keep=None) -> SparseOp:
+    """The SparseOps {k: op}, k < count, all of `shape` (r, c), in one:
+    block k in rows k r .. k r + r - 1 (stacked) or, `across`, in columns
+    k c .. k c + c - 1 (side by side), with only its columns j in `keep`
+    (all when None).  So stacked B @ Y holds every B_k Y in its row blocks
+    and Y @ side-by-side B every Y B_k in its column blocks."""
+    (r, c), data = shape, {}
+    for k, op in blocks.items():
+        off = k * (c if across else r)
+        items = op.data.items() if keep is None else [e for e in op.data.items() if e[0][1] in keep]
+        if across:
+            data.update(((i, off + j), v) for (i, j), v in items)
+        else:
+            data.update(((off + i, j), v) for (i, j), v in items)
+    res = SparseOp(r, count * c) if across else SparseOp(count * r, c)
+    res.data = data
+    return res
+
+
+def axpy(acc: dict, c, data: dict) -> None:
+    """acc += c * data entrywise, dropping the entries that cancel."""
+    neg = c == -1
+    if not neg and c != 1:
+        data = {key: val * c for key, val in data.items()}
+    for key, val in data.items():
+        cur = acc.get(key)
+        if cur is None:
+            acc[key] = -val if neg else val
+        else:
+            tot = cur - val if neg else cur + val
+            if tot:
+                acc[key] = tot
+            else:
+                del acc[key]
+
+
 class VectorSpan:
     """Exact span of sparse vectors with incremental echelon insertion.
 

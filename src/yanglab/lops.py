@@ -85,67 +85,17 @@ def metric_opmat(case: CaseDescriptor, dim: int, scale=ONE) -> dict:
 
 
 def opmat_contract(a: dict, b: dict, pairing: dict) -> dict:
-    """(A . B)_rc = sum_d sign A[r, d] B[partner, c], {d: (partner, sign)}.
-
-    The B[partner, c] of each partner are placed side by side, so one
-    product A[r, d] @ (B[partner, c] for every c) gives every c of the
-    pair (r, d) at once.  Its blocks are added into the result in the order
-    of a per-block product loop (pairs of A in order, then the c in the
-    order of B), dropping a key whose sum cancels, so the result, key order
-    included, is that loop's: the builders' opmats, and through them the
-    vector order of `cyclic_span`, depend on it.
-    """
-    wides: dict = {}
+    """(A . B)_rc = sum_d sign A[r, d] B[partner, c], {d: (partner, sign)}."""
+    b_rows: dict = {}
     for (d, c), op in b.items():
-        wides.setdefault(d, []).append((c, op))
-    for d, blocks in wides.items():
-        wides[d] = ([c for c, _ in blocks], blocks[0][1].ncols, side_by_side(op for _, op in blocks))
-    out: dict = {}  # (r, c) -> {(i, j): entry}
-    nrows = ncols = 0
+        b_rows.setdefault(d, []).append((c, op))
+    out: dict = {}
     for (r, d), op_a in a.items():
         partner, sign = pairing[d]
-        if partner not in wides:
-            continue
-        cs, ncols, wide = wides[partner]
-        nrows = op_a.nrows
-        parts: dict = {}
-        for (i, col), v in (op_a @ wide).data.items():
-            q, j = divmod(col, ncols)
-            parts.setdefault(q, {})[i, j] = v if sign == 1 else -v
-        for q in sorted(parts):
-            key, part = (r, cs[q]), parts[q]
-            cur = out.get(key)
-            if cur is None:
-                out[key] = part
-                continue
-            for pos, v in part.items():
-                acc = cur.get(pos)
-                acc = v if acc is None else acc + v
-                if acc:
-                    cur[pos] = acc
-                else:
-                    del cur[pos]
-            if not cur:
-                del out[key]
-    return {key: _op(nrows, ncols, data) for key, data in out.items()}
-
-
-def _op(nrows: int, ncols: int, data: dict) -> SparseOp:
-    """A SparseOp on `data`, whose entries are already nonzero."""
-    op = SparseOp(nrows, ncols)
-    op.data = data
-    return op
-
-
-def side_by_side(ops) -> SparseOp:
-    """SparseOps of one shape placed side by side: op k in columns
-    k w .. k w + w - 1, w the common column count."""
-    data, nrows, k, w = {}, 0, 0, 0
-    for k, op in enumerate(ops):
-        nrows, w, off = op.nrows, op.ncols, k * op.ncols
-        for (i, j), v in op.data.items():
-            data[i, off + j] = v
-    return _op(nrows, (k + 1) * w, data)
+        for c, op_b in b_rows.get(partner, ()):
+            prod = op_a @ op_b
+            opmat_acc(out, (r, c), prod if sign == 1 else -prod)
+    return out
 
 
 def opmat_apply(a: dict, basis: SparseOp) -> dict:

@@ -4,7 +4,7 @@ the Lie, adjoint and W relations.
 
 The engine and the kernel work on operator matrices by their blocks on W
 and read every block product off two SparseOp products: one operand's
-blocks stacked (`_stacked`) times the other's side by side, and the other
+blocks stacked (`exact.placed`) times the other's side by side, and the other
 way round.  The engine places those entries at their flat (V x V) x W
 indices, where I, P and K act; no other module knows that flat layout.
 The kernel compares the relations of G_ab and X_cd on every first-slot
@@ -39,8 +39,10 @@ from .exact import (
     Scalar,
     SparseOp,
     UniPoly,
+    axpy,
     clear_denominators,
     common_denominator,
+    placed,
 )
 
 FAMILIES = ("so_even", "so_odd", "sp")
@@ -189,36 +191,10 @@ def fundamental_r(case: CaseDescriptor, flip_k: bool = False) -> RMatrix:
 
 
 def _stacked(blocks: dict, count: int, dim_w: int, keep) -> tuple:
-    """(tall, wide): the blocks {k: SparseOp on W}, k < count, stacked, block
-    k in rows k dim_w .. k dim_w + dim_w - 1, and side by side, block k in
-    those columns with only its columns j in `keep`.  So tall @ Y holds
-    every B_k Y in its row blocks and Y @ wide every Y B_k in its column
-    blocks."""
-    tall, wide = {}, {}
-    for k, op in blocks.items():
-        off = k * dim_w
-        for (i, j), v in op.data.items():
-            tall[(off + i, j)] = v
-            if j in keep:
-                wide[(i, off + j)] = v
-    return SparseOp(count * dim_w, dim_w, tall), SparseOp(dim_w, count * dim_w, wide)
-
-
-def _axpy(acc: dict, c, data: dict) -> None:
-    """acc += c * data entrywise, dropping the entries that cancel."""
-    neg = c == -1
-    if not neg and c != 1:
-        data = {key: val * c for key, val in data.items()}
-    for key, val in data.items():
-        cur = acc.get(key)
-        if cur is None:
-            acc[key] = -val if neg else val
-        else:
-            tot = cur - val if neg else cur + val
-            if tot:
-                acc[key] = tot
-            else:
-                del acc[key]
+    """(tall, wide): the square blocks {k: SparseOp on W} `placed` stacked,
+    and side by side with only their columns in `keep`."""
+    shape = (dim_w, dim_w)
+    return placed(blocks, count, shape), placed(blocks, count, shape, across=True, keep=keep)
 
 
 def _k_apply(k, data: dict, dim_w: int, left: bool) -> dict:
@@ -333,16 +309,16 @@ def identity_residual(ipk, coeffs, n: int, dim_w: int, cols, k=None):
             diffs = {}
             for x in used:
                 diffs[x] = actions[x][0](left)
-                _axpy(diffs[x], -1, actions[x][1](right))
+                axpy(diffs[x], -1, actions[x][1](right))
             for t, t_terms in enumerate(terms):
                 diff: dict = {}
                 for f, x in t_terms:
-                    _axpy(diff, f, diffs[x])
+                    axpy(diff, f, diffs[x])
                 for p in range(t + 1 if t_terms else 0):
                     key = (i + p, j + t - p)
                     keys.add(key)
                     if diff:
-                        _axpy(residual.setdefault(key, {}), (-1) ** (t - p) * comb(t, p), diff)
+                        axpy(residual.setdefault(key, {}), (-1) ** (t - p) * comb(t, p), diff)
     return {key: {pos: _divide(v, den) for pos, v in entries.items()}
             for key, entries in residual.items() if entries}, len(keys)
 

@@ -48,8 +48,8 @@ The central checks (the linear constraint, the four constraint scalars,
 chi3 and the center) apply each left side right to left to the columns
 of one basis SparseOp, and decide M_ab = c eps_ab Id on the images
 through one routine (`scalar_images`; c is read off the first diagonal
-key, or is 0 for chi3 and the center commutator).  On seed columns
-G o G, G^t o H and C(u) are never formed as operators.  On a closed
+key, or is 0 for chi3 and the center commutator), so G o G, G^t o H
+and C(u) are never formed as operators.  On a closed
 space whose premises hold (`Premises`: G symmetric and a representation
 and, where the check needs them, H invariant and the top coefficient
 scalar), every left side is a covariant family, so the kernel of
@@ -67,21 +67,21 @@ one record between the checks of a run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
-from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly
+from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly, placed
 from .lops import (
     LOperator,
     generating_set,
+    opmat_acc,
     opmat_add,
     opmat_apply,
     opmat_mul,
     opmat_mul_tt,
-    opmat_poly_mul,
     opmat_poly_subs,
     opmat_scale,
     opmat_sub,
     opmat_transpose,
-    side_by_side,
 )
 from .structure import (
     YANG_GL2_IPK,
@@ -669,22 +669,14 @@ def _casimir(case: CaseDescriptor, g: dict, y: dict) -> dict:
     keys = list(y)
     if not keys:
         return {}
-    x, width = side_by_side(y[key] for key in keys), y[keys[0]].ncols
-    dim, pos = x.nrows, {key: p for p, key in enumerate(g)}
-    tall, wide = {}, {}
-    for (r, d), op in g.items():  # the term G[r, d] G[-d, -r], a = -r
-        off = pos[r, d] * dim
-        for (i, j), v in op.data.items():
-            tall[off + i, j] = v
-        p = pos.get((-d, -r))
-        if p is not None:
-            sign = Scalar(case.sign(r) * case.sign(-d), 0, 2)
-            for (i, j), v in op.data.items():
-                wide[i, p * dim + j] = v * sign
-    sigma_x = (SparseOp(dim, len(pos) * dim, wide)
-               @ (SparseOp(len(pos) * dim, dim, tall) @ x))
+    dim, width = y[keys[0]].nrows, y[keys[0]].ncols
+    x = placed(dict(enumerate(y[key] for key in keys)), len(keys), (dim, width), across=True)
+    pos = {key: p for p, key in enumerate(g)}  # the term G[r, d] G[-d, -r], a = -r
+    tall = placed({pos[key]: op for key, op in g.items()}, len(pos), (dim, dim))
+    wide = placed({pos[-d, -r]: op.scale(Scalar(case.sign(r) * case.sign(-d), 0, 2))
+                   for (r, d), op in g.items() if (-d, -r) in pos}, len(pos), (dim, dim), across=True)
     out: dict = {}
-    for (i, col), v in sigma_x.data.items():
+    for (i, col), v in (wide @ (tall @ x)).data.items():
         k, j = divmod(col, width)
         out.setdefault(keys[k], {})[i, j] = v
     return {key: SparseOp(dim, width, data) for key, data in out.items()}
@@ -741,15 +733,17 @@ def check_chi3(lop: LOperator, g: dict | None = None, premises=None) -> CheckRep
 # the center generating function
 
 
-def _center_on(lop: LOperator, comm_basis: SparseOp, basis: SparseOp, thin: bool):
+def _center_on(lop: LOperator, comm_basis: SparseOp | None, basis: SparseOp):
     """(c, bad): the center decided right to left, the commutators on the
-    columns of `comm_basis` and the coefficients of C(u) on `basis`.
+    columns of `comm_basis` (skipped when it is None) and the coefficients
+    of C(u) on `basis`.
 
     C_k @ B = sum_(i+j=k) shifted_i *tt (L_j @ B), and the commutator is
-    [C_k, L_j] @ B = C_k o (L_j @ B) - L_j o (C_k @ B).  On `thin` bases
+    [C_k, L_j] @ B = C_k o (L_j @ B) - L_j o (C_k @ B), with
     C_k o Y = sum_(i+i'=k) shifted_i *tt (L_i' o Y) (the contractions are
     associative), so every product has a right operand of the basis's
-    width; on every column, C(u) formed once as operators costs less.
+    width.  Each term is formed when the scan first needs it and kept, so a
+    refutation forms little more than the terms it compared.
     bad = (where, (key, residual)) names the first failure, commutators
     first.
     """
@@ -757,29 +751,32 @@ def _center_on(lop: LOperator, comm_basis: SparseOp, basis: SparseOp, thin: bool
     shifted = opmat_poly_subs(coeffs, ONE, -case.beta)
     size = len(shifted) + len(coeffs) - 1
 
-    def c_on(images):  # [C_k @ B] from [L_j @ B]
-        out = opmat_poly_mul(shifted, images, lambda x, y: opmat_mul_tt(case, x, y))
-        return out + [{} for _ in range(size - len(out))]
+    def c_on(images, k):  # C_k @ B from the images [L_j @ B], formed on demand
+        out: dict = {}
+        for i in range(max(0, k - len(coeffs) + 1), min(k + 1, len(shifted))):
+            for key, op in opmat_mul_tt(case, shifted[i], images(k - i)).items():
+                opmat_acc(out, key, op)
+        return out
 
-    lb = [opmat_apply(mat, comm_basis) for mat in coeffs]
-    if thin:
-        cb = c_on(lb)
-        c_lb = [c_on([opmat_mul(case, mat, y) for mat in coeffs]) for y in lb]
-    else:
-        c_ops = c_on(list(coeffs))
-        cb = [opmat_apply(cm, comm_basis) for cm in c_ops]
-        c_lb = [[opmat_mul(case, cm, y) for cm in c_ops] for y in lb]
-    for k1 in range(size):
-        for k2, mat in enumerate(coeffs):
-            comm = opmat_sub(c_lb[k2][k1], opmat_mul(case, mat, cb[k1]))
-            ok, _, bad = scalar_images(case, comm, comm_basis, ZERO)
-            if not ok:
-                return None, (("commutator", k1, k2), bad)
+    def images_on(b):  # ([L_j @ B], k -> C_k @ B)
+        lb = [opmat_apply(mat, b) for mat in coeffs]
+        return lb, cache(lambda k: c_on(lb.__getitem__, k))
+
+    if comm_basis is not None:
+        lb, cb = images_on(comm_basis)
+        ll = cache(lambda i, j: opmat_mul(case, coeffs[i], lb[j]))  # L_i o (L_j @ B)
+        for k1 in range(size):
+            for k2, mat in enumerate(coeffs):
+                c_lb = c_on(lambda i: ll(i, k2), k1)
+                comm = opmat_sub(c_lb, opmat_mul(case, mat, cb(k1)))
+                ok, _, bad = scalar_images(case, comm, comm_basis, ZERO)
+                if not ok:
+                    return None, (("commutator", k1, k2), bad)
     if basis is not comm_basis:
-        cb = c_on([opmat_apply(mat, basis) for mat in coeffs])
+        _, cb = images_on(basis)
     values = []
-    for k, images in enumerate(cb):
-        ok, value, bad = scalar_images(case, images, basis)
+    for k in range(size):
+        ok, value, bad = scalar_images(case, cb(k), basis)
         if not ok:
             return None, (("coeff", k), bad)
         values.append(value)
@@ -808,9 +805,11 @@ def center_function(lop: LOperator, span=None, premises=None):
     C_i - c_i eps Id; the kernels are G-stable, so the commutators are
     decided on a set that generates W under the Chevalley blocks G_p and
     the coefficients on one that generates the module (W, or the span).
-    A failed premise, or a violation there, reruns both on every safe
-    column (or span vector).  `details.generators` records the pairs and
-    seeds (`span_seeds` with a span), or the failed premise.
+    A failed premise, or a commutator violation there, reruns both on
+    every safe column (or span vector); after a coefficient violation
+    only the coefficients are rerun, the commutators having held on W.
+    `details.generators` records the pairs and seeds (`span_seeds` with
+    a span), or the failed premise.
     """
     b = lop.entry_budget
     comm_basis, _ = _module_basis(lop, 3 * b)
@@ -824,9 +823,11 @@ def center_function(lop: LOperator, span=None, premises=None):
     if pairs is not None:
         seeds = _seed_basis(lop, premises, None, details["generators"])
         on = seeds if span is None else _seed_basis(lop, premises, span, details["generators"])
-        c, bad = _center_on(lop, seeds, on, thin=True)
+        c, bad = _center_on(lop, seeds, on)
+        if c is None and bad[0][0] == "coeff":  # the commutators held on the seeds, so on W
+            comm_basis = None
     if c is None:
-        c, bad = _center_on(lop, comm_basis, basis, thin=False)
+        c, bad = _center_on(lop, comm_basis, basis)
     if c is None:
         where, (key, val) = bad
         return UniPoly(), CheckReport("center", False, details=details,

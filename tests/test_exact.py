@@ -15,9 +15,11 @@ from yanglab.exact import (
     Scalar,
     SparseOp,
     UniPoly,
+    axpy,
     clear_denominators,
     common_denominator,
     nullspace,
+    placed,
     poly_eval,
     rational_roots,
     reduce_ratio,
@@ -171,6 +173,35 @@ def test_sparse_op_associativity_randomized():
             return SparseOp(4, 4, data)
         a, b, c = rnd_op(), rnd_op(), rnd_op()
         assert (a @ b) @ c == a @ (b @ c)
+
+
+def test_placed_blocks_read_off_block_products():
+    rng = random.Random(7)
+    blocks = {k: SparseOp(2, 3, {(rng.randrange(2), rng.randrange(3)): rnd_scalar(rng)
+                                 for _ in range(4)}) for k in (0, 2)}
+    y = SparseOp(3, 2, {(i, j): rnd_scalar(rng) for i in range(3) for j in range(2)})
+    z = SparseOp(2, 2, {(i, j): rnd_scalar(rng) for i in range(2) for j in range(2)})
+    tall = placed(blocks, 3, (2, 3))
+    assert (tall.nrows, tall.ncols) == (6, 3)
+    rows = (tall @ y).data
+    for k, op in blocks.items():  # row block k of tall @ Y is B_k @ Y
+        assert {(i - 2 * k, j): v for (i, j), v in rows.items() if i // 2 == k} == (op @ y).data
+    assert not any(i // 2 == 1 for i, _ in rows)
+    wide = placed(blocks, 3, (2, 3), across=True, keep={0, 2})
+    assert (wide.nrows, wide.ncols) == (2, 9)
+    cols = (z @ wide).data
+    for k, op in blocks.items():  # column block k of Z @ wide is Z @ B_k on `keep`
+        assert ({(i, j - 3 * k): v for (i, j), v in cols.items() if j // 3 == k}
+                == (z @ op.restrict_cols({0, 2})).data)
+    assert not any(j // 3 == 1 for _, j in cols)
+
+
+def test_axpy_drops_cancelling_entries():
+    acc = {(0, 0): Scalar(2), (0, 1): Scalar(1)}
+    axpy(acc, -1, {(0, 0): Scalar(2), (1, 1): Scalar(3)})
+    assert acc == {(0, 1): Scalar(1), (1, 1): Scalar(-3)}
+    axpy(acc, Scalar(1, 0, 3), {(1, 1): Scalar(9)})
+    assert acc == {(0, 1): Scalar(1)}
 
 
 def test_clear_denominators_to_ints_and_back():
