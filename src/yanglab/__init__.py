@@ -2,7 +2,7 @@
 
 Library layout
 --------------
-exact      scalars over Q(sqrt2), exact polynomials, sparse matrices
+exact      rational scalars, exact polynomials, sparse matrices
 structure  case descriptors, invariant metric, fundamental R-matrix, YBE check
 spaces     explicit representation spaces and generator operators
 lops       constructions of linear and quadratic L-operators

@@ -1,9 +1,12 @@
-"""Exact arithmetic over the quadratic field Q(sqrt 2).
+"""Exact rational arithmetic.
 
-A scalar is stored as (p + q*sqrt2) / r with integers p, q and r >= 1,
-gcd(p, q, r) == 1.  All operations are closed, equality is exact and
-nothing here ever touches floating point; tolerance for every comparison
-in this package is therefore literally zero.
+A scalar is a rational p / r stored with integers p and r >= 1,
+gcd(p, r) == 1.  All operations are closed, equality is exact and nothing
+here ever touches floating point; tolerance for every comparison in this
+package is therefore literally zero.  Every construction of the package
+is rational: the two whose textbook form has irrational entries (the
+so(2m+1) spinor and the so(3) fusion) are built in a basis where every
+entry is rational (see `spaces.spinor_space` and `lops.fuse_so3_from_gl2`).
 
 Polynomials come in two flavours:
 
@@ -16,10 +19,11 @@ SparseOp is a minimal exact sparse matrix ({(row, col): Scalar} plus
 explicit dimensions).  It is deliberately dumb: no fill-in heuristics,
 no reordering, just exact dict arithmetic.  Everything is immutable in
 practice (ops build new objects), so values can be shared freely.
-Entries may also be plain ints: `clear_denominators` turns rational
-operators into integer ones times a known 1/D, which the identity engine
-multiplies and accumulates without normalizing a Scalar per operation.
-Zero tests use truthiness, so every method works on either entry type.
+Entries may also be plain ints: `clear_denominators` turns operators into
+integer ones times a known 1/D, which the identity engine and the block
+kernel multiply and accumulate without normalizing a Scalar per
+operation.  Zero tests use truthiness, so every method works on either
+entry type.
 
 VectorSpan is the one exact elimination: sparse rows in echelon form,
 grown one vector at a time.  Cyclic spans, coordinates on a submodule and
@@ -33,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 NEG_INF = float("-inf")  # degree sentinel for the zero polynomial
-_SCALAR_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?:([+-])([0-9]+)(?:/([0-9]+))?\*s2)?")
+_SCALAR_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 # ---------------------------------------------------------------------------
@@ -41,23 +45,27 @@ _SCALAR_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?:([+-])([0-9]+)(?:/([0-9]
 
 
 class Scalar:
-    """Element (p + q*sqrt2)/r of Q(sqrt2), canonically normalized."""
+    """Rational p/r, canonically normalized.
 
-    __slots__ = ("p", "q", "r")
+    The constructor keeps the positional shape Scalar(p, q, r) of its
+    callers (`Scalar(1, 0, 2)` is 1/2); q must be 0.
+    """
+
+    __slots__ = ("p", "r")
 
     def __new__(cls, p=0, q=0, r=1):
+        if q:
+            raise ValueError("a Scalar is rational: q must be 0")
         if r == 0:
             raise ZeroDivisionError("scalar with zero denominator")
         if r < 0:
-            p, q, r = -p, -q, -r
-        g = gcd(gcd(p, q), r)
+            p, r = -p, -r
+        g = gcd(p, r)
         if g > 1:
             p //= g
-            q //= g
             r //= g
         self = object.__new__(cls)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
         return self
 
@@ -80,87 +88,68 @@ class Scalar:
 
     @classmethod
     def from_string(cls, text: str) -> "Scalar":
-        """Parse 'a', 'a/b', 'a+c*s2' or 'a/b+c/d*s2' ('-' for either sign).
+        """Parse 'a' or 'a/b' (a signed, b positive).
 
-        This is exactly the form `to_string` emits, with optional
-        denominators and surrounding blanks; anything else is a ValueError.
+        This is exactly the form `to_string` emits, with an optional
+        denominator and surrounding blanks; anything else is a ValueError.
         """
         match = _SCALAR_RE.fullmatch(text.strip())
         if match is None:
-            raise ValueError(f"not a scalar a[/b][(+|-)c[/d]*s2]: {text!r}")
-        a, b, sign, c, d = match.groups()
-        b, d = int(b or 1), int(d or 1)
-        if b == 0 or d == 0:
+            raise ValueError(f"not a scalar a[/b]: {text!r}")
+        a, b = match.groups()
+        if b is not None and int(b) == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        rat = Fraction(int(a), b)
-        rad = Fraction(int(sign + c) if c else 0, d)
-        den = rat.denominator * rad.denominator // gcd(rat.denominator, rad.denominator)
-        return cls(rat.numerator * (den // rat.denominator),
-                   rad.numerator * (den // rad.denominator), den)
+        return cls(int(a), 0, int(b or 1))
 
     # predicates and parts ----------------------------------------------------
 
     def __bool__(self):
-        return self.p != 0 or self.q != 0
+        return self.p != 0
 
     @property
     def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
+        return self.p == 0
 
     def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError(f"{self} carries a sqrt2 component")
         return Fraction(self.p, self.r)
 
     # arithmetic ---------------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, int):
-            return Scalar(self.p + other * self.r, self.q, self.r)
+            return Scalar(self.p + other * self.r, 0, self.r)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return Scalar(self.p * other.r + other.p * self.r,
-                      self.q * other.r + other.q * self.r,
-                      self.r * other.r)
+        return Scalar(self.p * other.r + other.p * self.r, 0, self.r * other.r)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.p, -self.q, self.r)
+        return Scalar(-self.p, 0, self.r)
 
     def __sub__(self, other):
         if isinstance(other, int):
-            return Scalar(self.p - other * self.r, self.q, self.r)
+            return Scalar(self.p - other * self.r, 0, self.r)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return Scalar(self.p * other.r - other.p * self.r,
-                      self.q * other.r - other.q * self.r,
-                      self.r * other.r)
+        return Scalar(self.p * other.r - other.p * self.r, 0, self.r * other.r)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Scalar(self.p * other, self.q * other, self.r)
+            return Scalar(self.p * other, 0, self.r)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return Scalar(self.p * other.p + 2 * self.q * other.q,
-                      self.p * other.q + self.q * other.p,
-                      self.r * other.r)
+        return Scalar(self.p * other.p, 0, self.r * other.r)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
-        # 1/((p + q*s2)/r) = r (p - q*s2) / (p^2 - 2 q^2)
-        norm = self.p * self.p - 2 * self.q * self.q
-        if norm == 0:
+        if self.p == 0:
             raise ZeroDivisionError("scalar has no inverse")
-        return Scalar(self.r * self.p, -self.r * self.q, norm)
+        return Scalar(self.r, 0, self.p)
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -176,15 +165,13 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.r == 1 and self.q == 0 and self.p == other
+            return self.r == 1 and self.p == other
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.p == other.p and self.q == other.q and self.r == other.r
+        return self.p == other.p and self.r == other.r
 
     def __hash__(self):
-        if self.q == 0:
-            return hash(Fraction(self.p, self.r))
-        return hash((self.p, self.q, self.r))
+        return hash(Fraction(self.p, self.r))
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -193,20 +180,12 @@ class Scalar:
         return self.to_string()
 
     def to_string(self) -> str:
-        rat = Fraction(self.p, self.r)
-        rad = Fraction(self.q, self.r)
-        out = f"{rat.numerator}/{rat.denominator}"
-        if rad:
-            sign = "+" if rad > 0 else "-"
-            rad = abs(rad)
-            out += f"{sign}{rad.numerator}/{rad.denominator}*s2"
-        return out
+        return f"{self.p}/{self.r}"
 
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
 HALF = Scalar(1, 0, 2)
-SQRT2 = Scalar(0, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +193,7 @@ SQRT2 = Scalar(0, 1, 1)
 
 
 class UniPoly:
-    """Dense exact polynomial in u over Q(sqrt2), ascending coefficients."""
+    """Dense exact polynomial in u over Q, ascending coefficients."""
 
     __slots__ = ("coeffs",)
 
@@ -417,15 +396,12 @@ def _divisors(n: int):
 def rational_roots(p: UniPoly):
     """All rational roots of p with multiplicities, plus the unfactored rest.
 
-    Coefficients must be free of sqrt2 components.  Returns a dict
-    {root Scalar: multiplicity} and the remainder polynomial left after
-    dividing out every (u - root) factor (a constant when p splits).
+    Returns a dict {root Scalar: multiplicity} and the remainder
+    polynomial left after dividing out every (u - root) factor (a constant
+    when p splits).
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    for c in p.coeffs:
-        if not c.is_rational:
-            raise ValueError("coefficients carry a sqrt2 component")
     roots: dict[Scalar, int] = {}
     work = p
     # roots at zero first
@@ -438,11 +414,8 @@ def rational_roots(p: UniPoly):
     if work.degree == 0:
         return roots, work
     # integerize and enumerate candidates num/den with num | a0, den | a_top
-    denoms = 1
-    for c in work.coeffs:
-        f = c.as_fraction()
-        denoms = denoms * f.denominator // gcd(denoms, f.denominator)
-    ints = [int(c.as_fraction() * denoms) for c in work.coeffs]
+    denoms = common_denominator(work.coeffs)
+    ints = [c.p * (denoms // c.r) for c in work.coeffs]
     candidates = set()
     for num in _divisors(ints[0]):
         for den in _divisors(ints[-1]):
@@ -552,7 +525,7 @@ class BiPoly:
 
 
 class SparseOp:
-    """Exact sparse matrix over Q(sqrt2) with explicit dimensions."""
+    """Exact sparse matrix over Q with explicit dimensions."""
 
     __slots__ = ("nrows", "ncols", "data")
 
@@ -654,11 +627,6 @@ class SparseOp:
         res.data = out
         return res
 
-    def transpose(self) -> "SparseOp":
-        res = SparseOp(self.ncols, self.nrows)
-        res.data = {(j, i): v for (i, j), v in self.data.items()}
-        return res
-
     def kron(self, other: "SparseOp") -> "SparseOp":
         res = SparseOp(self.nrows * other.nrows, self.ncols * other.ncols)
         data = {}
@@ -698,24 +666,16 @@ class SparseOp:
 
 
 def common_denominator(values):
-    """lcm of the denominators of Scalars, or None if one carries sqrt2."""
-    dens = set()
-    for v in values:
-        if v.q:
-            return None
-        dens.add(v.r)
-    return lcm(*dens)
+    """lcm of the denominators of Scalars (1 for none)."""
+    return lcm(*{v.r for v in values})
 
 
 def clear_denominators(ops):
     """(int_ops, d): the SparseOps `ops` times d, with plain int entries.
 
     d is the lcm of every entry's denominator, so int_ops / d == ops.
-    If an entry carries sqrt2 the ops come back unchanged with d = 1.
     """
     d = common_denominator(v for op in ops for v in op.data.values())
-    if d is None:
-        return list(ops), 1
     out = []
     for op in ops:
         res = SparseOp(op.nrows, op.ncols)
@@ -818,7 +778,7 @@ class VectorSpan:
 
 
 def nullspace(rows, ncols: int):
-    """Exact nullspace basis of a stacked row list over Q(sqrt2).
+    """Exact nullspace basis of a stacked row list over Q.
 
     `rows` is an iterable of {col: Scalar} sparse rows.  Returns one dense
     coefficient list per non-pivot column fc of the echelon form, with a

@@ -124,10 +124,6 @@ def opmat_transpose(a: dict) -> dict:
     return {(b, c): op for (c, b), op in a.items()}
 
 
-def opmat_entry(a: dict, key, dim: int) -> SparseOp:
-    return a.get(key, SparseOp.zeros(dim, dim))
-
-
 def opmat_poly_subs(coeffs, a, b) -> list:
     """Coefficients of M(a*u + b) from coefficients of M(u)."""
     a, b = Scalar.of(a), Scalar.of(b)
@@ -202,11 +198,6 @@ class LOperator:
         if self.order != 2:
             raise ValueError("H is defined for quadratic evaluation only")
         return self.coeffs[0]
-
-    def entry_poly_on_vector(self, a: int, b: int, vec: dict):
-        """[coefficient vectors] of L_ab(u) applied to a state vector."""
-        dim = self.dim
-        return [opmat_entry(c, (a, b), dim).apply(vec) for c in self.coeffs]
 
     def summary(self) -> dict:
         return {
@@ -320,15 +311,18 @@ def restrict_to_submodule(lop: LOperator, span) -> LOperator:
 
 
 def build_spinorial_linear(case: CaseDescriptor, trunc: int = 6) -> LOperator:
-    """L_ab(u) = u eps_ab + G_ab with G_ab = (eps/2) eps_ab - c_a c_b."""
+    """L_ab(u) = u eps_ab + G_ab with G_ab = (eps/2) eps_ab - c_a c_b, or
+    G_ab = (1/2) eps_ab - (1/2) c_a c_b on the rational so(2m+1) frame of
+    `spinor_space`, whose generators square to twice the textbook ones."""
     space, gens = spinor_space(case, trunc)
     dim = space.dim
     g = metric_opmat(case, dim, Scalar(case.eps, 0, 2))
+    weight = Scalar(-1, 0, 2) if case.has_zero else -ONE
     for a in case.indices:
         for b in case.indices:
             prod = gens.c(a) @ gens.c(b)
             if not prod.is_zero:
-                opmat_acc(g, (a, b), -prod)
+                opmat_acc(g, (a, b), prod.scale(weight))
     budget = 0 if case.eps == 1 else 2
     return LOperator(case, space, [g, metric_opmat(case, dim)],
                      entry_budget=budget, kind="spinor", params={"trunc": trunc},
@@ -456,23 +450,23 @@ def js_highest_vector(case: CaseDescriptor, layer: RepSpace, two_l: int) -> dict
 # quadratic evaluation: product of two linear factors
 
 
-def tensor_product_space(s1: RepSpace, s2: RepSpace) -> RepSpace:
+def tensor_product_space(first: RepSpace, second: RepSpace) -> RepSpace:
     labels, grade, headroom = [], [], []
-    limited = (s1.trunc is not None) or (s2.trunc is not None)
-    for i1, l1 in enumerate(s1.labels):
-        h1 = None if s1.trunc is None else s1.trunc - s1.grade[i1]
-        for i2, l2 in enumerate(s2.labels):
-            h2 = None if s2.trunc is None else s2.trunc - s2.grade[i2]
+    limited = (first.trunc is not None) or (second.trunc is not None)
+    for i1, l1 in enumerate(first.labels):
+        h1 = None if first.trunc is None else first.trunc - first.grade[i1]
+        for i2, l2 in enumerate(second.labels):
+            h2 = None if second.trunc is None else second.trunc - second.grade[i2]
             labels.append((l1, l2))
-            grade.append(s1.grade[i1] + s2.grade[i2])
+            grade.append(first.grade[i1] + second.grade[i2])
             if limited:
                 hs = [h for h in (h1, h2) if h is not None]
                 headroom.append(min(hs))
     if not limited:
-        return RepSpace(f"{s1.name}*{s2.name}", labels, grade)
+        return RepSpace(f"{first.name}*{second.name}", labels, grade)
     # encode the combined headroom through an artificial grade/trunc pair
     top = max(headroom)
-    space = RepSpace(f"{s1.name}*{s2.name}", labels,
+    space = RepSpace(f"{first.name}*{second.name}", labels,
                      [top - h for h in headroom], trunc=top)
     return space
 
@@ -571,10 +565,6 @@ class Gl2Operator:
         """
         return self.eigen_a().reflect(), self.eigen_d().reflect()
 
-    def coeff_entry(self, k, alpha, beta) -> SparseOp:
-        dim = self.space.dim
-        return self.coeffs[k].get((alpha, beta), SparseOp.zeros(dim, dim))
-
 
 GL2_PAIRING = {1: (1, 1), 2: (2, 1)}  # the trivial metric: ordinary 2x2 products
 
@@ -604,10 +594,10 @@ def build_gl2_js_chain(chain) -> Gl2Operator:
     return Gl2Operator(space, acc, shifts, exc, hw_index)
 
 
-GAMMA = {
-    -1: {(2, 1): Scalar(0, 1, 1)},          # sqrt2 E_21
+GAMMA = {  # the so(3) gammas in the torus frame of `fuse_so3_from_gl2`
+    -1: {(2, 1): Scalar(2)},                # 2 E_21
     0: {(1, 1): ONE, (2, 2): -ONE},         # diag(1, -1)
-    1: {(1, 2): Scalar(0, 1, 1)},           # sqrt2 E_12
+    1: {(1, 2): ONE},                       # E_12
 }
 
 
@@ -619,6 +609,12 @@ def fuse_so3_from_gl2(gl2: Gl2Operator):
     and qdet is the eigen-polynomial of the quantum determinant on the
     highest monomial; Lhat = qdet * (the rational fused operator), so all
     entries are polynomial and the RLL relation holds for Lhat verbatim.
+
+    The textbook gammas r E_21, diag(1, -1), r E_12 (r = 2^(1/2)) are
+    taken in the torus frame L_ab -> t_a t_b L_ab, t_1 = 1/r, t_0 = 1,
+    t_-1 = r, which makes `GAMMA` rational.  t_a t_-a = 1, so the torus
+    element commutes with I, P and K on V x V: RLL still holds, and the
+    diagonal entries L_{a,-a}, hence the weight functions, are unchanged.
     """
     case = make_case("so_odd", 1)
     space = gl2.space
@@ -645,15 +641,15 @@ def fuse_so3_from_gl2(gl2: Gl2Operator):
                 for j, am in enumerate(adj):
                     acc = None
                     # trace of gamma_a Lg gamma_b adj
-                    for (d1, al), s1 in ga.items():
-                        for (be, ga2), s2 in gb.items():
+                    for (d1, al), sa in ga.items():
+                        for (be, ga2), sb in gb.items():
                             op1 = lm.get((al, be))
                             if op1 is None:
                                 continue
                             op2 = am.get((ga2, d1))
                             if op2 is None:
                                 continue
-                            term = (op1 @ op2).scale(s1 * s2 * half)
+                            term = (op1 @ op2).scale(sa * sb * half)
                             acc = term if acc is None else acc + term
                     if acc is not None and not acc.is_zero:
                         opmat_acc(out[i + j], (a, b), acc)

@@ -22,8 +22,6 @@ from math import comb
 from .exact import ONE, ZERO, Scalar, SparseOp
 from .structure import CaseDescriptor
 
-SQRT2_INV = Scalar(0, 1, 2)  # 1/sqrt2 = sqrt2/2
-
 
 class RepSpace:
     """Finite ordered basis with grading and optional truncation window."""
@@ -130,11 +128,19 @@ def spinor_space(case: CaseDescriptor, trunc: int = 6):
     """Space carrying the c_a generators.
 
     Orthogonal families: fermionic Fock space over m modes, dimension 2^m,
-    exact (no truncation); for so(2m+1) the extra generator c_0 is
-    (1/sqrt2) * (-1)^F.  Symplectic generators obey canonical commutation
-    relations, which admit no finite-dimensional representation, so the
-    bosonic Fock space is truncated at total occupation `trunc` and the
-    relations hold on the safe subspace.
+    exact (no truncation), with c_a c_b + c_b c_a = eps_ab.  so(2m+1) adds
+    c_0 = (-1)^F / r, r = 2^(1/2), and is built in the rational frame
+    c'_a = r T c_a T^-1 with T = diag(r^parity): c'_0 = (-1)^F, and
+    c'_{+-i} is c_{+-i} with its entries that land in odd-parity states
+    doubled.  So c'_a c'_b + c'_b c'_a = 2 eps_ab, and
+    G = (1/2) eps_ab - (1/2) c'_a c'_b (`build_spinorial_linear`) is
+    T G T^-1: every identity holds as before, and since the vacuum has
+    even parity, so does every eigenvalue on it.
+
+    Symplectic generators obey canonical commutation relations, which
+    admit no finite-dimensional representation, so the bosonic Fock space
+    is truncated at total occupation `trunc` and the relations hold on the
+    safe subspace.
     """
     m = case.m
     if case.eps == 1:
@@ -148,6 +154,8 @@ def spinor_space(case: CaseDescriptor, trunc: int = 6):
             create, annih = {}, {}
             for s in labels:
                 phase = ONE if bin(s & low).count("1") % 2 == 0 else -ONE
+                if case.has_zero and grade[s] % 2 == 0:  # lands in an odd state
+                    phase = phase * 2
                 if not s & bit:
                     create[(s | bit, s)] = phase
                 else:
@@ -155,8 +163,7 @@ def spinor_space(case: CaseDescriptor, trunc: int = 6):
             ops[("c", i)] = SparseOp(space.dim, space.dim, create)
             ops[("c", -i)] = SparseOp(space.dim, space.dim, annih)
         if case.has_zero:
-            parity = {(s, s): (SQRT2_INV if grade[s] % 2 == 0 else -SQRT2_INV)
-                      for s in labels}
+            parity = {(s, s): (ONE if grade[s] % 2 == 0 else -ONE) for s in labels}
             ops[("c", 0)] = SparseOp(space.dim, space.dim, parity)
         return space, GeneratorSet(case, space, ops)
 

@@ -28,7 +28,7 @@ conventions (the sign matters in the symplectic case).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby, product
+from itertools import groupby
 from math import comb
 from operator import itemgetter
 
@@ -248,8 +248,7 @@ def identity_residual(ipk, coeffs, n: int, dim_w: int, cols, k=None):
     The residual is linear in R's coefficients and quadratic in L, so L
     and f_X are first multiplied by the lcm of their denominators (D, Dr)
     and the loop runs on plain ints; only the surviving residual entries
-    are divided by D^2 Dr, at return.  An operand carrying sqrt2 keeps
-    its Scalar entries (and a factor 1).
+    are divided by D^2 Dr, at return.
 
     Returns (residual, keys): residual maps each (deg_u, deg_v) key whose
     coefficient does not vanish to its entries {(row, col): Scalar} at
@@ -260,10 +259,7 @@ def identity_residual(ipk, coeffs, n: int, dim_w: int, cols, k=None):
         {p * n + q: blk for (p, q), blk in mat.items()}, n * n, dim_w, keep)])
     talls, wides = ops[::2], ops[1::2]
     dr = common_denominator(c for f in ipk for c in f)
-    if dr is None:
-        dr = 1
-    else:
-        ipk = [[c.p * (dr // c.r) for c in f] for f in ipk]
+    ipk = [[c.p * (dr // c.r) for c in f] for f in ipk]
     den = d * d * dr
     dim, stride1 = n * n * dim_w, n * dim_w
     # x = (p n + q) dim_w + w: swap[x] exchanges p and q (P on a flat index);
@@ -319,15 +315,8 @@ def identity_residual(ipk, coeffs, n: int, dim_w: int, cols, k=None):
                     keys.add(key)
                     if diff:
                         axpy(residual.setdefault(key, {}), (-1) ** (t - p) * comb(t, p), diff)
-    return {key: {pos: _divide(v, den) for pos, v in entries.items()}
+    return {key: {pos: Scalar(v, 0, den) for pos, v in entries.items()}
             for key, entries in residual.items() if entries}, len(keys)
-
-
-def _divide(value, den: int) -> Scalar:
-    """An int or Scalar residual entry divided by the cleared denominator."""
-    if isinstance(value, int):
-        return Scalar(value, 0, den)
-    return Scalar(value.p, value.q, value.r * den)
 
 
 def first_violation(residual: dict):
@@ -389,8 +378,7 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, dim_w: int, cols,
     anticommutator entry is added to the three W_abcd it enters.  G and X
     are cleared to ints (D_G, D_X): the bilinear left side scales by
     D_G D_X and the right side, linear in X, is multiplied by D_G, so a
-    surviving entry divided by D_G D_X is the exact residual.  An operand
-    carrying sqrt2 keeps its Scalar entries (and D = 1).
+    surviving entry divided by D_G D_X is the exact residual.
 
     `pairs`, for the Lie-type relation only, restricts the comparison to
     the first-slot pairs (a, b) it lists, for every (c, d); None compares
@@ -442,7 +430,7 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, dim_w: int, cols,
         bad = [key for key, v in found.items() if v]
         if bad:
             first = min(bad)
-            return (a,) + tuple(idx[p] for p in first[:3]), _divide(found[first], d_g * d_x)
+            return (a,) + tuple(idx[p] for p in first[:3]), Scalar(found[first], 0, d_g * d_x)
     return None
 
 

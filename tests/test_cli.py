@@ -87,6 +87,15 @@ def test_config_errors_exit_2(capsys):
     # a malformed scalar is rejected, not misread ("2*s2+1" once parsed as 2*sqrt2)
     assert main(["construct", "--family", "so", "--m", "2", "--op", "heisenberg",
                  "--ell", "2*s2+1"]) == 2
+    # scalars are rational: an s2 component is a configuration error
+    assert main(["construct", "--family", "so", "--m", "2", "--op", "heisenberg",
+                 "--ell", "1/2+1/2*s2"]) == 2
+    assert main(["construct", "--family", "so", "--m", "2", "--odd", "--op", "js",
+                 "--twoL", "2", "--k", "1+2*s2"]) == 2
+    assert main(["construct", "--family", "so", "--m", "2", "--odd", "--op", "product",
+                 "--delta", "-1/2*s2"]) == 2
+    assert main(["construct", "--op", "fuse3", "--params",
+                 '{"chain": [["1/2+1/2*s2", 1]]}']) == 2
 
 
 def test_non_highest_weight_vector_exits_1(capsys):

@@ -29,7 +29,8 @@ def test_clifford_relations(family, m):
     eps = case.eps
     cols = space.safe_indices(2)
     assert cols, "safe subspace must be nonempty"
-    ident = SparseOp.identity(space.dim)
+    # so(2m+1) is built in its rational frame, whose relations are twice these
+    ident = SparseOp.identity(space.dim, 2 if case.has_zero else 1)
     for a in case.indices:
         for b in case.indices:
             ca, cb_up = gens.c(a), raised_c(case, gens, b)
@@ -52,8 +53,11 @@ def test_spinor_dimensions_and_c0():
     case = make_case("so_odd", 1)
     space, gens = spinor_space(case)
     assert space.dim == 2
-    c0 = gens.c(0)
-    assert c0 @ c0 == SparseOp.identity(2, Scalar(1, 0, 2))
+    c0 = gens.c(0)  # (-1)^F in the rational frame
+    assert c0 == SparseOp(2, 2, {(0, 0): ONE, (1, 1): -ONE})
+    assert c0 @ c0 == SparseOp.identity(2)
+    assert gens.c(1) == SparseOp(2, 2, {(1, 0): Scalar(2)})  # lands in the odd state
+    assert gens.c(-1) == SparseOp(2, 2, {(0, 1): ONE})
     case4 = make_case("so_even", 2)
     space4, _ = spinor_space(case4)
     assert space4.dim == 4 and space4.trunc is None

@@ -283,7 +283,7 @@ def _padded(mat, dim):
 
 def _base_solution(family, rep):
     """(case, G, H, dim): so(3) or sp(2) in its fundamental (JS 2l=1, H from
-    it) or, for so(3), the spinor (entries in sqrt2, H = 0)."""
+    it) or, for so(3), the spinor (H = 0)."""
     case = make_case(family, 1)
     if rep == "spinor":
         lop = build_spinorial_linear(case)
@@ -304,7 +304,7 @@ def block_operands(draw):
     to dim 3 at random) by I + t E_pq, so G and X carry mixed denominators;
     the adjoint X is H + s G.  Perturbed solutions change one entry of X
     (of G for lie and W, where X = G).  Random draws fill about half the
-    entries of G and X with small fractions, one of them possibly times sqrt2.
+    entries of G and X with small fractions.
     For lie and adjoint, pairs is None, the Chevalley pairs or a random
     nonempty set of first-slot pairs; for W it is None.
     """
@@ -327,10 +327,6 @@ def block_operands(draw):
 
         g = opmat()
         x = g if check != "adjoint" else opmat()
-        if draw(st.booleans()) and x:
-            key = draw(st.sampled_from(sorted(x)))
-            (i, j), v = min(x[key].data.items())
-            x[key].data[(i, j)] = v * Scalar(0, 1, 1)  # one sqrt2 entry
     else:
         if dim == 2 and draw(st.booleans()):
             dim = 3
