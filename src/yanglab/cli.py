@@ -35,10 +35,7 @@ from .lops import (
     build_spinorial_linear,
     cyclic_span,
     fuse_so3_from_gl2,
-    heisenberg_vacuum,
-    product_vector,
     spinor_flipped_vacuum,
-    spinor_vacuum,
 )
 from .spaces import spinor_space
 from .structure import check_ybe, make_case
@@ -97,21 +94,18 @@ def _build_linear_factor(case, spec, trunc):
     op = spec.get("op", "spinor")
     if op == "spinor":
         lop = build_spinorial_linear(case, trunc=trunc)
-        space, gens = spinor_space(case, trunc=trunc)
         if spec.get("vector") == "flipped":
-            vec = spinor_flipped_vacuum(case, space, gens)
-        else:
-            vec = spinor_vacuum(lop.space)
-        return lop, vec
+            lop.hw_vector = spinor_flipped_vacuum(case, *spinor_space(case, trunc=trunc))
+        return lop
     if op == "heisenberg":
         ell = _scalar_arg(spec.get("ell", 0), "ell")
-        lop = build_heisenberg_linear(case, ell, max_degree=trunc)
-        return lop, heisenberg_vacuum(lop.space)
+        return build_heisenberg_linear(case, ell, max_degree=trunc)
     raise ConfigError(f"product factors must be linear (spinor|heisenberg), got {op!r}")
 
 
 def build_operator(cfg):
-    """Build the requested construction; returns (lop, canonical hw vector)."""
+    """Build the requested construction; its `hw_vector` is the canonical
+    highest vector (a gl(2) chain keeps it at `hw_index`)."""
     op = cfg.get("op")
     params = cfg.get("params") or {}
     if op in (None, ""):
@@ -129,10 +123,10 @@ def build_operator(cfg):
             raise ConfigError(f"bad --params chain {chain!r}: {exc}") from exc
         gl2 = build_gl2_js_chain(pairs)
         if op == "gl2chain":
-            return gl2, {gl2.hw_index: Scalar.of(1)}
+            return gl2
         lop, qdet = fuse_so3_from_gl2(gl2)
         lop.params["qdet"] = qdet
-        return lop, {gl2.hw_index: Scalar.of(1)}
+        return lop
 
     case = resolve_case(cfg)
     if trunc is None:
@@ -151,16 +145,14 @@ def build_operator(cfg):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad twoL {two_l!r}") from exc
         k = _scalar_arg(cfg.get("k", params.get("k")), "k")
-        lop = build_js_quadratic(case, two_l, k=k)
-        return lop, lop.hw_vector
+        return build_js_quadratic(case, two_l, k=k)
     if op == "product":
         delta = _scalar_arg(cfg.get("delta", params.get("delta", 0)), "delta")
         f1_spec = params.get("factor1", {"op": "spinor"})
         f2_spec = params.get("factor2", {"op": "spinor"})
-        l1, v1 = _build_linear_factor(case, f1_spec, trunc)
-        l2, v2 = _build_linear_factor(case, f2_spec, trunc)
-        lop = build_product(l1, l2, delta)
-        return lop, product_vector(l1.space, v1, l2.space, v2)
+        l1 = _build_linear_factor(case, f1_spec, trunc)
+        l2 = _build_linear_factor(case, f2_spec, trunc)
+        return build_product(l1, l2, delta)
     raise ConfigError(f"unknown construction {op!r}")
 
 
@@ -171,22 +163,28 @@ def _stage(timings, name, fn, *args):
     return out
 
 
-def run_checks(lop: LOperator, vec, names):
+def run_checks(lop: LOperator, names):
     """Run the named identity checks in the order given.
 
     Returns (reports, seconds): seconds maps each check's name to its wall
-    time, the cyclic span included in the first check that needs it.  The
-    checks share one `Premises` record, so each generator premise (the
-    Chevalley pairs, the invariance of H, the generating set) is decided
-    at most once, in the first check that needs it.
+    time, the cyclic span of `lop.hw_vector` included in the first check
+    that needs it.  The checks share one `Premises` record, so the top
+    scalar and each generator premise (the Chevalley pairs, the invariance
+    of H, the generating set) are decided at most once.  adjoint and
+    constraints read H, so asking them of an operator whose order is not 2
+    is a configuration error, raised before any check runs.
     """
+    for name in names:
+        if name in ("adjoint", "constraints") and lop.order != 2:
+            raise ConfigError(f"check {name!r} needs a quadratic evaluation (order 2), "
+                              f"the operator has order {lop.order}")
     span = None
     premises = Premises(lop)
 
     def get_span():
         nonlocal span
-        if span is None and vec is not None and lop.space.trunc is None:
-            span = cyclic_span(lop, [vec])
+        if span is None and lop.hw_vector is not None and lop.space.trunc is None:
+            span = cyclic_span(lop, [lop.hw_vector])
         return span
 
     def dispatch(name):
@@ -197,7 +195,7 @@ def run_checks(lop: LOperator, vec, names):
         if name == "rll":
             return check_rll(lop, premises=premises)
         if name == "linear":
-            return check_linear_constraint(lop)
+            return check_linear_constraint(lop, premises=premises)
         if name == "constraints":
             return check_symmetric_constraints(lop, span=get_span(), premises=premises)
         if name == "w":
@@ -214,14 +212,15 @@ def run_checks(lop: LOperator, vec, names):
     return reports, seconds
 
 
-def _weights_stage(cfg, lop, vec, constraints=None):
+def _weights_stage(cfg, lop, constraints=None):
     """Weight reports of the selected vectors.  `constraints`, the verify
-    stage's symmetric_constraints report on the cyclic module of `vec`,
-    gives k = c23 for the auto vector instead of a second run; --k wins."""
+    stage's symmetric_constraints report on the cyclic module of
+    `lop.hw_vector`, gives k = c23 for the auto vector instead of a second
+    run; --k wins."""
     selector = cfg.get("vector", "auto")
     if isinstance(lop, LOperator):
         if selector == "auto":
-            vectors = [vec]
+            vectors = [lop.hw_vector]
         elif selector == "kernel":
             vectors = find_highest_weight(lop)
             if not vectors:
@@ -270,7 +269,7 @@ def run(cfg) -> tuple[dict, int]:
         return report, (1 if failed else 0)
 
     try:
-        lop, vec = _stage(timings, "construct", build_operator, cfg)
+        lop = _stage(timings, "construct", build_operator, cfg)
     except ValueError as exc:  # a builder rejected its parameters
         raise ConfigError(str(exc)) from exc
     if isinstance(lop, LOperator):
@@ -288,14 +287,14 @@ def run(cfg) -> tuple[dict, int]:
 
     if command in ("verify", "all") and isinstance(lop, LOperator):
         names = cfg.get("checks") or DEFAULT_CHECKS.get(lop.kind, ["rll"])
-        results, timings["checks"] = _stage(timings, "verify", run_checks, lop, vec, names)
+        results, timings["checks"] = _stage(timings, "verify", run_checks, lop, names)
         report["checks"] = [r.to_dict() for r in results]
         constraints = next((r for r in results if r.name == "symmetric_constraints"), None)
         failed = failed or not all(r.passed for r in results)
 
     if command in ("weights", "finiteness", "all"):
         try:
-            outcomes = _stage(timings, "weights", _weights_stage, cfg, lop, vec, constraints)
+            outcomes = _stage(timings, "weights", _weights_stage, cfg, lop, constraints)
         except ValueError as exc:  # ratio data outside the finiteness test's domain
             raise ConfigError(str(exc)) from exc
         if isinstance(lop, LOperator):

@@ -20,6 +20,15 @@ side and stacked give G_ab X_cd and X_cd G_ab for all b and (c, d) at once,
 on integer-cleared operands.  The commutator's right side is blocks of X
 placed by their indices, and W sums three anticommutator blocks.
 
+Every check reads the operator through one record (`Premises`), built
+once per operator.  It decides whether the top coefficient is
+C_s = c eps_ab Id with c != 0 and then holds L / c, whose top is eps_ab Id
+and whose G is the action; every check decides on that operator and takes
+G, H and the coefficients from the record, never from its caller.  RLL and
+the center are homogeneous in L, so only their residuals and c(u) see the
+scaling; the Lie and adjoint relations, W, chi3 and the constraints are
+not, and are the relations of the normalised L.
+
 On a closed space these relations are decided on generators of g
 (`_generators`).  If G is symmetric, G + eps G^t = c eps_ab Id, it is a
 linear map on g plus a central scalar, and the x in g on which the Lie
@@ -31,18 +40,16 @@ failed premise, or a violation there, reruns the kernel on every pair and
 safe column, so verdicts and counterexamples are those of the full
 comparison.
 
-RLL on a closed space is decided by a covariance certificate.  Three
-premises are checked exactly: the space is closed, the top coefficient
-is C_s = c eps_ab Id with c != 0, and every other coefficient is
-invariant under the action G = C_(s-1) / c (`block_violation`, on the
-Chevalley pairs when the premises above hold: the Lie relation for
-C_(s-1), the adjoint one for H).  R lies in
-span{I, P, K}, so the residual then commutes with the diagonal action on
-(V x V) x W and its kernel is a submodule: it vanishes everywhere once it
-vanishes on V x V x S, S a set of unit vectors that generates W under G
-(proof at `check_rll`).  The engine is then called on the W columns S
-(n^2 |S| columns of (V x V) x W); a failed premise, or a residual on them,
-sends it to all the safe columns.
+RLL on a closed space is decided by a covariance certificate, whose
+premises are those of the record: G symmetric and a representation, the
+top coefficient scalar and every lower coefficient invariant under G, all
+decided on the Chevalley pairs.  R lies in span{I, P, K}, so the residual
+then commutes with the diagonal action on (V x V) x W and its kernel is a
+submodule: it vanishes everywhere once it vanishes on V x V x S, S a set
+of unit vectors that generates W under G (proof at `check_rll`).  The
+engine is then called on the W columns S (n^2 |S| columns of
+(V x V) x W); a failed premise, or a residual on them, sends it to all the
+safe columns.
 
 The central checks (the linear constraint, the four constraint scalars,
 chi3 and the center) apply each left side right to left to the columns
@@ -50,9 +57,9 @@ of one basis SparseOp, and decide M_ab = c eps_ab Id on the images
 through one routine (`scalar_images`; c is read off the first diagonal
 key, or is 0 for chi3 and the center commutator), so G o G, G^t o H
 and C(u) are never formed as operators.  On a closed
-space whose premises hold (`Premises`: G symmetric and a representation
-and, where the check needs them, H invariant and the top coefficient
-scalar), every left side is a covariant family, so the kernel of
+space whose premises hold (G symmetric and a representation and, where
+the check needs them, H invariant and the top coefficient scalar), every
+left side is a covariant family, so the kernel of
 M_ab - c eps_ab Id is G-stable and the check is decided on the columns
 of a set S that generates the module under the Chevalley blocks G_p
 (proof at `check_symmetric_constraints`): the unit vectors of
@@ -202,7 +209,7 @@ def _vacuous(name: str, details: dict | None = None) -> CheckReport:
 # Lie-algebra and adjoint relations
 
 
-def _generators(lop: LOperator, g: dict):
+def _generators(lop: LOperator):
     """(P, record): the Chevalley pairs P when the relations of G may be
     decided on them, else None; record is {"pairs": |P|} or names the first
     premise that failed.  Each premise is decided exactly, in this order:
@@ -230,7 +237,7 @@ def _generators(lop: LOperator, g: dict):
     at which X is invariant is a subalgebra too: X is invariant as soon as
     `block_violation(G, X, pairs=P)` finds nothing.
     """
-    case, space, dim = lop.case, lop.space, lop.dim
+    case, space, dim, g = lop.case, lop.space, lop.dim, lop.g_mat
     if space.trunc is not None or space.floor is not None:
         return None, {"premise_failed": "closed"}
     sym = opmat_add(g, opmat_scale(opmat_transpose(g), Scalar.of(case.eps)))
@@ -243,25 +250,36 @@ def _generators(lop: LOperator, g: dict):
 
 
 class Premises:
-    """The premises of the generator lemma and of the covariance lemma, for
-    one operator and one G, each decided once, when a check first needs it.
+    """The one reader of an operator: its normalisation and the premises of
+    the generator lemma and of the covariance lemma, each decided once.
+
+    When built, the record decides whether the top coefficient is
+    C_s = c eps_ab Id with c != 0 (`scalar_images` on the identity); `c` is
+    that scalar, or None.  `lop` is L / c when c is neither None nor 1, and
+    L itself otherwise, and `g` is its G: every check decides on `lop`.
+    The premises are decided on it when a check first needs them:
 
       generators  `_generators`: closed, symmetric, lie; the pairs P;
-      top         the top coefficient is c eps_ab Id: (ok, c);
       invariant   every coefficient below G (H for a quadratic evaluation)
                   is invariant under G, decided on P by `block_violation`;
-      seeds       a set that generates W under the G_p, p in P (under every
-                  G_ab when P is None), by `lops.generating_set`.
+      seeds       a set that generates W under the G_p, p in P, by
+                  `lops.generating_set`; asked only once P is decided.
 
     `cli.run_checks` shares one record between the checks of a run; a check
-    called without one decides its own, so a library call does the premise
-    work it did on its own.  The record lives beside the operator, not on
-    it, since an operator may be reused after it is changed.
+    called without one builds its own.  The record lives beside the
+    operator, not on it, since an operator may be reused after it is
+    changed; `source` is the operator it was built for.
     """
 
-    def __init__(self, lop: LOperator, g: dict | None = None):
+    def __init__(self, lop: LOperator):
+        self.source = lop
+        ok, c = scalar_images(lop.case, lop.coeff(lop.order), SparseOp.identity(lop.dim))[:2]
+        self.c = c if ok and c else None
+        if self.c is not None and c != ONE:
+            lop = LOperator(lop.case, lop.space, [opmat_scale(mat, c.inv()) for mat in lop.coeffs],
+                            lop.entry_budget, lop.kind, lop.params, lop.hw_vector)
         self.lop = lop
-        self.g = lop.g_mat if g is None else g
+        self.g = lop.g_mat
         self._memo: dict = {}
 
     def _once(self, name, decide):
@@ -271,15 +289,8 @@ class Premises:
 
     def generators(self):
         """(P, record) of `_generators`; the record is a fresh dict."""
-        pairs, record = self._once("generators", lambda: _generators(self.lop, self.g))
+        pairs, record = self._once("generators", lambda: _generators(self.lop))
         return pairs, dict(record)
-
-    def top(self):
-        """(ok, c): the top coefficient is c eps_ab Id (decided on itself,
-        its images on the identity)."""
-        lop = self.lop
-        return self._once("top", lambda: scalar_images(
-            lop.case, lop.coeffs[-1], SparseOp.identity(lop.dim))[:2])
 
     def invariant(self) -> bool:
         """Every nonzero coefficient below G is invariant under G, decided on
@@ -290,69 +301,66 @@ class Premises:
             for mat in lop.coeffs[:-2] if mat))
 
     def ops(self) -> list:
-        """The G_p, p in P, or every G_ab when the pairs premise failed."""
-        pairs, g = self.generators()[0], self.g
-        return [g[key] for key in pairs if key in g] if pairs else list(g.values())
+        """The G_p, p in P; the pairs premise must hold."""
+        g = self.g
+        return [g[key] for key in self.generators()[0] if key in g]
 
     def seeds(self) -> list:
         """Basis positions of a set that generates W under `ops`."""
         return self._once("seeds", lambda: generating_set(self.lop, self.ops()))
 
     def central(self, scalar_top: bool = False, invariant: bool = False):
-        """(P, record) for a central check: P when the generator premises
-        hold and, if asked, the top is scalar and the lower coefficients
-        invariant; else None and the record names the first that failed."""
+        """(P, record) for a central check or the RLL certificate: P when
+        the generator premises hold and, if asked, the top is scalar and the
+        lower coefficients invariant; else None and the record names the
+        first that failed."""
         pairs, record = self.generators()
-        if pairs is not None and scalar_top and not self.top()[0]:
+        if pairs is not None and scalar_top and self.c is None:
             return None, {"premise_failed": "scalar_top"}
         if pairs is not None and invariant and not self.invariant():
             return None, {"premise_failed": "invariant"}
         return pairs, record
 
 
-def _premises(lop: LOperator, g, premises):
-    """`premises` when it was decided for this operator and G, else a new record."""
-    g = lop.g_mat if g is None else g
-    if premises is not None and premises.lop is lop and premises.g is g:
+def _premises(lop: LOperator, premises) -> Premises:
+    """`premises` when it was built for this operator, else a new record."""
+    if premises is not None and premises.source is lop:
         return premises
-    return Premises(lop, g)
+    return Premises(lop)
 
 
-def _block_check(lop, g, x, budget, name, w_tensor=False, premises=None):
-    """A Lie-type relation of G and X decided by `structure.block_violation`,
-    on the columns safe for `budget` compositions of the entry budget.
+def _block_check(premises: Premises, x, budget, name, w_tensor=False):
+    """A Lie-type relation of G and X, X = G or H of `premises.lop`, decided
+    by `structure.block_violation` on the columns safe for `budget`
+    compositions of the entry budget.
 
     When the premises of `_generators` hold, the Lie relation holds (its
-    last premise is the relation on the pairs P), the adjoint one is
-    compared on P (for X = H it is the invariance premise of `Premises`),
-    and W on the seed columns of a set S that generates W under the G_p,
-    p in P (`lops.generating_set`; G is a representation and P generates
-    g, so a subspace stable under the G_p is stable under all of G): W is
-    built from products of the invariant G, so it is an
-    invariant tensor and its kernel {w : W_abcd w = 0 for all (a, b, c, d)}
-    is G-stable, hence all of W once it holds S.  For `lie` a violation on
-    P is the failed premise "lie".  A failed premise, or a violation, reruns
-    the kernel on every pair and safe column, so a refutation reports the
-    first violation of the full comparison.  `details.generators` records
-    the pair count (and for W the seed count) or the failed premise.
+    last premise is the relation on the pairs P), the adjoint one is the
+    invariance premise of `Premises`, decided on P, and W is compared on
+    the seed columns of a set S that generates W under the G_p, p in P
+    (`lops.generating_set`; G is a representation and P generates g, so a
+    subspace stable under the G_p is stable under all of G): W is built
+    from products of the invariant G, so it is an invariant tensor and its
+    kernel {w : W_abcd w = 0 for all (a, b, c, d)} is G-stable, hence all
+    of W once it holds S.  For `lie` a violation on P is the failed premise
+    "lie".  A failed premise, or a violation, reruns the kernel on every
+    pair and safe column, so a refutation reports the first violation of
+    the full comparison.  `details.generators` records the pair count (and
+    for W the seed count) or the failed premise.
     """
+    lop, g = premises.lop, premises.g
     case, dim = lop.case, lop.dim
     cols = lop.space.safe_indices(budget * lop.entry_budget)
     if not cols:
         return _vacuous(name)
-    premises = _premises(lop, g, premises)
     pairs, generators = premises.generators()
     holds = False
     if pairs is not None and w_tensor:
         seeds = premises.seeds()
         generators["seeds"] = len(seeds)
         holds = block_violation(case, g, x, dim, seeds, w_tensor) is None
-    elif pairs is not None and x is g:  # the Lie premise decided it
-        holds = True
-    elif pairs is not None and lop.order == 2 and x is lop.coeffs[0]:
-        holds = premises.invariant()
-    elif pairs is not None:
-        holds = block_violation(case, g, x, dim, cols, pairs=pairs) is None
+    elif pairs is not None:  # the Lie premise decided lie, invariance decides H
+        holds = x is g or premises.invariant()
     bad = None if holds else block_violation(case, g, x, dim, cols, w_tensor)
     details = {"safe_columns": len(cols), "generators": generators}
     if bad is None:
@@ -362,7 +370,7 @@ def _block_check(lop, g, x, budget, name, w_tensor=False, premises=None):
                        details=details)
 
 
-def check_lie(lop: LOperator, g: dict | None = None, premises=None) -> CheckReport:
+def check_lie(lop: LOperator, premises=None) -> CheckReport:
     """[G_ab, G_cd] equals the structure-constant combination, exactly.
 
     On a closed space with G symmetric (G + eps G^t = c eps_ab Id) the
@@ -370,20 +378,18 @@ def check_lie(lop: LOperator, g: dict | None = None, premises=None) -> CheckRepo
     (c, d): the x on which it holds form a Lie subalgebra (proof at
     `_generators`), and the pairs generate g.
     """
-    g = lop.g_mat if g is None else g
-    return _block_check(lop, g, g, 2, "lie", premises=premises)
+    premises = _premises(lop, premises)
+    return _block_check(premises, premises.g, 2, "lie")
 
 
-def check_adjoint(lop: LOperator, g: dict | None = None, h: dict | None = None,
-                  premises=None) -> CheckReport:
+def check_adjoint(lop: LOperator, premises=None) -> CheckReport:
     """[G_ab, H_cd] equals the adjoint-action combination of H.
 
     Decided on the Chevalley pairs once the premises of `_generators` hold
     (G symmetric and a representation).
     """
-    g = lop.g_mat if g is None else g
-    h = lop.h_mat if h is None else h
-    return _block_check(lop, g, h, 3, "adjoint", premises=premises)
+    premises = _premises(lop, premises)
+    return _block_check(premises, premises.lop.h_mat, 3, "adjoint")
 
 
 # ---------------------------------------------------------------------------
@@ -398,52 +404,30 @@ def _raised_coeffs(lop: LOperator) -> list:
              for (a, b), op in mat.items()} for mat in lop.coeffs]
 
 
-def _certificate(lop: LOperator, premises=None):
+def _certificate(premises: Premises):
     """(seeds, record) of the covariance certificate for RLL.
 
-    seeds is a generating set S of W (basis positions) when all three
-    premises hold, else None; record names the seed count and the n^2 |S|
-    seed columns, or the first premise that failed:
-
-      closed      the space is untruncated (no trunc, no floor);
-      scalar_top  the top coefficient is C_s = c eps_ab Id with c != 0, so
-                  that G = C_(s-1) / c is the action;
-      invariant   every nonzero C_k, k < s, is invariant under G:
-                  `block_violation(G, C_k)` finds nothing on all columns
-                  (the Lie relation for k = s-1, the adjoint one for H).
-
-    The invariance premise is decided on the Chevalley pairs when the
-    premises of `_generators` hold; they include the Lie relation, which is
-    the invariance of C_(s-1) = c G, and S then generates W under the G_p,
-    p in P, alone.  Otherwise every C_k, k < s, runs on every pair and S is
-    grown under every G_ab.  A record of `premises` for G = C_(s-1) is
-    reused when c = 1, since then the action is that G.
+    seeds is a generating set S of W (basis positions) when the premises of
+    `Premises.central` hold with a scalar top and invariant lower
+    coefficients, else None; record names the seed count and the n^2 |S|
+    seed columns, or the first premise that failed (closed, symmetric, lie,
+    scalar_top, invariant).  The Lie premise is the invariance of G itself
+    and eps_ab Id is invariant, so every coefficient is then invariant
+    under G, and S generates W under the G_p, p in P.
     """
-    case, space, dim = lop.case, lop.space, lop.dim
-    if space.trunc is not None or space.floor is not None:
-        return None, {"premise_failed": "closed"}
-    premises = _premises(lop, None, premises)
-    ok, c = premises.top()
-    if not (ok and c):
-        return None, {"premise_failed": "scalar_top"}
-    if c != ONE:
-        premises = Premises(lop, opmat_scale(lop.g_mat, c.inv()))
-    if premises.generators()[0] is not None:
-        invariant = premises.invariant()
-    else:
-        invariant = all(block_violation(case, premises.g, mat, dim, range(dim)) is None
-                        for mat in lop.coeffs[:-1] if mat)
-    if not invariant:
-        return None, {"premise_failed": "invariant"}
+    pairs, record = premises.central(scalar_top=True, invariant=True)
+    if pairs is None:
+        return None, record
     seeds = premises.seeds()
-    return seeds, {"seeds": len(seeds), "seed_columns": case.n ** 2 * len(seeds)}
+    return seeds, {"seeds": len(seeds), "seed_columns": premises.lop.case.n ** 2 * len(seeds)}
 
 
 def check_rll(lop: LOperator, premises=None) -> CheckReport:
     """R12(u-v) L1(u) L2(v) = L2(v) L1(u) R12(u-v), coefficient-exact.
 
     The u^0 v^0 coefficient covers the H-H commutation relation of the
-    quadratic evaluation automatically.
+    quadratic evaluation automatically.  The relation is homogeneous in L,
+    so it is decided on L / c (`Premises`); a residual is that of L / c.
 
     On a closed space whose premises hold (see `_certificate`) the
     residual is compared on the columns V x V x S only, S a set that
@@ -467,12 +451,14 @@ def check_rll(lop: LOperator, premises=None) -> CheckReport:
     `safe_columns` counts the W columns the verdict covers; the certificate
     record says how many were compared.
     """
+    premises = _premises(lop, premises)
+    lop = premises.lop
     case, space = lop.case, lop.space
     safe_w = space.safe_indices(2 * lop.entry_budget)
     if not safe_w:
         return _vacuous("rll")
     ipk, coeffs, k = fundamental_ipk(case), _raised_coeffs(lop), k_form(case)
-    seeds, certificate = _certificate(lop, premises)
+    seeds, certificate = _certificate(premises)
     residual, keys = identity_residual(ipk, coeffs, case.n, space.dim,
                                        safe_w if seeds is None else seeds, k)
     if residual and seeds is not None:
@@ -511,11 +497,12 @@ def check_gl2_rll(coeffs, dim, safe_cols=None, name="gl2_rll") -> CheckReport:
 # truncation constraints of the quadratic and linear evaluations
 
 
-def _seed_basis(lop: LOperator, premises: Premises, span, generators: dict) -> SparseOp:
+def _seed_basis(premises: Premises, span, generators: dict) -> SparseOp:
     """The columns S a central check is decided on when its premises hold:
     the unit vectors of `premises.seeds`, or the vectors of the invariant
     `span` that `lops.generating_set` picks, whose G_p-closure is the span.
     Their count goes into `generators`."""
+    lop = premises.lop
     if span is None:
         seeds = premises.seeds()
         generators["seeds"] = len(seeds)
@@ -598,14 +585,15 @@ def check_symmetric_constraints(lop: LOperator, span=None, premises=None) -> Che
     `details.generators` records the pairs and seeds (`span_seeds` with a
     span), or the failed premise.
     """
+    premises = _premises(lop, premises)
+    lop = premises.lop
     b = lop.entry_budget
     basis, details = _module_basis(lop, 2 * b, span)
-    premises = _premises(lop, None, premises)
     pairs, details["generators"] = premises.central(invariant=True)
     if not basis.ncols:
         return _vacuous("symmetric_constraints", details)
     if pairs is not None:
-        seeds = _seed_basis(lop, premises, span, details["generators"])
+        seeds = _seed_basis(premises, span, details["generators"])
         report = _constraints_on(lop, seeds, seeds, details)
         if report.passed:
             return report
@@ -613,11 +601,12 @@ def check_symmetric_constraints(lop: LOperator, span=None, premises=None) -> Che
     return _constraints_on(lop, _module_basis(lop, b, span)[0], basis, details)
 
 
-def check_linear_constraint(lop: LOperator, g: dict | None = None) -> CheckReport:
+def check_linear_constraint(lop: LOperator, premises=None) -> CheckReport:
     """G^2 + beta G = c2 I with n c2 = tr G^2 (lowered product), both
     applied right to left to the safe columns B: (G o G) B = G o (G B)."""
+    premises = _premises(lop, premises)
+    lop, g = premises.lop, premises.g
     case = lop.case
-    g = lop.g_mat if g is None else g
     basis, details = _module_basis(lop, 2 * lop.entry_budget)
     if not basis.ncols:
         return _vacuous("linear_constraint", details)
@@ -641,10 +630,10 @@ def check_linear_constraint(lop: LOperator, g: dict | None = None) -> CheckRepor
 # W-tensor and the cubic characteristic identity
 
 
-def check_w_tensor(lop: LOperator, g: dict | None = None, premises=None) -> CheckReport:
+def check_w_tensor(lop: LOperator, premises=None) -> CheckReport:
     """Six-term symmetrized product W_{ab,cd} vanishes for all indices."""
-    g = lop.g_mat if g is None else g
-    return _block_check(lop, g, g, 2, "w_tensor", w_tensor=True, premises=premises)
+    premises = _premises(lop, premises)
+    return _block_check(premises, premises.g, 2, "w_tensor", w_tensor=True)
 
 
 def _trace(case: CaseDescriptor, mat: dict, basis: SparseOp) -> SparseOp:
@@ -696,7 +685,7 @@ def _chi3_on(case: CaseDescriptor, g: dict, basis: SparseOp):
     return scalar_images(case, chi, basis, ZERO)
 
 
-def check_chi3(lop: LOperator, g: dict | None = None, premises=None) -> CheckReport:
+def check_chi3(lop: LOperator, premises=None) -> CheckReport:
     """G^3 + (eps+2beta) G^2 + (2 eps beta - eps s) G - s = 0, s = tr G^2 / 2.
 
     s is inserted as the (central) operator it is, so the identity is
@@ -710,16 +699,16 @@ def check_chi3(lop: LOperator, g: dict | None = None, premises=None) -> CheckRep
     that generates W under the Chevalley blocks when those premises hold,
     and on every safe column otherwise or after a violation there.
     """
-    case, dim = lop.case, lop.dim
-    g = lop.g_mat if g is None else g
+    premises = _premises(lop, premises)
+    lop, g = premises.lop, premises.g
+    case = lop.case
     basis, details = _module_basis(lop, 3 * lop.entry_budget)
-    premises = _premises(lop, g, premises)
     pairs, details["generators"] = premises.central()
     if not basis.ncols:
         return _vacuous("chi3", details)
     ok = False
     if pairs is not None:
-        ok, _, bad = _chi3_on(case, g, _seed_basis(lop, premises, None, details["generators"]))
+        ok, _, bad = _chi3_on(case, g, _seed_basis(premises, None, details["generators"]))
     if not ok:
         ok, _, bad = _chi3_on(case, g, basis)
     if not ok:
@@ -788,7 +777,9 @@ def center_function(lop: LOperator, span=None, premises=None):
 
     Returns (c, report).  The report asserts that every coefficient of
     C(u) is a scalar multiple of the metric and that C(u) commutes with
-    L(v) (checked symbolically, before scalarity is used anywhere).
+    L(v) (checked symbolically, before scalarity is used anywhere).  Both
+    are homogeneous in L; they are decided on L / c (`Premises`), and c(u)
+    is that of L / c.
 
     The coefficients of c(u) are central elements; like the constraint
     scalars they are genuine numbers only on an irreducible module, so
@@ -811,18 +802,19 @@ def center_function(lop: LOperator, span=None, premises=None):
     `details.generators` records the pairs and seeds (`span_seeds` with
     a span), or the failed premise.
     """
+    premises = _premises(lop, premises)
+    lop = premises.lop
     b = lop.entry_budget
     comm_basis, _ = _module_basis(lop, 3 * b)
     basis, details = _module_basis(lop, 2 * b, span)
     details = {"commutator_columns": comm_basis.ncols, **details}
-    premises = _premises(lop, None, premises)
     pairs, details["generators"] = premises.central(scalar_top=True, invariant=True)
     if not (comm_basis.ncols and basis.ncols):
         return UniPoly(), _vacuous("center", details)
     c = None
     if pairs is not None:
-        seeds = _seed_basis(lop, premises, None, details["generators"])
-        on = seeds if span is None else _seed_basis(lop, premises, span, details["generators"])
+        seeds = _seed_basis(premises, None, details["generators"])
+        on = seeds if span is None else _seed_basis(premises, span, details["generators"])
         c, bad = _center_on(lop, seeds, on)
         if c is None and bad[0][0] == "coeff":  # the commutators held on the seeds, so on W
             comm_basis = None

@@ -98,6 +98,22 @@ def test_config_errors_exit_2(capsys):
                  '{"chain": [["1/2+1/2*s2", 1]]}']) == 2
 
 
+@pytest.mark.parametrize("argv,check,order", [
+    (["--family", "so", "--m", "2", "--op", "spinor", "--checks", "adjoint"], "adjoint", 1),
+    (["--family", "so", "--m", "2", "--op", "spinor", "--checks", "constraints"],
+     "constraints", 1),
+    (["--op", "fuse3", "--params", '{"chain": [["0", 1], ["1/2", 1]]}', "--checks", "adjoint"],
+     "adjoint", 4),
+], ids=["adjoint-spinor", "constraints-spinor", "adjoint-fuse3-two-sites"])
+def test_checks_of_h_need_order_two(capsys, argv, check, order):
+    # adjoint and constraints read H: asked of another order they are a
+    # configuration error before any check runs
+    assert main(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"'{check}'" in captured.err and f"order {order}" in captured.err
+
+
 def test_non_highest_weight_vector_exits_1(capsys):
     # a failed highest-weight check is a failed check, not a configuration error
     code = main(["weights", "--family", "so", "--m", "2", "--op", "spinor", "--vector", "1"])
@@ -216,7 +232,7 @@ def test_run_checks_decides_each_premise_once(monkeypatch):
     # the generator premises, the invariance of H on the pairs (the adjoint
     # check and the RLL certificate) and the generating set of W are each
     # decided once; the span's seeds are picked per check
-    lop, vec = build_operator({"family": "so", "m": 2, "odd": True, "op": "js", "twoL": 2})
+    lop = build_operator({"family": "so", "m": 2, "odd": True, "op": "js", "twoL": 2})
     calls = Counter()
     generators, generating_set, kernel = (verify._generators, verify.generating_set,
                                           verify.block_violation)
@@ -236,7 +252,7 @@ def test_run_checks_decides_each_premise_once(monkeypatch):
     monkeypatch.setattr(verify, "_generators", counted_generators)
     monkeypatch.setattr(verify, "generating_set", counted_generating_set)
     monkeypatch.setattr(verify, "block_violation", counted_kernel)
-    reports, _ = run_checks(lop, vec, DEFAULT_CHECKS["js"])
+    reports, _ = run_checks(lop, DEFAULT_CHECKS["js"])
     assert all(rep.passed for rep in reports)
     # the Lie relation and the invariance of H, each on the pairs once
     assert calls == {"generators": 1, "seeds": 1, "span": 2, "on_pairs": 2}

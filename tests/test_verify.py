@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yanglab import verify
-from yanglab.cli import build_operator
+from yanglab.cli import DEFAULT_CHECKS, build_operator, run_checks
 from yanglab.exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly, clear_denominators
 from yanglab.lops import (
     LOperator,
@@ -60,12 +60,22 @@ from yanglab.verify import (
 from test_structure import _base_solution, _conjugate, _padded, _unipotent, nonzero
 
 
+def _changed(lop, g=None, h=None):
+    """`lop` with G or H replaced, as an operator [H, G, top] ([G, top]
+    for a linear one without H); an H given to a linear one adds it."""
+    coeffs = [lop.g_mat if g is None else g, lop.coeff(lop.order)]
+    if h is not None or lop.order == 2:
+        coeffs.insert(0, lop.h_mat if h is None else h)
+    return LOperator(lop.case, lop.space, coeffs, lop.entry_budget, lop.kind, lop.params,
+                     lop.hw_vector)
+
+
 def test_lie_spinor_so4_and_negative_control():
     lop = build_spinorial_linear(make_case("so_even", 2))
     assert check_lie(lop).passed
     broken = dict(lop.g_mat)
     broken.pop((-1, 1))
-    rep = check_lie(lop, g=broken)
+    rep = check_lie(_changed(lop, g=broken))
     assert not rep.passed and rep.counterexample is not None
 
 
@@ -82,7 +92,7 @@ def test_adjoint_js_so5():
 
 def test_adjoint_equals_lie_when_h_is_g():
     lop = build_spinorial_linear(make_case("sp", 1))
-    rep = check_adjoint(lop, g=lop.g_mat, h=lop.g_mat)
+    rep = check_adjoint(_changed(lop, h=lop.g_mat))
     assert rep.passed == check_lie(lop).passed
 
 
@@ -188,13 +198,40 @@ CLI_CONSTRUCTIONS = {
 def test_constructions_clear_to_ints(name):
     # every construction is rational, so the identity engine and the block
     # kernel run on cleared ints for each of them
-    lop, _ = build_operator(CLI_CONSTRUCTIONS[name])
+    lop = build_operator(CLI_CONSTRUCTIONS[name])
     ops = [op for mat in lop.coeffs for op in mat.values()]
     ints, d = clear_denominators(ops)
     assert ops
     for op, iop in zip(ops, ints):
         assert all(type(v) is int for v in iop.data.values())
         assert {k: Scalar(v, 0, d) for k, v in iop.data.items()} == op.data
+
+
+ALL_CHECKS = ["lie", "adjoint", "rll", "linear", "constraints", "w", "chi3", "center"]
+
+# each check of `cli.run_checks` called alone, with the span run_checks gives it
+CHECKS_ALONE = {
+    "lie": lambda lop, span: check_lie(lop),
+    "adjoint": lambda lop, span: check_adjoint(lop),
+    "rll": lambda lop, span: check_rll(lop),
+    "linear": lambda lop, span: check_linear_constraint(lop),
+    "constraints": lambda lop, span: check_symmetric_constraints(lop, span=span),
+    "w": lambda lop, span: check_w_tensor(lop),
+    "chi3": lambda lop, span: check_chi3(lop),
+    "center": lambda lop, span: center_function(lop, span=span)[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(CLI_CONSTRUCTIONS) - {"gl2chain"}))
+def test_run_checks_match_checks_alone(name):
+    # the record run_checks shares gives every check the report it gives
+    # with a fresh record of its own
+    lop = build_operator(CLI_CONSTRUCTIONS[name])
+    names = ALL_CHECKS if name == "fuse3-one-site" else DEFAULT_CHECKS[lop.kind]
+    span = cyclic_span(lop, [lop.hw_vector]) if lop.space.trunc is None else None
+    shared, _ = run_checks(lop, names)
+    assert [rep.to_dict() for rep in shared] == [
+        CHECKS_ALONE[check](lop, span).to_dict() for check in names]
 
 
 def test_rll_js_so7_rank_three():
@@ -257,7 +294,7 @@ CERTIFICATES = [
      {"premise_failed": "closed"}),
     (lambda: build_spinorial_linear(make_case("sp", 2)), True, {"premise_failed": "closed"}),
     (lambda: _top_scaled_once("so_odd", 2), False, {"premise_failed": "scalar_top"}),
-    (lambda: _spinor_g_scaled("so_even", 2), False, {"premise_failed": "invariant"}),
+    (lambda: _spinor_g_scaled("so_even", 2), False, {"premise_failed": "lie"}),
 ]
 
 
@@ -268,6 +305,35 @@ CERTIFICATES = [
 def test_rll_certificate_record(build, passed, certificate):
     rep = check_rll(build())
     assert rep.passed is passed and rep.details["certificate"] == certificate
+
+
+# One-site fused so(3) operators, (u_1, d_1) and whether G is bilinear
+# (W and chi3 hold): each is a quadratic evaluation with top 4 eps Id.
+FUSE3_ONE_SITE = [((0, 1), True), ((0, 2), False), ((Scalar(1, 0, 2), 3), False),
+                  ((Scalar(-1, 0, 3), 4), False)]
+
+
+@pytest.mark.parametrize("site,bilinear", FUSE3_ONE_SITE, ids=["0-1", "0-2", "half-3", "third-4"])
+def test_fuse3_one_site_checks_decide_on_normalised_operator(site, bilinear):
+    # the Lie and adjoint relations and the constraints are not homogeneous
+    # in L: they hold for L / 4, which every check reads off its record
+    lop = _fuse3([site])
+    assert check_lie(lop).passed and check_adjoint(lop).passed and check_rll(lop).passed
+    constraints = check_symmetric_constraints(lop)
+    c, center = center_function(lop)
+    assert constraints.passed and center.passed
+    assert center_decomposition(lop.case, c, constraints.scalars)
+    assert check_w_tensor(lop).passed is check_chi3(lop).passed is bilinear
+    assert Premises(lop).c == Scalar(4)
+
+
+@pytest.mark.parametrize("chain,top", [([(0, 1), (Scalar(1, 0, 2), 1)], 16),
+                                       ([(1, 1), (Scalar(-1, 0, 2), 2), (0, 1)], 64)],
+                         ids=["two-sites", "three-sites"])
+def test_fuse3_chains_pass_lie_and_rll(chain, top):
+    lop = _fuse3(chain)
+    assert check_lie(lop).passed and check_rll(lop).passed
+    assert Premises(lop).c == Scalar(top)
 
 
 def _direct_sum(l1, l2):
@@ -407,7 +473,7 @@ BLOCK_REFUTATIONS = [
                               "adjoint-js-so5-h-third", "w-js-so5-g-half", "w-spinor-so5"])
 def test_block_refutations_pinned(check, build, at, residual):
     lop, operands = build()
-    rep = check(lop, **operands).to_dict()
+    rep = check(_changed(lop, **operands)).to_dict()
     assert rep["passed"] is False and rep["details"]["safe_columns"] > 0
     assert rep["counterexample"] == {"at": at, "residual": {"0,0": residual}}
 
@@ -417,7 +483,7 @@ def test_block_refutations_pinned(check, build, at, residual):
 
 
 def _generator_record(check, lop, **operands):
-    return check(lop, **operands).details["generators"]
+    return check(_changed(lop, **operands)).details["generators"]
 
 
 # What decided lie, W and adjoint (quadratic operators only): the pair count
@@ -484,7 +550,7 @@ def test_symmetric_off_generator_corruption_fails_on_pairs(family, m, two_l):
     a, b = _off_generator_keys(case, g)[0]
     g = {**g, (a, b): g[a, b].scale(2), (b, a): g[b, a].scale(2)}
     assert block_violation(case, g, g, lop.dim, range(lop.dim), pairs=chevalley_pairs(case))
-    rep = check_lie(lop, g)
+    rep = check_lie(_changed(lop, g=g))
     assert not rep.passed and rep.details["generators"] == {"premise_failed": "lie"}
 
 
@@ -575,7 +641,7 @@ def test_generator_verdicts_match_full_kernel(drawn):
 def test_empty_safe_subspace_fails():
     # at trunc=1 no column is safe: even a corrupted operator would "pass"
     lop = _corrupted_sp4_spinor(1)
-    for rep in (check_lie(lop), check_adjoint(lop, h=lop.g_mat), check_rll(lop),
+    for rep in (check_lie(lop), check_adjoint(_changed(lop, h=lop.g_mat)), check_rll(lop),
                 check_w_tensor(lop), check_chi3(lop), check_linear_constraint(lop)):
         assert not rep.passed and rep.details["safe_columns"] == 0
         assert rep.to_dict()["counterexample"] == {"at": "('safe_columns', 0)",
@@ -721,7 +787,7 @@ def test_w_and_chi3():
     assert check_w_tensor(js1).passed and check_chi3(js1).passed
     # Clifford generators are not of bilinear form: W does not vanish
     spinor = build_spinorial_linear(make_case("so_even", 2))
-    assert not check_w_tensor(spinor, g=spinor.g_mat).passed
+    assert not check_w_tensor(spinor).passed
 
 
 def test_chi3_contracts_g_twice(monkeypatch):
