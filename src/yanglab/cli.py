@@ -27,6 +27,7 @@ import time
 
 from .exact import Scalar, reduce_ratio
 from .lops import (
+    Gl2Operator,
     LOperator,
     build_gl2_js_chain,
     build_heisenberg_linear,
@@ -44,6 +45,7 @@ from .verify import (
     center_function,
     check_adjoint,
     check_chi3,
+    check_gl2_rll,
     check_lie,
     check_linear_constraint,
     check_rll,
@@ -172,8 +174,18 @@ def run_checks(lop: LOperator, names):
     scalar and each generator premise (the Chevalley pairs, the invariance
     of H, the generating set) are decided at most once.  adjoint and
     constraints read H, so asking them of an operator whose order is not 2
-    is a configuration error, raised before any check runs.
+    is a configuration error, raised before any check runs.  A gl(2) chain
+    has one check, rll (Yang's R(u) = u I + P); any other name is a
+    configuration error.
     """
+    if isinstance(lop, Gl2Operator):
+        for name in names:
+            if name != "rll":
+                raise ConfigError(f"unknown check {name!r} for a gl(2) chain (only rll)")
+        seconds: dict = {}
+        reports = [_stage(seconds, name, check_gl2_rll, lop.coeffs, lop.space.dim)
+                   for name in names]
+        return reports, seconds
     for name in names:
         if name in ("adjoint", "constraints") and lop.order != 2:
             raise ConfigError(f"check {name!r} needs a quadratic evaluation (order 2), "
@@ -285,8 +297,10 @@ def run(cfg) -> tuple[dict, int]:
     else:
         report["construction"] = {"kind": "gl2chain", "space": lop.space.summary()}
 
-    if command in ("verify", "all") and isinstance(lop, LOperator):
-        names = cfg.get("checks") or DEFAULT_CHECKS.get(lop.kind, ["rll"])
+    # `all` on a gl(2) chain runs its ratio and finiteness stages only
+    if command == "verify" or (command == "all" and isinstance(lop, LOperator)):
+        kind = lop.kind if isinstance(lop, LOperator) else "gl2chain"
+        names = cfg.get("checks") or DEFAULT_CHECKS.get(kind, ["rll"])
         results, timings["checks"] = _stage(timings, "verify", run_checks, lop, names)
         report["checks"] = [r.to_dict() for r in results]
         constraints = next((r for r in results if r.name == "symmetric_constraints"), None)

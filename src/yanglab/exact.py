@@ -25,14 +25,18 @@ kernel multiply and accumulate without normalizing a Scalar per
 operation.  Zero tests use truthiness, so every method works on either
 entry type.
 
-VectorSpan is the one exact elimination: sparse rows in echelon form,
-grown one vector at a time.  Cyclic spans, coordinates on a submodule and
-the nullspace (back-substitution on the rows) all run on it.
+VectorSpan is the one exact elimination: sparse primitive integer rows in
+echelon form, grown one vector at a time by fraction-free reduction, so
+no Scalar is made while a span grows.  Cyclic spans, coordinates on a
+submodule and the nullspace (back-substitution on the rows read off as
+leading-one rows) all run on it; `clear_vector` turns a sparse vector
+into the int form it works on.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, insort
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -684,6 +688,17 @@ def clear_denominators(ops):
     return out, d
 
 
+def clear_vector(vec: dict):
+    """(V, d): the sparse vector `vec` ({index: Scalar or int}) times d, the
+    lcm of its entries' denominators, with int entries and no zeros."""
+    dens = [v.r for v in vec.values() if not isinstance(v, int)]
+    if not dens:
+        return {j: v for j, v in vec.items() if v}, 1
+    d = lcm(*dens)
+    return {j: v * d if isinstance(v, int) else v.p * (d // v.r)
+            for j, v in vec.items() if v}, d
+
+
 def placed(blocks: dict, count: int, shape: tuple, across: bool = False, keep=None) -> SparseOp:
     """The SparseOps {k: op}, k < count, all of `shape` (r, c), in one:
     block k in rows k r .. k r + r - 1 (stacked) or, `across`, in columns
@@ -723,33 +738,63 @@ def axpy(acc: dict, c, data: dict) -> None:
 class VectorSpan:
     """Exact span of sparse vectors with incremental echelon insertion.
 
-    Rows keep a leading one at their pivot (minimal index) and pivots are
-    pairwise distinct, so membership/coordinates follow by forward
-    substitution in pivot order.
+    Rows are primitive integer vectors: gcd 1 and a positive entry (the
+    lead) at the pivot, their minimal index.  Pivots are pairwise distinct
+    and kept sorted, so membership and coordinates follow by forward
+    substitution in pivot order; a row holds indices >= its pivot, so only
+    the pivots where the vector is nonzero are visited.  Elimination is
+    fraction-free (Bareiss, Math. Comp. 22, 1968): at each pivot p it
+    meets, v <- lead v - v[p] row, both factors divided by their gcd.
+
+    A span does not see a nonzero scale, so `add` clears its vector to ints
+    and inserts the remainder made primitive.  By induction each row is a
+    nonzero multiple of the leading-one row that elimination over Q inserts
+    (the remainder that vanishes at every pivot is unique up to that
+    scale), with the same pivots in the same order; `vectors` reads the
+    rows off as row / lead, and `coordinates` returns the multipliers of
+    those leading-one rows.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("pivots", "rows")
 
     def __init__(self):
-        self.rows = []  # sorted list of (pivot, {index: Scalar})
+        self.pivots = []  # sorted
+        self.rows = {}    # {pivot: {index: int}}
 
-    def reduce(self, vec: dict):
-        """(remainder, {pivot: multiplier}): vec minus the multiples of the
-        rows that clear its entries at their pivots, in pivot order."""
-        vec = {k: v for k, v in vec.items() if v}
-        coords = {}
-        for piv, row in self.rows:
-            c = vec.get(piv)
-            if c is None:
+    def reduce(self, vec: dict, coords=None):
+        """(V, s): int V with V / s = vec minus the multiples of the
+        leading-one rows that clear its entries at their pivots, in pivot
+        order.  Each multiplier goes into `coords` as {pivot: Scalar} when
+        given."""
+        vec, s = clear_vector(vec)
+        rows = self.rows
+        todo = sorted(j for j in vec if j in rows)  # pivots where vec may be nonzero
+        while todo:
+            piv = todo.pop(0)
+            a = vec.get(piv)
+            if a is None:
                 continue
-            coords[piv] = c
+            if coords is not None:
+                coords[piv] = Scalar(a, 0, s)
+            row = rows[piv]
+            lead = row[piv]
+            g = gcd(a, lead)
+            if g != lead:
+                scale = lead // g
+                s *= scale
+                vec = {j: v * scale for j, v in vec.items()}
+            a //= g
             for j, v in row.items():
-                acc = vec.get(j, ZERO) - c * v
-                if acc:
-                    vec[j] = acc
+                acc = vec.get(j)
+                if acc is None:
+                    vec[j] = -a * v
+                    if j in rows:
+                        insort(todo, j)
+                elif acc == a * v:
+                    del vec[j]
                 else:
-                    vec.pop(j, None)
-        return vec, coords
+                    vec[j] = acc - a * v
+        return vec, s
 
     def add(self, vec: dict) -> bool:
         """Insert if independent; returns True when the span grew."""
@@ -757,21 +802,29 @@ class VectorSpan:
         if not vec:
             return False
         piv = min(vec)
-        inv = vec[piv].inv()
-        vec = {j: v * inv for j, v in vec.items()}
-        self.rows.append((piv, vec))
-        self.rows.sort(key=lambda item: item[0])
+        g = gcd(*vec.values())
+        if vec[piv] < 0:
+            g = -g
+        if g != 1:
+            vec = {j: v // g for j, v in vec.items()}
+        insort(self.pivots, piv)
+        self.rows[piv] = vec
         return True
 
-    def coordinates(self, vec: dict):
-        """Coefficients of vec in the row basis; raises if not in the span."""
-        rest, coords = self.reduce(vec)
+    def coordinates(self, vec: dict) -> dict:
+        """{i: multiplier of the i-th leading-one row (of `vectors`)}, the
+        nonzero ones; raises if vec is not in the span."""
+        coords = {}
+        rest, _ = self.reduce(vec, coords)
         if rest:
             raise ValueError("vector is not in the span")
-        return [coords.get(piv, ZERO) for piv, _ in self.rows]
+        return {bisect_left(self.pivots, piv): c for piv, c in coords.items()}
 
     def vectors(self):
-        return [dict(row) for _, row in self.rows]
+        """The leading-one rows row / lead, in pivot order."""
+        rows = self.rows
+        return [{j: Scalar(v, 0, rows[piv][piv]) for j, v in rows[piv].items()}
+                for piv in self.pivots]
 
     def __len__(self):
         return len(self.rows)
@@ -788,14 +841,15 @@ def nullspace(rows, ncols: int):
     span = VectorSpan()
     for row in rows:
         span.add(row)
-    pivots = {piv for piv, _ in span.rows}
+    pivots = set(span.pivots)
+    echelon = list(zip(span.pivots, span.vectors()))
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
         vec = [ZERO] * ncols
         vec[fc] = ONE
-        for piv, row in reversed(span.rows):  # rows hold indices >= piv; vec[piv] is 0 here
+        for piv, row in reversed(echelon):  # rows hold indices >= piv; vec[piv] is 0 here
             vec[piv] = -sum((v * vec[j] for j, v in row.items() if vec[j]), ZERO)
         basis.append(vec)
     return basis

@@ -29,7 +29,16 @@ from __future__ import annotations
 
 from math import comb
 
-from .exact import ONE, ZERO, Scalar, SparseOp, UniPoly, VectorSpan
+from .exact import (
+    ONE,
+    ZERO,
+    Scalar,
+    SparseOp,
+    UniPoly,
+    VectorSpan,
+    clear_vector,
+    common_denominator,
+)
 from .spaces import (
     GeneratorSet,
     RepSpace,
@@ -209,18 +218,42 @@ class LOperator:
         }
 
 
-def _close_span(span, vectors, ops) -> None:
+def _int_columns(ops) -> dict:
+    """{col: [(k, row, entry), ...]}: the entries in column col of the k-th
+    SparseOp of `ops`, every op times the lcm of their denominators, as
+    ints: the form `_close_span` multiplies through."""
+    d = common_denominator(v for op in ops for v in op.data.values())
+    columns: dict = {}
+    for k, op in enumerate(ops):
+        for (i, j), v in op.data.items():
+            columns.setdefault(j, []).append((k, i, v.p * (d // v.r)))
+    return columns
+
+
+def _close_span(span, vectors, columns) -> None:
     """Grow the VectorSpan `span` by `vectors` and all their images under
-    products of `ops`, one queue of vectors still to insert."""
-    queue = [dict(v) for v in vectors]
+    products of the ops whose `_int_columns` are `columns`, one queue of
+    int vectors still to insert, each image pushed in the order of its op.
+    Ops and seeds are taken times nonzero integers, which change no span,
+    so every `add` decides as over Q.  An image touches only the columns
+    where its vector is nonzero."""
+    queue = [clear_vector(v)[0] for v in vectors]
     while queue:
         vec = queue.pop()
         if not span.add(vec):
             continue
-        for op in ops:
-            image = op.apply(vec)
-            if image:
-                queue.append(image)
+        images: dict = {}
+        for j, x in vec.items():
+            for k, i, a in columns.get(j, ()):
+                image = images.get(k)
+                if image is None:
+                    image = images[k] = {}
+                acc = image.get(i, 0) + a * x
+                if acc:
+                    image[i] = acc
+                else:
+                    del image[i]
+        queue.extend(image for _, image in sorted(images.items()) if image)
 
 
 def cyclic_span(lop: LOperator, seeds) -> list:
@@ -233,7 +266,7 @@ def cyclic_span(lop: LOperator, seeds) -> list:
     if lop.space.trunc is not None:
         raise ValueError("cyclic span requires a closed representation space")
     span = VectorSpan()
-    _close_span(span, seeds, [op for mat in lop.coeffs for op in mat.values()])
+    _close_span(span, seeds, _int_columns([op for mat in lop.coeffs for op in mat.values()]))
     return span.vectors()
 
 
@@ -252,15 +285,15 @@ def generating_set(lop: LOperator, ops, span=None) -> list:
         order = list(range(lop.dim))
         if lop.hw_vector is not None and len(lop.hw_vector) == 1:
             order.insert(0, next(iter(lop.hw_vector)))
-        candidates, target = [(j, {j: ONE}) for j in order], lop.dim
+        candidates, target = [(j, {j: 1}) for j in order], lop.dim
     else:
         candidates, target = [(vec, vec) for vec in span], len(span)
-    closure, seeds = VectorSpan(), []
+    closure, seeds, columns = VectorSpan(), [], _int_columns(ops)
     for seed, vec in candidates:
         if len(closure) == target:
             break
         before = len(closure)
-        _close_span(closure, [vec], ops)
+        _close_span(closure, [vec], columns)
         if len(closure) > before:
             seeds.append(seed)
     return seeds
@@ -289,18 +322,14 @@ def restrict_to_submodule(lop: LOperator, span) -> LOperator:
             images: dict = {}
             for (i, j), v in (op @ columns).data.items():
                 images.setdefault(j, {})[i] = v
-            data = {}
-            for j in sorted(images):
-                for i, val in enumerate(basis.coordinates(images[j])):
-                    if val:
-                        data[(i, j)] = val
+            data = {(i, j): val for j in sorted(images)
+                    for i, val in basis.coordinates(images[j]).items()}
             if data:
                 new[key] = SparseOp(dim, dim, data)
         coeffs.append(new)
     hw = None
     if lop.hw_vector is not None:
-        hw = {i: v for i, v in enumerate(basis.coordinates(lop.hw_vector))
-              if not v.is_zero}
+        hw = basis.coordinates(lop.hw_vector)
     return LOperator(lop.case, space, coeffs, entry_budget=0,
                      kind=lop.kind, params={**lop.params, "module": "cyclic"},
                      hw_vector=hw)

@@ -1,7 +1,11 @@
-"""Every name the benchmark's tracer wraps exists in the library."""
+"""Every name the benchmark's tracer wraps exists in the library, and a
+traced pass runs and reports the declared per-layer metrics."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -24,3 +28,17 @@ def test_traced_names_exist():
         # the tracer patches the class's own attribute, not an inherited one
         cls = getattr(importlib.import_module("yanglab.exact"), class_name)
         assert attr in vars(cls), f"{class_name}.{attr}"
+
+
+def test_traced_benchmark_smoke():
+    # one traced pass of quadratic-rll: the tracer wraps VectorSpan.add and
+    # forwards (p, q, r) into Scalar.__new__, so a change to either shows here
+    root = SPANS.parents[1]
+    run = subprocess.run([sys.executable, "bench/run.py", "--workload", "quadratic-rll",
+                          "--seconds", "0", "--trace", "1"],
+                         cwd=root, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted(result["metrics"]) == sorted(metric["name"] for metric in declared)

@@ -218,6 +218,21 @@ def test_weights_kernel_selector(capsys):
     assert len(out["weights"]) == 2  # vacuum and flipped vacuum
 
 
+def test_verify_gl2_chain_runs_rll(capsys):
+    chain = ["--op", "gl2chain", "--params", '{"chain": [["0", 1]]}']
+    assert main(["verify"] + chain) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["check"] == "gl2_rll" and check["passed"]
+    assert check["details"] == {"keys_compared": 8, "safe_columns": 2}
+    # any other check name is a configuration error, raised before rll runs
+    assert main(["verify"] + chain + ["--checks", "rll,bogus"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "'bogus'" in captured.err
+    # `all` keeps its ratio and finiteness stages only
+    assert main(["all"] + chain) == 0
+    assert "checks" not in json.loads(capsys.readouterr().out)
+
+
 def test_run_api_direct():
     report, code = run_cfg(command="all", family="so", m=1, odd=True, op="spinor")
     assert code == 0

@@ -1,6 +1,7 @@
 """Exact scalar / polynomial / sparse matrix arithmetic."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from yanglab.exact import (
     Scalar,
     SparseOp,
     UniPoly,
+    VectorSpan,
     axpy,
     clear_denominators,
     common_denominator,
@@ -278,3 +280,119 @@ def test_nullspace_defining_properties(system):
             for j, x in row.items():
                 total = total + x * v[j]
             assert not total
+
+
+class _FractionSpan:
+    """Reference: the elimination over Q that VectorSpan's integer rows
+    replace, with leading-one rows of Fractions reduced in pivot order."""
+
+    def __init__(self):
+        self.rows = []  # sorted (pivot, {index: Fraction})
+
+    def reduce(self, vec):
+        vec = {j: Fraction(v.p, v.r) for j, v in vec.items() if v}
+        coords = {}
+        for piv, row in self.rows:
+            c = vec.get(piv)
+            if c is None:
+                continue
+            coords[piv] = c
+            for j, v in row.items():
+                acc = vec.get(j, 0) - c * v
+                if acc:
+                    vec[j] = acc
+                else:
+                    vec.pop(j, None)
+        return vec, coords
+
+    def add(self, vec):
+        vec, _ = self.reduce(vec)
+        if not vec:
+            return False
+        piv = min(vec)
+        self.rows.append((piv, {j: v / vec[piv] for j, v in vec.items()}))
+        self.rows.sort(key=lambda item: item[0])
+        return True
+
+    def coordinates(self, vec):
+        rest, coords = self.reduce(vec)
+        if rest:
+            raise ValueError("vector is not in the span")
+        return [coords.get(piv, 0) for piv, _ in self.rows]
+
+    def nullspace(self, ncols):
+        pivots = {piv for piv, _ in self.rows}
+        basis = []
+        for fc in (j for j in range(ncols) if j not in pivots):
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            for piv, row in reversed(self.rows):
+                vec[piv] = -sum(v * vec[j] for j, v in row.items() if j != piv)
+            basis.append(vec)
+        return basis
+
+
+_span_entries = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, Scalar(2), Scalar(-3, 0, 2),
+                                 Scalar(5, 0, 6), Scalar(-7, 0, 4)])
+
+
+def _combine(vectors, factors):
+    out = {}
+    for vec, f in zip(vectors, factors):
+        for j, v in vec.items():
+            out[j] = out.get(j, ZERO) + f * v
+    return {j: v for j, v in out.items() if v}
+
+
+@st.composite
+def span_inputs(draw):
+    """(ncols, vectors, probes): sparse rational vectors, some of them
+    combinations of earlier ones (planted dependencies), some with plain
+    int entries; probes are combinations of the vectors (in the span) or
+    random vectors (in it or not)."""
+    ncols = draw(st.integers(1, 8))
+    vectors = []
+    for _ in range(draw(st.integers(0, 8))):
+        if vectors and draw(st.booleans()):
+            picked = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=3))
+            vec = _combine(picked, [draw(_span_entries) for _ in picked])
+        else:
+            vec = {j: draw(_span_entries) for j in range(ncols)}
+        if draw(st.booleans()) and all(v.r == 1 for v in vec.values()):
+            vec = {j: v.p for j, v in vec.items()}
+        vectors.append({j: v for j, v in vec.items() if v})
+    probes = []
+    for _ in range(draw(st.integers(0, 4))):
+        if vectors and draw(st.booleans()):
+            probes.append(_combine(vectors, [draw(_span_entries) for _ in vectors]))
+        else:
+            probes.append({j: v for j in range(ncols) if (v := draw(_span_entries))})
+    return ncols, vectors, probes
+
+
+def _fractions(vec):
+    return {j: v.as_fraction() if isinstance(v, Scalar) else Fraction(v) for j, v in vec.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_inputs())
+def test_vector_span_matches_fraction_elimination(drawn):
+    ncols, vectors, probes = drawn
+    span, ref = VectorSpan(), _FractionSpan()
+    scalar_vectors = [{j: Scalar.of(v) for j, v in vec.items()} for vec in vectors]
+    assert [span.add(vec) for vec in vectors] == [ref.add(vec) for vec in scalar_vectors]
+    got = span.vectors()
+    assert all(isinstance(v, Scalar) for vec in got for v in vec.values())
+    assert [_fractions(vec) for vec in got] == [row for _, row in ref.rows]
+    for probe in probes:
+        try:
+            expected = ref.coordinates(probe)
+        except ValueError:
+            with pytest.raises(ValueError):
+                span.coordinates(probe)
+        else:
+            coords = span.coordinates(probe)
+            assert all(coords.values())
+            assert [coords.get(i, ZERO).as_fraction() for i in range(len(span))] == expected
+    assert [[x.as_fraction() for x in vec] for vec in nullspace(scalar_vectors, ncols)] == \
+        ref.nullspace(ncols)

@@ -1,16 +1,22 @@
 """L-operator constructions: entries, hand-checked eigenvalues, budgets."""
 
+import hashlib
+import json
+
 import pytest
 
-from yanglab.exact import ONE, ZERO, Scalar, SparseOp, UniPoly, reduce_ratio
+from yanglab import lops
+from yanglab.exact import ONE, ZERO, Scalar, SparseOp, UniPoly, VectorSpan, reduce_ratio
 from yanglab.lops import (
     build_gl2_js_chain,
     build_heisenberg_linear,
     build_js_quadratic,
     build_product,
     build_spinorial_linear,
+    cyclic_span,
     default_js_central_value,
     fuse_so3_from_gl2,
+    generating_set,
     heisenberg_vacuum,
     js_highest_vector,
     metric_opmat,
@@ -23,6 +29,7 @@ from yanglab.lops import (
 )
 from yanglab.spaces import spinor_space
 from yanglab.structure import make_case
+from yanglab.verify import Premises
 
 
 def opmat_eq_on_cols(a, b, dim, cols):
@@ -228,3 +235,56 @@ def test_fusion_trivial_chain_is_metric_pattern():
     for k, mat in enumerate(lop.coeffs):
         for (a, b), op in mat.items():
             assert a == -b, "only metric-pattern entries may appear"
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+def _vectors_key(vectors):
+    return [sorted((i, str(v)) for i, v in vec.items()) for vec in vectors]
+
+
+def _coeffs_key(lop):
+    return [sorted((list(key), sorted((i, j, str(v)) for (i, j), v in op.data.items()))
+                   for key, op in mat.items()) for mat in lop.coeffs]
+
+
+# (digest of the cyclic span of hw on the layer, VectorSpan.add calls and
+# accepts of that closure, digest of the restricted coefficients and hw
+# vector, the generating set of the restricted module under its G_p,
+# digest of the span vectors that generating_set picks on the layer), taken
+# from the elimination over Scalar rows that the integer rows replaced
+JS_SPAN_PINS = {
+    ("so_odd", 2): ("9de8f9215aaace4e", 1173, 30, "3f5aad9857a80db0", [14], "39051f43e021c544"),
+    ("so_even", 3): ("a2790f9f3eab17b0", 2424, 50, "be836d77f3255c60", [34], "39051f43e021c544"),
+}
+
+
+@pytest.mark.parametrize("family,m", sorted(JS_SPAN_PINS))
+def test_js_cyclic_span_pins(family, m, monkeypatch):
+    layers = []
+    real_restrict = lops.restrict_to_submodule
+
+    def capture(lop, span):
+        layers.append(lop)
+        return real_restrict(lop, span)
+
+    monkeypatch.setattr(lops, "restrict_to_submodule", capture)
+    restricted = build_js_quadratic(make_case(family, m), 3)
+    (layer,) = layers
+    calls = []
+    real_add = VectorSpan.add
+
+    def counted_add(span, vec):
+        calls.append(real_add(span, vec))
+        return calls[-1]
+
+    monkeypatch.setattr(VectorSpan, "add", counted_add)
+    span = cyclic_span(layer, [layer.hw_vector])
+    monkeypatch.undo()
+    picked = generating_set(layer, Premises(layer).ops(), span)
+    got = (_digest(_vectors_key(span)), len(calls), sum(calls),
+           _digest([_coeffs_key(restricted), _vectors_key([restricted.hw_vector])[0]]),
+           Premises(restricted).seeds(), _digest(_vectors_key(picked)))
+    assert got == JS_SPAN_PINS[family, m]

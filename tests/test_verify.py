@@ -981,6 +981,47 @@ def test_central_seed_verdicts_match_full_operators(drawn):
             assert "seeds" in generators or "span_seeds" in generators
 
 
+_entry_values = st.sampled_from([ZERO, ZERO, ONE, -ONE, Scalar(2), Scalar(-3, 0, 2)])
+
+
+@st.composite
+def symmetric_top_operators(draw):
+    """(case, s, coeffs, c): L(u) = u^s eps_ab Id + u^(s-1) G (+ H, s = 2)
+    on a 2-dimensional space, G = X - eps X^t + (c/2) eps_ab Id for random
+    X, so that G + eps G^t = c eps_ab Id; X and H are random otherwise."""
+    family, m = draw(st.sampled_from([("so_odd", 1), ("so_odd", 2), ("so_even", 2),
+                                      ("so_even", 3), ("sp", 1), ("sp", 2), ("sp", 3)]))
+    case, order = make_case(family, m), draw(st.sampled_from([1, 2]))
+
+    def random_opmat():
+        out = {}
+        for key in product(case.indices, repeat=2):
+            op = SparseOp(2, 2, {(i, j): draw(_entry_values) for i in range(2) for j in range(2)})
+            if not op.is_zero:
+                out[key] = op
+        return out
+
+    x, c = random_opmat(), draw(_entry_values)
+    g = opmat_add(opmat_sub(x, opmat_scale(opmat_transpose(x), Scalar.of(case.eps))),
+                  metric_opmat(case, 2, c * Scalar(1, 0, 2)))
+    coeffs = ([random_opmat()] if order == 2 else []) + [g, metric_opmat(case, 2)]
+    return case, order, coeffs, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_top_operators())
+def test_center_top_coefficients_are_scalar_metric(drawn):
+    # the claim that lets the center skip [C_2s, L_j] and [C_(2s-1), L_j]:
+    # C_2s = eps_ab Id and C_(2s-1) = (c - s beta) eps_ab Id once the top
+    # is eps_ab Id and G + eps G^t = c eps_ab Id, whatever H is
+    case, order, coeffs, c = drawn
+    shifted = opmat_poly_subs(coeffs, ONE, -case.beta)
+    c_poly = opmat_poly_mul(shifted, coeffs, lambda x, y: opmat_mul_tt(case, x, y))
+    ident = SparseOp.identity(2)
+    assert scalar_images(case, c_poly[2 * order], ident)[:2] == (True, ONE)
+    assert scalar_images(case, c_poly[2 * order - 1], ident)[:2] == (True, c - order * case.beta)
+
+
 def test_central_checks_apply_thin_products(monkeypatch):
     # no product inside constraints, chi3 or center has a right operand wider
     # than n^2 |S|: a fall-back to dim x dim products (dim 50 > 36) shows here
