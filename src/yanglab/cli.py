@@ -170,13 +170,16 @@ def run_checks(lop: LOperator, names):
 
     Returns (reports, seconds): seconds maps each check's name to its wall
     time, the cyclic span of `lop.hw_vector` included in the first check
-    that needs it.  The checks share one `Premises` record, so the top
-    scalar and each generator premise (the Chevalley pairs, the invariance
-    of H, the generating set) are decided at most once.  adjoint and
-    constraints read H, so asking them of an operator whose order is not 2
-    is a configuration error, raised before any check runs.  A gl(2) chain
-    has one check, rll (Yang's R(u) = u I + P); any other name is a
-    configuration error.
+    that needs it.  No span is formed when the hw vector is a unit vector
+    that alone generates W (`Premises.generated_by`): the cyclic module is
+    then W, which the checks decide on without a span.  The checks share
+    one `Premises` record, so the top scalar, each generator premise (the
+    Chevalley pairs, the invariance of H, the generating set) and each
+    column form of L's coefficients are decided or built at most once.
+    adjoint and constraints read H, so asking them of an operator whose
+    order is not 2 is a configuration error, raised before any check runs.
+    A gl(2) chain has one check, rll (Yang's R(u) = u I + P); any other
+    name is a configuration error.
     """
     if isinstance(lop, Gl2Operator):
         for name in names:
@@ -193,9 +196,10 @@ def run_checks(lop: LOperator, names):
     span = None
     premises = Premises(lop)
 
-    def get_span():
+    def get_span():  # None also when the hw vector alone generates W
         nonlocal span
-        if span is None and lop.hw_vector is not None and lop.space.trunc is None:
+        if (span is None and lop.hw_vector is not None and lop.space.trunc is None
+                and not premises.generated_by(lop.hw_vector)):
             span = cyclic_span(lop, [lop.hw_vector])
         return span
 

@@ -19,6 +19,22 @@ Both are one contraction parameterised by the metric pairing
 {d: (partner, sign)}; the gl(2) chains use the same contraction with the
 trivial metric {1: (1, 1), 2: (2, 1)}, i.e. the ordinary 2x2 product.
 
+Every contraction runs on one kernel.  The left opmat is cleared to ints
+once (one lcm D) into a column form (`ColumnForm`): for each (contracted
+index d, column j), the list of (free index, row i, int) of its entries in
+that column.  `o` contracts the second index; `*tt` the first, keeping
+the blocks as they are.  The right opmat is cleared with its own lcm, and
+each of its nonzeros B[k, j] is scattered through the column (d, k) of
+the form (Gustavson's column-oriented sparse product).  The ints are
+summed per output entry and turned into one Scalar each, over D times the
+right lcm.  A thin right operand, the few seed columns of a central check,
+so touches only the columns it uses, not n^3 block products.  A form
+lives as long as its holder: `verify.Premises` keeps the forms of L's
+coefficients for the checks of one record, and the center builds those
+of its shifted coefficients once per scan of its columns; a full product
+(G o G in `build_js_quadratic`, `build_product`, the gl(2) chains and
+fusion) builds its forms for the call.
+
 Entry budgets: on truncated spaces each coefficient entry is built from
 generator factors whose degree excursion is bounded; `entry_budget`
 records that bound so verification code can pick the safe subspace for a
@@ -36,6 +52,7 @@ from .exact import (
     SparseOp,
     UniPoly,
     VectorSpan,
+    clear_denominators,
     clear_vector,
     common_denominator,
 )
@@ -93,40 +110,112 @@ def metric_opmat(case: CaseDescriptor, dim: int, scale=ONE) -> dict:
     return out
 
 
-def opmat_contract(a: dict, b: dict, pairing: dict) -> dict:
-    """(A . B)_rc = sum_d sign A[r, d] B[partner, c], {d: (partner, sign)}."""
-    b_rows: dict = {}
-    for (d, c), op in b.items():
-        b_rows.setdefault(d, []).append((c, op))
-    out: dict = {}
-    for (r, d), op_a in a.items():
-        partner, sign = pairing[d]
-        for c, op_b in b_rows.get(partner, ()):
-            prod = op_a @ op_b
-            opmat_acc(out, (r, c), prod if sign == 1 else -prod)
-    return out
+class ColumnForm:
+    """An opmat A cleared to ints once (A = ints / den, den the lcm of every
+    entry's denominator) and indexed by the columns of its contracted index:
+    columns[(d, j)] lists (f, i, a) for each entry a / den at (i, j) of the
+    block keyed (f, d) (`o`, the second index contracted) or (d, f)
+    (`*tt`, `first`, the first index contracted; the blocks are kept as
+    they are).  `nrows` is the blocks' row count."""
+
+    __slots__ = ("columns", "den", "nrows", "first")
+
+    def __init__(self, columns, den, nrows, first):
+        self.columns = columns
+        self.den = den
+        self.nrows = nrows
+        self.first = first
 
 
-def opmat_apply(a: dict, basis: SparseOp) -> dict:
-    """{key: A[key] @ basis}, the keys whose image vanishes dropped: the
-    opmat A applied to the columns of `basis`."""
+def opmat_form(a: dict, first: bool = False) -> ColumnForm:
+    """The column form of the opmat `a`, contracting its second index, or
+    its first when `first`."""
+    den = common_denominator(v for op in a.values() for v in op.data.values())
+    columns: dict = {}
+    nrows = 0
+    for (x, y), op in a.items():
+        f, d = (y, x) if first else (x, y)
+        nrows = op.nrows
+        for (i, j), v in op.data.items():
+            columns.setdefault((d, j), []).append((f, i, v.p * (den // v.r)))
+    return ColumnForm(columns, den, nrows, first)
+
+
+def _form(a, first: bool) -> ColumnForm:
+    """`a` when it is a ColumnForm contracting the asked index, the form of
+    the opmat `a` built for the call otherwise."""
+    if not isinstance(a, ColumnForm):
+        return opmat_form(a, first)
+    if a.first != first:
+        raise ValueError("the column form contracts the other index")
+    return a
+
+
+def _scatter(form: ColumnForm, terms, den: int) -> dict:
+    """{(f, c): sum of sign * A[f, d] @ Y over the terms (d, c, sign, Y)},
+    A the opmat of `form` and each Y an int SparseOp, Y / den the operand.
+    Each nonzero Y[k, j] is scattered through the form's column (d, k), so
+    only the columns that Y uses are touched; the ints are summed per
+    output entry, and one Scalar(v, 0, form.den * den) is built for each
+    that does not cancel.  No entry is 0 and no block is empty."""
+    columns, acc, ncols = form.columns, {}, 0
+    for d, c, sign, op in terms:
+        ncols = op.ncols
+        for (k, j), x in op.data.items():
+            col = columns.get((d, k))
+            if col is None:
+                continue
+            if sign != 1:
+                x = -x
+            for f, i, a in col:
+                key = (f, c, i, j)
+                acc[key] = acc.get(key, 0) + a * x
+    den = form.den * den
+    blocks: dict = {}
+    for (f, c, i, j), v in acc.items():
+        if v:
+            blocks.setdefault((f, c), {})[i, j] = Scalar(v, 0, den)
     out = {}
-    for key, op in a.items():
-        image = op @ basis
-        if image.data:
-            out[key] = image
+    for key, data in blocks.items():
+        op = out[key] = SparseOp(form.nrows, ncols)
+        op.data = data
     return out
 
 
-def opmat_mul(case: CaseDescriptor, a: dict, b: dict) -> dict:
-    """(A o B)_ab = sum_d eps_{-d} A[a,d] B[-d,b]."""
-    return opmat_contract(a, b, {d: (-d, case.sign(-d)) for d in case.indices})
+def opmat_contract(a, b: dict, pairing: dict) -> dict:
+    """(A . B)_rc = sum_d sign A[r, d] B[partner, c], {d: (partner, sign)}.
+
+    A is a ColumnForm, whose contracted index is d, or an opmat whose second
+    index is contracted (its form then built for this call only; a caller
+    that contracts A again keeps the form, as `verify.Premises` does).  B
+    is cleared to ints with one lcm and each of its nonzeros scattered
+    through the matching column of A (`_scatter`, Gustavson's
+    column-oriented sparse product), so a thin B costs its own nonzeros
+    times the column lengths, not n^3 block products."""
+    form = a if isinstance(a, ColumnForm) else opmat_form(a)
+    back = {partner: (d, sign) for d, (partner, sign) in pairing.items()}
+    ops, den = clear_denominators(b.values())
+    return _scatter(form, [(back[e][0], c, back[e][1], op) for (e, c), op in zip(b, ops)], den)
 
 
-def opmat_mul_tt(case: CaseDescriptor, a: dict, b: dict) -> dict:
-    """(A *tt B)_ab = sum_d eps_d A[d,a] B[-d,b] (center-style contraction)."""
-    return opmat_contract(opmat_transpose(a), b,
-                          {d: (-d, case.sign(d)) for d in case.indices})
+def opmat_apply(a, basis: SparseOp) -> dict:
+    """{key: A[key] @ basis}, the keys whose image vanishes dropped: the
+    opmat A (or its `o` ColumnForm) applied to the columns of `basis`."""
+    form = _form(a, False)
+    (op,), den = clear_denominators([basis])
+    return _scatter(form, [(d, d, 1, op) for d in {d for d, _ in form.columns}], den)
+
+
+def opmat_mul(case: CaseDescriptor, a, b: dict) -> dict:
+    """(A o B)_ab = sum_d eps_{-d} A[a,d] B[-d,b]; A an opmat or its `o`
+    ColumnForm."""
+    return opmat_contract(_form(a, False), b, {d: (-d, case.sign(-d)) for d in case.indices})
+
+
+def opmat_mul_tt(case: CaseDescriptor, a, b: dict) -> dict:
+    """(A *tt B)_ab = sum_d eps_d A[d,a] B[-d,b] (center-style contraction);
+    A an opmat or its `*tt` ColumnForm (`first`)."""
+    return opmat_contract(_form(a, True), b, {d: (-d, case.sign(d)) for d in case.indices})
 
 
 def opmat_transpose(a: dict) -> dict:
@@ -134,20 +223,42 @@ def opmat_transpose(a: dict) -> dict:
 
 
 def opmat_poly_subs(coeffs, a, b) -> list:
-    """Coefficients of M(a*u + b) from coefficients of M(u)."""
+    """Coefficients of M(a*u + b) from coefficients of M(u).
+
+    The u^j coefficient is sum_k comb(k, j) a^j b^(k-j) M_k.  The entries of
+    every M_k are cleared to ints with one lcm and the factors with another,
+    the products are summed as ints, and one Scalar is built per entry that
+    does not cancel."""
     a, b = Scalar.of(a), Scalar.of(b)
-    apow = [ONE]
+    apow, bpow = [ONE], [ONE]
     for _ in coeffs:
         apow.append(apow[-1] * a)
-    out = [dict() for _ in coeffs]
-    for k, mat in enumerate(coeffs):
-        bpow = ONE
-        for j in range(k, -1, -1):
-            factor = apow[j] * bpow * comb(k, j)
-            if not factor.is_zero:
-                for key, op in mat.items():
-                    opmat_acc(out[j], key, op.scale(factor))
-            bpow = bpow * b
+        bpow.append(bpow[-1] * b)
+    factors = {(k, j): apow[j] * bpow[k - j] * comb(k, j)
+               for k in range(len(coeffs)) for j in range(k + 1)}
+    fden = common_denominator(factors.values())
+    blocks = [(k, key, op) for k, mat in enumerate(coeffs) for key, op in mat.items()]
+    ints, den = clear_denominators([op for _, _, op in blocks])
+    acc = [dict() for _ in coeffs]  # u^j: {key: (a block of that shape, {entry: int})}
+    for (k, key, op), iop in zip(blocks, ints):
+        for j in range(k + 1):
+            factor = factors[k, j]
+            if not factor:
+                continue
+            factor = factor.p * (fden // factor.r)
+            data = acc[j].setdefault(key, (op, {}))[1]
+            for e, v in iop.data.items():
+                data[e] = data.get(e, 0) + factor * v
+    den *= fden
+    out = []
+    for mats in acc:
+        mat = {}
+        for key, (shape, data) in mats.items():
+            data = {e: Scalar(v, 0, den) for e, v in data.items() if v}
+            if data:
+                op = mat[key] = SparseOp(shape.nrows, shape.ncols)
+                op.data = data
+        out.append(mat)
     return _strip(out)
 
 
@@ -526,7 +637,8 @@ def build_product(l1: LOperator, l2: LOperator, delta) -> LOperator:
 
     a_coeffs = [lift1(c) for c in opmat_poly_subs(l1.coeffs, ONE, -delta * half)]
     b_coeffs = [lift2(c) for c in opmat_poly_subs(l2.coeffs, ONE, delta * half)]
-    out = opmat_poly_mul(a_coeffs, b_coeffs, lambda x, y: opmat_mul(case, x, y))
+    out = opmat_poly_mul([opmat_form(c) for c in a_coeffs], b_coeffs,
+                         lambda x, y: opmat_mul(case, x, y))
     hw = None
     if l1.hw_vector is not None and l2.hw_vector is not None:
         hw = product_vector(l1.space, l1.hw_vector, l2.space, l2.hw_vector)
@@ -618,7 +730,8 @@ def build_gl2_js_chain(chain) -> Gl2Operator:
                 if not op.is_zero:
                     c0[(alpha, beta)] = op
         factor = [c0, {(1, 1): ident, (2, 2): ident}]
-        acc = opmat_poly_mul(acc, factor, lambda x, y: opmat_contract(x, y, GL2_PAIRING))
+        acc = opmat_poly_mul([opmat_form(c) for c in acc], factor,
+                             lambda x, y: opmat_contract(x, y, GL2_PAIRING))
     hw_index = space.index[tuple(0 for _ in exc)]
     return Gl2Operator(space, acc, shifts, exc, hw_index)
 
@@ -652,7 +765,7 @@ def fuse_so3_from_gl2(gl2: Gl2Operator):
             * gl2.eigen_d().compose_linear(Scalar(2), ONE))
     if qdet.is_zero:
         raise ValueError("quantum determinant vanishes identically")
-    lg2u = opmat_poly_subs(gl2.coeffs, Scalar(2), ZERO)
+    lg2u = [opmat_form(mat) for mat in opmat_poly_subs(gl2.coeffs, Scalar(2), ZERO)]
     at_2u1 = opmat_poly_subs(gl2.coeffs, Scalar(2), ONE)
     adj = [dict() for _ in at_2u1]
     for k, mat in enumerate(at_2u1):
@@ -661,27 +774,28 @@ def fuse_so3_from_gl2(gl2: Gl2Operator):
                 adj[k][(3 - alpha, 3 - beta)] = op
             else:
                 adj[k][(alpha, beta)] = -op
+    sandwich = {}  # b -> the coefficients of Lg(2u) gamma_b adj(2u+2)
+    for b in case.indices:
+        right = [dict() for _ in adj]
+        for k, mat in enumerate(adj):
+            for (be, ga2), sb in GAMMA[b].items():
+                for (al, d1), op in mat.items():
+                    if al == ga2:
+                        opmat_acc(right[k], (be, d1), op.scale(sb))
+        sandwich[b] = opmat_poly_mul(lg2u, right, lambda x, y: opmat_contract(x, y, GL2_PAIRING))
     half = Scalar(1, 0, 2)
     out = [dict() for _ in range(len(lg2u) + len(adj) - 1)]
     for a in case.indices:
         for b in case.indices:
-            ga, gb = GAMMA[a], GAMMA[b]
-            for i, lm in enumerate(lg2u):
-                for j, am in enumerate(adj):
-                    acc = None
-                    # trace of gamma_a Lg gamma_b adj
-                    for (d1, al), sa in ga.items():
-                        for (be, ga2), sb in gb.items():
-                            op1 = lm.get((al, be))
-                            if op1 is None:
-                                continue
-                            op2 = am.get((ga2, d1))
-                            if op2 is None:
-                                continue
-                            term = (op1 @ op2).scale(sa * sb * half)
-                            acc = term if acc is None else acc + term
-                    if acc is not None and not acc.is_zero:
-                        opmat_acc(out[i + j], (a, b), acc)
+            for k, mat in enumerate(sandwich[b]):
+                acc = None  # the trace with gamma_a
+                for (d1, al), sa in GAMMA[a].items():
+                    op = mat.get((al, d1))
+                    if op is not None:
+                        term = op.scale(sa * half)
+                        acc = term if acc is None else acc + term
+                if acc is not None and not acc.is_zero:
+                    out[k][(a, b)] = acc
     lop = LOperator(case, space, _strip(out), entry_budget=0, kind="fuse3",
                     params={"chain": list(zip(gl2.shifts, gl2.excitations))},
                     hw_vector={gl2.hw_index: ONE})

@@ -56,7 +56,11 @@ chi3 and the center) apply each left side right to left to the columns
 of one basis SparseOp, and decide M_ab = c eps_ab Id on the images
 through one routine (`scalar_images`; c is read off the first diagonal
 key, or is 0 for chi3 and the center commutator), so G o G, G^t o H
-and C(u) are never formed as operators.  On a closed
+and C(u) are never formed as operators.  Every such product reads its
+left factor through a column form (`lops.ColumnForm`) that `Premises`
+keeps for L's coefficients (the center builds those of its shifted
+coefficients once per call), so it touches only the columns its thin
+right operand uses.  On a closed
 space whose premises hold (G symmetric and a representation and, where
 the check needs them, H invariant and the top coefficient scalar), every
 left side is a covariant family, so the kernel of
@@ -68,7 +72,9 @@ vectors whose G_p-closure is the span.  A failed premise, or a violation
 on S, reruns the check on every safe column (or span vector), so
 verdicts, scalars and counterexamples are those of the full comparison.
 `Premises` decides each premise once per record; `cli.run_checks` shares
-one record between the checks of a run.
+one record between the checks of a run, and gives the constraints and the
+center no span when the hw vector alone generates W
+(`Premises.generated_by`), its cyclic module being W itself.
 """
 
 from __future__ import annotations
@@ -78,11 +84,13 @@ from functools import cache
 
 from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly, placed
 from .lops import (
+    ColumnForm,
     LOperator,
     generating_set,
     opmat_acc,
     opmat_add,
     opmat_apply,
+    opmat_form,
     opmat_mul,
     opmat_mul_tt,
     opmat_poly_subs,
@@ -265,6 +273,12 @@ class Premises:
       seeds       a set that generates W under the G_p, p in P, by
                   `lops.generating_set`; asked only once P is decided.
 
+    The record also holds the column forms (`lops.ColumnForm`) of the
+    coefficients of `lop`, each built on its first use: the `o` form of
+    every coefficient and the `*tt` form of G and H, through which the
+    central checks form their thin products.  They live as long as the
+    record, so the checks of one run share them.
+
     `cli.run_checks` shares one record between the checks of a run; a check
     called without one builds its own.  The record lives beside the
     operator, not on it, since an operator may be reused after it is
@@ -308,6 +322,23 @@ class Premises:
     def seeds(self) -> list:
         """Basis positions of a set that generates W under `ops`."""
         return self._once("seeds", lambda: generating_set(self.lop, self.ops()))
+
+    def generated_by(self, vec) -> bool:
+        """The unit vector `vec` alone generates W: the generator premises
+        hold and the generating set is its position alone.  Its cyclic
+        module under L is then W, so a check given no span decides the same
+        comparison as one given that module."""
+        return (vec is not None and len(vec) == 1 and self.generators()[0] is not None
+                and self.seeds() == list(vec))
+
+    def form(self, k: int, first: bool = False) -> ColumnForm:
+        """The column form of coefficient k of `lop`, contracting its second
+        index (`o`) or, `first`, its first (`*tt`)."""
+        return self._once(("form", k, first), lambda: opmat_form(self.lop.coeffs[k], first))
+
+    def g_form(self, first: bool = False) -> ColumnForm:
+        """The column form of G."""
+        return self.form(self.lop.order - 1, first)
 
     def central(self, scalar_top: bool = False, invariant: bool = False):
         """(P, record) for a central check or the RLL certificate: P when
@@ -512,35 +543,37 @@ def _seed_basis(premises: Premises, span, generators: dict) -> SparseOp:
     return _vector_basis(lop.dim, vectors)
 
 
-def _constraint_images(lop: LOperator, basis1: SparseOp, basis: SparseOp):
+def _constraint_images(premises: Premises, basis1: SparseOp, basis: SparseOp):
     """Yield (name, basis, images): each constraint left side applied right
     to left to the columns of its basis (c21 on basis1), so that every
     product has a right operand of the basis's width: (G^t o G) @ B is
-    G *tt (G @ B), and (H^t @ B) is H @ B with its keys swapped."""
-    case, g, h = lop.case, lop.g_mat, lop.h_mat
+    G *tt (G @ B), and (H^t @ B) is H @ B with its keys swapped.  G and H
+    enter through the column forms of `premises`; H is the u^0 coefficient
+    of the quadratic evaluation."""
+    case = premises.lop.case
     eps, beta = Scalar.of(case.eps), case.beta
 
-    def tt(x, y):
-        return opmat_mul_tt(case, x, y)
+    def tt(k, y):  # L_k *tt Y, k = 1 for G, 0 for H
+        return opmat_mul_tt(case, premises.form(k, first=True), y)
 
     def plus_t(images, sign):  # (M + sign eps M^t) @ B from M @ B
         return opmat_add(images, opmat_scale(opmat_transpose(images), eps * sign))
 
-    g1 = opmat_apply(g, basis1)
+    g1 = opmat_apply(premises.form(1), basis1)
     yield "c21", basis1, plus_t(g1, 1)
-    gb = g1 if basis is basis1 else opmat_apply(g, basis)
-    hb = opmat_apply(h, basis)
-    yield "c23", basis, opmat_add(plus_t(hb, 1), opmat_sub(tt(g, gb), opmat_scale(gb, beta)))
-    g_hb = tt(g, hb)
-    yield "c26", basis, opmat_add(opmat_add(tt(h, gb), g_hb), opmat_scale(plus_t(hb, -1), -beta))
-    yield "c28", basis, opmat_add(opmat_sub(tt(h, hb), opmat_scale(g_hb, beta)),
+    gb = g1 if basis is basis1 else opmat_apply(premises.form(1), basis)
+    hb = opmat_apply(premises.form(0), basis)
+    yield "c23", basis, opmat_add(plus_t(hb, 1), opmat_sub(tt(1, gb), opmat_scale(gb, beta)))
+    g_hb = tt(1, hb)
+    yield "c26", basis, opmat_add(opmat_add(tt(0, gb), g_hb), opmat_scale(plus_t(hb, -1), -beta))
+    yield "c28", basis, opmat_add(opmat_sub(tt(0, hb), opmat_scale(g_hb, beta)),
                                   opmat_scale(hb, beta * beta))
 
 
-def _constraints_on(lop: LOperator, basis1, basis, details) -> CheckReport:
+def _constraints_on(premises: Premises, basis1, basis, details) -> CheckReport:
     scalars = {}
-    for name, on, images in _constraint_images(lop, basis1, basis):
-        ok, value, bad = scalar_images(lop.case, images, on)
+    for name, on, images in _constraint_images(premises, basis1, basis):
+        ok, value, bad = scalar_images(premises.lop.case, images, on)
         if not ok:
             key, val = bad
             return CheckReport("symmetric_constraints", False, scalars=scalars, details=details,
@@ -587,6 +620,8 @@ def check_symmetric_constraints(lop: LOperator, span=None, premises=None) -> Che
     """
     premises = _premises(lop, premises)
     lop = premises.lop
+    if lop.order != 2:
+        raise ValueError("H is defined for quadratic evaluation only")
     b = lop.entry_budget
     basis, details = _module_basis(lop, 2 * b, span)
     pairs, details["generators"] = premises.central(invariant=True)
@@ -594,18 +629,18 @@ def check_symmetric_constraints(lop: LOperator, span=None, premises=None) -> Che
         return _vacuous("symmetric_constraints", details)
     if pairs is not None:
         seeds = _seed_basis(premises, span, details["generators"])
-        report = _constraints_on(lop, seeds, seeds, details)
+        report = _constraints_on(premises, seeds, seeds, details)
         if report.passed:
             return report
     # c21 is linear in L, so it is compared on the wider budget-b columns
-    return _constraints_on(lop, _module_basis(lop, b, span)[0], basis, details)
+    return _constraints_on(premises, _module_basis(lop, b, span)[0], basis, details)
 
 
 def check_linear_constraint(lop: LOperator, premises=None) -> CheckReport:
     """G^2 + beta G = c2 I with n c2 = tr G^2 (lowered product), both
     applied right to left to the safe columns B: (G o G) B = G o (G B)."""
     premises = _premises(lop, premises)
-    lop, g = premises.lop, premises.g
+    lop, g = premises.lop, premises.g_form()
     case = lop.case
     basis, details = _module_basis(lop, 2 * lop.entry_budget)
     if not basis.ncols:
@@ -671,12 +706,14 @@ def _casimir(case: CaseDescriptor, g: dict, y: dict) -> dict:
     return {key: SparseOp(dim, width, data) for key, data in out.items()}
 
 
-def _chi3_on(case: CaseDescriptor, g: dict, basis: SparseOp):
-    """(ok, 0, bad) of chi3 on the columns of `basis`, applied right to left."""
+def _chi3_on(premises: Premises, basis: SparseOp):
+    """(ok, 0, bad) of chi3 on the columns of `basis`, applied right to left,
+    G entering through its column form."""
+    case, g, form = premises.lop.case, premises.g, premises.g_form()
     eps, beta = Scalar.of(case.eps), case.beta
-    y1 = opmat_apply(g, basis)
-    y2 = opmat_mul(case, g, y1)
-    y3 = opmat_mul(case, g, y2)
+    y1 = opmat_apply(form, basis)
+    y2 = opmat_mul(case, form, y1)
+    y3 = opmat_mul(case, form, y2)
     chi = opmat_add(y3, opmat_scale(y2, eps + beta + beta))
     chi = opmat_add(chi, opmat_scale(y1, eps * beta * Scalar(2)))
     # sigma (eps G_ab + eps_ab Id) @ basis
@@ -700,17 +737,16 @@ def check_chi3(lop: LOperator, premises=None) -> CheckReport:
     and on every safe column otherwise or after a violation there.
     """
     premises = _premises(lop, premises)
-    lop, g = premises.lop, premises.g
-    case = lop.case
+    lop = premises.lop
     basis, details = _module_basis(lop, 3 * lop.entry_budget)
     pairs, details["generators"] = premises.central()
     if not basis.ncols:
         return _vacuous("chi3", details)
     ok = False
     if pairs is not None:
-        ok, _, bad = _chi3_on(case, g, _seed_basis(premises, None, details["generators"]))
+        ok, _, bad = _chi3_on(premises, _seed_basis(premises, None, details["generators"]))
     if not ok:
-        ok, _, bad = _chi3_on(case, g, basis)
+        ok, _, bad = _chi3_on(premises, basis)
     if not ok:
         key, val = bad
         return CheckReport("chi3", False, details=details,
@@ -722,7 +758,7 @@ def check_chi3(lop: LOperator, premises=None) -> CheckReport:
 # the center generating function
 
 
-def _center_on(lop: LOperator, comm_basis: SparseOp | None, basis: SparseOp,
+def _center_on(premises: Premises, comm_basis: SparseOp | None, basis: SparseOp,
                premised: bool = False):
     """(c, bad): the center decided right to left, the commutators on the
     columns of `comm_basis` (skipped when it is None) and the coefficients
@@ -734,13 +770,16 @@ def _center_on(lop: LOperator, comm_basis: SparseOp | None, basis: SparseOp,
     [C_k, L_j] @ B = C_k o (L_j @ B) - L_j o (C_k @ B), with
     C_k o Y = sum_(i+i'=k) shifted_i *tt (L_i' o Y) (the contractions are
     associative), so every product has a right operand of the basis's
-    width.  Each term is formed when the scan first needs it and kept, so a
-    refutation forms little more than the terms it compared.
+    width.  The L_j enter through the `o` forms of `premises`; the `*tt`
+    forms of the shifted coefficients are built once per call.  Each term
+    is formed when the scan first needs it and kept, so a refutation forms
+    little more than the terms it compared.
     bad = (where, (key, residual)) names the first failure, commutators
     first.
     """
-    case, coeffs = lop.case, lop.coeffs
-    shifted = opmat_poly_subs(coeffs, ONE, -case.beta)
+    case, coeffs, form = premises.lop.case, premises.lop.coeffs, premises.form
+    shifted = [opmat_form(mat, first=True)
+               for mat in opmat_poly_subs(coeffs, ONE, -case.beta)]
     size = len(shifted) + len(coeffs) - 1
 
     def c_on(images, k):  # C_k @ B from the images [L_j @ B], formed on demand
@@ -751,19 +790,19 @@ def _center_on(lop: LOperator, comm_basis: SparseOp | None, basis: SparseOp,
         return out
 
     def images_on(b):  # ([L_j @ B], k -> C_k @ B)
-        lb = [opmat_apply(mat, b) for mat in coeffs]
+        lb = [opmat_apply(form(j), b) for j in range(len(coeffs))]
         return lb, cache(lambda k: c_on(lb.__getitem__, k))
 
     if comm_basis is not None:
         lb, cb = images_on(comm_basis)
-        ll = cache(lambda i, j: opmat_mul(case, coeffs[i], lb[j]))  # L_i o (L_j @ B)
+        ll = cache(lambda i, j: opmat_mul(case, form(i), lb[j]))  # L_i o (L_j @ B)
         s = len(coeffs) - 1
         for k1 in range(size):
-            for k2, mat in enumerate(coeffs):
+            for k2 in range(len(coeffs)):
                 if premised and (k2 == s or k1 >= 2 * s - 1):
                     continue
                 c_lb = c_on(lambda i: ll(i, k2), k1)
-                comm = opmat_sub(c_lb, opmat_mul(case, mat, cb(k1)))
+                comm = opmat_sub(c_lb, opmat_mul(case, form(k2), cb(k1)))
                 ok, _, bad = scalar_images(case, comm, comm_basis, ZERO)
                 if not ok:
                     return None, (("commutator", k1, k2), bad)
@@ -837,11 +876,11 @@ def center_function(lop: LOperator, span=None, premises=None):
     if pairs is not None:
         seeds = _seed_basis(premises, None, details["generators"])
         on = seeds if span is None else _seed_basis(premises, span, details["generators"])
-        c, bad = _center_on(lop, seeds, on, premised=True)
+        c, bad = _center_on(premises, seeds, on, premised=True)
         if c is None and bad[0][0] == "coeff":  # the commutators held on the seeds, so on W
             comm_basis = None
     if c is None:
-        c, bad = _center_on(lop, comm_basis, basis)
+        c, bad = _center_on(premises, comm_basis, basis)
     if c is None:
         where, (key, val) = bad
         return UniPoly(), CheckReport("center", False, details=details,

@@ -30,11 +30,11 @@ def test_traced_names_exist():
         assert attr in vars(cls), f"{class_name}.{attr}"
 
 
-def test_traced_benchmark_smoke():
-    # one traced pass of quadratic-rll: the tracer wraps VectorSpan.add and
-    # forwards (p, q, r) into Scalar.__new__, so a change to either shows here
+def _traced_pass(workload):
+    """One traced pass of `workload`: exit 0, graded correct, and every
+    declared per-layer metric reported."""
     root = SPANS.parents[1]
-    run = subprocess.run([sys.executable, "bench/run.py", "--workload", "quadratic-rll",
+    run = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                           "--seconds", "0", "--trace", "1"],
                          cwd=root, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
@@ -42,3 +42,15 @@ def test_traced_benchmark_smoke():
     assert result["correct"] is True and result["failed"] == 0
     declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
     assert sorted(result["metrics"]) == sorted(metric["name"] for metric in declared)
+
+
+def test_traced_benchmark_smoke():
+    # one traced pass of quadratic-rll: the tracer wraps VectorSpan.add and
+    # forwards (p, q, r) into Scalar.__new__, so a change to either shows here
+    _traced_pass("quadratic-rll")
+
+
+def test_traced_invariants_smoke():
+    # quadratic-invariants reaches opmat_mul and opmat_mul_tt through verify's
+    # from-imports, which the tracer wraps with the arguments the checks pass
+    _traced_pass("quadratic-invariants")

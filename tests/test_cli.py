@@ -6,6 +6,9 @@ from collections import Counter
 import pytest
 
 from yanglab import cli, verify, weights
+from yanglab.exact import Scalar
+from yanglab.lops import build_js_quadratic
+from yanglab.structure import make_case
 from yanglab.cli import DEFAULT_CHECKS, ConfigError, build_operator, main, run, run_checks
 
 
@@ -298,3 +301,37 @@ def test_weights_stage_reuses_constraints(monkeypatch, capsys, extra, runs):
     constraints = {c["check"]: c for c in out["checks"]}["symmetric_constraints"]
     assert code == 0 and len(calls) == runs
     assert out["weights"][0]["k"] == constraints["scalars"]["c23"] == "-41/8"
+
+
+@pytest.mark.parametrize("cfg,spans", [
+    ({"family": "so", "m": 2, "odd": True, "op": "js", "twoL": 3}, 0),
+    ({"family": "so", "m": 3, "odd": True, "op": "js", "twoL": 2}, 1),
+    ({"family": "so", "m": 2, "odd": True, "op": "product", "delta": "1/2"}, 1),
+], ids=["js-so5-2l3", "js-so7-2l2", "product-so5"])
+def test_all_forms_cyclic_span_only_when_needed(monkeypatch, cfg, spans):
+    # a hw vector that alone generates W needs no cyclic span: the checks and
+    # the weights stage decide on W itself
+    calls = []
+    real = cli.cyclic_span
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "cyclic_span", counting)
+    monkeypatch.setattr(weights, "cyclic_span", counting)
+    report, code = run({"command": "all", **cfg})
+    assert code == 0 and len(calls) == spans
+    checks = {c["check"]: c for c in report["checks"]}
+    key = "span_dimension" if spans else "safe_columns"
+    assert checks["symmetric_constraints"]["details"][key] == checks["center"]["details"][key]
+
+
+def test_weight_report_skips_span_of_generating_vector(monkeypatch):
+    # without a constraints report, weight_report decides k on W itself when
+    # the hw vector alone generates it, with one record for the check
+    lop = build_js_quadratic(make_case("so_odd", 2), 3)
+    calls = []
+    monkeypatch.setattr(weights, "cyclic_span", lambda *args: calls.append(1))
+    rep = weights.weight_report(lop, lop.hw_vector)
+    assert rep.passed and rep.k == Scalar(-73, 0, 8) and not calls

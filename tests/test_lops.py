@@ -4,10 +4,13 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yanglab import lops
 from yanglab.exact import ONE, ZERO, Scalar, SparseOp, UniPoly, VectorSpan, reduce_ratio
 from yanglab.lops import (
+    GL2_PAIRING,
     build_gl2_js_chain,
     build_heisenberg_linear,
     build_js_quadratic,
@@ -20,10 +23,17 @@ from yanglab.lops import (
     heisenberg_vacuum,
     js_highest_vector,
     metric_opmat,
+    opmat_acc,
     opmat_add,
+    opmat_apply,
+    opmat_contract,
+    opmat_form,
     opmat_mul,
+    opmat_mul_tt,
+    opmat_poly_subs,
     opmat_scale,
     opmat_sub,
+    opmat_transpose,
     product_vector,
     spinor_vacuum,
 )
@@ -288,3 +298,122 @@ def test_js_cyclic_span_pins(family, m, monkeypatch):
            _digest([_coeffs_key(restricted), _vectors_key([restricted.hw_vector])[0]]),
            Premises(restricted).seeds(), _digest(_vectors_key(picked)))
     assert got == JS_SPAN_PINS[family, m]
+
+
+# ---------------------------------------------------------------------------
+# the column-form contraction kernel against per-block SparseOp products
+
+_KERNEL_CASES = [make_case("so_even", 2), make_case("so_odd", 1), make_case("sp", 2)]
+_kernel_entries = st.sampled_from([ONE, -ONE, Scalar(2), Scalar(-3, 0, 2), Scalar(1, 0, 3),
+                                   Scalar(5, 0, 6)])
+
+
+def _block_reference(a, b, pairing):
+    """sum_d sign A[r, d] @ B[partner, c], one SparseOp product per block pair."""
+    out = {}
+    for (r, d), op_a in a.items():
+        partner, sign = pairing[d]
+        for (e, c), op_b in b.items():
+            if e == partner:
+                prod = op_a @ op_b
+                opmat_acc(out, (r, c), prod if sign == 1 else -prod)
+    return out
+
+
+def _pairing(kind, case):
+    if kind == "gl2":
+        return GL2_PAIRING
+    sign = case.sign if kind == "tt" else (lambda d: case.sign(-d))
+    return {d: (-d, sign(d)) for d in case.indices}
+
+
+@st.composite
+def contractions(draw):
+    """(kind, case, A, B): opmats with rational entries, missing and empty
+    blocks and planted cancellations; B thin (1-3 columns) or square."""
+    kind = draw(st.sampled_from(["o", "tt", "gl2"]))
+    case = None if kind == "gl2" else draw(st.sampled_from(_KERNEL_CASES))
+    indices = (1, 2) if case is None else case.indices
+    pairing = _pairing(kind, case)
+    dim = draw(st.integers(1, 4))
+    width = draw(st.sampled_from([1, 2, 3, dim]))
+    keys = [(x, y) for x in indices for y in indices]
+
+    def opmat(ncols):
+        out = {}
+        for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=6)):
+            data = {}
+            for _ in range(draw(st.integers(0, 4))):  # no draw: an empty block
+                data[draw(st.integers(0, dim - 1)), draw(st.integers(0, ncols - 1))] = \
+                    draw(_kernel_entries)
+            out[key] = SparseOp(dim, ncols, data)
+        return out
+
+    a, b = opmat(dim), opmat(width)  # a as contracted on its second index
+    if a and draw(st.booleans()):
+        # A[r, d2] B[p2, c] cancels A[r, d] B[p, c] for every c
+        (r, d), d2 = draw(st.sampled_from(sorted(a))), draw(st.sampled_from(indices))
+        (p, s), (p2, s2) = pairing[d], pairing[d2]
+        if d2 != d:
+            a[r, d2] = a[r, d].scale(Scalar(-s * s2))
+            for (e, c), op in list(b.items()):
+                if e == p:
+                    b[p2, c] = op
+    return kind, case, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(contractions())
+def test_contraction_kernel_matches_block_products(example):
+    kind, case, a, b = example
+    pairing = _pairing(kind, case)
+    want = _block_reference(a, b, pairing)
+    if kind == "tt":  # the *tt form indexes the transpose by its first index
+        a = opmat_transpose(a)
+        got = [opmat_mul_tt(case, a, b), opmat_mul_tt(case, opmat_form(a, first=True), b)]
+    elif kind == "o":
+        got = [opmat_mul(case, a, b), opmat_mul(case, opmat_form(a), b)]
+    else:
+        got = [opmat_contract(a, b, GL2_PAIRING), opmat_contract(opmat_form(a), b, GL2_PAIRING)]
+    for out in got:
+        assert out == want
+        assert all(op.data and all(type(v) is Scalar and v for v in op.data.values())
+                   for op in out.values())
+    if kind != "tt":
+        for basis in b.values():
+            applied = {key: op @ basis for key, op in a.items()}
+            assert opmat_apply(opmat_form(a), basis) == {
+                key: op for key, op in applied.items() if op.data}
+
+
+_poly_points = st.sampled_from([ZERO, ONE, -ONE, Scalar(2), Scalar(-1, 0, 2), Scalar(3, 0, 4)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(contractions(), _poly_points, _poly_points, _poly_points)
+def test_poly_subs_evaluates_the_substituted_polynomial(example, a, b, u):
+    # sum_j u^j M'_j == sum_k (a u + b)^k M_k, M' = opmat_poly_subs(M, a, b),
+    # with no zero entry and no empty block; -M_0 plants cancellations
+    m = example[2]
+    coeffs = [m, opmat_transpose(m), opmat_scale(m, -1)]
+    subs = opmat_poly_subs(coeffs, a, b)
+
+    def value(mats, x):
+        out, power = {}, ONE
+        for mat in mats:
+            out = opmat_add(out, opmat_scale(mat, power))
+            power = power * x
+        return out
+
+    assert value(subs, u) == value(coeffs, a * u + b)
+    assert all(op.data and all(op.data.values()) for mat in subs for op in mat.values())
+    assert not subs or subs[-1]
+
+
+def test_column_form_contracts_the_index_it_was_built_for():
+    case = make_case("so_even", 2)
+    g = build_js_quadratic(case, 1).g_mat
+    with pytest.raises(ValueError):
+        opmat_mul(case, opmat_form(g, first=True), g)
+    with pytest.raises(ValueError):
+        opmat_mul_tt(case, opmat_form(g), g)

@@ -225,13 +225,78 @@ CHECKS_ALONE = {
 @pytest.mark.parametrize("name", sorted(set(CLI_CONSTRUCTIONS) - {"gl2chain"}))
 def test_run_checks_match_checks_alone(name):
     # the record run_checks shares gives every check the report it gives
-    # with a fresh record of its own
+    # with a fresh record of its own; run_checks gives no span when the hw
+    # vector alone generates W, which changes no verdict, scalar or
+    # counterexample of the checks given its cyclic module
     lop = build_operator(CLI_CONSTRUCTIONS[name])
     names = ALL_CHECKS if name == "fuse3-one-site" else DEFAULT_CHECKS[lop.kind]
     span = cyclic_span(lop, [lop.hw_vector]) if lop.space.trunc is None else None
+    given = None if Premises(lop).generated_by(lop.hw_vector) else span
     shared, _ = run_checks(lop, names)
     assert [rep.to_dict() for rep in shared] == [
-        CHECKS_ALONE[check](lop, span).to_dict() for check in names]
+        CHECKS_ALONE[check](lop, given).to_dict() for check in names]
+    spanned = [CHECKS_ALONE[check](lop, span) for check in names]
+    assert [(rep.passed, rep.scalars, rep.counterexample) for rep in shared] == [
+        (rep.passed, rep.scalars, rep.counterexample) for rep in spanned]
+
+
+def test_hw_vector_generates_w_where_expected():
+    # every JS 2l = 3 module and 2l = 1 layer, not the 2l = 2 layer (seeds [13, 6])
+    # nor a product (the vacuum of a spinor factor generates only half of it)
+    expected = {("so_odd", 2, 3): True, ("so_even", 3, 3): True, ("so_odd", 2, 1): True,
+                ("sp", 2, 1): True, ("so_odd", 3, 2): False}
+    for (family, m, two_l), generated in expected.items():
+        lop = build_js_quadratic(make_case(family, m), two_l)
+        assert Premises(lop).generated_by(lop.hw_vector) is generated
+    product = build_operator(CLI_CONSTRUCTIONS["product"])
+    assert not Premises(product).generated_by(product.hw_vector)
+    # a vector of two entries is never taken as the generator
+    assert not Premises(lop).generated_by({0: ONE, 1: ONE})
+
+
+def _count_forms(monkeypatch):
+    """Record every column form built, through lops or verify, as (opmat, first)."""
+    import yanglab.lops as lops
+
+    built = []
+    real = lops.opmat_form
+
+    def counting(mat, first=False):
+        built.append((mat, first))
+        return real(mat, first)
+
+    monkeypatch.setattr(lops, "opmat_form", counting)
+    monkeypatch.setattr(verify, "opmat_form", counting)
+    return built
+
+
+def test_center_builds_each_form_once(monkeypatch):
+    # the o forms of L's coefficients and the *tt forms of the shifted ones,
+    # each built once in one center_function call
+    lop = build_js_quadratic(make_case("so_odd", 3), 2)
+    span = cyclic_span(lop, [lop.hw_vector])
+    built = _count_forms(monkeypatch)
+    c, rep = center_function(lop, span=span)
+    assert rep.passed and rep.details["generators"] == {"pairs": 6, "seeds": 2, "span_seeds": 1}
+    keys = [(id(mat), first) for mat, first in built]
+    assert len(keys) == len(set(keys))
+    coeffs = [k for mat, first in built for k, coeff in enumerate(lop.coeffs)
+              if coeff is mat and not first]
+    assert sorted(coeffs) == [0, 1, 2]
+    shifted = [first for mat, first in built if all(mat is not coeff for coeff in lop.coeffs)]
+    assert shifted == [True, True, True]
+
+
+def test_run_checks_share_forms(monkeypatch):
+    # constraints, chi3 and center read G and H through the record's forms
+    lop = build_js_quadratic(make_case("so_odd", 2), 3)
+    built = _count_forms(monkeypatch)
+    reports, _ = run_checks(lop, DEFAULT_CHECKS["js"])
+    assert all(rep.passed for rep in reports)
+    coeffs = sorted((k, first) for mat, first in built for k, coeff in enumerate(lop.coeffs)
+                    if coeff is mat)
+    assert coeffs == [(0, False), (0, True), (1, False), (1, True), (2, False)]
+    assert len(built) == len(coeffs) + len(lop.coeffs)  # and the shifted ones, once
 
 
 def test_rll_js_so7_rank_three():
