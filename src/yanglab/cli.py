@@ -34,7 +34,6 @@ from .lops import (
     build_js_quadratic,
     build_product,
     build_spinorial_linear,
-    cyclic_span,
     fuse_so3_from_gl2,
     spinor_flipped_vacuum,
 )
@@ -169,13 +168,14 @@ def run_checks(lop: LOperator, names):
     """Run the named identity checks in the order given.
 
     Returns (reports, seconds): seconds maps each check's name to its wall
-    time, the cyclic span of `lop.hw_vector` included in the first check
-    that needs it.  No span is formed when the hw vector is a unit vector
-    that alone generates W (`Premises.generated_by`): the cyclic module is
-    then W, which the checks decide on without a span.  The checks share
-    one `Premises` record, so the top scalar, each generator premise (the
-    Chevalley pairs, the invariance of H, the generating set) and each
-    column form of L's coefficients are decided or built at most once.
+    time, the cyclic span of `lop.hw_vector` (`Premises.span_of`) included
+    in the first check that needs it.  No span is formed when the hw vector
+    is a unit vector that alone generates W (`Premises.generated_by`): the
+    cyclic module is then W, which the checks decide on without a span.
+    The checks share one `Premises` record, so the top scalar, each
+    generator premise (the Chevalley pairs, the invariance of H, the
+    generating set), the span and each column form of L's coefficients are
+    decided or built at most once.
     adjoint and constraints read H, so asking them of an operator whose
     order is not 2 is a configuration error, raised before any check runs.
     A gl(2) chain has one check, rll (Yang's R(u) = u I + P); any other
@@ -193,15 +193,7 @@ def run_checks(lop: LOperator, names):
         if name in ("adjoint", "constraints") and lop.order != 2:
             raise ConfigError(f"check {name!r} needs a quadratic evaluation (order 2), "
                               f"the operator has order {lop.order}")
-    span = None
-    premises = Premises(lop)
-
-    def get_span():  # None also when the hw vector alone generates W
-        nonlocal span
-        if (span is None and lop.hw_vector is not None and lop.space.trunc is None
-                and not premises.generated_by(lop.hw_vector)):
-            span = cyclic_span(lop, [lop.hw_vector])
-        return span
+    premises, hw = Premises(lop), lop.hw_vector
 
     def dispatch(name):
         if name == "lie":
@@ -213,13 +205,13 @@ def run_checks(lop: LOperator, names):
         if name == "linear":
             return check_linear_constraint(lop, premises=premises)
         if name == "constraints":
-            return check_symmetric_constraints(lop, span=get_span(), premises=premises)
+            return check_symmetric_constraints(lop, span=premises.span_of(hw), premises=premises)
         if name == "w":
             return check_w_tensor(lop, premises=premises)
         if name == "chi3":
             return check_chi3(lop, premises=premises)
         if name == "center":
-            c, rep = center_function(lop, span=get_span(), premises=premises)
+            c, rep = center_function(lop, span=premises.span_of(hw), premises=premises)
             return rep
         raise ConfigError(f"unknown check {name!r}")
 

@@ -27,16 +27,16 @@ entry type.
 
 VectorSpan is the one exact elimination: sparse primitive integer rows in
 echelon form, grown one vector at a time by fraction-free reduction, so
-no Scalar is made while a span grows.  Cyclic spans, coordinates on a
-submodule and the nullspace (back-substitution on the rows read off as
-leading-one rows) all run on it; `clear_vector` turns a sparse vector
-into the int form it works on.
+no Scalar is made while a span grows.  Cyclic spans, the restriction to a
+submodule and the nullspace all run on it, the last two reading their
+answers off its reduced echelon basis (`reduced`, the one back-substitution);
+`clear_vector` turns a sparse vector into the int form it works on.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, insort
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -189,7 +189,6 @@ class Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-HALF = Scalar(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +551,13 @@ class SparseOp:
             return cls(n, n)
         return cls(n, n, {(i, i): s for i in range(n)})
 
+    @classmethod
+    def from_columns(cls, nrows: int, vectors) -> "SparseOp":
+        """The sparse vectors {index: entry} as the columns of a SparseOp."""
+        vectors = list(vectors)
+        return cls(nrows, len(vectors), {(i, j): v for j, vec in enumerate(vectors)
+                                         for i, v in vec.items()})
+
     @property
     def is_zero(self) -> bool:
         return not self.data
@@ -688,15 +694,15 @@ def clear_denominators(ops):
     return out, d
 
 
-def clear_vector(vec: dict):
-    """(V, d): the sparse vector `vec` ({index: Scalar or int}) times d, the
-    lcm of its entries' denominators, with int entries and no zeros."""
+def clear_vector(vec: dict) -> dict:
+    """The sparse vector `vec` ({index: Scalar or int}) times the lcm of its
+    entries' denominators, with int entries and no zeros."""
     dens = [v.r for v in vec.values() if not isinstance(v, int)]
     if not dens:
-        return {j: v for j, v in vec.items() if v}, 1
+        return {j: v for j, v in vec.items() if v}
     d = lcm(*dens)
     return {j: v * d if isinstance(v, int) else v.p * (d // v.r)
-            for j, v in vec.items() if v}, d
+            for j, v in vec.items() if v}
 
 
 def placed(blocks: dict, count: int, shape: tuple, across: bool = False, keep=None) -> SparseOp:
@@ -740,19 +746,19 @@ class VectorSpan:
 
     Rows are primitive integer vectors: gcd 1 and a positive entry (the
     lead) at the pivot, their minimal index.  Pivots are pairwise distinct
-    and kept sorted, so membership and coordinates follow by forward
-    substitution in pivot order; a row holds indices >= its pivot, so only
-    the pivots where the vector is nonzero are visited.  Elimination is
-    fraction-free (Bareiss, Math. Comp. 22, 1968): at each pivot p it
-    meets, v <- lead v - v[p] row, both factors divided by their gcd.
+    and kept sorted, so membership follows by forward substitution in
+    pivot order; a row holds indices >= its pivot, so only the pivots where
+    the vector is nonzero are visited.  Elimination is fraction-free
+    (Bareiss, Math. Comp. 22, 1968): at each pivot p it meets,
+    v <- lead v - v[p] row, both factors divided by their gcd.
 
     A span does not see a nonzero scale, so `add` clears its vector to ints
     and inserts the remainder made primitive.  By induction each row is a
     nonzero multiple of the leading-one row that elimination over Q inserts
     (the remainder that vanishes at every pivot is unique up to that
     scale), with the same pivots in the same order; `vectors` reads the
-    rows off as row / lead, and `coordinates` returns the multipliers of
-    those leading-one rows.
+    rows off as row / lead, and `reduced` back-substitutes them into the
+    reduced echelon basis.
     """
 
     __slots__ = ("pivots", "rows")
@@ -761,12 +767,11 @@ class VectorSpan:
         self.pivots = []  # sorted
         self.rows = {}    # {pivot: {index: int}}
 
-    def reduce(self, vec: dict, coords=None):
-        """(V, s): int V with V / s = vec minus the multiples of the
+    def reduce(self, vec: dict) -> dict:
+        """Int V, a positive multiple of vec minus the multiples of the
         leading-one rows that clear its entries at their pivots, in pivot
-        order.  Each multiplier goes into `coords` as {pivot: Scalar} when
-        given."""
-        vec, s = clear_vector(vec)
+        order: empty exactly when vec is in the span."""
+        vec = clear_vector(vec)
         rows = self.rows
         todo = sorted(j for j in vec if j in rows)  # pivots where vec may be nonzero
         while todo:
@@ -774,14 +779,11 @@ class VectorSpan:
             a = vec.get(piv)
             if a is None:
                 continue
-            if coords is not None:
-                coords[piv] = Scalar(a, 0, s)
             row = rows[piv]
             lead = row[piv]
             g = gcd(a, lead)
             if g != lead:
                 scale = lead // g
-                s *= scale
                 vec = {j: v * scale for j, v in vec.items()}
             a //= g
             for j, v in row.items():
@@ -794,11 +796,11 @@ class VectorSpan:
                     del vec[j]
                 else:
                     vec[j] = acc - a * v
-        return vec, s
+        return vec
 
     def add(self, vec: dict) -> bool:
         """Insert if independent; returns True when the span grew."""
-        vec, _ = self.reduce(vec)
+        vec = self.reduce(vec)
         if not vec:
             return False
         piv = min(vec)
@@ -811,20 +813,23 @@ class VectorSpan:
         self.rows[piv] = vec
         return True
 
-    def coordinates(self, vec: dict) -> dict:
-        """{i: multiplier of the i-th leading-one row (of `vectors`)}, the
-        nonzero ones; raises if vec is not in the span."""
-        coords = {}
-        rest, _ = self.reduce(vec, coords)
-        if rest:
-            raise ValueError("vector is not in the span")
-        return {bisect_left(self.pivots, piv): c for piv, c in coords.items()}
-
     def vectors(self):
         """The leading-one rows row / lead, in pivot order."""
         rows = self.rows
         return [{j: Scalar(v, 0, rows[piv][piv]) for j, v in rows[piv].items()}
                 for piv in self.pivots]
+
+    def reduced(self) -> list:
+        """The reduced echelon basis, unique: the leading-one rows with their
+        entries at the later pivots cleared, in pivot order, reduced last
+        pivot first.  A reduced row vanishes at every other pivot, so a
+        vector of the span has its entries at the pivots as coordinates."""
+        rows = dict(zip(self.pivots, self.vectors()))
+        for piv in reversed(self.pivots):
+            row = rows[piv]
+            for q in [j for j in row if j != piv and j in rows]:
+                axpy(row, -row[q], rows[q])
+        return [rows[piv] for piv in self.pivots]
 
     def __len__(self):
         return len(self.rows)
@@ -836,20 +841,19 @@ def nullspace(rows, ncols: int):
     `rows` is an iterable of {col: Scalar} sparse rows.  Returns one dense
     coefficient list per non-pivot column fc of the echelon form, with a
     one at fc and zeros at the other non-pivot columns: the basis read off
-    the reduced echelon form, which is unique.
+    the reduced echelon form (`VectorSpan.reduced`), which is unique: its
+    row at pivot p gives x_p = -row_p[fc] when x_fc = 1.
     """
     span = VectorSpan()
     for row in rows:
         span.add(row)
-    pivots = set(span.pivots)
-    echelon = list(zip(span.pivots, span.vectors()))
+    echelon = list(zip(span.pivots, span.reduced()))
     basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
+    for fc in (j for j in range(ncols) if j not in span.rows):
         vec = [ZERO] * ncols
         vec[fc] = ONE
-        for piv, row in reversed(echelon):  # rows hold indices >= piv; vec[piv] is 0 here
-            vec[piv] = -sum((v * vec[j] for j, v in row.items() if vec[j]), ZERO)
+        for piv, row in echelon:
+            if fc in row:
+                vec[piv] = -row[fc]
         basis.append(vec)
     return basis

@@ -348,7 +348,7 @@ def _close_span(span, vectors, columns) -> None:
     Ops and seeds are taken times nonzero integers, which change no span,
     so every `add` decides as over Q.  An image touches only the columns
     where its vector is nonzero."""
-    queue = [clear_vector(v)[0] for v in vectors]
+    queue = [clear_vector(v) for v in vectors]
     while queue:
         vec = queue.pop()
         if not span.add(vec):
@@ -413,34 +413,41 @@ def generating_set(lop: LOperator, ops, span=None) -> list:
 def restrict_to_submodule(lop: LOperator, span) -> LOperator:
     """Base-change an L-operator onto an invariant span of vectors.
 
-    `span` is an echelon basis as produced by cyclic_span.  Returns the
-    restricted LOperator (labels ("v", i), closed space).  Raises if some
-    image leaves the span (i.e. the span was not invariant).
+    `span` is a basis of it, as produced by cyclic_span; the new basis is
+    its reduced echelon form B (`VectorSpan.reduced`), where coordinates
+    are the entries at the pivots: each restricted coefficient R is read
+    off the pivot rows of op @ B (one `opmat_apply` per coefficient) and the
+    hw vector off its pivot entries.  Returns the restricted LOperator
+    (labels ("v", i), closed space).  Raises unless B @ R == op @ B and the
+    hw vector is in the span, so that B . hw == hw_vector.
     """
     basis = VectorSpan()
     for vec in span:
         if not basis.add(vec):
             raise ValueError("span basis is linearly dependent")
     dim = len(basis)
+    position = {piv: i for i, piv in enumerate(basis.pivots)}
     space = RepSpace(lop.space.name + "|cyclic",
                      [("v", i) for i in range(dim)], [0] * dim)
-    columns = SparseOp(lop.dim, dim, {(i, j): v for j, vec in enumerate(basis.vectors())
-                                      for i, v in vec.items()})
+    columns = SparseOp.from_columns(lop.dim, basis.reduced())
     coeffs = []
     for mat in lop.coeffs:
+        images = opmat_apply(mat, columns)
         new = {}
-        for key, op in mat.items():
-            images: dict = {}
-            for (i, j), v in (op @ columns).data.items():
-                images.setdefault(j, {})[i] = v
-            data = {(i, j): val for j in sorted(images)
-                    for i, val in basis.coordinates(images[j]).items()}
-            if data:
-                new[key] = SparseOp(dim, dim, data)
+        for key in [key for key in mat if key in images]:  # in mat's key order
+            image = images[key]
+            op = SparseOp(dim, dim, {(position[i], j): v for (i, j), v in image.data.items()
+                                     if i in position})
+            if columns @ op != image:
+                raise ValueError("span is not invariant: an image leaves it")
+            new[key] = op
         coeffs.append(new)
     hw = None
     if lop.hw_vector is not None:
-        hw = basis.coordinates(lop.hw_vector)
+        if basis.reduce(lop.hw_vector):  # else B . hw == hw_vector
+            raise ValueError("the hw vector is not in the span")
+        hw = {position[i]: Scalar.of(v) for i, v in sorted(lop.hw_vector.items())
+              if v and i in position}
     return LOperator(lop.case, space, coeffs, entry_budget=0,
                      kind=lop.kind, params={**lop.params, "module": "cyclic"},
                      hw_vector=hw)

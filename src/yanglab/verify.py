@@ -72,8 +72,8 @@ vectors whose G_p-closure is the span.  A failed premise, or a violation
 on S, reruns the check on every safe column (or span vector), so
 verdicts, scalars and counterexamples are those of the full comparison.
 `Premises` decides each premise once per record; `cli.run_checks` shares
-one record between the checks of a run, and gives the constraints and the
-center no span when the hw vector alone generates W
+one record between the checks of a run, and its `span_of` gives the
+constraints and the center no span when the hw vector alone generates W
 (`Premises.generated_by`), its cyclic module being W itself.
 """
 
@@ -86,6 +86,7 @@ from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly, placed
 from .lops import (
     ColumnForm,
     LOperator,
+    cyclic_span,
     generating_set,
     opmat_acc,
     opmat_add,
@@ -146,26 +147,14 @@ class CheckReport:
         return out
 
 
-def _vector_basis(dim: int, vectors) -> SparseOp:
-    """The sparse vectors {index: Scalar} as the columns of a SparseOp."""
-    vectors = list(vectors)
-    return SparseOp(dim, len(vectors), {(j, k): v for k, vec in enumerate(vectors)
-                                        for j, v in vec.items()})
-
-
-def _unit_basis(dim: int, cols) -> SparseOp:
-    """The unit vectors at the positions `cols`, as the columns of a SparseOp."""
-    return _vector_basis(dim, ({j: ONE} for j in cols))
-
-
 def _module_basis(lop: LOperator, budget: int, span=None):
     """(basis, details): the module a central check decides on, as the
     columns of one SparseOp.  Those are the unit vectors safe for `budget`
     or, when given, the vectors of an invariant `span`."""
     if span is not None:
-        return _vector_basis(lop.dim, span), {"span_dimension": len(span)}
+        return SparseOp.from_columns(lop.dim, span), {"span_dimension": len(span)}
     cols = lop.space.safe_indices(budget)
-    return _unit_basis(lop.dim, cols), {"safe_columns": len(cols)}
+    return SparseOp.from_columns(lop.dim, ({j: ONE} for j in cols)), {"safe_columns": len(cols)}
 
 
 def scalar_images(case: CaseDescriptor, images: dict, basis: SparseOp, value=None):
@@ -330,6 +319,15 @@ class Premises:
         comparison as one given that module."""
         return (vec is not None and len(vec) == 1 and self.generators()[0] is not None
                 and self.seeds() == list(vec))
+
+    def span_of(self, vec):
+        """The cyclic span of `vec` under `source` (formed once) that a check
+        on its cyclic module is given, or None when `vec` is None, the space
+        is truncated or `vec` alone generates W (`generated_by`)."""
+        if vec is None or self.source.space.trunc is not None or self.generated_by(vec):
+            return None
+        return self._once(("span",) + tuple(sorted(vec.items())),
+                          lambda: cyclic_span(self.source, [vec]))
 
     def form(self, k: int, first: bool = False) -> ColumnForm:
         """The column form of coefficient k of `lop`, contracting its second
@@ -503,25 +501,23 @@ def check_rll(lop: LOperator, premises=None) -> CheckReport:
     return CheckReport("rll", False, counterexample=(where, res), details=details)
 
 
-def check_gl2_rll(coeffs, dim, safe_cols=None, name="gl2_rll") -> CheckReport:
+def check_gl2_rll(coeffs, dim) -> CheckReport:
     """RLL with Yang's R(u) = u I + P for a gl(2) operator polynomial.
 
     `coeffs` lists, per power of u, maps {(alpha, beta): SparseOp} with
-    alpha, beta in {1, 2}.  Used as the oracle for oscillator chains and
-    for the gl(2) subalgebras embedded in the orthogonal/symplectic case.
+    alpha, beta in {1, 2}, on a space of dim >= 1, decided on every column.
+    Used as the oracle for oscillator chains and for the gl(2) subalgebras
+    embedded in the orthogonal/symplectic case.
     """
-    safe_cols = list(range(dim)) if safe_cols is None else sorted(safe_cols)
-    if not safe_cols:
-        return _vacuous(name)
     blocks = [{(alpha - 1, beta - 1): op for (alpha, beta), op in mat.items()} for mat in coeffs]
-    residual, keys = identity_residual(YANG_GL2_IPK, blocks, 2, dim, safe_cols)
-    details = {"safe_columns": len(safe_cols), "keys_compared": keys}
+    residual, keys = identity_residual(YANG_GL2_IPK, blocks, 2, dim, list(range(dim)))
+    details = {"safe_columns": dim, "keys_compared": keys}
     if residual:
         key = min(residual)
         entry = min(residual[key])
-        return CheckReport(name, False, details=details,
+        return CheckReport("gl2_rll", False, details=details,
                            counterexample=((key,) + entry, BiPoly({key: residual[key][entry]})))
-    return CheckReport(name, True, details=details)
+    return CheckReport("gl2_rll", True, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +533,10 @@ def _seed_basis(premises: Premises, span, generators: dict) -> SparseOp:
     if span is None:
         seeds = premises.seeds()
         generators["seeds"] = len(seeds)
-        return _unit_basis(lop.dim, seeds)
+        return SparseOp.from_columns(lop.dim, ({j: ONE} for j in seeds))
     vectors = generating_set(lop, premises.ops(), span)
     generators["span_seeds"] = len(vectors)
-    return _vector_basis(lop.dim, vectors)
+    return SparseOp.from_columns(lop.dim, vectors)
 
 
 def _constraint_images(premises: Premises, basis1: SparseOp, basis: SparseOp):

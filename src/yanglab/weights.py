@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import ONE, ZERO, Scalar, SparseOp, UniPoly, nullspace, rational_roots, reduce_ratio
-from .lops import LOperator, cyclic_span, metric_opmat
+from .lops import LOperator, metric_opmat
 from .structure import CaseDescriptor
 from .verify import CheckReport, Premises, check_symmetric_constraints
 
@@ -511,8 +511,8 @@ def weight_report(lop: LOperator, vec: dict, k=None, constraints=None) -> Weight
     carries the highest-weight counterexample and nothing else.  k, when
     not given, is c23 of the symmetric constraints on the cyclic module of
     `vec`: of the report `constraints` when the caller already decided it
-    there, else of a new check, which is given no span when `vec` is a unit
-    vector that alone generates W (`Premises.generated_by`).
+    there, else of a new check on the span of `Premises.span_of`, which is
+    none when `vec` is a unit vector that alone generates W.
     """
     case = lop.case
     hw = verify_highest_weight(lop, vec)
@@ -532,10 +532,8 @@ def weight_report(lop: LOperator, vec: dict, k=None, constraints=None) -> Weight
             sym = constraints
             if sym is None:  # no span when vec alone generates W
                 premises = Premises(lop)
-                span = None
-                if lop.space.trunc is None and not premises.generated_by(vec):
-                    span = cyclic_span(lop, [vec])
-                sym = check_symmetric_constraints(lop, span=span, premises=premises)
+                sym = check_symmetric_constraints(lop, span=premises.span_of(vec),
+                                                  premises=premises)
             if sym.passed:
                 k = sym.scalars["c23"]
         cond = check_quadratic_conditions(wf, case, k=k)

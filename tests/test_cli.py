@@ -312,14 +312,13 @@ def test_all_forms_cyclic_span_only_when_needed(monkeypatch, cfg, spans):
     # a hw vector that alone generates W needs no cyclic span: the checks and
     # the weights stage decide on W itself
     calls = []
-    real = cli.cyclic_span
+    real = verify.cyclic_span
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(cli, "cyclic_span", counting)
-    monkeypatch.setattr(weights, "cyclic_span", counting)
+    monkeypatch.setattr(verify, "cyclic_span", counting)
     report, code = run({"command": "all", **cfg})
     assert code == 0 and len(calls) == spans
     checks = {c["check"]: c for c in report["checks"]}
@@ -332,6 +331,6 @@ def test_weight_report_skips_span_of_generating_vector(monkeypatch):
     # the hw vector alone generates it, with one record for the check
     lop = build_js_quadratic(make_case("so_odd", 2), 3)
     calls = []
-    monkeypatch.setattr(weights, "cyclic_span", lambda *args: calls.append(1))
+    monkeypatch.setattr(verify, "cyclic_span", lambda *args: calls.append(1))
     rep = weights.weight_report(lop, lop.hw_vector)
     assert rep.passed and rep.k == Scalar(-73, 0, 8) and not calls

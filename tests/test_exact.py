@@ -282,6 +282,16 @@ def test_nullspace_defining_properties(system):
             assert not total
 
 
+def _subtract(vec, c, row):
+    """vec -= c * row over Fractions, dropping the entries that cancel."""
+    for j, v in row.items():
+        acc = vec.get(j, 0) - c * v
+        if acc:
+            vec[j] = acc
+        else:
+            vec.pop(j, None)
+
+
 class _FractionSpan:
     """Reference: the elimination over Q that VectorSpan's integer rows
     replace, with leading-one rows of Fractions reduced in pivot order."""
@@ -291,22 +301,14 @@ class _FractionSpan:
 
     def reduce(self, vec):
         vec = {j: Fraction(v.p, v.r) for j, v in vec.items() if v}
-        coords = {}
         for piv, row in self.rows:
             c = vec.get(piv)
-            if c is None:
-                continue
-            coords[piv] = c
-            for j, v in row.items():
-                acc = vec.get(j, 0) - c * v
-                if acc:
-                    vec[j] = acc
-                else:
-                    vec.pop(j, None)
-        return vec, coords
+            if c is not None:
+                _subtract(vec, c, row)
+        return vec
 
     def add(self, vec):
-        vec, _ = self.reduce(vec)
+        vec = self.reduce(vec)
         if not vec:
             return False
         piv = min(vec)
@@ -314,11 +316,18 @@ class _FractionSpan:
         self.rows.sort(key=lambda item: item[0])
         return True
 
-    def coordinates(self, vec):
-        rest, coords = self.reduce(vec)
-        if rest:
-            raise ValueError("vector is not in the span")
-        return [coords.get(piv, 0) for piv, _ in self.rows]
+    def reduced(self):
+        """The RREF: each leading-one row with its entries at the later
+        pivots cleared by the rows already reduced, last pivot first."""
+        done = []
+        for piv, row in reversed(self.rows):
+            row = dict(row)
+            for q, red in done:
+                c = row.get(q)
+                if c is not None:
+                    _subtract(row, c, red)
+            done.append((piv, row))
+        return [row for _, row in reversed(done)]
 
     def nullspace(self, ncols):
         pivots = {piv for piv, _ in self.rows}
@@ -384,15 +393,10 @@ def test_vector_span_matches_fraction_elimination(drawn):
     got = span.vectors()
     assert all(isinstance(v, Scalar) for vec in got for v in vec.values())
     assert [_fractions(vec) for vec in got] == [row for _, row in ref.rows]
-    for probe in probes:
-        try:
-            expected = ref.coordinates(probe)
-        except ValueError:
-            with pytest.raises(ValueError):
-                span.coordinates(probe)
-        else:
-            coords = span.coordinates(probe)
-            assert all(coords.values())
-            assert [coords.get(i, ZERO).as_fraction() for i in range(len(span))] == expected
+    reduced = span.reduced()
+    assert all(isinstance(v, Scalar) and v for vec in reduced for v in vec.values())
+    assert [_fractions(vec) for vec in reduced] == ref.reduced()
+    for probe in probes:  # membership: the remainder is empty exactly on the span
+        assert bool(span.reduce(probe)) == bool(ref.reduce(probe))
     assert [[x.as_fraction() for x in vec] for vec in nullspace(scalar_vectors, ncols)] == \
         ref.nullspace(ncols)

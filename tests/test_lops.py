@@ -41,6 +41,9 @@ from yanglab.spaces import spinor_space
 from yanglab.structure import make_case
 from yanglab.verify import Premises
 
+# the elimination over Q that VectorSpan is tested against
+from test_exact import _FractionSpan
+
 
 def opmat_eq_on_cols(a, b, dim, cols):
     diff = opmat_sub(a, b)
@@ -263,16 +266,19 @@ def _coeffs_key(lop):
 # (digest of the cyclic span of hw on the layer, VectorSpan.add calls and
 # accepts of that closure, digest of the restricted coefficients and hw
 # vector, the generating set of the restricted module under its G_p,
-# digest of the span vectors that generating_set picks on the layer), taken
-# from the elimination over Scalar rows that the integer rows replaced
+# digest of the span vectors that generating_set picks on the layer).  All
+# but the third were taken from the elimination over Scalar rows that the
+# integer rows replaced; the third is the operator in the reduced echelon
+# basis of the span, which is unique, so any correct restriction gives it
 JS_SPAN_PINS = {
-    ("so_odd", 2): ("9de8f9215aaace4e", 1173, 30, "3f5aad9857a80db0", [14], "39051f43e021c544"),
-    ("so_even", 3): ("a2790f9f3eab17b0", 2424, 50, "be836d77f3255c60", [34], "39051f43e021c544"),
+    ("so_odd", 2): ("9de8f9215aaace4e", 1173, 30, "d7dca583753215f9", [14], "39051f43e021c544"),
+    ("so_even", 3): ("a2790f9f3eab17b0", 2424, 50, "947229c59ba8e9f5", [34], "39051f43e021c544"),
 }
 
 
-@pytest.mark.parametrize("family,m", sorted(JS_SPAN_PINS))
-def test_js_cyclic_span_pins(family, m, monkeypatch):
+def _js_layer(family, m, monkeypatch):
+    """(the degree-3 layer operator that build_js_quadratic restricts, the
+    restricted operator it returns)."""
     layers = []
     real_restrict = lops.restrict_to_submodule
 
@@ -282,7 +288,14 @@ def test_js_cyclic_span_pins(family, m, monkeypatch):
 
     monkeypatch.setattr(lops, "restrict_to_submodule", capture)
     restricted = build_js_quadratic(make_case(family, m), 3)
+    monkeypatch.undo()
     (layer,) = layers
+    return layer, restricted
+
+
+@pytest.mark.parametrize("family,m", sorted(JS_SPAN_PINS))
+def test_js_cyclic_span_pins(family, m, monkeypatch):
+    layer, restricted = _js_layer(family, m, monkeypatch)
     calls = []
     real_add = VectorSpan.add
 
@@ -298,6 +311,45 @@ def test_js_cyclic_span_pins(family, m, monkeypatch):
            _digest([_coeffs_key(restricted), _vectors_key([restricted.hw_vector])[0]]),
            Premises(restricted).seeds(), _digest(_vectors_key(picked)))
     assert got == JS_SPAN_PINS[family, m]
+
+
+@pytest.mark.parametrize("family,m", [("so_odd", 2), ("so_even", 3)])
+def test_restriction_matches_fraction_rref_basis(family, m, monkeypatch):
+    # B, the reduced echelon basis of the cyclic span built test-side, times
+    # each restricted coefficient is that coefficient of the layer times B,
+    # and B times the restricted hw vector is the layer's hw vector
+    layer, restricted = _js_layer(family, m, monkeypatch)
+    ref = _FractionSpan()
+    for vec in cyclic_span(layer, [layer.hw_vector]):
+        ref.add(vec)
+    rref = ref.reduced()
+    dim = len(rref)
+    assert restricted.dim == dim
+    basis = SparseOp(layer.dim, dim, {(i, j): Scalar(x.numerator, 0, x.denominator)
+                                      for j, row in enumerate(rref) for i, x in row.items()})
+    for mat, new in zip(layer.coeffs, restricted.coeffs):
+        images = {key: op @ basis for key, op in mat.items()}
+        assert set(new) == {key for key, image in images.items() if not image.is_zero}
+        for key, op in new.items():
+            assert basis @ op == images[key]
+    hw = SparseOp(dim, 1, {(i, 0): v for i, v in restricted.hw_vector.items()})
+    assert basis @ hw == SparseOp(layer.dim, 1, {(i, 0): v for i, v in layer.hw_vector.items()})
+
+
+def test_restriction_raises_off_an_invariant_span(monkeypatch):
+    layer, _ = _js_layer("so_odd", 2, monkeypatch)
+    span = cyclic_span(layer, [layer.hw_vector])
+    for prefix in (span[:1], span[:-1]):
+        with pytest.raises(ValueError, match="not invariant"):
+            lops.restrict_to_submodule(layer, prefix)
+    inside = VectorSpan()
+    for vec in span:
+        inside.add(vec)
+    outside = next(j for j in range(layer.dim) if inside.add({j: ONE}))
+    moved = lops.LOperator(layer.case, layer.space, layer.coeffs, layer.entry_budget,
+                           layer.kind, layer.params, {outside: ONE})
+    with pytest.raises(ValueError, match="hw vector is not in the span"):
+        lops.restrict_to_submodule(moved, span)
 
 
 # ---------------------------------------------------------------------------
