@@ -20,10 +20,16 @@ explicit dimensions).  It is deliberately dumb: no fill-in heuristics,
 no reordering, just exact dict arithmetic.  Everything is immutable in
 practice (ops build new objects), so values can be shared freely.
 Entries may also be plain ints: `clear_denominators` turns operators into
-integer ones times a known 1/D, which the identity engine and the block
-kernel multiply and accumulate without normalizing a Scalar per
-operation.  Zero tests use truthiness, so every method works on either
-entry type.
+integer ones times a known 1/D.  Zero tests use truthiness, so every method
+works on either entry type.
+
+The one sparse product kernel works on such int blocks: `int_columns`
+indexes blocks {(f, d): A} by the columns of their contracted index d, and
+`scatter` sums sign A[f, d] @ Y over terms (d, c, sign, Y) by scattering
+every nonzero of Y through that index, on plain ints, with no Scalar made.
+The identity engine and the block kernel (`structure`), the contractions
+and the span closures (`lops`), and through them every check, form their
+products on it; `SparseOp.__matmul__` is left to the builders.
 
 VectorSpan is the one exact elimination: sparse primitive integer rows in
 echelon form, grown one vector at a time by fraction-free reduction, so
@@ -460,15 +466,9 @@ class BiPoly:
         return self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            acc = out.get(key, ZERO) + val
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
         res = BiPoly()
-        res.terms = out
+        res.terms = dict(self.terms)
+        axpy(res.terms, 1, other.terms)
         return res
 
     def __neg__(self):
@@ -483,17 +483,10 @@ class BiPoly:
         if isinstance(other, (int, Scalar)):
             s = Scalar.of(other)
             return BiPoly({k: v * s for k, v in self.terms.items()})
-        out: dict = {}
-        for (a, b), va in self.terms.items():
-            for (c, d), vb in other.terms.items():
-                key = (a + c, b + d)
-                acc = out.get(key, ZERO) + va * vb
-                if acc.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
         res = BiPoly()
-        res.terms = out
+        res.terms = {}
+        for (a, b), va in self.terms.items():
+            axpy(res.terms, va, {(a + c, b + d): vb for (c, d), vb in other.terms.items()})
         return res
 
     __rmul__ = __mul__
@@ -573,16 +566,9 @@ class SparseOp:
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch in add")
-        out = dict(self.data)
-        for key, val in other.data.items():
-            acc = out.get(key)
-            acc = val if acc is None else acc + val
-            if not acc:
-                out.pop(key, None)
-            else:
-                out[key] = acc
         res = SparseOp(self.nrows, self.ncols)
-        res.data = out
+        res.data = dict(self.data)
+        axpy(res.data, 1, other.data)
         return res
 
     def __neg__(self):
@@ -649,16 +635,13 @@ class SparseOp:
 
     def apply(self, vec: dict) -> dict:
         """Apply to a sparse column vector {index: Scalar}."""
-        out: dict[int, Scalar] = {}
+        cols: dict = {}
         for (i, j), a in self.data.items():
-            x = vec.get(j)
-            if x is None:
-                continue
-            acc = out.get(i, ZERO) + a * x
-            if acc.is_zero:
-                out.pop(i, None)
-            else:
-                out[i] = acc
+            if j in vec:
+                cols.setdefault(j, {})[i] = a
+        out: dict[int, Scalar] = {}
+        for j, col in cols.items():
+            axpy(out, vec[j], col)
         return out
 
     def restrict_cols(self, cols) -> "SparseOp":
@@ -705,23 +688,42 @@ def clear_vector(vec: dict) -> dict:
             for j, v in vec.items() if v}
 
 
-def placed(blocks: dict, count: int, shape: tuple, across: bool = False, keep=None) -> SparseOp:
-    """The SparseOps {k: op}, k < count, all of `shape` (r, c), in one:
-    block k in rows k r .. k r + r - 1 (stacked) or, `across`, in columns
-    k c .. k c + c - 1 (side by side), with only its columns j in `keep`
-    (all when None).  So stacked B @ Y holds every B_k Y in its row blocks
-    and Y @ side-by-side B every Y B_k in its column blocks."""
-    (r, c), data = shape, {}
-    for k, op in blocks.items():
-        off = k * (c if across else r)
-        items = op.data.items() if keep is None else [e for e in op.data.items() if e[0][1] in keep]
-        if across:
-            data.update(((i, off + j), v) for (i, j), v in items)
-        else:
-            data.update(((off + i, j), v) for (i, j), v in items)
-    res = SparseOp(r, count * c) if across else SparseOp(count * r, c)
-    res.data = data
-    return res
+def int_columns(blocks: dict, den: int | None = None) -> dict:
+    """{(d, k): [(f, i, v), ...]}: every entry v at (i, k) of the block keyed
+    (f, d) of the int blocks {(f, d): SparseOp}, listed under the column k of
+    its block's second index d, in block and entry order.  With `den`, the
+    entries are Scalars whose denominators divide den, and v is the entry
+    times den (their `clear_denominators` form, read in the same pass)."""
+    columns: dict = {}
+    for (f, d), op in blocks.items():
+        for (i, k), v in op.data.items():
+            if den is not None:
+                v = v.p * (den // v.r)
+            columns.setdefault((d, k), []).append((f, i, v))
+    return columns
+
+
+def scatter(columns: dict, terms) -> dict:
+    """{(f, c, i, j): int}: the sum of sign * A[f, d] @ Y over the terms
+    (d, c, sign, Y), A the int blocks whose `int_columns` are `columns` and
+    each Y an int SparseOp (sign an int).
+
+    The one sparse product kernel (Gustavson's column-oriented product,
+    ACM TOMS 4(3), 1978): each nonzero Y[k, j] is scattered through the
+    column (d, k), so only the columns that Y uses are touched.  Entries
+    that cancel stay in as 0; callers drop them."""
+    acc: dict = {}
+    for d, c, sign, op in terms:
+        for (k, j), x in op.data.items():
+            col = columns.get((d, k))
+            if col is None:
+                continue
+            if sign != 1:
+                x *= sign
+            for f, i, a in col:
+                key = (f, c, i, j)
+                acc[key] = acc.get(key, 0) + a * x
+    return acc
 
 
 def axpy(acc: dict, c, data: dict) -> None:

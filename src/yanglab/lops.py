@@ -19,15 +19,18 @@ Both are one contraction parameterised by the metric pairing
 {d: (partner, sign)}; the gl(2) chains use the same contraction with the
 trivial metric {1: (1, 1), 2: (2, 1)}, i.e. the ordinary 2x2 product.
 
-Every contraction runs on one kernel.  The left opmat is cleared to ints
-once (one lcm D) into a column form (`ColumnForm`): for each (contracted
-index d, column j), the list of (free index, row i, int) of its entries in
-that column.  `o` contracts the second index; `*tt` the first, keeping
-the blocks as they are.  The right opmat is cleared with its own lcm, and
-each of its nonzeros B[k, j] is scattered through the column (d, k) of
-the form (Gustavson's column-oriented sparse product).  The ints are
-summed per output entry and turned into one Scalar each, over D times the
-right lcm.  A thin right operand, the few seed columns of a central check,
+Every contraction runs on the sparse product kernel of `exact`.  The left
+opmat is cleared to ints once (one lcm D) into a column form
+(`ColumnForm`, its `exact.int_columns`): for each (contracted index d,
+column j), the list of (free index, row i, int) of its entries in that
+column.  `o` contracts the second index; `*tt` the first, keeping the
+blocks as they are.  The right opmat is cleared with its own lcm, and each
+of its nonzeros B[k, j] is scattered through the column (d, k) of the form
+(`exact.scatter`).  The ints are summed per output entry and turned into
+one Scalar each, over D times the right lcm: the column form and
+`_scatter` are the rational boundary around the int kernel.  The span
+closures index their ops with `exact.int_columns` too.  A thin right
+operand, the few seed columns of a central check,
 so touches only the columns it uses, not n^3 block products.  A form
 lives as long as its holder: `verify.Premises` keeps the forms of L's
 coefficients for the checks of one record, and the center builds those
@@ -55,6 +58,8 @@ from .exact import (
     clear_denominators,
     clear_vector,
     common_denominator,
+    int_columns,
+    scatter,
 )
 from .spaces import (
     GeneratorSet,
@@ -129,16 +134,12 @@ class ColumnForm:
 
 def opmat_form(a: dict, first: bool = False) -> ColumnForm:
     """The column form of the opmat `a`, contracting its second index, or
-    its first when `first`."""
+    its first when `first`: `exact.int_columns` of its blocks, cleared to
+    ints in the same pass."""
     den = common_denominator(v for op in a.values() for v in op.data.values())
-    columns: dict = {}
-    nrows = 0
-    for (x, y), op in a.items():
-        f, d = (y, x) if first else (x, y)
-        nrows = op.nrows
-        for (i, j), v in op.data.items():
-            columns.setdefault((d, j), []).append((f, i, v.p * (den // v.r)))
-    return ColumnForm(columns, den, nrows, first)
+    blocks = opmat_transpose(a) if first else a
+    nrows = next((op.nrows for op in a.values()), 0)
+    return ColumnForm(int_columns(blocks, den), den, nrows, first)
 
 
 def _form(a, first: bool) -> ColumnForm:
@@ -152,27 +153,15 @@ def _form(a, first: bool) -> ColumnForm:
 
 
 def _scatter(form: ColumnForm, terms, den: int) -> dict:
-    """{(f, c): sum of sign * A[f, d] @ Y over the terms (d, c, sign, Y)},
-    A the opmat of `form` and each Y an int SparseOp, Y / den the operand.
-    Each nonzero Y[k, j] is scattered through the form's column (d, k), so
-    only the columns that Y uses are touched; the ints are summed per
-    output entry, and one Scalar(v, 0, form.den * den) is built for each
-    that does not cancel.  No entry is 0 and no block is empty."""
-    columns, acc, ncols = form.columns, {}, 0
-    for d, c, sign, op in terms:
-        ncols = op.ncols
-        for (k, j), x in op.data.items():
-            col = columns.get((d, k))
-            if col is None:
-                continue
-            if sign != 1:
-                x = -x
-            for f, i, a in col:
-                key = (f, c, i, j)
-                acc[key] = acc.get(key, 0) + a * x
+    """{(f, c): sum of sign * A[f, d] @ Y over the list of terms
+    (d, c, sign, Y)}, A the opmat of `form` and each Y an int SparseOp,
+    Y / den the operand: the Scalar boundary of `exact.scatter`.  One
+    Scalar(v, 0, form.den * den) is built for each entry that does not
+    cancel.  No entry is 0 and no block is empty."""
+    ncols = terms[-1][3].ncols if terms else 0
     den = form.den * den
     blocks: dict = {}
-    for (f, c, i, j), v in acc.items():
+    for (f, c, i, j), v in scatter(form.columns, terms).items():
         if v:
             blocks.setdefault((f, c), {})[i, j] = Scalar(v, 0, den)
     out = {}
@@ -189,9 +178,8 @@ def opmat_contract(a, b: dict, pairing: dict) -> dict:
     index is contracted (its form then built for this call only; a caller
     that contracts A again keeps the form, as `verify.Premises` does).  B
     is cleared to ints with one lcm and each of its nonzeros scattered
-    through the matching column of A (`_scatter`, Gustavson's
-    column-oriented sparse product), so a thin B costs its own nonzeros
-    times the column lengths, not n^3 block products."""
+    through the matching column of A (`exact.scatter`), so a thin B costs
+    its own nonzeros times the column lengths, not n^3 block products."""
     form = a if isinstance(a, ColumnForm) else opmat_form(a)
     back = {partner: (d, sign) for d, (partner, sign) in pairing.items()}
     ops, den = clear_denominators(b.values())
@@ -329,21 +317,18 @@ class LOperator:
         }
 
 
-def _int_columns(ops) -> dict:
-    """{col: [(k, row, entry), ...]}: the entries in column col of the k-th
-    SparseOp of `ops`, every op times the lcm of their denominators, as
-    ints: the form `_close_span` multiplies through."""
-    d = common_denominator(v for op in ops for v in op.data.values())
-    columns: dict = {}
-    for k, op in enumerate(ops):
-        for (i, j), v in op.data.items():
-            columns.setdefault(j, []).append((k, i, v.p * (d // v.r)))
-    return columns
+def _op_columns(ops) -> dict:
+    """{j: [(k, row, int), ...]}: `exact.int_columns` of the SparseOps `ops`
+    as the blocks (k, 0), every op times the lcm of their denominators,
+    keyed by the column j alone (an int key for the closure's hot loop)."""
+    den = common_denominator(v for op in ops for v in op.data.values())
+    return {j: col for (_, j), col in
+            int_columns({(k, 0): op for k, op in enumerate(ops)}, den).items()}
 
 
 def _close_span(span, vectors, columns) -> None:
     """Grow the VectorSpan `span` by `vectors` and all their images under
-    products of the ops whose `_int_columns` are `columns`, one queue of
+    products of the ops whose `_op_columns` are `columns`, one queue of
     int vectors still to insert, each image pushed in the order of its op.
     Ops and seeds are taken times nonzero integers, which change no span,
     so every `add` decides as over Q.  An image touches only the columns
@@ -377,7 +362,7 @@ def cyclic_span(lop: LOperator, seeds) -> list:
     if lop.space.trunc is not None:
         raise ValueError("cyclic span requires a closed representation space")
     span = VectorSpan()
-    _close_span(span, seeds, _int_columns([op for mat in lop.coeffs for op in mat.values()]))
+    _close_span(span, seeds, _op_columns([op for mat in lop.coeffs for op in mat.values()]))
     return span.vectors()
 
 
@@ -399,7 +384,7 @@ def generating_set(lop: LOperator, ops, span=None) -> list:
         candidates, target = [(j, {j: 1}) for j in order], lop.dim
     else:
         candidates, target = [(vec, vec) for vec in span], len(span)
-    closure, seeds, columns = VectorSpan(), [], _int_columns(ops)
+    closure, seeds, columns = VectorSpan(), [], _op_columns(ops)
     for seed, vec in candidates:
         if len(closure) == target:
             break
@@ -418,8 +403,9 @@ def restrict_to_submodule(lop: LOperator, span) -> LOperator:
     are the entries at the pivots: each restricted coefficient R is read
     off the pivot rows of op @ B (one `opmat_apply` per coefficient) and the
     hw vector off its pivot entries.  Returns the restricted LOperator
-    (labels ("v", i), closed space).  Raises unless B @ R == op @ B and the
-    hw vector is in the span, so that B . hw == hw_vector.
+    (labels ("v", i), closed space).  Raises unless B @ R == op @ B (one
+    `opmat_contract` of B's form per coefficient) and the hw vector is in
+    the span, so that B . hw == hw_vector.
     """
     basis = VectorSpan()
     for vec in span:
@@ -430,17 +416,18 @@ def restrict_to_submodule(lop: LOperator, span) -> LOperator:
     space = RepSpace(lop.space.name + "|cyclic",
                      [("v", i) for i in range(dim)], [0] * dim)
     columns = SparseOp.from_columns(lop.dim, basis.reduced())
+    form = opmat_form({(0, 0): columns})
     coeffs = []
     for mat in lop.coeffs:
         images = opmat_apply(mat, columns)
         new = {}
         for key in [key for key in mat if key in images]:  # in mat's key order
-            image = images[key]
-            op = SparseOp(dim, dim, {(position[i], j): v for (i, j), v in image.data.items()
-                                     if i in position})
-            if columns @ op != image:
-                raise ValueError("span is not invariant: an image leaves it")
-            new[key] = op
+            new[key] = SparseOp(dim, dim, {(position[i], j): v
+                                           for (i, j), v in images[key].data.items()
+                                           if i in position})
+        back = opmat_contract(form, {(0, key): op for key, op in new.items()}, {0: (0, 1)})
+        if any(back.get((0, key)) != image for key, image in images.items()):
+            raise ValueError("span is not invariant: an image leaves it")
         coeffs.append(new)
     hw = None
     if lop.hw_vector is not None:
@@ -473,7 +460,7 @@ def build_spinorial_linear(case: CaseDescriptor, trunc: int = 6) -> LOperator:
     budget = 0 if case.eps == 1 else 2
     return LOperator(case, space, [g, metric_opmat(case, dim)],
                      entry_budget=budget, kind="spinor", params={"trunc": trunc},
-                     hw_vector={space.index[space.labels[0]]: ONE})
+                     hw_vector=spinor_vacuum(space))
 
 
 def spinor_vacuum(space: RepSpace) -> dict:
@@ -522,11 +509,10 @@ def build_heisenberg_linear(case: CaseDescriptor, ell, max_degree: int = 4) -> L
             opmat_acc(g, (-i, -j), gens.dm(i, j).scale(eps))
             opmat_acc(g, (i, j), gens.xm(i, j).scale(ell + ell + beta) - xdx)
             opmat_acc(g, (i, -j), delta.scale(ell) - xd)
-    zero_exp = tuple([0] * len(space.labels[0]))
     return LOperator(case, space, [g, metric_opmat(case, dim)],
                      entry_budget=1, kind="heisenberg",
                      params={"ell": ell, "max_degree": max_degree},
-                     hw_vector={space.index[zero_exp]: ONE})
+                     hw_vector=heisenberg_vacuum(space))
 
 
 def heisenberg_vacuum(space: RepSpace) -> dict:

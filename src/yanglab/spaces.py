@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from math import comb
 
-from .exact import ONE, ZERO, Scalar, SparseOp
+from .exact import ONE, Scalar, SparseOp, axpy
 from .structure import CaseDescriptor
 
 
@@ -343,12 +343,7 @@ def heisenberg_space(case: CaseDescriptor, max_degree: int):
                 if dval == 0:
                     continue
                 dn = exp[:v] + (exp[v] - 1,) + exp[v + 1:]
-                key = (space.index[dn], pos)
-                acc = deriv.get(key, ZERO) + Scalar.of(dval * exp[v])
-                if acc.is_zero:
-                    deriv.pop(key, None)
-                else:
-                    deriv[key] = acc
+                axpy(deriv, dval * exp[v], {(space.index[dn], pos): ONE})
         ops[("dm", i, j)] = SparseOp(space.dim, space.dim, deriv)
     return space, GeneratorSet(case, space, ops)
 

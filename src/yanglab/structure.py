@@ -3,10 +3,12 @@ identity engine and the YBE checker built on it, and the block kernel of
 the Lie, adjoint and W relations.
 
 The engine and the kernel work on operator matrices by their blocks on W
-and read every block product off two SparseOp products: one operand's
-blocks stacked (`exact.placed`) times the other's side by side, and the other
-way round.  The engine places those entries at their flat (V x V) x W
-indices, where I, P and K act; no other module knows that flat layout.
+and form every block product on the one sparse product kernel: one
+operand's blocks scattered through the int column index of the other's
+(`exact.scatter`, `exact.int_columns`), and the other way round, each
+entry keyed by the two blocks it comes from.  The engine places those
+entries at their flat (V x V) x W indices, where I, P and K act; no other
+module knows that flat layout.
 The kernel compares the relations of G_ab and X_cd on every first-slot
 pair, or only on a given set: the Chevalley pairs (`chevalley_pairs`)
 generate g, and a relation whose set of solutions x is a Lie subalgebra
@@ -42,7 +44,8 @@ from .exact import (
     axpy,
     clear_denominators,
     common_denominator,
-    placed,
+    int_columns,
+    scatter,
 )
 
 FAMILIES = ("so_even", "so_odd", "sp")
@@ -190,13 +193,6 @@ def fundamental_r(case: CaseDescriptor, flip_k: bool = False) -> RMatrix:
 # the RLL identity engine (the Yang-Baxter equation is RLL with L = R)
 
 
-def _stacked(blocks: dict, count: int, dim_w: int, keep) -> tuple:
-    """(tall, wide): the square blocks {k: SparseOp on W} `placed` stacked,
-    and side by side with only their columns in `keep`."""
-    shape = (dim_w, dim_w)
-    return placed(blocks, count, shape), placed(blocks, count, shape, across=True, keep=keep)
-
-
 def _k_apply(k, data: dict, dim_w: int, left: bool) -> dict:
     """K times data (left) or data times K, K acting on the pair index."""
     up, low = k
@@ -238,12 +234,13 @@ def identity_residual(ipk, coeffs, n: int, dim_w: int, cols, k=None):
     with w in the W columns `cols` are compared, exactly.
 
     The entry block ((p1, p2), (q1, q2)) of C1_i C2_j is L_i^{p1 q1}
-    L_j^{p2 q2}, so L_i's blocks stacked times L_j's side by side give all
-    of C1_i C2_j in one SparseOp product, and L_j's stacked times L_i's
-    side by side all of C2_j C1_i; their entries go to the flat index
-    (p1 n + p2) dim_w + w.  Then D_X = X C1_i C2_j - C2_j C1_i X once for X
-    in {I, P, K}; the sum over X of f_X[t] D_X is expanded over (u - v)^t
-    into one residual.
+    L_j^{p2 q2}: every such product is one `exact.scatter` of L_j's blocks
+    (the columns `cols` only) through the `exact.int_columns` of L_i's, and
+    C2_j C1_i the same with i and j exchanged.  Each entry goes to its flat
+    (V x V) x W index (p1 n + p2) dim_w + w, read off the two blocks it
+    comes from.  Then D_X = X C1_i C2_j - C2_j C1_i X once
+    for X in {I, P, K}; the sum over X of f_X[t] D_X is expanded over
+    (u - v)^t into one residual.
 
     The residual is linear in R's coefficients and quadratic in L, so L
     and f_X are first multiplied by the lcm of their denominators (D, Dr)
@@ -254,33 +251,27 @@ def identity_residual(ipk, coeffs, n: int, dim_w: int, cols, k=None):
     coefficient does not vanish to its entries {(row, col): Scalar} at
     flat indices, and keys is the number of (u, v) keys compared.
     """
-    keep = set(cols)
-    ops, d = clear_denominators([op for mat in coeffs for op in _stacked(
-        {p * n + q: blk for (p, q), blk in mat.items()}, n * n, dim_w, keep)])
-    talls, wides = ops[::2], ops[1::2]
+    ops, d = clear_denominators([op for mat in coeffs for op in mat.values()])
+    ops = iter(ops)
+    blocks = [{p * n + q: next(ops) for p, q in mat} for mat in coeffs]  # x: L_i^x, ints
+    columns = [int_columns({(x, 0): op for x, op in mat.items()}) for mat in blocks]
+    kept = [[(0, x, 1, op.restrict_cols(cols)) for x, op in mat.items()] for mat in blocks]
     dr = common_denominator(c for f in ipk for c in f)
     ipk = [[c.p * (dr // c.r) for c in f] for f in ipk]
     den = d * d * dr
-    dim, stride1 = n * n * dim_w, n * dim_w
-    # x = (p n + q) dim_w + w: swap[x] exchanges p and q (P on a flat index);
-    # as the stacked index of a block of L1 (of L2) x adds (p S + w, q S) to
-    # the flat (row, col) when stacked, (p S, q S + w) when side by side,
-    # S = n dim_w (S = dim_w)
-    swap, tall1, wide1, tall2, wide2 = [], [], [], [], []
-    for x in range(dim):
-        pq, w = divmod(x, dim_w)
-        p, q = divmod(pq, n)
-        swap.append((q * n + p) * dim_w + w)
-        tall1.append((p * stride1 + w, q * stride1))
-        wide1.append((p * stride1, q * stride1 + w))
-        tall2.append((p * dim_w + w, q * dim_w))
-        wide2.append((p * dim_w, q * dim_w + w))
+    # block x = p n + q of L2 (of L1) adds (p, q) dim_w (times n) to the flat
+    # (row, col) = ((p1 n + p2) dim_w + w, (q1 n + q2) dim_w + w')
+    at2 = [(p * dim_w, q * dim_w) for p in range(n) for q in range(n)]
+    at1 = [(r * n, c * n) for r, c in at2]
+    # x = (p n + q) dim_w + w: swap[x] exchanges p and q (P on a flat index)
+    swap = [(q * n + p) * dim_w + w for p in range(n) for q in range(n) for w in range(dim_w)]
 
-    def place(data, at_row, at_col):  # product entries at their flat (row, col)
+    def place(products, first):  # product entries at their flat (row, col)
         out = {}
-        for (r, c), v in data.items():
-            (r1, c1), (r2, c2) = at_row[r], at_col[c]
-            out[r1 + r2, c1 + c2] = v
+        for (f, c, i, j), v in products.items():
+            if v:
+                (r1, c1), (r2, c2) = (at1[f], at2[c]) if first else (at1[c], at2[f])
+                out[r1 + r2 + i, c1 + c2 + j] = v
         return out
 
     actions = (  # (X times data, data times X) for X = I, P, K; left ones copy
@@ -296,12 +287,13 @@ def identity_residual(ipk, coeffs, n: int, dim_w: int, cols, k=None):
 
     residual: dict = {}
     keys = set()
-    for i, tall_i in enumerate(talls):
-        for j, tall_j in enumerate(talls):
-            if tall_i.is_zero or tall_j.is_zero:
+    nonzero = [any(op.data for op in mat.values()) for mat in blocks]
+    for i in range(len(blocks)):
+        for j in range(len(blocks)):
+            if not (nonzero[i] and nonzero[j]):
                 continue
-            left = place((tall_i @ wides[j]).data, tall1, wide2)
-            right = place((tall_j @ wides[i]).data, tall2, wide1)
+            left = place(scatter(columns[i], kept[j]), True)
+            right = place(scatter(columns[j], kept[i]), False)
             diffs = {}
             for x in used:
                 diffs[x] = actions[x][0](left)
@@ -356,8 +348,8 @@ def chevalley_pairs(case: CaseDescriptor) -> list:
     return pairs + [last, (-last[0], -last[1])]
 
 
-def block_violation(case: CaseDescriptor, g: dict, x: dict, dim_w: int, cols,
-                    w_tensor: bool = False, pairs=None):
+def block_violation(case: CaseDescriptor, g: dict, x: dict, cols, w_tensor: bool = False,
+                    pairs=None):
     """First violation of the Lie-type identity of the blocks G_ab and X_cd.
 
     G and X are opmats {(a, b): SparseOp on W}.  The identity is the relation
@@ -369,16 +361,17 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, dim_w: int, cols,
     (b, c, d) of the anticommutators A_ab[c, d] = G_ab X_cd + X_cd G_ab,
     which is the six-term W tensor when X = G.
 
-    Every X_cd is placed side by side (X_wide, the columns `cols` only) and
-    stacked (X_tall), and so are the G_ab of each first-slot row a: two
-    SparseOp products per row hold G_ab X_cd and X_cd G_ab for every b of
-    the row and every (c, d), at the positions of the first product.  The
-    commutator's right side adds blocks of X there, with no product; only
-    the entries that survive are read as (b, c, d, i, j), and for W each
-    anticommutator entry is added to the three W_abcd it enters.  G and X
-    are cleared to ints (D_G, D_X): the bilinear left side scales by
-    D_G D_X and the right side, linear in X, is multiplied by D_G, so a
-    surviving entry divided by D_G D_X is the exact residual.
+    Per first-slot row a, G_ab X_cd for every b of the row and every
+    (c, d) is one `exact.scatter` of X's blocks (the columns `cols` only)
+    through the `exact.int_columns` of the row's G_ab, and X_cd G_ab one
+    scatter of the row's G_ab through X's columns, both keyed by the
+    positions (b, c n + d, i, j) of the entry (i, j).  The commutator's
+    right side adds blocks of X there, with no product; only the entries
+    that survive are decoded, and for W each anticommutator entry is added
+    to the three W_abcd it enters.  G and X are cleared to ints (D_G,
+    D_X): the bilinear left side scales by D_G D_X and the right side,
+    linear in X, is multiplied by D_G, so a surviving entry divided by
+    D_G D_X is the exact residual.
 
     `pairs`, for the Lie-type relation only, restricts the comparison to
     the first-slot pairs (a, b) it lists, for every (c, d); None compares
@@ -396,37 +389,38 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, dim_w: int, cols,
     g, x = dict(zip(g, g_ops)), dict(zip(x, x_ops))
     kept = set(cols)
     xk = {key: [(i, j, v) for (i, j), v in op.data.items() if j in kept] for key, op in x.items()}
-    tall, wide = _stacked({flat[key]: op for key, op in x.items()}, n * n, dim_w, kept)
-    hi = [v - v % dim_w for v in range(n * n * dim_w)]  # the block offset of an index
+    x_columns = int_columns({(flat[key], 0): op for key, op in x.items()})
+    x_terms = [(0, flat[key], 1, op.restrict_cols(kept)) for key, op in x.items()]
     sign = 1 if w_tensor else -1
 
     for a, row in groupby(todo, key=itemgetter(0)):
         bs = [b for _, b in row]
-        g_tall, g_wide = _stacked({case.pos(b): g[a, b] for b in bs if (a, b) in g},
-                                  n, dim_w, kept)
-        # acc[(b dim_w + i, (c, d) dim_w + j)]: G_ab X_cd -+ X_cd G_ab at (i, j)
-        acc = (g_tall @ wide).data
-        for (r, c), v in (tall @ g_wide).data.items():
-            key = (hi[c] + r - hi[r], hi[r] + c - hi[c])
-            acc[key] = acc.get(key, 0) + sign * v
+        g_row = {case.pos(b): g[a, b] for b in bs if (a, b) in g}
+        # acc[b, (c, d), i, j]: G_ab X_cd -+ X_cd G_ab at (i, j), by positions
+        acc = scatter(int_columns({(q, 0): op for q, op in g_row.items()}), x_terms)
+        g_terms = [(0, q, sign, op.restrict_cols(kept)) for q, op in g_row.items()]
+        for (cd, q, i, j), v in scatter(x_columns, g_terms).items():
+            acc[q, cd, i, j] = acc.get((q, cd, i, j), 0) + v
         for b in [] if w_tensor else bs:
             s_a, s_b = case.sign(a), case.sign(-b)
             terms = [(s_b, (a, d), -b, d) for d in idx] + [(-s_a, (c, b), c, -a) for c in idx]
             terms += [(-s_a, (b, d), -a, d) for d in idx] + [(s_b, (c, a), c, -b) for c in idx]
+            q = case.pos(b)
             for s, key, c, d in terms:  # acc[b, (c, d)] += s D_G X_key
-                r0, c0, coef = case.pos(b) * dim_w, flat[c, d] * dim_w, s * d_g
+                cd, coef = flat[c, d], s * d_g
                 for i, j, v in xk.get(key, ()):
-                    acc[r0 + i, c0 + j] = acc.get((r0 + i, c0 + j), 0) + coef * v
+                    acc[q, cd, i, j] = acc.get((q, cd, i, j), 0) + coef * v
         found: dict = {}  # {(b, c, d, i, j) as positions: residual entry}
-        for r, col in [key for key, v in acc.items() if v]:
-            (q, i), (cd, j) = divmod(r, dim_w), divmod(col, dim_w)
+        for (q, cd, i, j), v in acc.items():
+            if not v:
+                continue
             p, pd = divmod(cd, n)
             if not w_tensor:
-                found[q, p, pd, i, j] = acc[r, col]
+                found[q, p, pd, i, j] = v
                 continue
             # A_ab[c, d] enters W_abcd, W_adbc and W_acdb
             for key in ((q, p, pd, i, j), (pd, q, p, i, j), (p, pd, q, i, j)):
-                found[key] = found.get(key, 0) + acc[r, col]
+                found[key] = found.get(key, 0) + v
         bad = [key for key, v in found.items() if v]
         if bad:
             first = min(bad)

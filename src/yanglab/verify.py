@@ -15,10 +15,11 @@ the coefficients of L(u) as their blocks on W, the first index raised
 (V x V) x W stays inside `structure`.  The Lie relation (G with itself),
 the adjoint relation (G with H) and the W tensor (G with itself) run on
 `structure.block_violation`, on the blocks G_ab and X_cd on W: per
-first-slot row a, two products of the row's G_ab with every X_cd side by
-side and stacked give G_ab X_cd and X_cd G_ab for all b and (c, d) at once,
-on integer-cleared operands.  The commutator's right side is blocks of X
-placed by their indices, and W sums three anticommutator blocks.
+first-slot row a, two scatters (`exact.scatter`) of the row's G_ab with
+every X_cd give G_ab X_cd and X_cd G_ab for all b and (c, d) at once, on
+integer-cleared operands.  The commutator's right side is blocks of X
+placed by their indices, and W sums three anticommutator blocks.  No check
+forms a `SparseOp` product: every product runs on that one kernel.
 
 Every check reads the operator through one record (`Premises`), built
 once per operator.  It decides whether the top coefficient is
@@ -59,8 +60,8 @@ key, or is 0 for chi3 and the center commutator), so G o G, G^t o H
 and C(u) are never formed as operators.  Every such product reads its
 left factor through a column form (`lops.ColumnForm`) that `Premises`
 keeps for L's coefficients (the center builds those of its shifted
-coefficients once per call), so it touches only the columns its thin
-right operand uses.  On a closed
+coefficients once per call, chi3 that of its Casimir partner of G), so it
+touches only the columns its thin right operand uses.  On a closed
 space whose premises hold (G symmetric and a representation and, where
 the check needs them, H invariant and the top coefficient scalar), every
 left side is a covariant family, so the kernel of
@@ -82,7 +83,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly, placed
+from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly
 from .lops import (
     ColumnForm,
     LOperator,
@@ -91,6 +92,7 @@ from .lops import (
     opmat_acc,
     opmat_add,
     opmat_apply,
+    opmat_contract,
     opmat_form,
     opmat_mul,
     opmat_mul_tt,
@@ -241,7 +243,7 @@ def _generators(lop: LOperator):
     if not scalar_images(case, sym, SparseOp.identity(dim))[0]:  # sym @ Id = sym
         return None, {"premise_failed": "symmetric"}
     pairs = chevalley_pairs(case)
-    if block_violation(case, g, g, dim, range(dim), pairs=pairs) is not None:
+    if block_violation(case, g, g, range(dim), pairs=pairs) is not None:
         return None, {"premise_failed": "lie"}
     return pairs, {"pairs": len(pairs)}
 
@@ -300,7 +302,7 @@ class Premises:
         the pairs; False when the pairs premise failed."""
         lop, pairs = self.lop, self.generators()[0]
         return pairs is not None and self._once("invariant", lambda: all(
-            block_violation(lop.case, self.g, mat, lop.dim, range(lop.dim), pairs=pairs) is None
+            block_violation(lop.case, self.g, mat, range(lop.dim), pairs=pairs) is None
             for mat in lop.coeffs[:-2] if mat))
 
     def ops(self) -> list:
@@ -377,8 +379,7 @@ def _block_check(premises: Premises, x, budget, name, w_tensor=False):
     the full comparison.  `details.generators` records the pair count (and
     for W the seed count) or the failed premise.
     """
-    lop, g = premises.lop, premises.g
-    case, dim = lop.case, lop.dim
+    lop, g, case = premises.lop, premises.g, premises.lop.case
     cols = lop.space.safe_indices(budget * lop.entry_budget)
     if not cols:
         return _vacuous(name)
@@ -387,10 +388,10 @@ def _block_check(premises: Premises, x, budget, name, w_tensor=False):
     if pairs is not None and w_tensor:
         seeds = premises.seeds()
         generators["seeds"] = len(seeds)
-        holds = block_violation(case, g, x, dim, seeds, w_tensor) is None
+        holds = block_violation(case, g, x, seeds, w_tensor) is None
     elif pairs is not None:  # the Lie premise decided lie, invariance decides H
         holds = x is g or premises.invariant()
-    bad = None if holds else block_violation(case, g, x, dim, cols, w_tensor)
+    bad = None if holds else block_violation(case, g, x, cols, w_tensor)
     details = {"safe_columns": len(cols), "generators": generators}
     if bad is None:
         return CheckReport(name, True, details=details)
@@ -678,34 +679,28 @@ def _trace(case: CaseDescriptor, mat: dict, basis: SparseOp) -> SparseOp:
     return out
 
 
-def _casimir(case: CaseDescriptor, g: dict, y: dict) -> dict:
+def _casimir(premises: Premises, y: dict) -> dict:
     """{key: sigma @ Y_key} for an opmat Y of thin blocks, sigma = tr(G o G) / 2.
 
     sigma = (1/2) sum_{a,d} eps_-a eps_-d G[-a, d] G[-d, a] is applied right
-    to left to every block of Y at once, placed side by side as X: the G
-    blocks stacked times X, then the signed partner blocks side by side
-    times that, two products whose right operands have the width of X.
-    """
-    keys = list(y)
-    if not keys:
-        return {}
-    dim, width = y[keys[0]].nrows, y[keys[0]].ncols
-    x = placed(dict(enumerate(y[key] for key in keys)), len(keys), (dim, width), across=True)
-    pos = {key: p for p, key in enumerate(g)}  # the term G[r, d] G[-d, -r], a = -r
-    tall = placed({pos[key]: op for key, op in g.items()}, len(pos), (dim, dim))
-    wide = placed({pos[-d, -r]: op.scale(Scalar(case.sign(r) * case.sign(-d), 0, 2))
-                   for (r, d), op in g.items() if (-d, -r) in pos}, len(pos), (dim, dim), across=True)
-    out: dict = {}
-    for (i, col), v in (wide @ (tall @ x)).data.items():
-        k, j = divmod(col, width)
-        out.setdefault(keys[k], {})[i, j] = v
-    return {key: SparseOp(dim, width, data) for key, data in out.items()}
+    to left: G[r, d] @ Y_key for every block of G by `opmat_apply` of G's
+    `o` form, then the term G[-d, -r] (G[r, d] @ Y_key) summed over (r, d)
+    by one contraction with the Casimir partner of G, the opmat whose block
+    at (0, (r, d)) is eps_r eps_-d G[-d, -r] / 2.  Only chi3 uses the
+    partner, so its form is built for the call, not kept by the record."""
+    case, g, form = premises.lop.case, premises.g, premises.g_form()
+    partner = {(0, (r, d)): g[-d, -r].scale(Scalar(case.sign(r) * case.sign(-d), 0, 2))
+               for r, d in g if (-d, -r) in g}
+    images = {(rd, key): op for key, block in y.items()
+              for rd, op in opmat_apply(form, block).items()}
+    return {key: op for (_, key), op in
+            opmat_contract(partner, images, {rd: (rd, 1) for rd in g}).items()}
 
 
 def _chi3_on(premises: Premises, basis: SparseOp):
     """(ok, 0, bad) of chi3 on the columns of `basis`, applied right to left,
     G entering through its column form."""
-    case, g, form = premises.lop.case, premises.g, premises.g_form()
+    case, form = premises.lop.case, premises.g_form()
     eps, beta = Scalar.of(case.eps), case.beta
     y1 = opmat_apply(form, basis)
     y2 = opmat_mul(case, form, y1)
@@ -714,7 +709,7 @@ def _chi3_on(premises: Premises, basis: SparseOp):
     chi = opmat_add(chi, opmat_scale(y1, eps * beta * Scalar(2)))
     # sigma (eps G_ab + eps_ab Id) @ basis
     metric = {(a, -a): basis.scale(case.metric_lower(a, -a)) for a in case.indices}
-    chi = opmat_sub(chi, _casimir(case, g, opmat_add(opmat_scale(y1, eps), metric)))
+    chi = opmat_sub(chi, _casimir(premises, opmat_add(opmat_scale(y1, eps), metric)))
     return scalar_images(case, chi, basis, ZERO)
 
 

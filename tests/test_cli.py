@@ -6,8 +6,8 @@ from collections import Counter
 import pytest
 
 from yanglab import cli, verify, weights
-from yanglab.exact import Scalar
-from yanglab.lops import build_js_quadratic
+from yanglab.exact import Scalar, SparseOp
+from yanglab.lops import LOperator, build_js_quadratic, opmat_scale
 from yanglab.structure import make_case
 from yanglab.cli import DEFAULT_CHECKS, ConfigError, build_operator, main, run, run_checks
 
@@ -334,3 +334,34 @@ def test_weight_report_skips_span_of_generating_vector(monkeypatch):
     monkeypatch.setattr(verify, "cyclic_span", lambda *args: calls.append(1))
     rep = weights.weight_report(lop, lop.hw_vector)
     assert rep.passed and rep.k == Scalar(-73, 0, 8) and not calls
+
+
+_CHAIN = {"chain": [[0, 2], ["1/2", 1]]}
+
+
+@pytest.mark.parametrize("cfg, corrupt", [
+    ({"family": "so", "m": 2, "odd": True, "op": "js", "twoL": 3}, False),
+    ({"family": "so", "m": 2, "odd": True, "op": "js", "twoL": 2}, True),
+    ({"family": "so", "m": 3, "op": "spinor"}, False),
+    ({"family": "so", "m": 2, "op": "heisenberg", "ell": "1/2", "trunc": 3}, False),
+    ({"family": "so", "m": 2, "op": "product", "delta": "1/2"}, False),
+    ({"op": "fuse3", "params": _CHAIN}, False),
+    ({"op": "gl2chain", "params": _CHAIN}, False),
+], ids=["js", "js-G-x3", "spinor", "heisenberg", "product", "fuse3", "gl2chain"])
+def test_checks_form_no_sparse_op_product(monkeypatch, cfg, corrupt):
+    # every product of every check, refutations and their reruns included,
+    # runs on the sparse product kernel; only the builders multiply SparseOps
+    lop = build_operator(cfg)
+    names = DEFAULT_CHECKS.get(getattr(lop, "kind", None), ["rll"])
+    if corrupt:
+        lop = LOperator(lop.case, lop.space, [lop.coeffs[0], opmat_scale(lop.g_mat, 3),
+                                              lop.coeffs[2]], kind="js", hw_vector=lop.hw_vector)
+
+    def refuse(a, b):
+        raise AssertionError("a check formed a SparseOp product")
+
+    monkeypatch.setattr(SparseOp, "__matmul__", refuse)
+    reports, _ = run_checks(lop, names)
+    # W = 0 is homogeneous in G, so 3 G keeps it; every other check refutes 3 G
+    assert [rep.passed for rep in reports] == [
+        not corrupt or rep.name == "w_tensor" for rep in reports]

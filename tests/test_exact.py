@@ -18,11 +18,12 @@ from yanglab.exact import (
     axpy,
     clear_denominators,
     common_denominator,
+    int_columns,
     nullspace,
-    placed,
     poly_eval,
     rational_roots,
     reduce_ratio,
+    scatter,
 )
 
 
@@ -171,25 +172,52 @@ def test_sparse_op_associativity_randomized():
         assert (a @ b) @ c == a @ (b @ c)
 
 
-def test_placed_blocks_read_off_block_products():
-    rng = random.Random(7)
-    blocks = {k: SparseOp(2, 3, {(rng.randrange(2), rng.randrange(3)): rnd_scalar(rng)
-                                 for _ in range(4)}) for k in (0, 2)}
-    y = SparseOp(3, 2, {(i, j): rnd_scalar(rng) for i in range(3) for j in range(2)})
-    z = SparseOp(2, 2, {(i, j): rnd_scalar(rng) for i in range(2) for j in range(2)})
-    tall = placed(blocks, 3, (2, 3))
-    assert (tall.nrows, tall.ncols) == (6, 3)
-    rows = (tall @ y).data
-    for k, op in blocks.items():  # row block k of tall @ Y is B_k @ Y
-        assert {(i - 2 * k, j): v for (i, j), v in rows.items() if i // 2 == k} == (op @ y).data
-    assert not any(i // 2 == 1 for i, _ in rows)
-    wide = placed(blocks, 3, (2, 3), across=True, keep={0, 2})
-    assert (wide.nrows, wide.ncols) == (2, 9)
-    cols = (z @ wide).data
-    for k, op in blocks.items():  # column block k of Z @ wide is Z @ B_k on `keep`
-        assert ({(i, j - 3 * k): v for (i, j), v in cols.items() if j // 3 == k}
-                == (z @ op.restrict_cols({0, 2})).data)
-    assert not any(j // 3 == 1 for _, j in cols)
+def _small_ops(shape, values):
+    """SparseOps of `shape` with a few entries drawn from `values` (maybe none)."""
+    rows, cols = shape
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    return st.dictionaries(cells, values, max_size=4).map(
+        lambda data: SparseOp(rows, cols, data))
+
+
+@st.composite
+def scatter_inputs(draw):
+    """Blocks {(f, d): op} of Scalars (2 x 3) and terms (d, c, sign, Y), Y int
+    3 x 2: d = 3 has no block and some blocks have empty columns, (d, c)
+    may repeat and a term may come back with the other sign, so that sums
+    cancel."""
+    entries = st.sampled_from([ONE, -ONE, Scalar(2), Scalar(-3, 0, 2), Scalar(1, 0, 3)])
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    blocks = draw(st.dictionaries(keys, _small_ops((2, 3), entries), max_size=5))
+    term = st.tuples(st.integers(0, 3), st.integers(0, 1), st.sampled_from([1, -1]),
+                     _small_ops((3, 2), st.integers(-3, 3)))
+    terms = draw(st.lists(term, max_size=6))
+    if terms and draw(st.booleans()):
+        d, c, sign, y = draw(st.sampled_from(terms))
+        terms.append((d, c, -sign, y))
+    return blocks, terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(scatter_inputs())
+def test_scatter_is_the_signed_sum_of_block_products(drawn):
+    blocks, terms = drawn
+    ints, den = clear_denominators(list(blocks.values()))
+    ints = dict(zip(blocks, ints))
+    columns = int_columns(ints)
+    assert int_columns(blocks, den) == columns  # cleared in the same pass
+    want: dict = {}  # (f, c): sum of sign * A[f, d] @ Y, one SparseOp product per block
+    for d, c, sign, y in terms:
+        for (f, e), op in ints.items():
+            if e == d:
+                prod = (op @ y).scale(sign)
+                want[f, c] = want[f, c] + prod if (f, c) in want else prod
+    got = scatter(columns, terms)
+    for (f, c, i, j), v in got.items():
+        assert v == want[f, c].data.get((i, j), 0)  # a cancelled entry stays as 0
+    assert {key: op.data for key, op in want.items() if op.data} == {
+        key: {(i, j): v for (f, c, i, j), v in got.items() if (f, c) == key and v}
+        for key in {(f, c) for (f, c, _, _), v in got.items() if v}}
 
 
 def test_axpy_drops_cancelling_entries():

@@ -358,7 +358,7 @@ def block_operands(draw):
 @given(block_operands())
 def test_block_violation_matches_n4_reference(draw):
     case, g, x, dim, cols, w_tensor, pairs, solves = draw
-    got = block_violation(case, g, x, dim, cols, w_tensor, pairs)
+    got = block_violation(case, g, x, cols, w_tensor, pairs)
     assert got == _reference_block_violation(case, g, x, dim, cols, w_tensor, pairs)
     if solves:
         assert got is None

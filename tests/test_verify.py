@@ -296,7 +296,9 @@ def test_run_checks_share_forms(monkeypatch):
     coeffs = sorted((k, first) for mat, first in built for k, coeff in enumerate(lop.coeffs)
                     if coeff is mat)
     assert coeffs == [(0, False), (0, True), (1, False), (1, True), (2, False)]
-    assert len(built) == len(coeffs) + len(lop.coeffs)  # and the shifted ones, once
+    # and the shifted ones and chi3's Casimir partner of G, once each (chi3
+    # holds on its seeds, so it applies the Casimir once)
+    assert len(built) == len(coeffs) + len(lop.coeffs) + 1
 
 
 def test_rll_js_so7_rank_three():
@@ -573,9 +575,9 @@ def test_generator_path_taken(monkeypatch, build, pairs, seeds):
     lop = build()
     calls = []
 
-    def counting(case, g, x, dim_w, cols, w_tensor=False, pairs=None):
+    def counting(case, g, x, cols, w_tensor=False, pairs=None):
         calls.append(len(cols) if pairs is None else None)
-        return block_violation(case, g, x, dim_w, cols, w_tensor, pairs)
+        return block_violation(case, g, x, cols, w_tensor, pairs)
 
     monkeypatch.setattr(verify, "block_violation", counting)
     checks = [check_lie, check_w_tensor] + [check_adjoint] * (lop.order == 2)
@@ -614,7 +616,7 @@ def test_symmetric_off_generator_corruption_fails_on_pairs(family, m, two_l):
     case, g = lop.case, lop.g_mat
     a, b = _off_generator_keys(case, g)[0]
     g = {**g, (a, b): g[a, b].scale(2), (b, a): g[b, a].scale(2)}
-    assert block_violation(case, g, g, lop.dim, range(lop.dim), pairs=chevalley_pairs(case))
+    assert block_violation(case, g, g, range(lop.dim), pairs=chevalley_pairs(case))
     rep = check_lie(_changed(lop, g=g))
     assert not rep.passed and rep.details["generators"] == {"premise_failed": "lie"}
 
@@ -689,7 +691,7 @@ def test_generator_verdicts_match_full_kernel(drawn):
     case, dim, g = lop.case, lop.dim, lop.g_mat
     for check, x, w_tensor in ((check_lie, g, False), (check_adjoint, lop.h_mat, False),
                                (check_w_tensor, g, True)):
-        full = block_violation(case, g, x, dim, range(dim), w_tensor)
+        full = block_violation(case, g, x, range(dim), w_tensor)
         rep = check(lop)
         assert rep.passed == (full is None)
         if full is not None:
@@ -699,7 +701,7 @@ def test_generator_verdicts_match_full_kernel(drawn):
         assert check_lie(lop).details["generators"] == {"pairs": len(chevalley_pairs(case))}
     if kind == "off-generator":
         # symmetric, so the Lie relation fails on the pairs themselves
-        assert block_violation(case, g, g, dim, range(dim), pairs=chevalley_pairs(case))
+        assert block_violation(case, g, g, range(dim), pairs=chevalley_pairs(case))
         assert check_lie(lop).details["generators"] == {"premise_failed": "lie"}
 
 
@@ -1089,20 +1091,24 @@ def test_center_top_coefficients_are_scalar_metric(drawn):
 
 def test_central_checks_apply_thin_products(monkeypatch):
     # no product inside constraints, chi3 or center has a right operand wider
-    # than n^2 |S|: a fall-back to dim x dim products (dim 50 > 36) shows here
+    # than n^2 |S|: a fall-back to dim x dim products (dim 50 > 36) shows at
+    # the kernel, in the widths of the terms it scatters
+    import yanglab.lops as lops
+
     lop = build_js_quadratic(make_case("so_even", 3), 3)
     span = cyclic_span(lop, [lop.hw_vector])
     premises = Premises(lop)
     assert premises.central(scalar_top=True, invariant=True)[0] is not None
     seeds = len(premises.seeds())
     widths = []
-    matmul = SparseOp.__matmul__
+    kernel = lops.scatter
 
-    def counting(a, b):
-        widths.append(b.ncols)
-        return matmul(a, b)
+    def counting(columns, terms):
+        terms = list(terms)
+        widths.extend(op.ncols for _, _, _, op in terms)
+        return kernel(columns, terms)
 
-    monkeypatch.setattr(SparseOp, "__matmul__", counting)
+    monkeypatch.setattr(lops, "scatter", counting)
     reports = [check_symmetric_constraints(lop, premises=premises),
                check_symmetric_constraints(lop, span=span, premises=premises),
                check_chi3(lop, premises=premises),
