@@ -33,10 +33,11 @@ closures index their ops with `exact.int_columns` too.  A thin right
 operand, the few seed columns of a central check,
 so touches only the columns it uses, not n^3 block products.  A form
 lives as long as its holder: `verify.Premises` keeps the forms of L's
-coefficients for the checks of one record, and the center builds those
-of its shifted coefficients once per scan of its columns; a full product
-(G o G in `build_js_quadratic`, `build_product`, the gl(2) chains and
-fusion) builds its forms for the call.
+coefficients for the checks of one record, and the center indexes those
+of its shifted coefficients once per call, straight from their int sums
+(`opmat_poly_subs_forms`); a full product (`build_product`, the gl(2)
+chains and fusion) builds its forms for the call, and `build_js_quadratic`
+scatters the int columns of its integral G itself.
 
 Entry budgets: on truncated spaces each coefficient entry is built from
 generator factors whose degree excursion is bounded; `entry_budget`
@@ -46,7 +47,8 @@ product of several entries (budgets add along compositions).
 
 from __future__ import annotations
 
-from math import comb
+from collections import defaultdict
+from math import comb, lcm
 
 from .exact import (
     ONE,
@@ -66,8 +68,8 @@ from .spaces import (
     RepSpace,
     gl2_chain_space,
     heisenberg_space,
-    homogeneous_space,
-    restrict_op,
+    js_layer_generators,
+    js_monomial_generators,
     spinor_space,
 )
 from .structure import CaseDescriptor, make_case
@@ -210,13 +212,27 @@ def opmat_transpose(a: dict) -> dict:
     return {(b, c): op for (c, b), op in a.items()}
 
 
-def opmat_poly_subs(coeffs, a, b) -> list:
-    """Coefficients of M(a*u + b) from coefficients of M(u).
+def _int_opmat(ops: dict, den: int) -> dict:
+    """{key: op / den} for the int SparseOps `ops`, one Scalar built per
+    distinct value; zero entries and empty blocks dropped."""
+    made = {v: Scalar(v, 0, den) for v in {v for op in ops.values() for v in op.data.values()}}
+    out = {}
+    for key, op in ops.items():
+        data = {e: made[v] for e, v in op.data.items() if v}
+        if data:
+            res = out[key] = SparseOp(op.nrows, op.ncols)
+            res.data = data
+    return out
+
+
+def _poly_subs_ints(coeffs, a, b):
+    """(mats, den): the coefficients of M(a*u + b) from those of M(u), as
+    int SparseOps over one den.
 
     The u^j coefficient is sum_k comb(k, j) a^j b^(k-j) M_k.  The entries of
     every M_k are cleared to ints with one lcm and the factors with another,
-    the products are summed as ints, and one Scalar is built per entry that
-    does not cancel."""
+    and the products are summed as ints; entries and trailing coefficients
+    that cancel are dropped."""
     a, b = Scalar.of(a), Scalar.of(b)
     apow, bpow = [ONE], [ONE]
     for _ in coeffs:
@@ -237,17 +253,26 @@ def opmat_poly_subs(coeffs, a, b) -> list:
             data = acc[j].setdefault(key, (op, {}))[1]
             for e, v in iop.data.items():
                 data[e] = data.get(e, 0) + factor * v
-    den *= fden
-    out = []
-    for mats in acc:
-        mat = {}
-        for key, (shape, data) in mats.items():
-            data = {e: Scalar(v, 0, den) for e, v in data.items() if v}
-            if data:
-                op = mat[key] = SparseOp(shape.nrows, shape.ncols)
-                op.data = data
-        out.append(mat)
-    return _strip(out)
+    mats = [{key: SparseOp(shape.nrows, shape.ncols, data) for key, (shape, data) in mat.items()}
+            for mat in acc]
+    return _strip([{key: op for key, op in mat.items() if op.data} for mat in mats]), den * fden
+
+
+def opmat_poly_subs(coeffs, a, b) -> list:
+    """Coefficients of M(a*u + b) from coefficients of M(u): the int sums of
+    `_poly_subs_ints`, one Scalar built per distinct entry."""
+    mats, den = _poly_subs_ints(coeffs, a, b)
+    return [_int_opmat(mat, den) for mat in mats]
+
+
+def opmat_poly_subs_forms(coeffs, a, b, first: bool = False) -> list:
+    """The column forms (`opmat_form`) of the coefficients of M(a*u + b),
+    indexed straight from the int sums of `_poly_subs_ints`: no Scalar is
+    made."""
+    mats, den = _poly_subs_ints(coeffs, a, b)
+    nrows = next((op.nrows for mat in coeffs for op in mat.values()), 0)
+    return [ColumnForm(int_columns(opmat_transpose(mat) if first else mat), den, nrows, first)
+            for mat in mats]
 
 
 def opmat_poly_mul(a_coeffs, b_coeffs, mul) -> list:
@@ -532,39 +557,78 @@ def default_js_central_value(case: CaseDescriptor, two_l: int) -> Scalar:
 
 
 def build_js_quadratic(case: CaseDescriptor, two_l: int, k=None) -> LOperator:
-    """G_ab = -eps (x_a d_b - eps x_b d_a), H = (G^2 + beta G + k)/2.
+    """G_ab = -eps (x_a d_b - eps x_b d_a), H = (G o G + beta G + k eps_ab Id)/2.
 
-    The representation space is the homogeneous degree-2l layer.  That
-    layer is reducible, and the quadratic-evaluation relations hold on all
-    of it only up to 2l = 2, so for orthogonal 2l >= 3 the operator is
-    restricted to the submodule generated by the highest vector
-    x_{-1}^{2l}.
+    sp: the layer of degree 2l <= 1 of the exterior algebra
+    (`spaces.js_layer_generators`).  so(n): every eps is 1, d_a = d/dx_(-a)
+    and G_ab = x_b d/dx_(-a) - x_a d/dx_(-b) is applied to monomials
+    directly (`spaces.js_monomial_generators`).  Up to 2l = 2 the space is
+    the whole layer.  From 2l = 3 on the relations hold only on the module
+    generated by x_(-1)^(2l), which for n >= 3 is the quotient
+    P_2l / q P_(2l-2), q = sum_c x_c x_(-c):
+
+    - d/dx_(-a) q = 2 x_a, so G_ab q = 0; each G_ab is a derivation, so
+      q P_(2l-2) is invariant and G, and H (a polynomial in G), act on the
+      quotient.
+    - P_2l = Harm_2l + q P_(2l-2), and the harmonic polynomials Harm_2l are
+      irreducible for n >= 3 (Stein-Weiss, Fourier Analysis on Euclidean
+      Spaces, ch. IV; Goodman-Wallach, Symmetry, Representations, and
+      Invariants).  x_(-1)^(2l) is harmonic, so its cyclic module under L
+      is Harm_2l, which the projection maps isomorphically onto the
+      quotient: every verdict, scalar, c(u) and dimension is unchanged.
+    - The basis: q_hat is q scaled so that its lead, x_0^2 for so(2m+1)
+      (q_hat = q) or x_1 x_(-1) for so(2m) (q_hat = q/2), has coefficient
+      1.  Rewriting lead * r -> -(q_hat - lead) * r lowers the exponent of
+      x_0 (x_1), so every monomial has one int normal form in the standard
+      monomials, those the lead does not divide, and they are a basis of
+      the quotient (q_hat is its own Groebner basis).  x_(-1)^(2l) is
+      standard, so the hw vector is a unit vector.
+
+    Raises ValueError unless G_ab q_hat = 0 for every (a, b).  so(2) is
+    abelian and its Harm_2l reducible: from 2l = 3 on it keeps the cyclic
+    span of x_(-1)^(2l) in the layer (`restrict_to_submodule`).
     """
-    layer, gens = homogeneous_space(case, two_l)
-    ambient = gens.space
-    dim = layer.dim
-    eps = case.eps
-    if k is None:
-        k = default_js_central_value(case, two_l)
-    k = Scalar.of(k)
-    g: dict = {}
-    for a in case.indices:
-        for b in case.indices:
-            amb = (gens.x(a) @ gens.d(b)).scale(Scalar.of(-eps)) + gens.x(b) @ gens.d(a)
-            op = restrict_op(amb, ambient, layer)
-            if not op.is_zero:
-                g[(a, b)] = op
-    gg = opmat_mul(case, g, g)
-    h = opmat_add(gg, opmat_scale(g, case.beta))
-    h = opmat_add(h, metric_opmat(case, dim, k))
-    h = opmat_scale(h, Scalar(1, 0, 2))
-    lop = LOperator(case, layer, [h, g, metric_opmat(case, dim)],
-                    entry_budget=0, kind="js",
-                    params={"two_l": two_l, "k": k},
-                    hw_vector=js_highest_vector(case, layer, two_l))
-    if case.family == "sp" or two_l <= 2:
-        return lop
-    return restrict_to_submodule(lop, cyclic_span(lop, [lop.hw_vector]))
+    if two_l < 0:
+        raise ValueError("two_l must be a nonnegative integer")
+    k = Scalar.of(default_js_central_value(case, two_l) if k is None else k)
+    if case.family == "sp":
+        layer, g = js_layer_generators(case, two_l)
+        ops, den = clear_denominators(g.values())
+        return _js_operator(case, layer, dict(zip(g, ops)), den, two_l, k)
+    quotient = two_l >= 3 and case.n >= 3
+    labels, g = js_monomial_generators(case, two_l, quotient)
+    name = f"homog[{case.label()},2l={two_l}]" + ("|cyclic" if quotient else "")
+    space = RepSpace(name, labels, [two_l] * len(labels))
+    if quotient:
+        return _js_operator(case, space, g, 1, two_l, k, module="cyclic")
+    lop = _js_operator(case, space, g, 1, two_l, k)
+    return lop if two_l <= 2 else restrict_to_submodule(lop, cyclic_span(lop, [lop.hw_vector]))
+
+
+def _js_operator(case: CaseDescriptor, space: RepSpace, g: dict, den: int, two_l: int, k,
+                 **params) -> LOperator:
+    """The JS operator on `space` with G = g / den, g the int blocks
+    {(a, b): SparseOp}: G o G is one `exact.scatter` of g's int columns,
+    and H is summed on ints over hden = 2 den^2 lcm(beta.r, k.r)."""
+    dim, beta = space.dim, case.beta
+    scale = lcm(beta.r, k.r)
+    gg = scatter(int_columns(g), [(-e, c, case.sign(e), op) for (e, c), op in g.items()])
+    blocks = defaultdict(lambda: defaultdict(int))
+    for (f, c, i, j), v in gg.items():
+        if v:
+            blocks[f, c][i, j] = v * scale
+    for key, op in g.items():
+        for e, v in op.data.items():
+            blocks[key][e] += beta.p * den * (scale // beta.r) * v
+    if k:
+        for a in case.indices:
+            for i in range(dim):
+                blocks[a, -a][i, i] += case.sign(a) * k.p * den * den * (scale // k.r)
+    h = {key: SparseOp(dim, dim, data) for key, data in blocks.items()}
+    coeffs = [_int_opmat(h, 2 * den * den * scale), _int_opmat(g, den), metric_opmat(case, dim)]
+    return LOperator(case, space, coeffs, entry_budget=0, kind="js",
+                     params={"two_l": two_l, "k": k, **params},
+                     hw_vector=js_highest_vector(case, space, two_l))
 
 
 def js_highest_vector(case: CaseDescriptor, layer: RepSpace, two_l: int) -> dict:
@@ -758,7 +822,7 @@ def fuse_so3_from_gl2(gl2: Gl2Operator):
             * gl2.eigen_d().compose_linear(Scalar(2), ONE))
     if qdet.is_zero:
         raise ValueError("quantum determinant vanishes identically")
-    lg2u = [opmat_form(mat) for mat in opmat_poly_subs(gl2.coeffs, Scalar(2), ZERO)]
+    lg2u = opmat_poly_subs_forms(gl2.coeffs, Scalar(2), ZERO)
     at_2u1 = opmat_poly_subs(gl2.coeffs, Scalar(2), ONE)
     adj = [dict() for _ in at_2u1]
     for k, mat in enumerate(at_2u1):

@@ -16,6 +16,7 @@ basis-dependent serialization.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -105,19 +106,6 @@ class GeneratorSet:
         if i < j:
             return self.ops[(kind, i, j)], 1
         return self.ops[(kind, j, i)], -case.eps
-
-
-def restrict_op(op: SparseOp, src: RepSpace, dst: RepSpace) -> SparseOp:
-    """Cut an ambient-space operator down to a subspace, matching labels."""
-    rows = {}
-    for pos, lab in enumerate(dst.labels):
-        rows[src.index[lab]] = pos
-    data = {}
-    for (i, j), v in op.data.items():
-        ri, rj = rows.get(i), rows.get(j)
-        if ri is not None and rj is not None:
-            data[(ri, rj)] = v
-    return SparseOp(dst.dim, dst.dim, data)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +280,90 @@ def homogeneous_space(case: CaseDescriptor, two_l: int):
     layer = RepSpace(f"homog[{case.label()},2l={two_l}]", layer_labels,
                      [two_l] * len(layer_labels))
     return layer, GeneratorSet(case, ambient, ops)
+
+
+def js_layer_generators(case: CaseDescriptor, two_l: int):
+    """(layer, G): G_ab = -eps (x_a d_b - eps x_b d_a) on the degree-2l layer
+    of `homogeneous_space`, formed from its generators on the ambient space.
+    The build of sp, and for so(n) the reference of `js_monomial_generators`.
+    The layer is one block of the ambient basis, from `off` on, and G keeps
+    the degree, so its columns there are G on the layer."""
+    layer, gens = homogeneous_space(case, two_l)
+    off, dim = gens.space.index[layer.labels[0]], layer.dim
+    g = {}
+    for a in case.indices:
+        for b in case.indices:
+            amb = (gens.x(a) @ gens.d(b)).scale(Scalar.of(-case.eps)) + gens.x(b) @ gens.d(a)
+            op = SparseOp(dim, dim, {(i - off, j - off): v for (i, j), v in amb.data.items()
+                                     if off <= j < off + dim})
+            if not op.is_zero:
+                g[a, b] = op
+    return layer, g
+
+
+def _js_terms(case: CaseDescriptor, exp):
+    """(key, image, v) for each term v x^image of G_ab x^exp, key = (a, b),
+    a != b, G_ab = x_b d/dx_(-a) - x_a d/dx_(-b) of so(n); exponents are
+    over the positions of case.indices."""
+    for p, e in enumerate(exp):
+        if e:
+            c = case.indices[p]
+            for v, b in enumerate(case.indices):
+                if b != -c:
+                    image = list(exp)
+                    image[p] -= 1
+                    image[v] += 1
+                    image = tuple(image)
+                    yield (-c, b), image, e
+                    yield (b, -c), image, -e
+
+
+def js_monomial_generators(case: CaseDescriptor, two_l: int, quotient: bool):
+    """(labels, {(a, b): int SparseOp}): G of so(n) on the degree-2l
+    monomials (exponent tuples, in `_graded_monomials` order), or with
+    `quotient` on the standard monomials of P_2l / q P_(2l-2), every image
+    reduced modulo q_hat (the rewrite and the proof are at `lops.build_js_quadratic`)."""
+    n, pos = case.n, case.pos
+
+    def monomial(*positions):
+        return tuple(sum(p == i for p in positions) for i in range(n))
+
+    qhat = {monomial(pos(i), pos(-i)): 1 + case.has_zero for i in range(1, case.m + 1)}
+    lead = monomial(pos(0), pos(0)) if case.has_zero else monomial(pos(1), pos(-1))
+    qhat[lead] = 1
+    labels = _graded_monomials(n, [two_l])
+    if quotient:
+        moved = defaultdict(int)  # (a, b, monomial): its coefficient in G_ab q_hat
+        for exp, c in qhat.items():
+            for key, image, v in _js_terms(case, exp):
+                moved[key, image] += c * v
+        if any(moved.values()):
+            raise ValueError("G does not kill the invariant quadratic q")
+        labels = [exp for exp in labels if any(e < d for e, d in zip(exp, lead))]
+    index = {exp: i for i, exp in enumerate(labels)}
+    tail = [(exp, -c) for exp, c in qhat.items() if exp != lead]
+    normal: dict = {}  # monomial: its normal form {row: int}
+
+    def reduce(exp):
+        if exp not in normal:
+            if exp in index:
+                normal[exp] = {index[exp]: 1}
+            else:  # exp = lead * rest -> -(q_hat - lead) * rest
+                rest = [e - d for e, d in zip(exp, lead)]
+                out = normal[exp] = defaultdict(int)
+                for t, c in tail:
+                    for i, v in reduce(tuple(x + y for x, y in zip(t, rest))).items():
+                        out[i] += c * v
+        return normal[exp]
+
+    blocks = defaultdict(lambda: defaultdict(int))
+    for j, exp in enumerate(labels):
+        for key, image, v in _js_terms(case, exp):
+            for i, x in reduce(image).items():
+                blocks[key][i, j] += v * x
+    dim = len(labels)
+    g = {(a, b): SparseOp(dim, dim, blocks[a, b]) for a in case.indices for b in case.indices}
+    return labels, {key: op for key, op in g.items() if not op.is_zero}
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ from .lops import (
     opmat_form,
     opmat_mul,
     opmat_mul_tt,
-    opmat_poly_subs,
+    opmat_poly_subs_forms,
     opmat_scale,
     opmat_sub,
     opmat_transpose,
@@ -762,15 +762,15 @@ def _center_on(premises: Premises, comm_basis: SparseOp | None, basis: SparseOp,
     C_k o Y = sum_(i+i'=k) shifted_i *tt (L_i' o Y) (the contractions are
     associative), so every product has a right operand of the basis's
     width.  The L_j enter through the `o` forms of `premises`; the `*tt`
-    forms of the shifted coefficients are built once per call.  Each term
+    forms of the shifted coefficients are indexed once per call from their
+    int sums (`lops.opmat_poly_subs_forms`).  Each term
     is formed when the scan first needs it and kept, so a refutation forms
     little more than the terms it compared.
     bad = (where, (key, residual)) names the first failure, commutators
     first.
     """
     case, coeffs, form = premises.lop.case, premises.lop.coeffs, premises.form
-    shifted = [opmat_form(mat, first=True)
-               for mat in opmat_poly_subs(coeffs, ONE, -case.beta)]
+    shifted = opmat_poly_subs_forms(coeffs, ONE, -case.beta, first=True)
     size = len(shifted) + len(coeffs) - 1
 
     def c_on(images, k):  # C_k @ B from the images [L_j @ B], formed on demand

@@ -213,6 +213,26 @@ def test_verify_js_so3_two_l_3(capsys):
     assert out["construction"]["params"]["module"] == "cyclic"
 
 
+def test_verify_js_so5_two_l_3_refutation_pin(capsys):
+    # k = 1 is not the JS value: rll, the constraints and the center refute
+    # it, read in the basis of standard monomials (exponents over the
+    # indices -2..2)
+    code = main(["verify", "--family", "so", "--m", "2", "--odd", "--op", "js", "--twoL", "3",
+                 "--k", "1"])
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == 1
+    assert [name for name, c in checks.items() if not c["passed"]] == \
+        ["rll", "symmetric_constraints", "center"]
+    assert checks["rll"]["counterexample"] == {
+        "at": "((-2, -2, (2, 1, 0, 0, 0)), (-2, -1, (3, 0, 0, 0, 0)))",
+        "residual": {"0,1": "729/32", "0,2": "-243/16", "1,0": "-729/32", "1,1": "243/8",
+                     "2,0": "-243/16"}}
+    assert checks["symmetric_constraints"]["counterexample"] == {
+        "at": "('c28', -2, -2)", "residual": {"0,0": "243/16"}}
+    assert checks["center"]["counterexample"] == {
+        "at": "('coeff', 0, -2, -2)", "residual": {"0,0": "243/16"}}
+
+
 def test_weights_kernel_selector(capsys):
     code = main(["weights", "--family", "so", "--m", "2", "--op", "spinor",
                  "--vector", "kernel"])

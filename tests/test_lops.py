@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yanglab import lops
+from yanglab import lops, spaces
+from yanglab.cli import DEFAULT_CHECKS, run_checks
 from yanglab.exact import ONE, ZERO, Scalar, SparseOp, UniPoly, VectorSpan, reduce_ratio
 from yanglab.lops import (
     GL2_PAIRING,
@@ -37,7 +39,7 @@ from yanglab.lops import (
     product_vector,
     spinor_vacuum,
 )
-from yanglab.spaces import spinor_space
+from yanglab.spaces import js_layer_generators, spinor_space
 from yanglab.structure import make_case
 from yanglab.verify import Premises
 
@@ -276,26 +278,30 @@ JS_SPAN_PINS = {
 }
 
 
-def _js_layer(family, m, monkeypatch):
-    """(the degree-3 layer operator that build_js_quadratic restricts, the
-    restricted operator it returns)."""
-    layers = []
-    real_restrict = lops.restrict_to_submodule
+def _reference_layer(case, two_l):
+    """The JS operator on the whole degree-2l layer, built test-side: G from
+    the generators of `homogeneous_space` (`js_layer_generators`), H from
+    Scalar opmat products."""
+    layer, g = js_layer_generators(case, two_l)
+    k = default_js_central_value(case, two_l)
+    h = opmat_add(opmat_add(opmat_mul(case, g, g), opmat_scale(g, case.beta)),
+                  metric_opmat(case, layer.dim, k))
+    return lops.LOperator(case, layer, [opmat_scale(h, Scalar(1, 0, 2)), g,
+                                        metric_opmat(case, layer.dim)],
+                          kind="js", params={"two_l": two_l, "k": k},
+                          hw_vector=js_highest_vector(case, layer, two_l))
 
-    def capture(lop, span):
-        layers.append(lop)
-        return real_restrict(lop, span)
 
-    monkeypatch.setattr(lops, "restrict_to_submodule", capture)
-    restricted = build_js_quadratic(make_case(family, m), 3)
-    monkeypatch.undo()
-    (layer,) = layers
-    return layer, restricted
+def _js_layer(family, m):
+    """(the degree-3 layer operator, its restriction to the cyclic span of
+    its highest vector x_(-1)^3), both built test-side."""
+    layer = _reference_layer(make_case(family, m), 3)
+    return layer, lops.restrict_to_submodule(layer, cyclic_span(layer, [layer.hw_vector]))
 
 
 @pytest.mark.parametrize("family,m", sorted(JS_SPAN_PINS))
 def test_js_cyclic_span_pins(family, m, monkeypatch):
-    layer, restricted = _js_layer(family, m, monkeypatch)
+    layer, restricted = _js_layer(family, m)
     calls = []
     real_add = VectorSpan.add
 
@@ -318,7 +324,7 @@ def test_restriction_matches_fraction_rref_basis(family, m, monkeypatch):
     # B, the reduced echelon basis of the cyclic span built test-side, times
     # each restricted coefficient is that coefficient of the layer times B,
     # and B times the restricted hw vector is the layer's hw vector
-    layer, restricted = _js_layer(family, m, monkeypatch)
+    layer, restricted = _js_layer(family, m)
     ref = _FractionSpan()
     for vec in cyclic_span(layer, [layer.hw_vector]):
         ref.add(vec)
@@ -336,8 +342,8 @@ def test_restriction_matches_fraction_rref_basis(family, m, monkeypatch):
     assert basis @ hw == SparseOp(layer.dim, 1, {(i, 0): v for i, v in layer.hw_vector.items()})
 
 
-def test_restriction_raises_off_an_invariant_span(monkeypatch):
-    layer, _ = _js_layer("so_odd", 2, monkeypatch)
+def test_restriction_raises_off_an_invariant_span():
+    layer, _ = _js_layer("so_odd", 2)
     span = cyclic_span(layer, [layer.hw_vector])
     for prefix in (span[:1], span[:-1]):
         with pytest.raises(ValueError, match="not invariant"):
@@ -350,6 +356,59 @@ def test_restriction_raises_off_an_invariant_span(monkeypatch):
                            layer.kind, layer.params, {outside: ONE})
     with pytest.raises(ValueError, match="hw vector is not in the span"):
         lops.restrict_to_submodule(moved, span)
+
+
+def _harmonic_dimension(n, two_l):
+    return comb(two_l + n - 1, n - 1) - comb(two_l + n - 3, n - 1)
+
+
+@pytest.mark.parametrize("family,m", [("so_odd", 1), ("so_even", 2), ("so_odd", 2),
+                                      ("so_even", 3), ("so_odd", 3)])
+def test_js_quotient_matches_layer_restriction(family, m):
+    # the build on standard monomials against the cyclic module of the
+    # test-side layer: the same dimension (that of Harm_3) and, check by
+    # check, the same verdicts, details, constraint scalars and c(u)
+    lop = build_js_quadratic(make_case(family, m), 3)
+    _, ref = _js_layer(family, m)
+    assert lop.dim == ref.dim == _harmonic_dimension(lop.case.n, 3)
+    assert lop.space.name == ref.space.name and lop.params == ref.params
+    assert Premises(lop).generated_by(lop.hw_vector)
+    got, want = (run_checks(op, DEFAULT_CHECKS["js"])[0] for op in (lop, ref))
+    assert [rep.to_dict() for rep in got] == [rep.to_dict() for rep in want]
+    assert all(rep.passed for rep in got)
+
+
+@pytest.mark.parametrize("family,m,two_l", [
+    ("so_odd", 1, 0), ("so_odd", 1, 2), ("so_even", 1, 2), ("so_even", 2, 1), ("so_even", 2, 2),
+    ("so_odd", 2, 1), ("so_odd", 2, 2), ("so_even", 3, 2), ("sp", 1, 0), ("sp", 2, 1)])
+def test_js_small_layers_match_reference(family, m, two_l):
+    # up to 2l = 2 nothing is reduced: the labels, coefficients and hw
+    # vector are those of the test-side layer
+    lop = build_js_quadratic(make_case(family, m), two_l)
+    ref = _reference_layer(make_case(family, m), two_l)
+    assert lop.space.labels == ref.space.labels and lop.space.name == ref.space.name
+    assert list(lop.coeffs) == list(ref.coeffs) and lop.hw_vector == ref.hw_vector
+
+
+def test_js_so2_keeps_the_cyclic_line():
+    # so(2) is abelian: its 2l = 3 module stays the cyclic span of x_(-1)^3
+    lop = build_js_quadratic(make_case("so_even", 1), 3)
+    assert lop.dim == 1 and lop.params["module"] == "cyclic"
+    assert lop.space.name == "homog[so(2),2l=3]|cyclic"
+
+
+def test_js_quotient_raises_when_g_moves_q(monkeypatch):
+    # the check that replaced the restriction's: a G that does not kill the
+    # invariant quadratic has no quotient module
+    real = spaces._js_terms
+
+    def skewed(case, exp):
+        for key, image, v in real(case, exp):
+            yield key, image, 2 * v if key == (-1, 1) and v > 0 else v  # 2 x_1 d_1 - x_-1 d_-1
+
+    monkeypatch.setattr(spaces, "_js_terms", skewed)
+    with pytest.raises(ValueError, match="invariant quadratic"):
+        build_js_quadratic(make_case("so_odd", 2), 3)
 
 
 # ---------------------------------------------------------------------------

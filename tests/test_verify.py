@@ -255,18 +255,26 @@ def test_hw_vector_generates_w_where_expected():
 
 
 def _count_forms(monkeypatch):
-    """Record every column form built, through lops or verify, as (opmat, first)."""
+    """Record every column form built, through lops or verify, as (opmat,
+    first); a form of the shifted coefficients, built from their int sums,
+    as (the form, first)."""
     import yanglab.lops as lops
 
     built = []
-    real = lops.opmat_form
+    real, real_subs = lops.opmat_form, lops.opmat_poly_subs_forms
 
     def counting(mat, first=False):
         built.append((mat, first))
         return real(mat, first)
 
+    def counting_subs(coeffs, a, b, first=False):
+        forms = real_subs(coeffs, a, b, first)
+        built.extend((form, form.first) for form in forms)
+        return forms
+
     monkeypatch.setattr(lops, "opmat_form", counting)
     monkeypatch.setattr(verify, "opmat_form", counting)
+    monkeypatch.setattr(verify, "opmat_poly_subs_forms", counting_subs)
     return built
 
 
