@@ -10,10 +10,10 @@ entry keyed by the two blocks it comes from.  The engine places those
 entries at their flat (V x V) x W indices, where I, P and K act; no other
 module knows that flat layout.
 The kernel compares the relations of G_ab and X_cd on every first-slot
-pair, or only on a given set: the Chevalley pairs (`chevalley_pairs`)
-generate g, and a relation whose set of solutions x is a Lie subalgebra
-of g holds on all of g once it holds on them (the premises are decided in
-the verify module).
+pair, or on given pairs, each on every key (c, d) or on its own keys: the
+Chevalley pairs (`chevalley_pairs`) generate g, and `presentation` reads
+a presentation of g on them off the structure constants (the premises are
+decided in the verify module).
 
 Index conventions used everywhere in this package: the fundamental space
 of so(2m) / sp(2m) carries indices (-m, ..., -1, +1, ..., +m) and so(2m+1)
@@ -326,7 +326,7 @@ def describe_flat(case: CaseDescriptor, labels, flat: int, dim_w: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the block kernel of the Lie, adjoint and W relations
+# the block kernel of the Lie, adjoint and W relations, and a presentation of g
 
 
 def chevalley_pairs(case: CaseDescriptor) -> list:
@@ -334,11 +334,12 @@ def chevalley_pairs(case: CaseDescriptor) -> list:
 
     g is spanned by the x_ab modulo x_ab = -eps x_ba, with the bracket that
     the right side of the Lie relation (`block_violation`) applies to the
-    indices.  The pairs are the Chevalley generators e_i, f_i: for i < m
-    the simple root vectors (i, -(i+1)) and (-i, i+1), and one more pair
-    with its negative, (m, 0) and (-m, 0) for so(2m+1), (m-1, m) and
-    (-(m-1), -m) for so(2m), (m, m) and (-m, -m) for sp(2m).  so(2) is
-    abelian and spanned by its one pair (-1, 1).
+    indices.  The pairs are the Chevalley generators e_i, f_i, listed as
+    e_1, f_1, ..., e_m, f_m: for i < m the simple root vectors (i, -(i+1))
+    and (-i, i+1), and one more pair with its negative, (m, 0) and (-m, 0)
+    for so(2m+1), (m-1, m) and (-(m-1), -m) for so(2m), (m, m) and
+    (-m, -m) for sp(2m).  so(2) is abelian and spanned by its one pair
+    (-1, 1).
     """
     m = case.m
     if case.family == "so_even" and m == 1:
@@ -346,6 +347,144 @@ def chevalley_pairs(case: CaseDescriptor) -> list:
     pairs = [p for i in range(1, m) for p in ((i, -(i + 1)), (-i, i + 1))]
     last = {"so_odd": (m, 0), "so_even": (m - 1, m), "sp": (m, m)}[case.family]
     return pairs + [last, (-last[0], -last[1])]
+
+
+def _eps(case: CaseDescriptor, a: int, b: int) -> int:
+    """eps_ab as an int."""
+    return case.sign(a) if a == -b else 0
+
+
+def _basis_key(case: CaseDescriptor, a: int, b: int):
+    """(key, s) with x_ab = s x_key for the basis key (min, max) of g; s = 0
+    for x_aa of so(n)."""
+    if a != b:
+        return ((a, b), 1) if a < b else ((b, a), -case.eps)
+    return (a, a), int(case.eps == -1)
+
+
+def bracket(case: CaseDescriptor, p, q) -> dict:
+    """[x_p, x_q] as {basis key: int}, by the right side of the Lie relation:
+    [x_ab, x_cd] = -eps_cb x_ad + eps_ad x_cb + eps_ac x_bd - eps_db x_ca."""
+    (a, b), (c, d) = p, q
+    out: dict = {}
+    for coeff, r, s in ((-_eps(case, c, b), a, d), (_eps(case, a, d), c, b),
+                        (_eps(case, a, c), b, d), (-_eps(case, d, b), c, a)):
+        key, sign = _basis_key(case, r, s)
+        if coeff and sign:
+            out[key] = out.get(key, 0) + coeff * sign
+    return {key: v for key, v in out.items() if v}
+
+
+def presentation(case: CaseDescriptor) -> dict:
+    """{pair p: keys (c, d)}: the relations [G_p, G_cd] = G([x_p, x_cd])
+    that, with the weight test (`graded`), present g on the Chevalley pairs
+    (proof at `verify._generators`): a chain (p, y') to each root vector
+    x_y that is no pair, from the first bracket [x_p, x_y'] that reaches it
+    breadth first; (e_i, f_j) for all i, j; and Serre's (x_i, z_t) for x_i,
+    x_j both e or both f, i != j, z_0 = x_j, z_(t+1) = [x_i, z_t] up to
+    scale, until z_t = 0 at t = 1 - a_ij.  A relation of two pairs is
+    listed once; so(2) is abelian and has none.
+    """
+    pairs = chevalley_pairs(case)
+    if len(pairs) < 2 * case.m:
+        return {}
+    gens = [_basis_key(case, *p)[0] for p in pairs]
+    relations = set()
+
+    def add(i, y):  # the relation of pair i and basis key y
+        j = gens.index(y) if y in gens else len(pairs)
+        relations.add((i, y) if i <= j else (j, gens[i]))
+
+    layer, reached = list(gens), set(gens)
+    while layer:
+        nxt = []
+        for y in layer:
+            for i, p in enumerate(pairs):
+                z = bracket(case, p, y)
+                if len(z) != 1:
+                    continue
+                (key,) = z
+                if key[0] != -key[1] and key not in reached:
+                    reached.add(key)
+                    nxt.append(key)
+                    add(i, y)
+        layer = nxt
+    for i in range(case.m):
+        for j in range(case.m):
+            add(2 * i, gens[2 * j + 1])  # [e_i, f_j] = delta_ij h_i
+            for s in (0, 1) if i != j else ():  # ad(x_i)^(1 - a_ij) x_j = 0
+                z = {gens[2 * j + s]: 1}
+                while z:
+                    (y,) = z
+                    add(2 * i + s, y)
+                    z = bracket(case, pairs[2 * i + s], y)
+    out: dict = {}
+    for i, y in sorted(relations):
+        out.setdefault(pairs[i], []).append(y)
+    return {p: tuple(keys) for p, keys in out.items()}
+
+
+def cartan_grading(case: CaseDescriptor, g: dict):
+    """(weight, shift) for `graded`, or None when a Cartan block G_(i,-i) is
+    not diagonal.  The weights mu (the diagonals) are cleared to ints, times
+    den, and the m of a position packed into one int in base
+    B = 4 (max |den mu| + den) + 1, so that a packed
+    den (mu_r - mu_s + lambda(c, d)) is 0 only when each component is:
+    weight maps a position to its packed weight, shift an index c to the
+    packed den lambda of c alone (lambda(c, d) = lambda(c) + lambda(d)).
+    """
+    cartan = {i: g[i, -i] for i in range(1, case.m + 1) if (i, -i) in g}
+    if any(r != s for op in cartan.values() for r, s in op.data):
+        return None
+    ops, den = clear_denominators(cartan.values())
+    base = 4 * (max((abs(v) for op in ops for v in op.data.values()), default=0) + den) + 1
+    weight: dict = {}
+    for i, op in zip(cartan, ops):
+        for (r, _), v in op.data.items():
+            weight[r] = weight.get(r, 0) + v * base ** (i - 1)
+    shift = {c: 0 if c == 0 else (den if c > 0 else -den) * base ** (abs(c) - 1)
+             for c in case.indices}
+    return weight, shift
+
+
+def graded(grading, x: dict) -> bool:
+    """The Lie-type relation of G and X at every Cartan pair (i, -i):
+    mu_r - mu_s = -lambda(c, d) on each nonzero X_cd[r, s] (proof at
+    `verify._generators`), in O(nnz X) and with no product."""
+    weight, shift = grading
+    get = weight.get
+    for (c, d), op in x.items():
+        want = -shift[c] - shift[d]
+        for (r, s), v in op.data.items():
+            if get(r, 0) - get(s, 0) != want and v:
+                return False
+    return True
+
+
+def metric_multiple(case: CaseDescriptor, mat: dict, twin: int = 0):
+    """The c with M_ab + twin M_ba = c eps_ab Id for every (a, b), or None,
+    decided on the int-cleared entries.  With twin = eps the conditions at
+    (a, b) and (b, a) agree (eps_ba = eps eps_ab): each is tested once.
+    """
+    ops, den = clear_denominators(mat.values())
+    ints = {key: op.data for key, op in zip(mat, ops)}
+    dim = next((op.nrows for op in ops), 0)
+    keys = set(ints) | {(a, -a) for a in case.indices}
+    if twin:
+        keys = {(min(a, b), max(a, b)) for a, b in keys}
+    c = None
+    for a, b in sorted(keys):
+        data = ints.get((a, b), {})
+        if twin:
+            data = dict(data)
+            axpy(data, twin, ints.get((b, a), {}))
+        e = _eps(case, a, b)
+        if c is None and e:
+            c = data.get((0, 0), 0) * e
+        want = c * e if e else 0
+        if {k: v for k, v in data.items() if v} != {(i, i): want for i in range(dim) if want}:
+            return None
+    return Scalar(c or 0, 0, den)
 
 
 def block_violation(case: CaseDescriptor, g: dict, x: dict, cols, w_tensor: bool = False,
@@ -374,8 +513,9 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, cols, w_tensor: bool
     D_G D_X is the exact residual.
 
     `pairs`, for the Lie-type relation only, restricts the comparison to
-    the first-slot pairs (a, b) it lists, for every (c, d); None compares
-    every pair.
+    the first-slot pairs (a, b) it lists, for every (c, d), or, as a
+    mapping {(a, b): keys (c, d)}, each pair to its keys (the pairs of one
+    key set share their scatters); None compares every pair.
 
     Returns None when the identity holds on the columns `cols` of W, else
     ((a, b, c, d), residual): the first index tuple in sorted order and
@@ -384,43 +524,51 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, cols, w_tensor: bool
     """
     n, idx = case.n, case.indices
     flat = {(c, d): p * n + q for p, c in enumerate(idx) for q, d in enumerate(idx)}
-    todo = sorted(flat if pairs is None else pairs)
+    keys_of = pairs if isinstance(pairs, dict) else dict.fromkeys(flat if pairs is None else pairs)
+    g = {key: op for key, op in g.items() if key in keys_of}  # the first-slot blocks used
     (g_ops, d_g), (x_ops, d_x) = clear_denominators(g.values()), clear_denominators(x.values())
     g, x = dict(zip(g, g_ops)), dict(zip(x, x_ops))
     kept = set(cols)
     xk = {key: [(i, j, v) for (i, j), v in op.data.items() if j in kept] for key, op in x.items()}
-    x_columns = int_columns({(flat[key], 0): op for key, op in x.items()})
-    x_terms = [(0, flat[key], 1, op.restrict_cols(kept)) for key, op in x.items()]
+    sides: dict = {}
     sign = 1 if w_tensor else -1
 
-    for a, row in groupby(todo, key=itemgetter(0)):
+    def side(keys):  # (int columns, scatter terms) of the X_cd, (c, d) in keys (None: all)
+        if keys not in sides:
+            sub = x if keys is None else {key: x[key] for key in keys if key in x}
+            sides[keys] = (int_columns({(flat[key], 0): op for key, op in sub.items()}),
+                           [(0, flat[key], 1, op.restrict_cols(kept)) for key, op in sub.items()])
+        return sides[keys]
+
+    for a, row in groupby(sorted(keys_of), key=itemgetter(0)):
         bs = [b for _, b in row]
-        g_row = {case.pos(b): g[a, b] for b in bs if (a, b) in g}
         # acc[b, (c, d), i, j]: G_ab X_cd -+ X_cd G_ab at (i, j), by positions
-        acc = scatter(int_columns({(q, 0): op for q, op in g_row.items()}), x_terms)
-        g_terms = [(0, q, sign, op.restrict_cols(kept)) for q, op in g_row.items()]
-        for (cd, q, i, j), v in scatter(x_columns, g_terms).items():
-            acc[q, cd, i, j] = acc.get((q, cd, i, j), 0) + v
+        acc: dict = {}
+        for keys, group in groupby(bs, key=lambda b: keys_of[a, b]):
+            x_columns, x_terms = side(keys)
+            g_row = {case.pos(b): g[a, b] for b in group if (a, b) in g}
+            acc.update(scatter(int_columns({(q, 0): op for q, op in g_row.items()}), x_terms))
+            g_terms = [(0, q, sign, op.restrict_cols(kept)) for q, op in g_row.items()]
+            for (cd, q, i, j), v in scatter(x_columns, g_terms).items():
+                acc[q, cd, i, j] = acc.get((q, cd, i, j), 0) + v
         for b in [] if w_tensor else bs:
             s_a, s_b = case.sign(a), case.sign(-b)
             terms = [(s_b, (a, d), -b, d) for d in idx] + [(-s_a, (c, b), c, -a) for c in idx]
             terms += [(-s_a, (b, d), -a, d) for d in idx] + [(s_b, (c, a), c, -b) for c in idx]
-            q = case.pos(b)
+            keys, q = keys_of[a, b], case.pos(b)
             for s, key, c, d in terms:  # acc[b, (c, d)] += s D_G X_key
+                if keys is not None and (c, d) not in keys:
+                    continue
                 cd, coef = flat[c, d], s * d_g
                 for i, j, v in xk.get(key, ()):
                     acc[q, cd, i, j] = acc.get((q, cd, i, j), 0) + coef * v
-        found: dict = {}  # {(b, c, d, i, j) as positions: residual entry}
-        for (q, cd, i, j), v in acc.items():
-            if not v:
-                continue
-            p, pd = divmod(cd, n)
-            if not w_tensor:
-                found[q, p, pd, i, j] = v
-                continue
-            # A_ab[c, d] enters W_abcd, W_adbc and W_acdb
-            for key in ((q, p, pd, i, j), (pd, q, p, i, j), (p, pd, q, i, j)):
-                found[key] = found.get(key, 0) + v
+        # {(b, c, d, i, j) as positions: residual entry}
+        found = {(q, *divmod(cd, n), i, j): v for (q, cd, i, j), v in acc.items() if v}
+        if w_tensor:  # A_ab[c, d] enters W_abcd, W_adbc and W_acdb
+            found, parts = {}, found
+            for (q, p, pd, i, j), v in parts.items():
+                for key in ((q, p, pd, i, j), (pd, q, p, i, j), (p, pd, q, i, j)):
+                    found[key] = found.get(key, 0) + v
         bad = [key for key, v in found.items() if v]
         if bad:
             first = min(bad)

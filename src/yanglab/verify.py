@@ -30,21 +30,19 @@ the center are homogeneous in L, so only their residuals and c(u) see the
 scaling; the Lie and adjoint relations, W, chi3 and the constraints are
 not, and are the relations of the normalised L.
 
-On a closed space these relations are decided on generators of g
-(`_generators`).  If G is symmetric, G + eps G^t = c eps_ab Id, it is a
-linear map on g plus a central scalar, and the x in g on which the Lie
-relation holds form a Lie subalgebra (Jacobi); so do the x at which X is
-invariant, once G is a representation.  Both relations are then compared
-on the 2m Chevalley pairs (a, b) only (`structure.chevalley_pairs`), for
-every (c, d), and W on the columns of a set that generates W under G.  A
-failed premise, or a violation there, reruns the kernel on every pair and
-safe column, so verdicts and counterexamples are those of the full
-comparison.
+On a closed space these relations are decided on a presentation of g
+(`_generators`): G symmetric, G + eps G^t = c eps_ab Id, and, with diagonal
+Cartan blocks, a weight test and about dim g + O(m^2) relations on the 2m
+Chevalley pairs; X invariant by the weight test and one pair of each
+Chevalley partner pair (the sl(2) lemma); otherwise both on the 2m pairs.
+W is compared on the columns of a set that generates W under G.  A failed
+premise, or a violation there, reruns the kernel on every pair and safe
+column, so verdicts and counterexamples are those of the full comparison.
 
 RLL on a closed space is decided by a covariance certificate, whose
 premises are those of the record: G symmetric and a representation, the
 top coefficient scalar and every lower coefficient invariant under G, all
-decided on the Chevalley pairs.  R lies in span{I, P, K}, so the residual
+decided as above.  R lies in span{I, P, K}, so the residual
 then commutes with the diagonal action on (V x V) x W and its kernel is a
 submodule: it vanishes everywhere once it vanishes on V x V x S, S a set
 of unit vectors that generates W under G (proof at `check_rll`).  The
@@ -105,12 +103,16 @@ from .structure import (
     YANG_GL2_IPK,
     CaseDescriptor,
     block_violation,
+    cartan_grading,
     chevalley_pairs,
     describe_flat,
     first_violation,
     fundamental_ipk,
+    graded,
     identity_residual,
     k_form,
+    metric_multiple,
+    presentation,
 )
 
 
@@ -214,38 +216,92 @@ def _generators(lop: LOperator):
     premise that failed.  Each premise is decided exactly, in this order:
 
       closed     the space is untruncated (no trunc, no floor);
-      symmetric  G + eps G^t = c eps_ab Id (`scalar_images` on the
-                 identity), so G_ab = G(x_ab) + c/2 eps_ab Id for a linear
-                 map G on g, x_ab = -eps x_ba (`chevalley_pairs`), plus a
-                 central scalar, which neither side of a relation sees;
-      lie        the Lie relation of G holds on the pairs P, for all (c, d).
+      symmetric  G + eps G^t = c eps_ab Id on the int-cleared blocks
+                 (`structure.metric_multiple`), so G_ab = G(x_ab) +
+                 c/2 eps_ab Id for a linear map G on g, x_ab = -eps x_ba,
+                 plus a central scalar that no relation sees;
+      lie        G is a representation: with diagonal Cartan blocks
+                 G_(i,-i), the weight test (`structure.graded`) and the
+                 relations of `structure.presentation`; else the relation
+                 on P for every (c, d).
+
+    Symmetry.  Both sides of the relation at (a, b, c, d) are G of
+    [x_ab, x_cd] (the central parts cancel: eps_ba = eps eps_ab), so the
+    relation at (a, b, d, c) is -eps times the one at (a, b, c, d) and the
+    one at (c, d, a, b) minus it: one key per basis element x_cd suffices,
+    and a relation of two pairs is compared once.
 
     Generator lemma (Humphreys, Introduction to Lie Algebras and
-    Representation Theory, sec. 18).  Given symmetry, the set S of x in g
-    with [G(x), G(y)] = G([x, y]) for every y is a subspace, and by Jacobi
+    Representation Theory, sec. 18).  The x with [G(x), G(y)] = G([x, y])
+    for all y form a subalgebra, by Jacobi: [G([x, x']), G(y)] =
+    [G(x), G([x', y])] - [G(x'), G([x, y])] = G([[x, x'], y]).  Once G is a
+    representation, so do the x with D(x) X = 0, D(x) = ad G(x) + rho(x)
+    the action on the tensors X_cd (rho(x) on the index pair (c, d), as
+    the relation's right side applies it).
 
-      [G([x, x']), G(y)] = [G(x), G([x', y])] - [G(x'), G([x, y])]
-                         = G([x, [x', y]] - [x', [x, y]]) = G([[x, x'], y])
+    Weight test.  [x_(i,-i), x_cd] = -lambda_i(c, d) x_cd, lambda_i(c, d) =
+    [c=i] - [c=-i] + [d=i] - [d=-i], the right side's coefficient at
+    (a, b) = (i, -i).  With G_(i,-i) = diag(mu) the relation there is the
+    entry test mu_r - mu_s = -lambda(c, d) on each nonzero X_cd[r, s], no
+    product.  The x_(i,-i) span the Cartan subalgebra t.
 
-    for x, x' in S, so S is a Lie subalgebra.  It contains P, which
-    generates g, so it is g: the Lie relation holds for every (a, b, c, d).
-    Given that, D(x) = ad G(x) + rho(x), rho(x) the action of x on the
-    index pair (c, d) that the relation's right side applies, is a
-    representation on the tensors X_cd, and X is invariant at x when
-    D(x) X = 0.  D([x, y]) X = D(x) D(y) X - D(y) D(x) X, so the set of x
-    at which X is invariant is a subalgebra too: X is invariant as soon as
-    `block_violation(G, X, pairs=P)` finds nothing.
+    Serre presentation (Humphreys, sec. 18.3).  Let e_i, f_i be the pairs
+    P[0::2], P[1::2], h_i = [e_i, f_i] (for n >= 3, g is semisimple and the
+    h_i span t) and a_ij = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) for
+    their simple roots.  Up to a scaling of the generators, g is presented
+    by [h_i, h_j] = 0, [e_i, f_j] = delta_ij h_i, [h_i, e_j] = a_ij e_j,
+    [h_i, f_j] = -a_ij f_j and ad(e_i)^(1-a_ij) e_j = 0 =
+    ad(f_i)^(1-a_ij) f_j for i != j.  For E_i = G(e_i), F_i = G(f_i):
+    the relations (e_i, f_j) give [E_i, F_j] = G([e_i, f_j]), so
+    H_i = [E_i, F_i] = G(h_i); the weight test gives [G(h), G(y)] =
+    G([h, y]) for h in t, hence the relations of the H_i; along
+    z_0 = x_j, z_(t+1) = [x_i, z_t] = k_t y_(t+1) (x_i, x_j both e or
+    both f) the relations (x_i, y_t) give ad(G(x_i))^t G(x_j) = G(z_t),
+    which is 0 at t = 1 - a_ij.  So there is a representation phi of g
+    with phi(e_i) = E_i, phi(f_i) = F_i; phi(h_i) = G(h_i), so phi = G on
+    t, and every other root vector y has a chain relation [G(p), G(y')] =
+    G([p, y']) = k G(y), k != 0, y' of lower height, so phi(y) = G(y) by
+    induction on the height: G = phi.  so(2) is abelian and g = t: the
+    weight test is all of it.
+
+    sl(2) lemma (Humphreys, sec. 7.2).  Given lie, if D(h_i) X = 0 and
+    D(e_i) X = 0, X is a maximal vector of weight 0 for the sl(2) spanned
+    by e_i, h_i, f_i, so D(f_i) X = 0 (f^(w+1) kills a maximal vector of
+    weight w); (f_i, -h_i, e_i) is a triple too, so either pair of a
+    partner pair serves.  So X is invariant once the weight test holds on
+    X and `block_violation(G, X, pairs=P[0::2])` finds nothing
+    (`_invariant`); with a Cartan block that is not diagonal, on all of P.
     """
     case, space, dim, g = lop.case, lop.space, lop.dim, lop.g_mat
     if space.trunc is not None or space.floor is not None:
         return None, {"premise_failed": "closed"}
-    sym = opmat_add(g, opmat_scale(opmat_transpose(g), Scalar.of(case.eps)))
-    if not scalar_images(case, sym, SparseOp.identity(dim))[0]:  # sym @ Id = sym
+    if metric_multiple(case, g, case.eps) is None:
         return None, {"premise_failed": "symmetric"}
-    pairs = chevalley_pairs(case)
-    if block_violation(case, g, g, range(dim), pairs=pairs) is not None:
+    pairs, grading = chevalley_pairs(case), cartan_grading(case, g)
+    if grading is None:
+        relations = pairs
+    elif not graded(grading, g):
+        return None, {"premise_failed": "lie"}
+    else:
+        relations = presentation(case)
+    if block_violation(case, g, g, range(dim), pairs=relations) is not None:
         return None, {"premise_failed": "lie"}
     return pairs, {"pairs": len(pairs)}
+
+
+def _invariant(lop: LOperator, pairs: list) -> bool:
+    """Every nonzero coefficient of `lop` below G is invariant under G, given
+    the premises of `_generators` on the pairs P: by the weight test and
+    the relation on P[0::2] when the Cartan blocks are diagonal, else by
+    the relation on P (proof at `_generators`)."""
+    case, g, lower = lop.case, lop.g_mat, [mat for mat in lop.coeffs[:-2] if mat]
+    grading = cartan_grading(case, g)
+    if grading is not None:
+        if not all(graded(grading, mat) for mat in lower):
+            return False
+        pairs = pairs[0::2]
+    return all(block_violation(case, g, mat, range(lop.dim), pairs=pairs) is None
+               for mat in lower)
 
 
 class Premises:
@@ -253,14 +309,16 @@ class Premises:
     the generator lemma and of the covariance lemma, each decided once.
 
     When built, the record decides whether the top coefficient is
-    C_s = c eps_ab Id with c != 0 (`scalar_images` on the identity); `c` is
-    that scalar, or None.  `lop` is L / c when c is neither None nor 1, and
-    L itself otherwise, and `g` is its G: every check decides on `lop`.
+    C_s = c eps_ab Id with c != 0 (`structure.metric_multiple` on its
+    int-cleared entries); `c` is that scalar, or None.  `lop` is L / c
+    when c is neither None nor 1, and L itself otherwise, and `g` is its
+    G: every check decides on `lop`.
     The premises are decided on it when a check first needs them:
 
       generators  `_generators`: closed, symmetric, lie; the pairs P;
       invariant   every coefficient below G (H for a quadratic evaluation)
-                  is invariant under G, decided on P by `block_violation`;
+                  is invariant under G (`_invariant`: the weight test and
+                  `block_violation` on P[0::2], or on P);
       seeds       a set that generates W under the G_p, p in P, by
                   `lops.generating_set`; asked only once P is decided.
 
@@ -278,9 +336,8 @@ class Premises:
 
     def __init__(self, lop: LOperator):
         self.source = lop
-        ok, c = scalar_images(lop.case, lop.coeff(lop.order), SparseOp.identity(lop.dim))[:2]
-        self.c = c if ok and c else None
-        if self.c is not None and c != ONE:
+        self.c = c = metric_multiple(lop.case, lop.coeff(lop.order)) or None
+        if c is not None and c != ONE:
             lop = LOperator(lop.case, lop.space, [opmat_scale(mat, c.inv()) for mat in lop.coeffs],
                             lop.entry_budget, lop.kind, lop.params, lop.hw_vector)
         self.lop = lop
@@ -298,12 +355,10 @@ class Premises:
         return pairs, dict(record)
 
     def invariant(self) -> bool:
-        """Every nonzero coefficient below G is invariant under G, decided on
-        the pairs; False when the pairs premise failed."""
-        lop, pairs = self.lop, self.generators()[0]
-        return pairs is not None and self._once("invariant", lambda: all(
-            block_violation(lop.case, self.g, mat, range(lop.dim), pairs=pairs) is None
-            for mat in lop.coeffs[:-2] if mat))
+        """Every nonzero coefficient below G is invariant under G
+        (`_invariant`); False when the pairs premise failed."""
+        pairs = self.generators()[0]
+        return pairs is not None and self._once("invariant", lambda: _invariant(self.lop, pairs))
 
     def ops(self) -> list:
         """The G_p, p in P; the pairs premise must hold."""
@@ -366,15 +421,15 @@ def _block_check(premises: Premises, x, budget, name, w_tensor=False):
     compositions of the entry budget.
 
     When the premises of `_generators` hold, the Lie relation holds (its
-    last premise is the relation on the pairs P), the adjoint one is the
-    invariance premise of `Premises`, decided on P, and W is compared on
+    last premise), the adjoint one is the invariance premise of
+    `Premises`, and W is compared on
     the seed columns of a set S that generates W under the G_p, p in P
     (`lops.generating_set`; G is a representation and P generates g, so a
     subspace stable under the G_p is stable under all of G): W is built
     from products of the invariant G, so it is an invariant tensor and its
     kernel {w : W_abcd w = 0 for all (a, b, c, d)} is G-stable, hence all
-    of W once it holds S.  For `lie` a violation on P is the failed premise
-    "lie".  A failed premise, or a violation, reruns the kernel on every
+    of W once it holds S.  For `lie` a violation of the premise is the
+    failed premise "lie".  A failed premise, or a violation, reruns the kernel on every
     pair and safe column, so a refutation reports the first violation of
     the full comparison.  `details.generators` records the pair count (and
     for W the seed count) or the failed premise.
@@ -403,10 +458,7 @@ def _block_check(premises: Premises, x, budget, name, w_tensor=False):
 def check_lie(lop: LOperator, premises=None) -> CheckReport:
     """[G_ab, G_cd] equals the structure-constant combination, exactly.
 
-    On a closed space with G symmetric (G + eps G^t = c eps_ab Id) the
-    relation is decided on the 2m Chevalley pairs (a, b) alone, for all
-    (c, d): the x on which it holds form a Lie subalgebra (proof at
-    `_generators`), and the pairs generate g.
+    On a closed space it is decided on a presentation of g (`_generators`).
     """
     premises = _premises(lop, premises)
     return _block_check(premises, premises.g, 2, "lie")
@@ -415,8 +467,8 @@ def check_lie(lop: LOperator, premises=None) -> CheckReport:
 def check_adjoint(lop: LOperator, premises=None) -> CheckReport:
     """[G_ab, H_cd] equals the adjoint-action combination of H.
 
-    Decided on the Chevalley pairs once the premises of `_generators` hold
-    (G symmetric and a representation).
+    Decided on one pair of each Chevalley partner pair and a weight test
+    once the premises of `_generators` hold.
     """
     premises = _premises(lop, premises)
     return _block_check(premises, premises.lop.h_mat, 3, "adjoint")
@@ -598,9 +650,9 @@ def check_symmetric_constraints(lop: LOperator, span=None, premises=None) -> Che
 
     Each left side is applied right to left to the columns of the module
     (`_constraint_images`).  On a closed space whose premises hold (G
-    symmetric and a representation, decided on the Chevalley pairs P, and
-    H invariant on P; see `Premises`) it is applied to a set S that
-    generates the module under the G_p alone.  Proof: every left side M_ab
+    symmetric and a representation, and H invariant; see `Premises`) it is
+    applied to a set S that generates the module under the G_p, p in the
+    Chevalley pairs P, alone.  Proof: every left side M_ab
     is built from G, H, their transposes, the metric and contractions over
     the metric, all of them invariant under the action of x in g on the
     operator (ad G(x)) and on the indices (the vector representation,

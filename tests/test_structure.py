@@ -12,11 +12,15 @@ from yanglab.lops import build_js_quadratic, build_spinorial_linear
 from yanglab.structure import (
     YANG_GL2_IPK,
     block_violation,
+    bracket,
+    cartan_grading,
     chevalley_pairs,
     check_ybe,
     fundamental_r,
+    graded,
     identity_residual,
     make_case,
+    presentation,
     sp2_gl2_comparison,
     tensor_i,
     tensor_k,
@@ -242,7 +246,8 @@ def _mm(x, y):
 
 
 def _reference_block_violation(case, g, x, dim, cols, w_tensor, pairs=None):
-    """First (a, b, c, d) in sorted order, (a, b) in pairs unless None, then
+    """First (a, b, c, d) in sorted order, (a, b) in pairs unless None and
+    (c, d) in pairs[a, b] for a mapping, then
     first (i, j), j in cols, where [G_ab, X_cd] - (adjoint combination of X),
     or W_abcd, is nonzero."""
     gd = {key: _dense(g.get(key), dim) for key in product(case.indices, repeat=2)}
@@ -250,6 +255,8 @@ def _reference_block_violation(case, g, x, dim, cols, w_tensor, pairs=None):
     eps = case.metric_lower
     for a, b, c, d in product(case.indices, repeat=4):
         if pairs is not None and (a, b) not in pairs:
+            continue
+        if isinstance(pairs, dict) and (c, d) not in pairs[a, b]:
             continue
         if w_tensor:
             terms = [(ONE, _mm(gd[p], xd[q])) for p, q in (
@@ -305,8 +312,9 @@ def block_operands(draw):
     the adjoint X is H + s G.  Perturbed solutions change one entry of X
     (of G for lie and W, where X = G).  Random draws fill about half the
     entries of G and X with small fractions.
-    For lie and adjoint, pairs is None, the Chevalley pairs or a random
-    nonempty set of first-slot pairs; for W it is None.
+    For lie and adjoint, pairs is None, the Chevalley pairs, a random
+    nonempty set of first-slot pairs or a random mapping of first-slot
+    pairs to nonempty sets of keys (c, d); for W it is None.
     """
     check = draw(st.sampled_from(["lie", "adjoint", "w"]))
     kind = draw(st.sampled_from(["solution", "perturbed", "random"]))
@@ -349,8 +357,11 @@ def block_operands(draw):
     cols = draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True).map(sorted))
     pairs = None
     if check != "w":
-        pairs = draw(st.one_of(st.none(), st.just(chevalley_pairs(case)), st.lists(
-            st.sampled_from(list(product(case.indices, repeat=2))), min_size=1, unique=True)))
+        keys = st.sampled_from(list(product(case.indices, repeat=2)))
+        pairs = draw(st.one_of(
+            st.none(), st.just(chevalley_pairs(case)), st.lists(keys, min_size=1, unique=True),
+            st.dictionaries(keys, st.lists(keys, min_size=1, unique=True).map(tuple),
+                            min_size=1)))
     return case, g, x, dim, cols, check == "w", pairs, kind == "solution"
 
 
@@ -405,3 +416,102 @@ def test_chevalley_pairs_generate_g(family, m):
             queue.extend(_bracket(case, p, vec) for p in gens)
     n = case.n
     assert len(span) == (m * (2 * m + 1) if family == "sp" else n * (n - 1) // 2)
+
+
+# ---------------------------------------------------------------------------
+# the presentation of g and the weight test
+
+
+FAMILY_RANKS = ([("so_odd", m) for m in range(1, 5)] + [("so_even", m) for m in range(1, 5)]
+                + [("sp", m) for m in range(1, 4)])
+
+
+def _g_basis(case):
+    """The keys (a, b), a < b (a <= b for sp), of a basis x_ab of g."""
+    idx = case.indices
+    return [(a, b) for a in idx for b in idx if a < b or (a == b and case.eps == -1)]
+
+
+def _root(case, key):
+    """The weight of x_key under the x_(i,-i): -lambda_i(c, d) for i = 1..m."""
+    c, d = key
+    return tuple((c == -i) - (c == i) + (d == -i) - (d == i) for i in range(1, case.m + 1))
+
+
+@pytest.mark.parametrize("family,m", FAMILY_RANKS)
+def test_presentation_is_read_off_the_structure_constants(family, m):
+    case = make_case(family, m)
+    pairs, relations = chevalley_pairs(case), presentation(case)
+    basis = set(_g_basis(case))
+    assert set(relations) <= set(pairs)
+    assert all(set(keys) <= basis and len(set(keys)) == len(keys) for keys in relations.values())
+    if len(pairs) < 2 * m:  # so(2) is abelian
+        assert relations == {}
+        return
+    roots = [_root(case, p) for p in pairs]
+    # the pairs e_0::2 and f_1::2 are the simple roots of two opposite Borel halves
+    assert all(roots[2 * i] == tuple(-v for v in roots[2 * i + 1]) for i in range(m))
+    # the h_i = [e_i, f_i] span the Cartan subalgebra
+    span = VectorSpan()
+    for i in range(m):
+        h = bracket(case, pairs[2 * i], pairs[2 * i + 1])
+        assert h and all(c == -d for c, d in h)
+        span.add({key: Scalar(v) for key, v in h.items()})
+    assert len(span) == m
+    # ad(x_i)^k x_j = 0 first at k = 1 - a_ij, a_ij = 2 (a_i, a_j) / (a_i, a_i)
+    for s in (0, 1):
+        for i, j in product(range(m), repeat=2):
+            if i == j:
+                continue
+            a_i, a_j = roots[2 * i + s], roots[2 * j + s]
+            cartan = 2 * sum(x * y for x, y in zip(a_i, a_j)) // sum(x * x for x in a_i)
+            z, k = {pairs[2 * j + s]: 1}, 0
+            while z:
+                (y,) = z
+                z, k = bracket(case, pairs[2 * i + s], y), k + 1
+            assert k == 1 - cartan
+    # about dim g + O(m^2) relations, against 2m dim g on every key of the pairs
+    assert sum(map(len, relations.values())) < len(basis) + 4 * m * m
+
+
+@st.composite
+def graded_operands(draw):
+    """(case, g, x): diagonal Cartan blocks G_(i,-i) (some absent) with small
+    rational weights on dim 2-4, and X with entries on keys whose lambda
+    fits the weights of their position or, at random, on any key."""
+    case = make_case(*draw(st.sampled_from([("so_even", 1), ("so_odd", 1), ("sp", 1),
+                                             ("so_even", 2), ("so_odd", 2), ("sp", 3)])))
+    dim = draw(st.integers(2, 4))
+    weight = st.sampled_from([Scalar(v) for v in (-2, -1, 0, 1, 2)] + [Scalar(1, 0, 2)])
+    mu = {i: [draw(weight) for _ in range(dim)] for i in range(1, case.m + 1)}
+    g = {(i, -i): SparseOp(dim, dim, {(r, r): w for r, w in enumerate(mu[i])})
+         for i in mu if draw(st.booleans())}
+    keys = list(product(case.indices, repeat=2))
+    x: dict = {}
+    for _ in range(draw(st.integers(1, 6))):
+        r, s = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        fits = [(c, d) for c, d in keys if all(
+            (mu[i][r] - mu[i][s] if (i, -i) in g else ZERO)
+            == Scalar(-((c == i) - (c == -i) + (d == i) - (d == -i))) for i in mu)]
+        key = draw(st.sampled_from(fits if fits and draw(st.booleans()) else keys))
+        data = dict(x[key].data) if key in x else {}
+        data[r, s] = draw(nonzero)
+        x[key] = SparseOp(dim, dim, data)
+    return case, g, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_operands())
+def test_weight_test_is_the_relation_at_the_cartan_pairs(drawn):
+    case, g, x = drawn
+    dim = next(iter(x.values())).nrows
+    cartan = [(i, -i) for i in range(1, case.m + 1)]
+    grading = cartan_grading(case, g)
+    assert grading is not None
+    assert graded(grading, x) == (block_violation(case, g, x, range(dim), pairs=cartan) is None)
+
+
+def test_cartan_grading_needs_diagonal_blocks():
+    case = make_case("so_odd", 1)
+    assert cartan_grading(case, {}) is not None
+    assert cartan_grading(case, {(1, -1): SparseOp(2, 2, {(0, 1): ONE})}) is None

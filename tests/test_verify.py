@@ -33,13 +33,17 @@ from yanglab.lops import (
 from yanglab.spaces import RepSpace
 from yanglab.structure import (
     block_violation,
+    cartan_grading,
     chevalley_pairs,
     describe_flat,
     first_violation,
     fundamental_ipk,
+    graded,
     identity_residual,
     k_form,
     make_case,
+    metric_multiple,
+    presentation,
 )
 from yanglab.verify import (
     Premises,
@@ -57,7 +61,7 @@ from yanglab.verify import (
 )
 
 # the conjugated so(3)/sp(2) solutions of the block-kernel property test
-from test_structure import _base_solution, _conjugate, _padded, _unipotent, nonzero
+from test_structure import _base_solution, _conjugate, _g_basis, _padded, _unipotent, nonzero
 
 
 def _changed(lop, g=None, h=None):
@@ -647,20 +651,47 @@ def _off_generator_keys(case, g):
                   and key not in pairs and key[::-1] not in pairs)
 
 
+def _shift_keys(case):
+    """Basis keys (c, d) of root vectors: c != d and c != -d."""
+    return [(c, d) for c, d in _g_basis(case) if c != d and c != -d]
+
+
+def _shifted(case, g, key, t=ONE):
+    """G with t Id added to G_cd and -eps t Id to G_dc: still symmetric."""
+    (c, d), ident = key, SparseOp.identity(next(iter(g.values())).nrows)
+    return opmat_add(g, {(c, d): ident.scale(t), (d, c): ident.scale(-t * case.eps)})
+
+
+def _similar(draw, dim, diagonal):
+    """(M, M^-1): a diagonal M, which keeps the Cartan blocks diagonal, or
+    I + t E_pq, which does not."""
+    if diagonal:
+        ts = [draw(nonzero) for _ in range(dim)]
+        return (SparseOp(dim, dim, {(i, i): t for i, t in enumerate(ts)}),
+                SparseOp(dim, dim, {(i, i): t.inv() for i, t in enumerate(ts)}))
+    p, q = draw(st.sampled_from([(p, q) for p in range(dim) for q in range(dim) if p != q]))
+    t = draw(nonzero)
+    return _unipotent(dim, p, q, t), _unipotent(dim, p, q, -t)
+
+
 @st.composite
 def generator_operands(draw):
     """(L-operator, kind) on a closed space for the generator premises.
 
-    A solution (the vector representation of so(3), so(4), so(5), sp(2) or
-    sp(4) with its H, or the so(3) spinor with H = 0; rank one padded by a
-    trivial summand to dim 3 at random) is conjugated by I + t E_pq and
-    then changed: "asymmetric" adds to one entry of one block of G, "g3"
-    scales G by 3, "h" adds to one entry of one block of H, and
-    "off-generator" doubles G_ab and G_ba for a generator x_ab outside the
-    Chevalley pairs, which keeps G symmetric.
+    A solution (the vector representation of so(2), so(3), so(4), so(5),
+    so(8), sp(2), sp(4) or sp(6) with its H, or the so(3) spinor with
+    H = 0; rank one padded by a trivial summand to dim 3 at random) is
+    conjugated by a diagonal matrix or by I + t E_pq (`_similar`) and then
+    changed: "asymmetric" adds to one entry of one block of G, "g3" scales
+    G by 3, "h" adds to one entry of one block of H, "off-generator"
+    doubles G_ab and G_ba for a generator x_ab outside the Chevalley pairs,
+    "generator" doubles them for a pair, and "shift" adds t Id to G_cd of a
+    root vector x_cd (and -eps t Id to G_dc); the last three keep G
+    symmetric, the first two of them the Cartan grading too.
     """
-    family, m = draw(st.sampled_from([("so_odd", 1), ("so_even", 2), ("so_odd", 2),
-                                      ("sp", 1), ("sp", 2), ("spinor", 1)]))
+    family, m = draw(st.sampled_from([("so_even", 1), ("so_odd", 1), ("so_even", 2),
+                                      ("so_odd", 2), ("so_even", 4), ("sp", 1), ("sp", 2),
+                                      ("sp", 3), ("spinor", 1)]))
     if family == "spinor":
         case, g, h, dim = _base_solution("so_odd", "spinor")
     else:
@@ -668,13 +699,13 @@ def generator_operands(draw):
     kinds = ["solution", "asymmetric", "g3"] + ["h"] * bool(h)
     if _off_generator_keys(case, g):
         kinds.append("off-generator")
+    if _shift_keys(case):
+        kinds += ["generator", "shift"]
     kind = draw(st.sampled_from(kinds))
     if dim == 2 and draw(st.booleans()):
         dim = 3
         g, h = _padded(g, dim), _padded(h, dim)
-    p, q = draw(st.sampled_from([(p, q) for p in range(dim) for q in range(dim) if p != q]))
-    t = draw(nonzero)
-    mat, mat_inv = _unipotent(dim, p, q, t), _unipotent(dim, p, q, -t)
+    mat, mat_inv = _similar(draw, dim, draw(st.booleans()))
     g, h = _conjugate(g, mat, mat_inv), _conjugate(h, mat, mat_inv)
     if kind in ("asymmetric", "h"):
         key = draw(st.sampled_from(sorted(product(case.indices, repeat=2))))
@@ -686,9 +717,13 @@ def generator_operands(draw):
             g = opmat_add(g, entry)
     elif kind == "g3":
         g = opmat_scale(g, 3)
-    elif kind == "off-generator":
-        a, b = draw(st.sampled_from(_off_generator_keys(case, g)))
+    elif kind in ("off-generator", "generator"):
+        keys = _off_generator_keys(case, g) if kind == "off-generator" else [
+            p for p in chevalley_pairs(case) if p[1] != -p[0]]
+        a, b = draw(st.sampled_from(keys))
         g = {**g, (a, b): g[a, b].scale(2), (b, a): g[b, a].scale(2)}
+    elif kind == "shift":
+        g = _shifted(case, g, draw(st.sampled_from(_shift_keys(case))), draw(nonzero))
     return _closed(case, [h, g, metric_opmat(case, dim)], dim), kind
 
 
@@ -711,6 +746,166 @@ def test_generator_verdicts_match_full_kernel(drawn):
         # symmetric, so the Lie relation fails on the pairs themselves
         assert block_violation(case, g, g, range(dim), pairs=chevalley_pairs(case))
         assert check_lie(lop).details["generators"] == {"premise_failed": "lie"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_operands())
+def test_lie_premise_matches_full_relation(drawn):
+    # the premise on a presentation of g (diagonal Cartan blocks) or on the
+    # pairs (not) decides the Lie relation of every (a, b, c, d); symmetry
+    # is decided as the Scalar test on G + eps G^t did
+    lop, kind = drawn
+    case, dim, g = lop.case, lop.dim, lop.g_mat
+    sym = opmat_add(g, opmat_scale(opmat_transpose(g), case.eps))
+    symmetric = scalar_images(case, sym, SparseOp.identity(dim))[0]
+    assert (metric_multiple(case, g, case.eps) is not None) == symmetric
+    pairs, record = verify._generators(lop)
+    if not symmetric:
+        assert pairs is None and record == {"premise_failed": "symmetric"}
+        return
+    full = block_violation(case, g, g, range(dim))
+    assert (pairs is not None) == (full is None)
+    assert record == ({"pairs": len(chevalley_pairs(case))} if full is None
+                      else {"premise_failed": "lie"})
+    if kind in ("off-generator", "generator", "shift"):
+        assert full is not None
+
+
+# so(2) is abelian, so(4) = sl(2) x sl(2) is not simple; all of them present g
+# through `structure.presentation` once their Cartan blocks are diagonal
+PRESENTED = [("so_even", 1), ("so_odd", 1), ("so_even", 2), ("so_even", 4), ("sp", 2), ("sp", 3)]
+
+
+@pytest.mark.parametrize("family,m", PRESENTED, ids=["so2", "so3", "so4", "so8", "sp4", "sp6"])
+def test_lie_premise_on_a_presentation(family, m):
+    # every root block doubled (graded and symmetric: only the relations of
+    # the presentation can see it), every generator block doubled, and
+    # every shift by Id, one pair's relation only for some, is refused
+    case, g, h, dim = _vector_rep(family, m)
+    top = metric_opmat(case, dim)
+    assert cartan_grading(case, g) is not None
+    assert verify._generators(_closed(case, [g, top], dim))[1] == {
+        "pairs": len(chevalley_pairs(case))}
+    pairs = chevalley_pairs(case)
+    changed = [({**g, (a, b): g[a, b].scale(2), (b, a): g[b, a].scale(2)}, True)
+               for a, b in _off_generator_keys(case, g) + [p for p in pairs if p[1] != -p[0]]]
+    changed += [(_shifted(case, g, key), False) for key in _shift_keys(case)]
+    one_pair = 0
+    for g2, keeps_grading in changed:
+        assert (cartan_grading(case, g2) is not None
+                and graded(cartan_grading(case, g2), g2)) == keeps_grading
+        failing = [p for p in pairs if block_violation(case, g2, g2, range(dim), pairs=[p])]
+        one_pair += len(failing) == 1
+        assert failing and block_violation(case, g2, g2, range(dim)) is not None
+        assert verify._generators(_closed(case, [g2, top], dim)) == (
+            None, {"premise_failed": "lie"})
+    assert one_pair or family == "sp" or m == 1
+
+
+@pytest.mark.parametrize("family,m,two_l,relations", [("so_odd", 3, 2, 31), ("sp", 3, 1, 31)])
+def test_lie_premise_compares_a_presentation(monkeypatch, family, m, two_l, relations):
+    # the block relations of the Lie premise, pinned: dim g + O(m^2), where
+    # every key on the 2m pairs would be 2m dim g (126 on both)
+    seen = []
+
+    def spy(case, g, x, cols, w_tensor=False, pairs=None):
+        seen.append(pairs)
+        return block_violation(case, g, x, cols, w_tensor, pairs)
+
+    monkeypatch.setattr(verify, "block_violation", spy)
+    lop = build_js_quadratic(make_case(family, m), two_l)
+    assert check_lie(lop).details["generators"] == {"pairs": 2 * m}
+    (compared,) = seen
+    assert sum(map(len, compared.values())) == relations
+
+
+def _f_only_key(case, g, dim):
+    """A key (c, d) at which t Id added to H is seen by the pairs P[1::2]
+    and not by P[0::2]: H_cd = Id is a highest vector of the Borel half."""
+    pairs = chevalley_pairs(case)
+    return next(key for key in product(case.indices, repeat=2) if block_violation(
+        case, g, {key: SparseOp.identity(dim)}, range(dim), pairs=pairs[0::2]) is None
+        and block_violation(case, g, {key: SparseOp.identity(dim)}, range(dim),
+                            pairs=pairs[1::2]) is not None)
+
+
+@st.composite
+def invariance_operands(draw):
+    """(L-operator, kind) with G a representation for the invariance premise.
+
+    The vector representation of so(3), so(4), so(5), so(7) or sp(4) with
+    its H, conjugated by a diagonal matrix or by I + t E_pq (`_similar`),
+    then H changed: "entry" adds one entry, "moved" moves one entry of
+    H_cd to a position of another weight, and "f-only" adds t Id to the
+    block of `_f_only_key`, which breaks the relations of the pairs
+    P[1::2] only.
+    """
+    case, g, h, dim = _vector_rep(*draw(st.sampled_from(
+        [("so_odd", 1), ("so_even", 2), ("so_odd", 2), ("so_odd", 3), ("sp", 2)])))
+    kind = draw(st.sampled_from(["solution", "entry", "moved", "f-only"]))
+    weight = cartan_grading(case, g)[0]
+    if kind == "entry":
+        key = draw(st.sampled_from(sorted(product(case.indices, repeat=2))))
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        h = opmat_add(h, {key: SparseOp(dim, dim, {(i, j): draw(nonzero)})})
+    elif kind == "moved":
+        key = draw(st.sampled_from(sorted(h)))
+        (i, j), v = draw(st.sampled_from(sorted(h[key].data.items())))
+        i2 = draw(st.sampled_from([r for r in range(dim)
+                                   if weight.get(r, 0) != weight.get(i, 0)]))
+        data = {e: w for e, w in h[key].data.items() if e != (i, j)}
+        data[i2, j] = data.get((i2, j), ZERO) + v
+        h = {**h, key: SparseOp(dim, dim, data)}
+    elif kind == "f-only":
+        h = opmat_add(h, {_f_only_key(case, g, dim): SparseOp.identity(dim, draw(nonzero))})
+    mat, mat_inv = _similar(draw, dim, draw(st.booleans()))
+    g, h = _conjugate(g, mat, mat_inv), _conjugate(h, mat, mat_inv)
+    return _closed(case, [h, g, metric_opmat(case, dim)], dim), kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(invariance_operands())
+def test_invariance_on_a_borel_half_matches_full(drawn):
+    lop, kind = drawn
+    case, dim, g, h = lop.case, lop.dim, lop.g_mat, lop.h_mat
+    pairs = chevalley_pairs(case)
+    premises = Premises(lop)
+    assert premises.generators()[0] == pairs
+    full = block_violation(case, g, h, range(dim)) is None
+    assert premises.invariant() == full
+    if kind == "solution":
+        assert full
+    elif kind != "entry":
+        assert not full
+    grading = cartan_grading(case, g)
+    if kind in ("moved", "f-only") and grading is not None:
+        assert not graded(grading, h)  # only the weight test sees these
+    if kind == "f-only":
+        assert block_violation(case, g, h, range(dim), pairs=pairs[0::2]) is None
+        assert block_violation(case, g, h, range(dim), pairs=pairs[1::2]) is not None
+
+
+def test_invariance_path_taken(monkeypatch):
+    # diagonal Cartan blocks: the presentation, then the weight test and the
+    # pairs P[0::2]; else all of P for both, for an operator conjugated by
+    # I + t E_pq
+    seen = []
+
+    def spy(case, g, x, cols, w_tensor=False, pairs=None):
+        seen.append(pairs)
+        return block_violation(case, g, x, cols, w_tensor, pairs)
+
+    monkeypatch.setattr(verify, "block_violation", spy)
+    case, g, h, dim = _vector_rep("so_odd", 2)
+    pairs = chevalley_pairs(case)
+    mat, mat_inv = _unipotent(dim, 0, 1, Scalar(2)), _unipotent(dim, 0, 1, Scalar(-2))
+    for gc, hc, want in ((g, h, pairs[0::2]),
+                         (_conjugate(g, mat, mat_inv), _conjugate(h, mat, mat_inv), pairs)):
+        seen.clear()
+        assert Premises(_closed(case, [hc, gc, metric_opmat(case, dim)], dim)).invariant()
+        assert (cartan_grading(case, gc) is None) == (want == pairs)
+        lie, invariance = seen
+        assert lie == (pairs if want == pairs else presentation(case)) and invariance == want
 
 
 def test_empty_safe_subspace_fails():
@@ -806,6 +1001,9 @@ def test_scalar_test_agrees_across_bases(drawn):
     # a value passed in is the one tested
     ok_zero, value_zero, _ = _scalar_on(case, mat, unit, ZERO)
     assert value_zero == ZERO and ok_zero == (ok_ref and not value_ref)
+    # the int test of the record's top coefficient reads the same c
+    ok_all, value_all = _dense_scalar(case, dim, mat, range(dim))
+    assert metric_multiple(case, mat) == (value_all if ok_all else None)
 
 
 def test_symmetric_constraints_js_so5():
