@@ -71,6 +71,8 @@ class ConfigError(Exception):
 def _scalar_arg(value, name):
     if value is None:
         return None
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a scalar, got {value!r}")
     try:
         if isinstance(value, (int, Scalar)):
             return Scalar.of(value)
@@ -79,16 +81,29 @@ def _scalar_arg(value, name):
         raise ConfigError(f"cannot parse {name}={value!r}: {exc}") from exc
 
 
+def _int_arg(value, name):
+    """int(value); a bool or float is rejected, not coerced (3.7 -> 3)."""
+    if isinstance(value, (bool, float)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} {value!r}") from exc
+
+
 def resolve_case(cfg):
     family = cfg.get("family")
     if family not in ("so", "sp"):
         raise ConfigError("--family must be so or sp")
     m = cfg.get("m")
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ConfigError("--m must be a positive integer")
+    odd = cfg.get("odd")
+    if not isinstance(odd, (bool, type(None))):
+        raise ConfigError(f"--odd must be a boolean, got {odd!r}")
     if family == "sp":
         return make_case("sp", m)
-    return make_case("so_odd" if cfg.get("odd") else "so_even", m)
+    return make_case("so_odd" if odd else "so_even", m)
 
 
 def _build_linear_factor(case, spec, trunc):
@@ -112,14 +127,14 @@ def build_operator(cfg):
     if op in (None, ""):
         raise ConfigError("--op is required for this command")
     trunc = cfg.get("trunc")
-    if trunc is not None and (not isinstance(trunc, int) or trunc < 1):
+    if trunc is not None and (isinstance(trunc, bool) or not isinstance(trunc, int) or trunc < 1):
         raise ConfigError(f"--trunc must be a positive integer, got {trunc!r}")
     if op == "gl2chain" or op == "fuse3":
         chain = params.get("chain")
         if chain is None:
             raise ConfigError('--params must supply {"chain": [[u_k, d_k], ...]}')
         try:
-            pairs = [(_scalar_arg(u, "u_k"), int(d)) for u, d in chain]
+            pairs = [(_scalar_arg(u, "u_k"), _int_arg(d, "d_k")) for u, d in chain]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad --params chain {chain!r}: {exc}") from exc
         gl2 = build_gl2_js_chain(pairs)
@@ -141,10 +156,7 @@ def build_operator(cfg):
         two_l = cfg.get("twoL", params.get("twoL"))
         if two_l is None:
             raise ConfigError("--twoL is required for the js construction")
-        try:
-            two_l = int(two_l)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad twoL {two_l!r}") from exc
+        two_l = _int_arg(two_l, "twoL")
         k = _scalar_arg(cfg.get("k", params.get("k")), "k")
         return build_js_quadratic(case, two_l, k=k)
     if op == "product":

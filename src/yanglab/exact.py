@@ -650,10 +650,6 @@ class SparseOp:
         res.data = {k: v for k, v in self.data.items() if k[1] in keep}
         return res
 
-    def is_zero_on_cols(self, cols) -> bool:
-        keep = set(cols)
-        return all(j not in keep for (_, j) in self.data)
-
     def __repr__(self):
         return f"SparseOp({self.nrows}x{self.ncols}, nnz={len(self.data)})"
 

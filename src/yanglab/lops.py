@@ -423,6 +423,10 @@ def generating_set(lop: LOperator, ops, span=None) -> list:
 def restrict_to_submodule(lop: LOperator, span) -> LOperator:
     """Base-change an L-operator onto an invariant span of vectors.
 
+    No builder calls it: the JS module is built directly (`build_js_quadratic`).
+    It stays as the reference the tests restrict the whole JS layer with,
+    and the benchmark times it.
+
     `span` is a basis of it, as produced by cyclic_span; the new basis is
     its reduced echelon form B (`VectorSpan.reduced`), where coordinates
     are the entries at the pivots: each restricted coefficient R is read
@@ -585,8 +589,10 @@ def build_js_quadratic(case: CaseDescriptor, two_l: int, k=None) -> LOperator:
       standard, so the hw vector is a unit vector.
 
     Raises ValueError unless G_ab q_hat = 0 for every (a, b).  so(2) is
-    abelian and its Harm_2l reducible: from 2l = 3 on it keeps the cyclic
-    span of x_(-1)^(2l) in the layer (`restrict_to_submodule`).
+    abelian and its Harm_2l reducible, but G_(1,-1) = -G_(-1,1) =
+    x_(-1) d/dx_(-1) - x_1 d/dx_1 is diagonal on monomials and every other
+    G_ab is 0: H, a polynomial in G, is diagonal too, so the cyclic module
+    of x_(-1)^(2l) is its line, which from 2l = 3 on is the space.
     """
     if two_l < 0:
         raise ValueError("two_l must be a nonnegative integer")
@@ -595,14 +601,13 @@ def build_js_quadratic(case: CaseDescriptor, two_l: int, k=None) -> LOperator:
         layer, g = js_layer_generators(case, two_l)
         ops, den = clear_denominators(g.values())
         return _js_operator(case, layer, dict(zip(g, ops)), den, two_l, k)
-    quotient = two_l >= 3 and case.n >= 3
-    labels, g = js_monomial_generators(case, two_l, quotient)
-    name = f"homog[{case.label()},2l={two_l}]" + ("|cyclic" if quotient else "")
+    cyclic = two_l >= 3
+    labels, g = js_monomial_generators(case, two_l, cyclic)
+    name = f"homog[{case.label()},2l={two_l}]" + ("|cyclic" if cyclic else "")
     space = RepSpace(name, labels, [two_l] * len(labels))
-    if quotient:
+    if cyclic:
         return _js_operator(case, space, g, 1, two_l, k, module="cyclic")
-    lop = _js_operator(case, space, g, 1, two_l, k)
-    return lop if two_l <= 2 else restrict_to_submodule(lop, cyclic_span(lop, [lop.hw_vector]))
+    return _js_operator(case, space, g, 1, two_l, k)
 
 
 def _js_operator(case: CaseDescriptor, space: RepSpace, g: dict, den: int, two_l: int, k,

@@ -4,21 +4,22 @@ Every space is a finite ordered basis with an integer grading.  Closed
 spaces (fermionic Fock space, a fixed homogeneous layer, gl(2) oscillator
 layers) carry `trunc = None`: every operator identity is exact everywhere.
 Truncated spaces (bosonic Fock space, polynomial modules cut at degree D,
-windowed layer neighbourhoods) carry `trunc` (and possibly `floor`); an
+windowed layer neighbourhoods) carry `trunc`; an
 identity whose evaluation can excurse k degrees beyond its input is then
 asserted only on basis vectors at distance >= k from the cut, the "safe
 subspace".  Graded operators make the boundary effects precisely
 localizable, which is what makes this sound.
 
 Monomial bases are ordered graded-lexicographically, which fixes every
-basis-dependent serialization.
+basis-dependent serialization.  Every creation/annihilation pair is built
+by one of two routines: `bosonic` (x_v, d/dx_v on exponent tuples) or
+`fermionic` (Jordan-Wigner on bitmasks).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations_with_replacement
-from math import comb
 
 from .exact import ONE, Scalar, SparseOp, axpy
 from .structure import CaseDescriptor
@@ -27,15 +28,14 @@ from .structure import CaseDescriptor
 class RepSpace:
     """Finite ordered basis with grading and optional truncation window."""
 
-    __slots__ = ("name", "labels", "index", "grade", "trunc", "floor", "meta")
+    __slots__ = ("name", "labels", "index", "grade", "trunc", "meta")
 
-    def __init__(self, name, labels, grade, trunc=None, floor=None, meta=None):
+    def __init__(self, name, labels, grade, trunc=None, meta=None):
         self.name = name
         self.labels = tuple(labels)
         self.index = {lab: k for k, lab in enumerate(self.labels)}
         self.grade = tuple(grade)
         self.trunc = trunc
-        self.floor = floor
         self.meta = dict(meta or {})
 
     @property
@@ -44,23 +44,14 @@ class RepSpace:
 
     def safe_indices(self, budget: int):
         """Basis positions on which a budget-k identity is boundary-free."""
-        if self.trunc is None and self.floor is None:
+        if self.trunc is None:
             return list(range(self.dim))
-        out = []
-        for k, g in enumerate(self.grade):
-            if self.trunc is not None and g > self.trunc - budget:
-                continue
-            if self.floor is not None and g < self.floor + budget:
-                continue
-            out.append(k)
-        return out
+        return [k for k, g in enumerate(self.grade) if g <= self.trunc - budget]
 
     def summary(self) -> dict:
         info = {"name": self.name, "dimension": self.dim}
         if self.trunc is not None:
             info["truncation_degree"] = self.trunc
-        if self.floor is not None:
-            info["floor_degree"] = self.floor
         info.update(self.meta)
         return info
 
@@ -109,11 +100,45 @@ class GeneratorSet:
 
 
 # ---------------------------------------------------------------------------
+# the Fock routines: every generator set takes its x, d or c_a from these
+
+
+def bosonic(space: RepSpace, v: int):
+    """(x_v, d/dx_v): multiplication by the variable v and its derivative on
+    the exponent-tuple labels of `space`; images outside the labels are
+    dropped."""
+    up, down = {}, {}
+    for j, exp in enumerate(space.labels):
+        e = exp[v]
+        i = space.index.get(exp[:v] + (e + 1,) + exp[v + 1:])
+        if i is not None:
+            up[i, j] = ONE
+        i = space.index.get(exp[:v] + (e - 1,) + exp[v + 1:])
+        if i is not None:
+            down[i, j] = Scalar.of(e)
+    return SparseOp(space.dim, space.dim, up), SparseOp(space.dim, space.dim, down)
+
+
+def fermionic(space: RepSpace, b: int):
+    """(a_b^+, a_b): Jordan-Wigner creation and annihilation of mode b on the
+    bitmask labels of `space`, with sign (-1)^(occupied modes below b)."""
+    bit, create, annih = 1 << b, {}, {}
+    for j, s in enumerate(space.labels):
+        sign = -ONE if bin(s & (bit - 1)).count("1") % 2 else ONE
+        if s & bit:
+            annih[space.index[s ^ bit], j] = sign
+        else:
+            create[space.index[s | bit], j] = sign
+    return SparseOp(space.dim, space.dim, create), SparseOp(space.dim, space.dim, annih)
+
+
+# ---------------------------------------------------------------------------
 # spinor space (Clifford / oscillator generators c_a)
 
 
 def spinor_space(case: CaseDescriptor, trunc: int = 6):
-    """Space carrying the c_a generators.
+    """Space carrying the c_a generators, c_(+-i) the creation and
+    annihilation of mode i.
 
     Orthogonal families: fermionic Fock space over m modes, dimension 2^m,
     exact (no truncation), with c_a c_b + c_b c_a = eps_ab.  so(2m+1) adds
@@ -130,60 +155,26 @@ def spinor_space(case: CaseDescriptor, trunc: int = 6):
     is truncated at total occupation `trunc` and the relations hold on the
     safe subspace.
     """
-    m = case.m
+    m, name = case.m, f"spinor[{case.label()}]"
     if case.eps == 1:
-        labels = list(range(2 ** m))
-        grade = [bin(s).count("1") for s in labels]
-        space = RepSpace(f"spinor[{case.label()}]", labels, grade)
-        ops = {}
-        for i in range(1, m + 1):
-            bit = 1 << (i - 1)
-            low = bit - 1
-            create, annih = {}, {}
-            for s in labels:
-                phase = ONE if bin(s & low).count("1") % 2 == 0 else -ONE
-                if case.has_zero and grade[s] % 2 == 0:  # lands in an odd state
-                    phase = phase * 2
-                if not s & bit:
-                    create[(s | bit, s)] = phase
-                else:
-                    annih[(s & ~bit, s)] = phase
-            ops[("c", i)] = SparseOp(space.dim, space.dim, create)
-            ops[("c", -i)] = SparseOp(space.dim, space.dim, annih)
-        if case.has_zero:
-            parity = {(s, s): (ONE if grade[s] % 2 == 0 else -ONE) for s in labels}
-            ops[("c", 0)] = SparseOp(space.dim, space.dim, parity)
-        return space, GeneratorSet(case, space, ops)
-
-    # symplectic: m bosonic modes, occupation-number basis cut at `trunc`
-    labels = []
-    for total in range(trunc + 1):
-        labels.extend(sorted(_compositions(total, m)))
-    grade = [sum(lab) for lab in labels]
-    space = RepSpace(f"spinor[{case.label()}]", labels, grade, trunc=trunc)
+        labels = range(2 ** m)
+        space = RepSpace(name, labels, [bin(s).count("1") for s in labels])
+        modes = [fermionic(space, p) for p in range(m)]
+    else:  # occupation numbers, graded, each degree in ascending order
+        labels = [lab for total in range(trunc + 1) for lab in _graded_monomials(m, [total])[::-1]]
+        space = RepSpace(name, labels, [sum(lab) for lab in labels], trunc=trunc)
+        modes = [bosonic(space, p) for p in range(m)]
     ops = {}
     for i in range(1, m + 1):
-        create, annih = {}, {}
-        for lab in labels:
-            pos = space.index[lab]
-            if sum(lab) < trunc:
-                up = lab[:i - 1] + (lab[i - 1] + 1,) + lab[i:]
-                create[(space.index[up], pos)] = ONE
-            if lab[i - 1] > 0:
-                dn = lab[:i - 1] + (lab[i - 1] - 1,) + lab[i:]
-                annih[(space.index[dn], pos)] = Scalar.of(lab[i - 1])
-        ops[("c", i)] = SparseOp(space.dim, space.dim, create)
-        ops[("c", -i)] = SparseOp(space.dim, space.dim, annih)
+        ops["c", i], ops["c", -i] = modes[i - 1]
+    if case.has_zero:
+        even = [g % 2 == 0 for g in space.grade]
+        ops = {key: SparseOp(space.dim, space.dim, {(i, j): v * 2 if even[j] else v
+                                                    for (i, j), v in op.data.items()})
+               for key, op in ops.items()}
+        ops["c", 0] = SparseOp(space.dim, space.dim,
+                               {(j, j): ONE if e else -ONE for j, e in enumerate(even)})
     return space, GeneratorSet(case, space, ops)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +194,9 @@ def _graded_monomials(nvars: int, degrees):
     return out
 
 
-def homogeneous_dimension(case: CaseDescriptor, two_l: int) -> int:
-    if case.family == "sp":
-        return comb(case.n, two_l)
-    return comb(two_l + case.n - 1, case.n - 1)
-
-
 def homogeneous_space(case: CaseDescriptor, two_l: int):
-    """Degree-2l layer of functions of x_a plus its generator set.
+    """Degree-2l layer of functions of x_a plus its generator set, x_a the
+    creation of mode pos(a) and d_a = eps_a d/dx_(-a).
 
     Orthogonal: commuting variables, layer dimension C(2l+n-1, n-1); the
     generator set lives on the degree window [2l-1, 2l+1] so that the
@@ -227,56 +213,19 @@ def homogeneous_space(case: CaseDescriptor, two_l: int):
         if two_l > 1:
             raise ValueError("symplectic homogeneous layer requires two_l in {0, 1}")
         labels = sorted(range(2 ** n), key=lambda s: (bin(s).count("1"), s))
-        grade = [bin(s).count("1") for s in labels]
-        ambient = RepSpace(f"grassmann[{case.label()}]", labels, grade)
-        ops = {}
-        for a in case.indices:
-            p = case.pos(a)
-            bit, low = 1 << p, (1 << p) - 1
-            mult, deriv = {}, {}
-            for s in labels:
-                phase = ONE if bin(s & low).count("1") % 2 == 0 else -ONE
-                if not s & bit:
-                    mult[(ambient.index[s | bit], ambient.index[s])] = phase
-            pd = case.pos(-a)
-            bit_d, low_d = 1 << pd, (1 << pd) - 1
-            sign_a = Scalar.of(case.sign(a))
-            for s in labels:
-                if s & bit_d:
-                    phase = ONE if bin(s & low_d).count("1") % 2 == 0 else -ONE
-                    deriv[(ambient.index[s & ~bit_d], ambient.index[s])] = sign_a * phase
-            ops[("x", a)] = SparseOp(ambient.dim, ambient.dim, mult)
-            ops[("d", a)] = SparseOp(ambient.dim, ambient.dim, deriv)
-        layer_labels = [s for s in labels if bin(s).count("1") == two_l]
-        layer = RepSpace(f"homog[{case.label()},2l={two_l}]", layer_labels,
-                         [two_l] * len(layer_labels))
-        return layer, GeneratorSet(case, ambient, ops)
-
-    lo = max(two_l - 1, 0)
-    degrees = range(lo, two_l + 2)
-    labels = _graded_monomials(n, degrees)
-    grade = [sum(e) for e in labels]
-    ambient = RepSpace(f"polywindow[{case.label()}]", labels, grade,
-                       trunc=two_l + 1, floor=lo if lo > 0 else None)
+        ambient = RepSpace(f"grassmann[{case.label()}]", labels,
+                           [bin(s).count("1") for s in labels])
+        modes = [fermionic(ambient, p) for p in range(n)]
+    else:
+        labels = _graded_monomials(n, range(max(two_l - 1, 0), two_l + 2))
+        ambient = RepSpace(f"polywindow[{case.label()}]", labels, [sum(e) for e in labels],
+                           trunc=two_l + 1)
+        modes = [bosonic(ambient, p) for p in range(n)]
     ops = {}
     for a in case.indices:
-        p = case.pos(a)
-        mult, deriv = {}, {}
-        for exp in labels:
-            pos = ambient.index[exp]
-            up = exp[:p] + (exp[p] + 1,) + exp[p + 1:]
-            if up in ambient.index:
-                mult[(ambient.index[up], pos)] = ONE
-        pd = case.pos(-a)
-        sign_a = Scalar.of(case.sign(a))
-        for exp in labels:
-            if exp[pd] > 0:
-                dn = exp[:pd] + (exp[pd] - 1,) + exp[pd + 1:]
-                if dn in ambient.index:
-                    deriv[(ambient.index[dn], ambient.index[exp])] = sign_a * exp[pd]
-        ops[("x", a)] = SparseOp(ambient.dim, ambient.dim, mult)
-        ops[("d", a)] = SparseOp(ambient.dim, ambient.dim, deriv)
-    layer_labels = [e for e in labels if sum(e) == two_l]
+        ops["x", a] = modes[case.pos(a)][0]
+        ops["d", a] = modes[case.pos(-a)][1].scale(case.sign(a))
+    layer_labels = [lab for lab, g in zip(labels, ambient.grade) if g == two_l]
     layer = RepSpace(f"homog[{case.label()},2l={two_l}]", layer_labels,
                      [two_l] * len(layer_labels))
     return layer, GeneratorSet(case, ambient, ops)
@@ -318,11 +267,13 @@ def _js_terms(case: CaseDescriptor, exp):
                     yield (b, -c), image, -e
 
 
-def js_monomial_generators(case: CaseDescriptor, two_l: int, quotient: bool):
+def js_monomial_generators(case: CaseDescriptor, two_l: int, cyclic: bool):
     """(labels, {(a, b): int SparseOp}): G of so(n) on the degree-2l
     monomials (exponent tuples, in `_graded_monomials` order), or with
-    `quotient` on the standard monomials of P_2l / q P_(2l-2), every image
-    reduced modulo q_hat (the rewrite and the proof are at `lops.build_js_quadratic`)."""
+    `cyclic` on the cyclic module of x_(-1)^(2l): for n >= 3 the standard
+    monomials of P_2l / q P_(2l-2), every image reduced modulo q_hat, for
+    so(2) the monomial x_(-1)^(2l) alone (the rewrite and the proofs are at
+    `lops.build_js_quadratic`)."""
     n, pos = case.n, case.pos
 
     def monomial(*positions):
@@ -332,14 +283,17 @@ def js_monomial_generators(case: CaseDescriptor, two_l: int, quotient: bool):
     lead = monomial(pos(0), pos(0)) if case.has_zero else monomial(pos(1), pos(-1))
     qhat[lead] = 1
     labels = _graded_monomials(n, [two_l])
-    if quotient:
+    if cyclic:
         moved = defaultdict(int)  # (a, b, monomial): its coefficient in G_ab q_hat
         for exp, c in qhat.items():
             for key, image, v in _js_terms(case, exp):
                 moved[key, image] += c * v
         if any(moved.values()):
             raise ValueError("G does not kill the invariant quadratic q")
-        labels = [exp for exp in labels if any(e < d for e, d in zip(exp, lead))]
+        if n == 2:
+            labels = [monomial(*[pos(-1)] * two_l)]
+        else:
+            labels = [exp for exp in labels if any(e < d for e, d in zip(exp, lead))]
     index = {exp: i for i, exp in enumerate(labels)}
     tail = [(exp, -c) for exp, c in qhat.items() if exp != lead]
     normal: dict = {}  # monomial: its normal form {row: int}
@@ -381,8 +335,9 @@ def heisenberg_space(case: CaseDescriptor, max_degree: int):
     """Polynomials of degree <= max_degree in the eps-antisymmetric matrix
     variables x^i_j (antisymmetric for so(2m), symmetric for sp(2m)).
 
-    The derivation d^i_j is dual to x^i_j with
-    [d^i_j, x^k_l] = delta^k_j delta^i_l - eps delta^i_k delta^j_l.
+    The derivation d^i_j = sum_w dval(i, j, w) d/dx_w is dual to x^i_j:
+    dval(i, j, w) = [d^i_j, x^k_l] = delta^k_j delta^i_l - eps delta^i_k delta^j_l
+    for the variable w = (k, l).
     Not available for so(2m+1).
     """
     if case.family == "so_odd":
@@ -391,32 +346,18 @@ def heisenberg_space(case: CaseDescriptor, max_degree: int):
         raise ValueError("max_degree must be >= 1")
     variables = heisenberg_variables(case)
     labels = _graded_monomials(len(variables), range(max_degree + 1))
-    grade = [sum(e) for e in labels]
-    space = RepSpace(f"heis[{case.label()},D={max_degree}]", labels, grade,
+    space = RepSpace(f"heis[{case.label()},D={max_degree}]", labels, [sum(e) for e in labels],
                      trunc=max_degree, meta={"variables": len(variables)})
-    eps = case.eps
-    ops = {}
-    for v, (i, j) in enumerate(variables):
-        mult = {}
-        for exp in labels:
-            up = exp[:v] + (exp[v] + 1,) + exp[v + 1:]
-            if up in space.index:
-                mult[(space.index[up], space.index[exp])] = ONE
-        ops[("xm", i, j)] = SparseOp(space.dim, space.dim, mult)
-    for (i, j) in variables:
+    modes = [bosonic(space, v) for v in range(len(variables))]
+    ops = {("xm", i, j): modes[v][0] for v, (i, j) in enumerate(variables)}
+    for i, j in variables:
         deriv = {}
-        for exp in labels:
-            pos = space.index[exp]
-            for v, (k, l) in enumerate(variables):
-                if exp[v] == 0:
-                    continue
-                # d^i_j applied to the canonical generator x^k_l
-                dval = (1 if (k == j and i == l) else 0) - eps * (1 if (i == k and j == l) else 0)
-                if dval == 0:
-                    continue
-                dn = exp[:v] + (exp[v] - 1,) + exp[v + 1:]
-                axpy(deriv, dval * exp[v], {(space.index[dn], pos): ONE})
-        ops[("dm", i, j)] = SparseOp(space.dim, space.dim, deriv)
+        for w, (k, l) in enumerate(variables):
+            # d^i_j applied to the canonical generator x^k_l
+            dval = (k == j and i == l) - case.eps * (i == k and j == l)
+            if dval:
+                axpy(deriv, dval, modes[w][1].data)
+        ops["dm", i, j] = SparseOp(space.dim, space.dim, deriv)
     return space, GeneratorSet(case, space, ops)
 
 

@@ -215,7 +215,7 @@ def _generators(lop: LOperator):
     decided on them, else None; record is {"pairs": |P|} or names the first
     premise that failed.  Each premise is decided exactly, in this order:
 
-      closed     the space is untruncated (no trunc, no floor);
+      closed     the space is untruncated (no trunc);
       symmetric  G + eps G^t = c eps_ab Id on the int-cleared blocks
                  (`structure.metric_multiple`), so G_ab = G(x_ab) +
                  c/2 eps_ab Id for a linear map G on g, x_ab = -eps x_ba,
@@ -272,8 +272,8 @@ def _generators(lop: LOperator):
     X and `block_violation(G, X, pairs=P[0::2])` finds nothing
     (`_invariant`); with a Cartan block that is not diagonal, on all of P.
     """
-    case, space, dim, g = lop.case, lop.space, lop.dim, lop.g_mat
-    if space.trunc is not None or space.floor is not None:
+    case, dim, g = lop.case, lop.dim, lop.g_mat
+    if lop.space.trunc is not None:
         return None, {"premise_failed": "closed"}
     if metric_multiple(case, g, case.eps) is None:
         return None, {"premise_failed": "symmetric"}

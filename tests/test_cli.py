@@ -146,6 +146,23 @@ def test_bad_inputs_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("yanglab: ")
 
 
+@pytest.mark.parametrize("cfg", [
+    {"family": "so", "m": 2, "op": "js", "twoL": 3.7},
+    {"op": "gl2chain", "params": {"chain": [["0", 1.5]]}},
+    {"family": "so", "m": 2, "odd": "false", "op": "spinor"},
+    {"family": "so", "m": True, "op": "spinor"},
+    {"family": "so", "m": 2, "op": "heisenberg", "ell": True},
+    {"family": "sp", "m": 1, "op": "spinor", "trunc": True},
+], ids=["twoL-float", "chain-d-float", "odd-string", "m-bool", "ell-bool", "trunc-bool"])
+def test_config_values_of_the_wrong_type_exit_2(tmp_path, capsys, cfg):
+    # a JSON value of the wrong type is rejected, not coerced (3.7 -> 3, true -> 1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["construct", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err.startswith("yanglab: ")
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = {"family": "so", "m": 2, "odd": True, "op": "spinor"}
     path = tmp_path / "cfg.json"

@@ -49,7 +49,7 @@ from test_exact import _FractionSpan
 
 def opmat_eq_on_cols(a, b, dim, cols):
     diff = opmat_sub(a, b)
-    return all(op.is_zero_on_cols(cols) for op in diff.values())
+    return all(op.restrict_cols(cols).is_zero for op in diff.values())
 
 
 def vec_scaled(vec, s):
@@ -110,7 +110,7 @@ def test_spinor_eps_antisymmetry():
             for b in case.indices:
                 lhs = g.get((a, b), SparseOp.zeros(lop.dim, lop.dim))
                 rhs = g.get((b, a), SparseOp.zeros(lop.dim, lop.dim)).scale(-case.eps)
-                assert (lhs - rhs).is_zero_on_cols(cols), (a, b)
+                assert (lhs - rhs).restrict_cols(cols).is_zero, (a, b)
 
 
 @pytest.mark.parametrize("family,m,ell", [("so_even", 2, 0), ("so_even", 2, 1),
@@ -391,10 +391,17 @@ def test_js_small_layers_match_reference(family, m, two_l):
 
 
 def test_js_so2_keeps_the_cyclic_line():
-    # so(2) is abelian: its 2l = 3 module stays the cyclic span of x_(-1)^3
-    lop = build_js_quadratic(make_case("so_even", 1), 3)
-    assert lop.dim == 1 and lop.params["module"] == "cyclic"
-    assert lop.space.name == "homog[so(2),2l=3]|cyclic"
+    # so(2) is abelian: its module stays the cyclic span of x_(-1)^(2l),
+    # which is the restriction of the whole layer to that span
+    case = make_case("so_even", 1)
+    for two_l in (3, 4):
+        lop = build_js_quadratic(case, two_l)
+        assert lop.dim == 1 and lop.params["module"] == "cyclic"
+        assert lop.space.name == f"homog[so(2),2l={two_l}]|cyclic"
+        layer = _reference_layer(case, two_l)
+        restricted = lops.restrict_to_submodule(layer, cyclic_span(layer, [layer.hw_vector]))
+        assert restricted.dim == 1
+        assert lop.coeffs == restricted.coeffs and lop.hw_vector == restricted.hw_vector
 
 
 def test_js_quotient_raises_when_g_moves_q(monkeypatch):
