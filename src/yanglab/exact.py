@@ -684,31 +684,35 @@ def clear_vector(vec: dict) -> dict:
             for j, v in vec.items() if v}
 
 
-def int_columns(blocks: dict, den: int | None = None) -> dict:
+def int_columns(blocks: dict, den: int | None = None, cols=None) -> dict:
     """{(d, k): [(f, i, v), ...]}: every entry v at (i, k) of the block keyed
     (f, d) of the int blocks {(f, d): SparseOp}, listed under the column k of
-    its block's second index d, in block and entry order.  With `den`, the
+    its block's second index d, in block and entry order (only the columns
+    k in `cols`, when given).  With `den`, the
     entries are Scalars whose denominators divide den, and v is the entry
     times den (their `clear_denominators` form, read in the same pass)."""
     columns: dict = {}
     for (f, d), op in blocks.items():
         for (i, k), v in op.data.items():
+            if cols is not None and k not in cols:
+                continue
             if den is not None:
                 v = v.p * (den // v.r)
             columns.setdefault((d, k), []).append((f, i, v))
     return columns
 
 
-def scatter(columns: dict, terms) -> dict:
+def scatter(columns: dict, terms, acc=None, swap: bool = False) -> dict:
     """{(f, c, i, j): int}: the sum of sign * A[f, d] @ Y over the terms
     (d, c, sign, Y), A the int blocks whose `int_columns` are `columns` and
-    each Y an int SparseOp (sign an int).
+    each Y an int SparseOp (sign an int); added into `acc` when given, and
+    keyed (c, f, i, j) with `swap`.
 
     The one sparse product kernel (Gustavson's column-oriented product,
     ACM TOMS 4(3), 1978): each nonzero Y[k, j] is scattered through the
     column (d, k), so only the columns that Y uses are touched.  Entries
     that cancel stay in as 0; callers drop them."""
-    acc: dict = {}
+    acc = {} if acc is None else acc
     for d, c, sign, op in terms:
         for (k, j), x in op.data.items():
             col = columns.get((d, k))
@@ -717,7 +721,7 @@ def scatter(columns: dict, terms) -> dict:
             if sign != 1:
                 x *= sign
             for f, i, a in col:
-                key = (f, c, i, j)
+                key = (c, f, i, j) if swap else (f, c, i, j)
                 acc[key] = acc.get(key, 0) + a * x
     return acc
 
@@ -831,6 +835,41 @@ class VectorSpan:
 
     def __len__(self):
         return len(self.rows)
+
+
+def op_columns(ops) -> dict:
+    """{j: [(k, row, int), ...]}: `int_columns` of the SparseOps `ops`
+    as the blocks (k, 0), every op times the lcm of their denominators,
+    keyed by the column j alone (an int key for the closure's hot loop)."""
+    den = common_denominator(v for op in ops for v in op.data.values())
+    return {j: col for (_, j), col in
+            int_columns({(k, 0): op for k, op in enumerate(ops)}, den).items()}
+
+
+def close_span(span, vectors, columns) -> None:
+    """Grow the VectorSpan `span` by `vectors` and all their images under
+    products of the ops whose `op_columns` are `columns`, one queue of
+    int vectors still to insert, each image pushed in the order of its op.
+    Ops and seeds are taken times nonzero integers, which change no span,
+    so every `add` decides as over Q.  An image touches only the columns
+    where its vector is nonzero."""
+    queue = [clear_vector(v) for v in vectors]
+    while queue:
+        vec = queue.pop()
+        if not span.add(vec):
+            continue
+        images: dict = {}
+        for j, x in vec.items():
+            for k, i, a in columns.get(j, ()):
+                image = images.get(k)
+                if image is None:
+                    image = images[k] = {}
+                acc = image.get(i, 0) + a * x
+                if acc:
+                    image[i] = acc
+                else:
+                    del image[i]
+        queue.extend(image for _, image in sorted(images.items()) if image)
 
 
 def nullspace(rows, ncols: int):

@@ -29,9 +29,9 @@ of its nonzeros B[k, j] is scattered through the column (d, k) of the form
 (`exact.scatter`).  The ints are summed per output entry and turned into
 one Scalar each, over D times the right lcm: the column form and
 `_scatter` are the rational boundary around the int kernel.  The span
-closures index their ops with `exact.int_columns` too.  A thin right
-operand, the few seed columns of a central check,
-so touches only the columns it uses, not n^3 block products.  A form
+closures (`exact.close_span`) index their ops with `exact.int_columns` too.
+A thin right operand, the few seed columns of a central check, so touches
+only the columns it uses, not n^3 block products.  A form
 lives as long as its holder: `verify.Premises` keeps the forms of L's
 coefficients for the checks of one record, and the center indexes those
 of its shifted coefficients once per call, straight from their int sums
@@ -58,9 +58,10 @@ from .exact import (
     UniPoly,
     VectorSpan,
     clear_denominators,
-    clear_vector,
+    close_span,
     common_denominator,
     int_columns,
+    op_columns,
     scatter,
 )
 from .spaces import (
@@ -342,41 +343,6 @@ class LOperator:
         }
 
 
-def _op_columns(ops) -> dict:
-    """{j: [(k, row, int), ...]}: `exact.int_columns` of the SparseOps `ops`
-    as the blocks (k, 0), every op times the lcm of their denominators,
-    keyed by the column j alone (an int key for the closure's hot loop)."""
-    den = common_denominator(v for op in ops for v in op.data.values())
-    return {j: col for (_, j), col in
-            int_columns({(k, 0): op for k, op in enumerate(ops)}, den).items()}
-
-
-def _close_span(span, vectors, columns) -> None:
-    """Grow the VectorSpan `span` by `vectors` and all their images under
-    products of the ops whose `_op_columns` are `columns`, one queue of
-    int vectors still to insert, each image pushed in the order of its op.
-    Ops and seeds are taken times nonzero integers, which change no span,
-    so every `add` decides as over Q.  An image touches only the columns
-    where its vector is nonzero."""
-    queue = [clear_vector(v) for v in vectors]
-    while queue:
-        vec = queue.pop()
-        if not span.add(vec):
-            continue
-        images: dict = {}
-        for j, x in vec.items():
-            for k, i, a in columns.get(j, ()):
-                image = images.get(k)
-                if image is None:
-                    image = images[k] = {}
-                acc = image.get(i, 0) + a * x
-                if acc:
-                    image[i] = acc
-                else:
-                    del image[i]
-        queue.extend(image for _, image in sorted(images.items()) if image)
-
-
 def cyclic_span(lop: LOperator, seeds) -> list:
     """Basis of the submodule generated by `seeds` under all L-coefficients.
 
@@ -387,34 +353,36 @@ def cyclic_span(lop: LOperator, seeds) -> list:
     if lop.space.trunc is not None:
         raise ValueError("cyclic span requires a closed representation space")
     span = VectorSpan()
-    _close_span(span, seeds, _op_columns([op for mat in lop.coeffs for op in mat.values()]))
+    close_span(span, seeds, op_columns([op for mat in lop.coeffs for op in mat.values()]))
     return span.vectors()
 
 
-def generating_set(lop: LOperator, ops, span=None) -> list:
+def generating_set(lop: LOperator, ops, span=None, opposite=()) -> list:
     """Greedy S whose images under products of `ops` span W, or the
     invariant span of the vectors `span` when given.
 
     Candidates are the unit vectors, the hw vector's position first when it
-    is a unit vector and then basis order, or the vectors of `span` in
+    is a unit vector, then those that every op of `opposite` kills, then
+    the rest, each in basis order; or the vectors of `span` in
     order.  A candidate outside the span so far joins S, and the span is
     closed under `ops`.  Stops when the span has the target dimension, which
     the candidates guarantee.  Returns basis positions, or the chosen
     vectors of `span`.
     """
     if span is None:
-        order = list(range(lop.dim))
+        moved = {j for op in opposite for _, j in op.data}
+        order = sorted(range(lop.dim), key=lambda j: j in moved)
         if lop.hw_vector is not None and len(lop.hw_vector) == 1:
             order.insert(0, next(iter(lop.hw_vector)))
         candidates, target = [(j, {j: 1}) for j in order], lop.dim
     else:
         candidates, target = [(vec, vec) for vec in span], len(span)
-    closure, seeds, columns = VectorSpan(), [], _op_columns(ops)
+    closure, seeds, columns = VectorSpan(), [], op_columns(ops)
     for seed, vec in candidates:
         if len(closure) == target:
             break
         before = len(closure)
-        _close_span(closure, [vec], columns)
+        close_span(closure, [vec], columns)
         if len(closure) > before:
             seeds.append(seed)
     return seeds

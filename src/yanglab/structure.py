@@ -30,6 +30,7 @@ conventions (the sign matters in the symplectic case).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import groupby
 from math import comb
 from operator import itemgetter
@@ -41,10 +42,14 @@ from .exact import (
     Scalar,
     SparseOp,
     UniPoly,
+    VectorSpan,
     axpy,
     clear_denominators,
+    close_span,
     common_denominator,
     int_columns,
+    nullspace,
+    op_columns,
     scatter,
 )
 
@@ -222,49 +227,95 @@ def _k_apply(k, data: dict, dim_w: int, left: bool) -> dict:
     return out
 
 
-def identity_residual(ipk, coeffs, n: int, dim_w: int, cols, k=None):
-    """Residual of R12(u-v) L1(u) L2(v) - L2(v) L1(u) R12(u-v) by (u, v) key.
+def _partners(pairs, n: int) -> dict:
+    """{p: (q, ...)}: the flat pairs p n + q, grouped by p."""
+    return {p: tuple(x % n for x in xs) for p, xs in groupby(sorted(pairs), lambda x: x // n)}
 
-    R(w) = f_I(w) I + f_P(w) P + f_K(w) K acts on the pair of (V x V) x W;
-    `ipk` = (f_I, f_P, f_K) as coefficient tuples by power of w, `k` the
-    `k_form` of K (needed when f_K is nonzero).  `coeffs` lists the
-    coefficients L_i of L(u) = sum_i L_i u^i as opmats {(p, q): SparseOp
-    on W}, the first index raised, p and q positions in range(n); L1 acts
-    on the first V and L2 on the second.  Only the columns (q1, q2, w)
-    with w in the W columns `cols` are compared, exactly.
 
-    The entry block ((p1, p2), (q1, q2)) of C1_i C2_j is L_i^{p1 q1}
-    L_j^{p2 q2}: every such product is one `exact.scatter` of L_j's blocks
-    (the columns `cols` only) through the `exact.int_columns` of L_i's, and
-    C2_j C1_i the same with i and j exchanged.  Each entry goes to its flat
-    (V x V) x W index (p1 n + p2) dim_w + w, read off the two blocks it
-    comes from.  Then D_X = X C1_i C2_j - C2_j C1_i X once
-    for X in {I, P, K}; the sum over X of f_X[t] D_X is expanded over
-    (u - v)^t into one residual.
+class IdentityForm:
+    """R12(u-v) L1(u) L2(v) - L2(v) L1(u) R12(u-v) for `identity_residual`,
+    with R(w) = f_I(w) I + f_P(w) P + f_K(w) K on the pair of (V x V) x W:
+    `ipk` = (f_I, f_P, f_K) by power of w, `k` the `k_form` of K, and
+    `coeffs` the coefficients L_i of L(u) as opmats {(p, q): SparseOp on W},
+    the first index raised, p and q positions; L1 acts on the first V.  The
+    residual is linear in R and quadratic in L, so both are cleared to ints
+    once, here (lcms D, Dr), and its entries are divided by D^2 Dr at the end.
+    """
 
-    The residual is linear in R's coefficients and quadratic in L, so L
-    and f_X are first multiplied by the lcm of their denominators (D, Dr)
-    and the loop runs on plain ints; only the surviving residual entries
-    are divided by D^2 Dr, at return.
+    def __init__(self, ipk, coeffs, n: int, dim_w: int, k=None):
+        ops, d = clear_denominators([op for mat in coeffs for op in mat.values()])
+        ops = iter(ops)
+        self.blocks = [{p * n + q: next(ops) for p, q in mat} for mat in coeffs]  # x: L_i^x
+        dr = common_denominator(c for f in ipk for c in f)
+        ipk = [[c.p * (dr // c.r) for c in f] for f in ipk]
+        self.n, self.dim_w, self.k, self.den = n, dim_w, k, d * d * dr
+        # per power t of w: the pairs (f_X[t], X) with f_X[t] != 0
+        self.terms = [[(f[t], x) for x, f in enumerate(ipk) if t < len(f) and f[t]]
+                      for t in range(max(map(len, ipk)))]
+        self.used = sorted({x for t_terms in self.terms for _, x in t_terms})
+        self.k_pairs = set(k[0]) if 2 in self.used else set()  # the pairs K reads
+        # x = (p n + q) dim_w + w: swap[x] exchanges p and q (P on a flat index)
+        self.swap = [(q * n + p) * dim_w + w
+                     for p in range(n) for q in range(n) for w in range(dim_w)]
+
+
+def identity_residual(form: IdentityForm, pairs, cols, block=None):
+    """Residual of R12(u-v) L1(u) L2(v) - L2(v) L1(u) R12(u-v) by (u, v) key,
+    exactly, on the flat columns (q1, q2, w) of (V x V) x W with q1 n + q2
+    in `pairs` and w in `cols` and, given a row pair `block` = p1 n + p2,
+    on its rows alone.  It commutes with the diagonal action when R is in
+    span{I, P, K} and L covariant, so few columns decide it (lemma at
+    `verify.check_rll`).
+
+    The block ((p1, p2), (q1, q2)) of C1_i C2_j is L_i^{p1 q1} L_j^{p2 q2},
+    and each product is one `exact.scatter` over the block pairs that the
+    compared entries need: the first factor's blocks indexed
+    (`exact.int_columns`, at the W rows the kept columns reach) under one
+    key per class of blocks with the same partners, and each block of the
+    second through the keys of its partners; C2_j C1_i the other way round.
+    An entry goes to its flat index (p1 n + p2) dim_w + w.  Then
+    D_X = X C1_i C2_j - C2_j C1_i X once for X in {I, P, K}, and the sum of
+    f_X[t] D_X is expanded over (u - v)^t.  P and K on the right read the
+    swapped pairs and K's pairs (a, -a), so `pairs` is closed under both; on
+    a row block, C2_j C1_i is formed on its rows and C1_i C2_j on those X
+    on the left reads: the block, its swap and, for a K block, every K block.
 
     Returns (residual, keys): residual maps each (deg_u, deg_v) key whose
     coefficient does not vanish to its entries {(row, col): Scalar} at
     flat indices, and keys is the number of (u, v) keys compared.
     """
-    ops, d = clear_denominators([op for mat in coeffs for op in mat.values()])
-    ops = iter(ops)
-    blocks = [{p * n + q: next(ops) for p, q in mat} for mat in coeffs]  # x: L_i^x, ints
-    columns = [int_columns({(x, 0): op for x, op in mat.items()}) for mat in blocks]
-    kept = [[(0, x, 1, op.restrict_cols(cols)) for x, op in mat.items()] for mat in blocks]
-    dr = common_denominator(c for f in ipk for c in f)
-    ipk = [[c.p * (dr // c.r) for c in f] for f in ipk]
-    den = d * d * dr
+    n, dim_w, swap, k = form.n, form.dim_w, form.swap, form.k
+    pairs = set(pairs)
+    pairs |= {x % n * n + x // n for x in pairs} | form.k_pairs
+    left_rows = right_rows = range(n * n)
+    if block is not None:
+        swapped = block % n * n + block // n
+        left_rows = {block, swapped} | (form.k_pairs if block in form.k_pairs else set())
+        right_rows = {swapped}  # (p2, p1): L_j's row first
+    keep = None if len(set(cols)) == dim_w else set(cols)
+    kept = [mat if keep is None else {x: op.restrict_cols(keep) for x, op in mat.items()}
+            for mat in form.blocks]
+    reached = None if keep is None else {  # the W rows that the kept columns reach
+        r for mat in kept for op in mat.values() for r, _ in op.data}
+    q_of, indexed = _partners(pairs, n), {}
+
+    def products(a, y, rows):  # {(x, x', i, j): int}: L_a^x @ kept L_y^x', x, x' partners
+        r_of = _partners(rows, n)
+        key = (a, rows is left_rows)  # the left and right rows agree without a block
+        if key not in indexed:
+            blocks, classes = {}, {}
+            for x, op in form.blocks[a].items():
+                p, q = divmod(x, n)
+                if p in r_of and q in q_of:
+                    blocks[x, classes.setdefault((r_of[p], q_of[q]), len(classes))] = op
+            indexed[key] = int_columns(blocks, cols=reached), classes
+        columns, classes = indexed[key]
+        return scatter(columns, [(d, x, 1, kept[y][x]) for (ps, qs), d in classes.items()
+                                 for x in (p * n + q for p in ps for q in qs) if x in kept[y]])
     # block x = p n + q of L2 (of L1) adds (p, q) dim_w (times n) to the flat
     # (row, col) = ((p1 n + p2) dim_w + w, (q1 n + q2) dim_w + w')
     at2 = [(p * dim_w, q * dim_w) for p in range(n) for q in range(n)]
     at1 = [(r * n, c * n) for r, c in at2]
-    # x = (p n + q) dim_w + w: swap[x] exchanges p and q (P on a flat index)
-    swap = [(q * n + p) * dim_w + w for p in range(n) for q in range(n) for w in range(dim_w)]
 
     def place(products, first):  # product entries at their flat (row, col)
         out = {}
@@ -280,25 +331,22 @@ def identity_residual(ipk, coeffs, n: int, dim_w: int, cols, k=None):
          lambda d: {(r, swap[c]): v for (r, c), v in d.items()}),
         (lambda d: _k_apply(k, d, dim_w, True), lambda d: _k_apply(k, d, dim_w, False)),
     )
-    # per power t of w: the pairs (f_X[t], X) with f_X[t] != 0
-    terms = [[(f[t], x) for x, f in enumerate(ipk) if t < len(f) and f[t]]
-             for t in range(max(map(len, ipk)))]
-    used = sorted({x for t_terms in terms for _, x in t_terms})
-
     residual: dict = {}
     keys = set()
-    nonzero = [any(op.data for op in mat.values()) for mat in blocks]
-    for i in range(len(blocks)):
-        for j in range(len(blocks)):
+    nonzero = [any(op.data for op in mat.values()) for mat in form.blocks]
+    for i in range(len(form.blocks)):
+        for j in range(len(form.blocks)):
             if not (nonzero[i] and nonzero[j]):
                 continue
-            left = place(scatter(columns[i], kept[j]), True)
-            right = place(scatter(columns[j], kept[i]), False)
+            left = place(products(i, j, left_rows), True)
+            right = place(products(j, i, right_rows), False)
             diffs = {}
-            for x in used:
+            for x in form.used:
                 diffs[x] = actions[x][0](left)
                 axpy(diffs[x], -1, actions[x][1](right))
-            for t, t_terms in enumerate(terms):
+                if block is not None:
+                    diffs[x] = {rc: v for rc, v in diffs[x].items() if rc[0] // dim_w == block}
+            for t, t_terms in enumerate(form.terms):
                 diff: dict = {}
                 for f, x in t_terms:
                     axpy(diff, f, diffs[x])
@@ -307,8 +355,17 @@ def identity_residual(ipk, coeffs, n: int, dim_w: int, cols, k=None):
                     keys.add(key)
                     if diff:
                         axpy(residual.setdefault(key, {}), (-1) ** (t - p) * comb(t, p), diff)
-    return {key: {pos: Scalar(v, 0, den) for pos, v in entries.items()}
+    return {key: {pos: Scalar(v, 0, form.den) for pos, v in entries.items()}
             for key, entries in residual.items() if entries}, len(keys)
+
+
+def locate_violation(form: IdentityForm, cols):
+    """`first_violation` of the residual of `form` on every pair and the W
+    columns `cols`, or None: its row pair blocks in flat order, up to the
+    first nonzero one, which holds the first violating row."""
+    every = range(form.n ** 2)
+    blocks = (identity_residual(form, every, cols, block)[0] for block in every)
+    return next((first_violation(residual) for residual in blocks if residual), None)
 
 
 def first_violation(residual: dict):
@@ -362,17 +419,65 @@ def _basis_key(case: CaseDescriptor, a: int, b: int):
     return (a, a), int(case.eps == -1)
 
 
+def _index_action(case: CaseDescriptor, a: int, b: int, c: int) -> tuple:
+    """rho(x_ab) e_c = eps_ac e_b - eps_cb e_a as ((coefficient, index), ...):
+    how the right side of the Lie relation acts on each index (`bracket`)."""
+    return (_eps(case, a, c), b), (-_eps(case, c, b), a)
+
+
 def bracket(case: CaseDescriptor, p, q) -> dict:
     """[x_p, x_q] as {basis key: int}, by the right side of the Lie relation:
-    [x_ab, x_cd] = -eps_cb x_ad + eps_ad x_cb + eps_ac x_bd - eps_db x_ca."""
+    [x_ab, x_cd] = -eps_cb x_ad + eps_ad x_cb + eps_ac x_bd - eps_db x_ca,
+    x_ab acting on c and on d by `_index_action`."""
     (a, b), (c, d) = p, q
     out: dict = {}
-    for coeff, r, s in ((-_eps(case, c, b), a, d), (_eps(case, a, d), c, b),
-                        (_eps(case, a, c), b, d), (-_eps(case, d, b), c, a)):
+    for coeff, r, s in ([(k, r, d) for k, r in _index_action(case, a, b, c)]
+                        + [(k, c, s) for k, s in _index_action(case, a, b, d)]):
         key, sign = _basis_key(case, r, s)
         if coeff and sign:
             out[key] = out.get(key, 0) + coeff * sign
     return {key: v for key, v in out.items() if v}
+
+
+def rho(case: CaseDescriptor, a: int, b: int) -> SparseOp:
+    """rho(x_ab) on V by positions (`_index_action`), which preserves the
+    metric: I, P and K commute with rho(x) x 1 + 1 x rho(x)."""
+    n = case.n
+    return sum((SparseOp(n, n, {(case.pos(r), q): Scalar(k)}) for q, c in enumerate(case.indices)
+                for k, r in _index_action(case, a, b, c)), SparseOp.zeros(n, n))
+
+
+@cache
+def extremal_vectors(case: CaseDescriptor):
+    """A weight basis l_k ({flat pair p1 n + p2: Scalar}) of the vectors of
+    V x V killed by rho(x) x 1 + 1 x rho(x) for every x in the Chevalley
+    half H = P[0::2]; None unless they generate V x V under the same for
+    all pairs P.  The equations split by weight, so the reduced echelon
+    kernel basis (`exact.nullspace`) is a weight basis.  For n >= 3, V x V
+    is a sum of irreducibles (Weyl; Humphreys sec. 6.3), generated by their
+    extremal vectors, the l_k; so(2) is abelian and gets None."""
+    n, ident = case.n, SparseOp.identity(case.n)
+    ops = [rho(case, *p).kron(ident) + ident.kron(rho(case, *p)) for p in chevalley_pairs(case)]
+    rows = [row for op in ops[0::2] for row in op.rows().values()]
+    ell = [{j: v for j, v in enumerate(vec) if v} for vec in nullspace(rows, n * n)]
+    span = VectorSpan()
+    close_span(span, ell, op_columns(ops))
+    return ell if len(span) == n * n else None
+
+
+def extremal_pairs(case: CaseDescriptor):
+    """The flat pairs in the support of the `extremal_vectors`, sorted, or None."""
+    ell = extremal_vectors(case)
+    return None if ell is None else sorted({x for vec in ell for x in vec})
+
+
+@cache
+def vector_seeds(case: CaseDescriptor) -> list:
+    """The W seeds S_H of `check_ybe`: [e_-1] when it generates V under
+    rho(x), x in H (it does for n >= 3), else every position."""
+    span, start, half = VectorSpan(), case.pos(-1), chevalley_pairs(case)[0::2]
+    close_span(span, [{start: ONE}], op_columns([rho(case, *p) for p in half]))
+    return [start] if len(span) == case.n else list(range(case.n))
 
 
 def presentation(case: CaseDescriptor) -> dict:
@@ -503,8 +608,9 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, cols, w_tensor: bool
     Per first-slot row a, G_ab X_cd for every b of the row and every
     (c, d) is one `exact.scatter` of X's blocks (the columns `cols` only)
     through the `exact.int_columns` of the row's G_ab, and X_cd G_ab one
-    scatter of the row's G_ab through X's columns, both keyed by the
-    positions (b, c n + d, i, j) of the entry (i, j).  The commutator's
+    scatter of the row's G_ab through X's columns, both into one dict keyed
+    by the positions (b, c n + d, i, j) of the entry (i, j) (the second
+    scatter swaps its key).  The commutator's
     right side adds blocks of X there, with no product; only the entries
     that survive are decoded, and for W each anticommutator entry is added
     to the three W_abcd it enters.  G and X are cleared to ints (D_G,
@@ -547,10 +653,9 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, cols, w_tensor: bool
         for keys, group in groupby(bs, key=lambda b: keys_of[a, b]):
             x_columns, x_terms = side(keys)
             g_row = {case.pos(b): g[a, b] for b in group if (a, b) in g}
-            acc.update(scatter(int_columns({(q, 0): op for q, op in g_row.items()}), x_terms))
+            scatter(int_columns({(q, 0): op for q, op in g_row.items()}), x_terms, acc)
             g_terms = [(0, q, sign, op.restrict_cols(kept)) for q, op in g_row.items()]
-            for (cd, q, i, j), v in scatter(x_columns, g_terms).items():
-                acc[q, cd, i, j] = acc.get((q, cd, i, j), 0) + v
+            scatter(x_columns, g_terms, acc, swap=True)
         for b in [] if w_tensor else bs:
             s_a, s_b = case.sign(a), case.sign(-b)
             terms = [(s_b, (a, d), -b, d) for d in idx] + [(-s_a, (c, b), c, -a) for c in idx]
@@ -588,19 +693,10 @@ class YbeReport:
         return self.passed
 
 
-def check_ybe(case: CaseDescriptor, rmat: RMatrix | None = None) -> YbeReport:
-    """Verify R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v) exactly.
-
-    This is the RLL relation with W = V and L = R, so it runs on the
-    identity engine with the blocks of R: R[(a1, a3), (b1, b3)] is the
-    (a3, b3) entry of the block (a1, b1) on W = V.  The test is full
-    polynomial identity, not sampling.  On failure the report carries the
-    first violating entry (sorted index order) together with its residual
-    polynomial.
-    """
-    if rmat is None:
-        rmat = fundamental_r(case)
-    n = case.n
+def ybe_form(rmat: RMatrix) -> IdentityForm:
+    """The YBE as RLL with W = V and L = R: R[(a1, a3), (b1, b3)] is the
+    (a3, b3) entry of the block (a1, b1) on W."""
+    n = rmat.case.n
     blocks = []
     for coeff in rmat.coeffs:
         mat: dict = {}
@@ -608,10 +704,31 @@ def check_ybe(case: CaseDescriptor, rmat: RMatrix | None = None) -> YbeReport:
             (a1, a3), (b1, b3) = divmod(row, n), divmod(col, n)
             mat.setdefault((a1, b1), {})[(a3, b3)] = val
         blocks.append({key: SparseOp(n, n, data) for key, data in mat.items()})
-    residual, _ = identity_residual(rmat.ipk, blocks, n, n, range(n), k_form(case))
-    if not residual:
+    return IdentityForm(rmat.ipk, blocks, n, n, k_form(rmat.case))
+
+
+def check_ybe(case: CaseDescriptor, rmat: RMatrix | None = None) -> YbeReport:
+    """Verify R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v) exactly.
+
+    This is the RLL relation with W = V and L = R, on the identity engine
+    with the blocks of R (`ybe_form`): full polynomial identity, not
+    sampling.  Every RMatrix lies in span{I, P, K}, so the lemma at
+    `verify.check_rll` holds with G = rho and no premise: the residual is
+    compared on supp(l_k) x S_H (`extremal_pairs`, `vector_seeds`), or on
+    all n^3 columns for so(2).  A residual there is located by row block
+    (`locate_violation`): the report carries the first violating entry of
+    the full comparison (sorted index order) with its residual polynomial.
+    """
+    if rmat is None:
+        rmat = fundamental_r(case)
+    n, form, pairs = case.n, ybe_form(rmat), extremal_pairs(case)
+    full = pairs is None
+    residual, _ = identity_residual(form, range(n * n) if full else pairs,
+                                    range(n) if full else vector_seeds(case))
+    bad = residual and (first_violation(residual) if full else locate_violation(form, range(n)))
+    if not bad:
         return YbeReport(case, True)
-    (row, col), res = first_violation(residual)
+    (row, col), res = bad
     return YbeReport(case, False, (describe_flat(case, case.indices, row, n),
                                    describe_flat(case, case.indices, col, n), res))
 

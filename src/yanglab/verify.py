@@ -43,12 +43,11 @@ RLL on a closed space is decided by a covariance certificate, whose
 premises are those of the record: G symmetric and a representation, the
 top coefficient scalar and every lower coefficient invariant under G, all
 decided as above.  R lies in span{I, P, K}, so the residual
-then commutes with the diagonal action on (V x V) x W and its kernel is a
-submodule: it vanishes everywhere once it vanishes on V x V x S, S a set
-of unit vectors that generates W under G (proof at `check_rll`).  The
-engine is then called on the W columns S (n^2 |S| columns of
-(V x V) x W); a failed premise, or a residual on them, sends it to all the
-safe columns.
+then commutes with the diagonal action on (V x V) x W and vanishes once it
+vanishes on supp(l_k) x S_H, the l_k the extremal vectors of V x V for a
+Chevalley half H (n + 3 of the n^2 pairs for most g) and S_H generating W
+under G on H (proof at `check_rll`).  A residual there is located by row
+block; a failed premise sends the engine to all the safe columns.
 
 The central checks (the linear constraint, the four constraint scalars,
 chi3 and the center) apply each left side right to left to the columns
@@ -102,15 +101,18 @@ from .lops import (
 from .structure import (
     YANG_GL2_IPK,
     CaseDescriptor,
+    IdentityForm,
     block_violation,
     cartan_grading,
     chevalley_pairs,
     describe_flat,
+    extremal_pairs,
     first_violation,
     fundamental_ipk,
     graded,
     identity_residual,
     k_form,
+    locate_violation,
     metric_multiple,
     presentation,
 )
@@ -320,7 +322,8 @@ class Premises:
                   is invariant under G (`_invariant`: the weight test and
                   `block_violation` on P[0::2], or on P);
       seeds       a set that generates W under the G_p, p in P, by
-                  `lops.generating_set`; asked only once P is decided.
+                  `lops.generating_set`; asked only once P is decided;
+      half_seeds  the same under the G_x, x in the half H = P[0::2].
 
     The record also holds the column forms (`lops.ColumnForm`) of the
     coefficients of `lop`, each built on its first use: the `o` form of
@@ -360,14 +363,21 @@ class Premises:
         pairs = self.generators()[0]
         return pairs is not None and self._once("invariant", lambda: _invariant(self.lop, pairs))
 
-    def ops(self) -> list:
-        """The G_p, p in P; the pairs premise must hold."""
+    def ops(self, start: int = 0, step: int = 1) -> list:
+        """The G_p, p in P[start::step] (H = P[0::2] is a Chevalley half);
+        the pairs premise must hold."""
         g = self.g
-        return [g[key] for key in self.generators()[0] if key in g]
+        return [g[key] for key in self.generators()[0][start::step] if key in g]
 
     def seeds(self) -> list:
         """Basis positions of a set that generates W under `ops`."""
         return self._once("seeds", lambda: generating_set(self.lop, self.ops()))
+
+    def half_seeds(self) -> list:
+        """Basis positions of a set S_H that generates W under the G_x, x in
+        H, tried from the vectors the other half kills (the RLL certificate)."""
+        return self._once("half_seeds", lambda: generating_set(
+            self.lop, self.ops(0, 2), opposite=self.ops(1, 2)))
 
     def generated_by(self, vec) -> bool:
         """The unit vector `vec` alone generates W: the generator premises
@@ -487,21 +497,23 @@ def _raised_coeffs(lop: LOperator) -> list:
 
 
 def _certificate(premises: Premises):
-    """(seeds, record) of the covariance certificate for RLL.
-
-    seeds is a generating set S of W (basis positions) when the premises of
-    `Premises.central` hold with a scalar top and invariant lower
-    coefficients, else None; record names the seed count and the n^2 |S|
-    seed columns, or the first premise that failed (closed, symmetric, lie,
-    scalar_top, invariant).  The Lie premise is the invariance of G itself
-    and eps_ab Id is invariant, so every coefficient is then invariant
-    under G, and S generates W under the G_p, p in P.
+    """(pairs, seeds, record) of the RLL certificate (proof at `check_rll`):
+    supp(l_k) and S_H (`structure.extremal_pairs`, `Premises.half_seeds`),
+    or for so(2) every pair and `Premises.seeds`, once `Premises.central`
+    holds with a scalar top and invariant lower coefficients (G is invariant
+    by the Lie premise, eps_ab Id always); else None, None.  record names
+    |seeds| and the |pairs| |seeds| seed columns, or the failed premise.
     """
     pairs, record = premises.central(scalar_top=True, invariant=True)
     if pairs is None:
-        return None, record
-    seeds = premises.seeds()
-    return seeds, {"seeds": len(seeds), "seed_columns": premises.lop.case.n ** 2 * len(seeds)}
+        return None, None, record
+    case = premises.lop.case
+    pairs = extremal_pairs(case)
+    if pairs is None:
+        pairs, seeds = range(case.n ** 2), premises.seeds()
+    else:
+        seeds = premises.half_seeds()
+    return pairs, seeds, {"seeds": len(seeds), "seed_columns": len(pairs) * len(seeds)}
 
 
 def check_rll(lop: LOperator, premises=None) -> CheckReport:
@@ -512,26 +524,32 @@ def check_rll(lop: LOperator, premises=None) -> CheckReport:
     so it is decided on L / c (`Premises`); a residual is that of L / c.
 
     On a closed space whose premises hold (see `_certificate`) the
-    residual is compared on the columns V x V x S only, S a set that
-    generates W under G; this decides it on all of V x V x W.  Proof: let
-    rho(x_ab) be the action of the generator x_ab on V that the right side
-    of the Lie relation applies to each index (the vector representation,
-    which preserves the metric).  The invariance premise says that every
-    coefficient of L commutes with rho(x_ab) + G_ab on V x W, and R(w), in
-    span{I, P, K}, commutes with rho(x_ab) + rho(x_ab) on V x V.  So the
-    residual Phi(u, v) = R12 L1 L2 - L2 L1 R12 commutes with
-    D_ab = rho1(x_ab) + rho2(x_ab) + G_ab, and ker Phi is D-stable.  If
-    V x V x w lies in ker Phi, then so does every
+    residual Phi(u, v) = R12 L1 L2 - L2 L1 R12 is compared on the columns
+    supp(l_k) x S_H only, which decides it on all of V x V x W: the l_k
+    (`structure.extremal_vectors`) span the vectors of V x V killed by
+    rho(x) x 1 + 1 x rho(x) for every x in the Chevalley half H, and S_H
+    generates W under the G_x, x in H.  rho(x_ab) (`structure.rho`) is the
+    action on each index that the Lie relation's right side applies.  By
+    the invariance premise every coefficient of L commutes with
+    rho(x_ab) + G_ab on V x W, and R(w), in span{I, P, K}, with
+    rho(x_ab) + rho(x_ab) on V x V, so Phi commutes with
+    D_y = rho1(y) + rho2(y) + G_y for every pair y, and:
 
-      m x G_ab w = D_ab (m x w) - (rho1 + rho2)(x_ab) m x w,
+      - ker Phi is D-stable;
+      - for x in H, D_x (l x w) = l x G_x w, so (by induction on the word
+        length) l x W lies in ker Phi once l x S_H does;
+      - rho(y) l x w = D_y (l x w) - l x G_y w for every pair y, so
+        rho(U(g)) l x W = V x V x W lies in ker Phi.
 
-    and by induction on the word length so does V x V x (alg(G) S), which
-    is V x V x W by the choice of S.  No further property of G is used.
-    A residual on the seed columns reruns the engine on all the columns,
-    so a refutation reports the first violation of the full comparison.
+    No further property of G is used.  For so(2), whose l_k do not
+    generate V x V, the columns are V x V x S, S generating W under every
+    G_p.  A residual there is located by row block
+    (`structure.locate_violation`): a refutation reports the first
+    violation of the full comparison.  A failed premise compares all the
+    safe columns at once.
 
     `safe_columns` counts the W columns the verdict covers; the certificate
-    record says how many were compared.
+    record says how many columns of (V x V) x W were compared.
     """
     premises = _premises(lop, premises)
     lop = premises.lop
@@ -539,16 +557,17 @@ def check_rll(lop: LOperator, premises=None) -> CheckReport:
     safe_w = space.safe_indices(2 * lop.entry_budget)
     if not safe_w:
         return _vacuous("rll")
-    ipk, coeffs, k = fundamental_ipk(case), _raised_coeffs(lop), k_form(case)
-    seeds, certificate = _certificate(premises)
-    residual, keys = identity_residual(ipk, coeffs, case.n, space.dim,
-                                       safe_w if seeds is None else seeds, k)
-    if residual and seeds is not None:
-        residual, keys = identity_residual(ipk, coeffs, case.n, space.dim, safe_w, k)
+    form = IdentityForm(fundamental_ipk(case), _raised_coeffs(lop), case.n, space.dim,
+                        k_form(case))
+    pairs, seeds, certificate = _certificate(premises)
+    full = seeds is None
+    residual, keys = identity_residual(form, range(case.n ** 2) if full else pairs,
+                                       safe_w if full else seeds)
+    bad = residual and (first_violation(residual) if full else locate_violation(form, safe_w))
     details = {"safe_columns": len(safe_w), "keys_compared": keys, "certificate": certificate}
-    if not residual:
+    if not bad:
         return CheckReport("rll", True, details=details)
-    (row, col), res = first_violation(residual)
+    (row, col), res = bad
     where = (describe_flat(case, space.labels, row, space.dim),
              describe_flat(case, space.labels, col, space.dim))
     return CheckReport("rll", False, counterexample=(where, res), details=details)
@@ -563,7 +582,8 @@ def check_gl2_rll(coeffs, dim) -> CheckReport:
     embedded in the orthogonal/symplectic case.
     """
     blocks = [{(alpha - 1, beta - 1): op for (alpha, beta), op in mat.items()} for mat in coeffs]
-    residual, keys = identity_residual(YANG_GL2_IPK, blocks, 2, dim, list(range(dim)))
+    residual, keys = identity_residual(IdentityForm(YANG_GL2_IPK, blocks, 2, dim), range(4),
+                                       range(dim))
     details = {"safe_columns": dim, "keys_compared": keys}
     if residual:
         key = min(residual)

@@ -1,7 +1,11 @@
 """CLI pipelines, exit codes and report round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,15 @@ def test_r_check_pass_and_report(capsys):
     assert report["schema"] == "yanglab-report/1"
     assert report["ybe"]["passed"] is True
     assert report["case"] == "sp(2)"
+
+
+def test_python_m_yanglab_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-m", "yanglab", "r-check", "--family", "so", "--m", "1",
+                           "--odd"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["ybe"]["passed"] is True
 
 
 def test_all_pipeline_js_so4(capsys):
@@ -285,8 +298,9 @@ def test_run_api_direct():
 def test_run_checks_decides_each_premise_once(monkeypatch):
     # lie, adjoint, w, rll, constraints, chi3 and center share one record:
     # the generator premises, the invariance of H on the pairs (the adjoint
-    # check and the RLL certificate) and the generating set of W are each
-    # decided once; the span's seeds are picked per check
+    # check and the RLL certificate) and the generating sets of W under P
+    # and under the half H (the RLL certificate) are each decided once; the
+    # span's seeds are picked per check
     lop = build_operator({"family": "so", "m": 2, "odd": True, "op": "js", "twoL": 2})
     calls = Counter()
     generators, generating_set, kernel = (verify._generators, verify.generating_set,
@@ -296,9 +310,9 @@ def test_run_checks_decides_each_premise_once(monkeypatch):
         calls["generators"] += 1
         return generators(*args)
 
-    def counted_generating_set(lop, ops, span=None):
+    def counted_generating_set(lop, ops, span=None, **kwargs):
         calls["seeds" if span is None else "span"] += 1
-        return generating_set(lop, ops, span)
+        return generating_set(lop, ops, span, **kwargs)
 
     def counted_kernel(*args, **kwargs):
         calls["on_pairs"] += kwargs.get("pairs") is not None
@@ -310,13 +324,13 @@ def test_run_checks_decides_each_premise_once(monkeypatch):
     reports, _ = run_checks(lop, DEFAULT_CHECKS["js"])
     assert all(rep.passed for rep in reports)
     # the Lie relation and the invariance of H, each on the pairs once
-    assert calls == {"generators": 1, "seeds": 1, "span": 2, "on_pairs": 2}
+    assert calls == {"generators": 1, "seeds": 2, "span": 2, "on_pairs": 2}
     records = {rep.name: rep.details.get("generators") for rep in reports}
     assert records == {"lie": {"pairs": 4}, "adjoint": {"pairs": 4}, "rll": None,
                        "symmetric_constraints": {"pairs": 4, "span_seeds": 1},
                        "w_tensor": {"pairs": 4, "seeds": 2}, "chi3": {"pairs": 4, "seeds": 2},
                        "center": {"pairs": 4, "seeds": 2, "span_seeds": 1}}
-    assert reports[2].details["certificate"] == {"seeds": 2, "seed_columns": 50}
+    assert reports[2].details["certificate"] == {"seeds": 2, "seed_columns": 16}
 
 
 @pytest.mark.parametrize("extra,runs", [([], 1), (["--k=-41/8"], 1), (["--vector", "kernel"], 3)],

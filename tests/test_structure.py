@@ -11,20 +11,29 @@ from yanglab.exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly, VectorSp
 from yanglab.lops import build_js_quadratic, build_spinorial_linear
 from yanglab.structure import (
     YANG_GL2_IPK,
+    IdentityForm,
     block_violation,
     bracket,
     cartan_grading,
     chevalley_pairs,
     check_ybe,
+    describe_flat,
+    extremal_pairs,
+    extremal_vectors,
+    first_violation,
     fundamental_r,
     graded,
     identity_residual,
+    locate_violation,
     make_case,
     presentation,
+    rho,
     sp2_gl2_comparison,
     tensor_i,
     tensor_k,
     tensor_p,
+    vector_seeds,
+    ybe_form,
 )
 
 
@@ -162,7 +171,7 @@ def _engine_gl2_residual(coeffs, w, cols=None):
     blocks = [{pair: SparseOp(w, w, {(i, j): Scalar.of(v) for i, row in enumerate(mat)
                                      for j, v in enumerate(row)})
                for pair, mat in m.items()} for m in coeffs]
-    residual, _ = identity_residual(YANG_GL2_IPK, blocks, 2, w,
+    residual, _ = identity_residual(IdentityForm(YANG_GL2_IPK, blocks, 2, w), range(4),
                                     range(w) if cols is None else cols)
     return residual
 
@@ -288,10 +297,11 @@ def _padded(mat, dim):
     return {key: SparseOp(dim, dim, op.data) for key, op in mat.items()}
 
 
-def _base_solution(family, rep):
-    """(case, G, H, dim): so(3) or sp(2) in its fundamental (JS 2l=1, H from
-    it) or, for so(3), the spinor (H = 0)."""
-    case = make_case(family, 1)
+def _base_solution(family, rep, m=1):
+    """(case, G, H, dim): so(2m+1) or sp(2m) in its fundamental (JS 2l=1, H
+    from it) or, for so(2m+1), the spinor (H = 0); so(3) or sp(2) by
+    default."""
+    case = make_case(family, m)
     if rep == "spinor":
         lop = build_spinorial_linear(case)
         return case, lop.g_mat, {}, lop.dim
@@ -515,3 +525,127 @@ def test_cartan_grading_needs_diagonal_blocks():
     case = make_case("so_odd", 1)
     assert cartan_grading(case, {}) is not None
     assert cartan_grading(case, {(1, -1): SparseOp(2, 2, {(0, 1): ONE})}) is None
+
+
+# ---------------------------------------------------------------------------
+# the extremal vectors of V x V and the YBE certificate on their columns
+
+FUNDAMENTAL = ([("so_even" if n % 2 == 0 else "so_odd", n // 2) for n in range(3, 11)]
+               + [("sp", m) for m in range(1, 5)])
+FUNDAMENTAL_IDS = [f"so{n}" for n in range(3, 11)] + [f"sp{2 * m}" for m in range(1, 5)]
+# |supp(l_k)|, the column pairs of V x V the certificate compares: n + 3 but
+# for so(4) (so(3) + so(3): four summands) and sp(2) (V x V = S^2 V + 1)
+EXTREMAL_PAIRS = [6, 9, 8, 9, 10, 11, 12, 13, 3, 7, 9, 11]
+
+
+def _pair_ops(case, pairs):
+    """rho(x) x 1 + 1 x rho(x) on V x V for the pairs x."""
+    ident = SparseOp.identity(case.n)
+    return [rho(case, *p).kron(ident) + ident.kron(rho(case, *p)) for p in pairs]
+
+
+@pytest.mark.parametrize("family,m,count",
+                         [fm + (c,) for fm, c in zip(FUNDAMENTAL, EXTREMAL_PAIRS)],
+                         ids=FUNDAMENTAL_IDS)
+def test_extremal_vectors_are_killed_by_the_half_and_weight_homogeneous(family, m, count):
+    case = make_case(family, m)
+    pairs, n = chevalley_pairs(case), case.n
+    ell = extremal_vectors(case)
+    cartan = [rho(case, i, -i) for i in range(1, m + 1)]
+    assert all(r.data.keys() <= {(p, p) for p in range(n)} for r in cartan)
+
+    def weight(x):
+        return tuple(r.data.get((x // n, x // n), ZERO) + r.data.get((x % n, x % n), ZERO)
+                     for r in cartan)
+
+    for vec in ell:
+        assert all(not op.apply(vec) for op in _pair_ops(case, pairs[0::2]))
+        assert len({weight(x) for x in vec}) == 1
+    assert len(extremal_pairs(case)) == count
+    # S_H is e_-1 alone: V is irreducible, and the half lowers e_-1 through V
+    assert vector_seeds(case) == [case.pos(-1)]
+
+
+def test_so2_has_no_generating_extremal_vectors():
+    # so(2) is abelian: the vectors killed by its one pair are the weight 0
+    # ones, which span 2 of the 4 dimensions, so YBE compares every column
+    case = make_case("so_even", 1)
+    assert extremal_vectors(case) is None and extremal_pairs(case) is None
+    assert check_ybe(case).passed
+    assert not check_ybe(case, fundamental_r(case, flip_k=True)).passed
+
+
+@pytest.mark.parametrize("family,m", [("so_odd", 1), ("so_even", 2), ("so_odd", 2), ("sp", 2)],
+                         ids=["so3", "so4", "so5", "sp4"])
+def test_ybe_residual_commutes_with_the_diagonal_action(family, m):
+    # flip_k's R is still in span{I, P, K}: its residual is nonzero and
+    # commutes with rho + rho + rho, which pins the index convention of rho
+    case = make_case(family, m)
+    n = case.n
+    full, _ = identity_residual(ybe_form(fundamental_r(case, flip_k=True)), range(n * n),
+                                range(n))
+    assert full
+    ident = SparseOp.identity(n)
+    for p in chevalley_pairs(case):
+        r = rho(case, *p)
+        d = r.kron(ident).kron(ident) + ident.kron(r).kron(ident) + ident.kron(ident).kron(r)
+        for entries in full.values():
+            phi = SparseOp(n ** 3, n ** 3, entries)
+            assert phi @ d == d @ phi
+
+
+@pytest.mark.parametrize("family,m", FUNDAMENTAL, ids=FUNDAMENTAL_IDS)
+def test_ybe_holds_on_the_extremal_columns(family, m):
+    case = make_case(family, m)
+    residual, _ = identity_residual(ybe_form(fundamental_r(case)), extremal_pairs(case),
+                                    vector_seeds(case))
+    assert residual == {} and check_ybe(case).passed
+
+
+@pytest.mark.parametrize("family,m", [("so_even", 1)] + FUNDAMENTAL[:6] + FUNDAMENTAL[8:11],
+                         ids=["so2"] + FUNDAMENTAL_IDS[:6] + FUNDAMENTAL_IDS[8:11])
+def test_ybe_refutation_is_the_first_violation_of_every_column(family, m):
+    case = make_case(family, m)
+    n, rmat = case.n, fundamental_r(case, flip_k=True)
+    form = ybe_form(rmat)
+    full, _ = identity_residual(form, range(n * n), range(n))
+    (row, col), res = first_violation(full)
+    assert locate_violation(form, range(n)) == ((row, col), res)
+    assert check_ybe(case, rmat).violation == (describe_flat(case, case.indices, row, n),
+                                               describe_flat(case, case.indices, col, n), res)
+
+
+def _corrupted_r(case, t, entry, value):
+    """The fundamental R with `value` added at `entry` of its u^t coefficient."""
+    rmat = fundamental_r(case)
+    coeffs = list(rmat.coeffs)
+    coeffs[t] = coeffs[t] + SparseOp(case.n ** 2, case.n ** 2, {entry: value})
+    rmat.coeffs = tuple(coeffs)
+    return rmat
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_row_block_locator_is_the_full_first_violation(data):
+    family, m = data.draw(st.sampled_from([("so_odd", 1), ("sp", 1), ("so_even", 2), ("sp", 2)]))
+    case = make_case(family, m)
+    size = case.n ** 2
+    rmat = _corrupted_r(case, data.draw(st.integers(0, 2)),
+                        (data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))),
+                        data.draw(nonzero))
+    cols = data.draw(st.lists(st.integers(0, case.n - 1), min_size=1, unique=True))
+    form = ybe_form(rmat)
+    full, _ = identity_residual(form, range(size), cols)
+    assert locate_violation(form, cols) == (first_violation(full) if full else None)
+
+
+def test_row_block_locator_finds_a_first_violation_in_a_k_block():
+    # one more entry in R's u^0 coefficient breaks YBE first in the K row
+    # block (-1, 1): the locator's left product there reads every K block
+    case = make_case("so_odd", 1)
+    form = ybe_form(_corrupted_r(case, 0, (6, 0), ONE))
+    full, _ = identity_residual(form, range(9), range(3))
+    (row, col), res = first_violation(full)
+    a1, a2, _ = describe_flat(case, case.indices, row, 3)
+    assert (a1, a2) == (-1, 1)
+    assert locate_violation(form, range(3)) == ((row, col), res)

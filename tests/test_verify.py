@@ -32,6 +32,7 @@ from yanglab.lops import (
 )
 from yanglab.spaces import RepSpace
 from yanglab.structure import (
+    IdentityForm,
     block_violation,
     cartan_grading,
     chevalley_pairs,
@@ -41,6 +42,7 @@ from yanglab.structure import (
     graded,
     identity_residual,
     k_form,
+    locate_violation,
     make_case,
     metric_multiple,
     presentation,
@@ -329,8 +331,8 @@ def _assert_matches_full_engine(lop):
     """check_rll agrees with the engine on every column: verdict and, on a
     refutation, the first violation and its residual."""
     case, n = lop.case, lop.case.n
-    full, _ = identity_residual(fundamental_ipk(case), _raised_coeffs(lop), n, lop.dim,
-                                range(lop.dim), k_form(case))
+    form = IdentityForm(fundamental_ipk(case), _raised_coeffs(lop), n, lop.dim, k_form(case))
+    full, _ = identity_residual(form, range(n * n), range(lop.dim))
     rep = check_rll(lop)
     assert rep.passed == (not full)
     if full:
@@ -353,37 +355,61 @@ def _top_scaled_once(family, m):
     return LOperator(lop.case, lop.space, [lop.h_mat, lop.g_mat, top])
 
 
-# What decided each RLL verdict: the seed count and n^2 |S| compared columns
-# of the covariance certificate, or the premise that sent it to all columns.
+# What decided each RLL verdict: the seed count |S_H| and the |supp(l_k)| |S_H|
+# compared columns of the covariance certificate (supp(l_k) has n + 3 pairs
+# for so(5), so(6) and sp(4), 9 for so(4), 6 for so(3)), or the premise that
+# sent it to all columns.
 CERTIFICATES = [
     (lambda: build_spinorial_linear(make_case("so_odd", 2)), True,
-     {"seeds": 1, "seed_columns": 25}),
+     {"seeds": 1, "seed_columns": 8}),
     (lambda: build_spinorial_linear(make_case("so_even", 3)), True,
-     {"seeds": 2, "seed_columns": 72}),
+     {"seeds": 2, "seed_columns": 18}),
     (lambda: build_js_quadratic(make_case("so_odd", 2), 2), True,
-     {"seeds": 2, "seed_columns": 50}),
+     {"seeds": 2, "seed_columns": 16}),
     (lambda: build_js_quadratic(make_case("sp", 2), 1), True,
-     {"seeds": 1, "seed_columns": 16}),
+     {"seeds": 1, "seed_columns": 7}),
     (lambda: build_product(*[build_spinorial_linear(make_case("so_even", 2))] * 2, ONE), True,
-     {"seeds": 6, "seed_columns": 96}),
-    (lambda: _fuse3([(0, 1)]), True, {"seeds": 1, "seed_columns": 9}),
-    (lambda: _fuse3([(0, 1), (Scalar(1, 0, 2), 1)]), True, {"seeds": 2, "seed_columns": 18}),
-    (lambda: _js_without_h("so_odd", 2), False, {"seeds": 2, "seed_columns": 50}),
+     {"seeds": 6, "seed_columns": 54}),
+    (lambda: _fuse3([(0, 1)]), True, {"seeds": 1, "seed_columns": 6}),
+    (lambda: _fuse3([(0, 1), (Scalar(1, 0, 2), 1)]), True, {"seeds": 2, "seed_columns": 12}),
+    (lambda: _js_without_h("so_odd", 2), False, {"seeds": 2, "seed_columns": 16}),
     (lambda: build_heisenberg_linear(make_case("so_even", 2), 1, max_degree=3), True,
      {"premise_failed": "closed"}),
     (lambda: build_spinorial_linear(make_case("sp", 2)), True, {"premise_failed": "closed"}),
     (lambda: _top_scaled_once("so_odd", 2), False, {"premise_failed": "scalar_top"}),
     (lambda: _spinor_g_scaled("so_even", 2), False, {"premise_failed": "lie"}),
+    # so(2): no extremal vectors generate V x V, so n^2 |S| columns, S under P
+    (lambda: build_spinorial_linear(make_case("so_even", 1)), True,
+     {"seeds": 2, "seed_columns": 8}),
+    (lambda: build_js_quadratic(make_case("so_even", 1), 2), True,
+     {"seeds": 3, "seed_columns": 12}),
 ]
 
 
 @pytest.mark.parametrize("build,passed,certificate", CERTIFICATES,
                          ids=["spinor-so5", "spinor-so6", "js-so5", "js-sp4", "product-so4",
                               "fuse3-one-site", "fuse3-two-sites", "js-so5-no-h", "heisenberg",
-                              "spinor-sp4", "top-not-scalar", "spinor-g-times-3"])
+                              "spinor-sp4", "top-not-scalar", "spinor-g-times-3", "spinor-so2",
+                              "js-so2"])
 def test_rll_certificate_record(build, passed, certificate):
     rep = check_rll(build())
     assert rep.passed is passed and rep.details["certificate"] == certificate
+
+
+def test_rll_refutation_paths(monkeypatch):
+    # a residual on the certificate's columns is located row block by row
+    # block; a failed premise compares every safe column and locates nothing
+    located = []
+
+    def locate(form, cols):
+        located.append(len(cols))
+        return locate_violation(form, cols)
+
+    monkeypatch.setattr(verify, "locate_violation", locate)
+    rep = _assert_matches_full_engine(_js_without_h("so_odd", 2))
+    assert not rep.passed and located == [15]
+    rep = _assert_matches_full_engine(_top_scaled_once("so_odd", 2))
+    assert not rep.passed and located == [15]
 
 
 # One-site fused so(3) operators, (u_1, d_1) and whether G is bilinear
@@ -438,7 +464,7 @@ def test_rll_certificate_needs_every_seed():
     bad = build_js_quadratic(case, 1, k=good.params["k"] + 1)
     assert check_rll(good).passed and not check_rll(bad).passed
     rep = _assert_matches_full_engine(_direct_sum(good, bad))
-    assert not rep.passed and rep.details["certificate"] == {"seeds": 2, "seed_columns": 32}
+    assert not rep.passed and rep.details["certificate"] == {"seeds": 2, "seed_columns": 14}
 
 
 def test_rll_certificate_needs_invariance():
@@ -449,8 +475,8 @@ def test_rll_certificate_needs_invariance():
     h = opmat_add(lop.h_mat, {(1, -1): SparseOp(7, 7, {(6, 6): ONE})})
     bad = LOperator(case, lop.space, [h, lop.g_mat, lop.coeffs[2]], hw_vector=lop.hw_vector)
     seed_cols = [0]  # the hw vector is the first basis vector
-    seed_residual, _ = identity_residual(fundamental_ipk(case), _raised_coeffs(bad), 3, 7,
-                                         seed_cols, k_form(case))
+    form = IdentityForm(fundamental_ipk(case), _raised_coeffs(bad), 3, 7, k_form(case))
+    seed_residual, _ = identity_residual(form, range(9), seed_cols)
     assert lop.hw_vector == {0: ONE} and not seed_residual
     rep = _assert_matches_full_engine(bad)
     assert not rep.passed and rep.details["certificate"] == {"premise_failed": "invariant"}
@@ -458,21 +484,22 @@ def test_rll_certificate_needs_invariance():
 
 @st.composite
 def rll_operands(draw):
-    """(L-operator, kind) on a closed space of so(3) or sp(2).
+    """(L-operator, kind) on a closed space of so(3), sp(2), sp(4) or so(5).
 
     Solutions conjugate a base representation (JS 2l=1 with its H, or the
-    so(3) spinor), padded by a trivial summand to dim 3 at random, by
-    I + t E_pq, so no seed is the natural basis.  Covariant corruptions keep
-    every premise and must be refuted on the seed columns: H scaled, k
-    shifted (H + s eps Id) or H dropped.  Non-covariant ones scale G by 3 or
-    change one entry of one coefficient.
+    so(3) or so(5) spinor), padded by a trivial summand to dim 3 at random
+    when of dim 2, by I + t E_pq, so no seed is the natural basis.  On the
+    rank-2 bases the certificate compares n + 3 of the n^2 pairs of V x V.
+    Covariant corruptions keep every premise and must be refuted on the
+    certificate's columns: H scaled, k shifted (H + s eps Id) or H dropped.
+    Non-covariant ones scale G by 3 or change one entry of one coefficient.
     """
     kind = draw(st.sampled_from(["solution", "covariant", "non-covariant"]))
-    bases = [("so_odd", "js"), ("sp", "js")]
+    bases = [("so_odd", "js", 1), ("sp", "js", 1), ("sp", "js", 2)]
     if kind != "covariant":  # the spinor's one covariant change, a shift of u, still solves
-        bases.append(("so_odd", "spinor"))
-    family, rep = draw(st.sampled_from(bases))
-    case, g, h, dim = _base_solution(family, rep)
+        bases += [("so_odd", "spinor", 1), ("so_odd", "spinor", 2)]
+    family, rep, rank = draw(st.sampled_from(bases))
+    case, g, h, dim = _base_solution(family, rep, rank)
     if dim == 2 and draw(st.booleans()):
         dim = 3
         g, h = _padded(g, dim), _padded(h, dim)
