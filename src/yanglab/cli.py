@@ -55,6 +55,19 @@ from .weights import drinfeld_test, find_highest_weight, weight_report
 
 SCHEMA = "yanglab-report/1"
 
+CHECKS = {  # name: (operator, record) -> report; constraints and center get `span_of`
+    "lie": lambda lop, premises: check_lie(lop, premises=premises),
+    "adjoint": lambda lop, premises: check_adjoint(lop, premises=premises),
+    "rll": lambda lop, premises: check_rll(lop, premises=premises),
+    "linear": lambda lop, premises: check_linear_constraint(lop, premises=premises),
+    "constraints": lambda lop, premises: check_symmetric_constraints(
+        lop, span=premises.span_of(lop.hw_vector), premises=premises),
+    "w": lambda lop, premises: check_w_tensor(lop, premises=premises),
+    "chi3": lambda lop, premises: check_chi3(lop, premises=premises),
+    "center": lambda lop, premises: center_function(
+        lop, span=premises.span_of(lop.hw_vector), premises=premises)[1],
+}
+
 DEFAULT_CHECKS = {
     "spinor": ["lie", "linear", "rll", "center"],
     "heisenberg": ["lie", "linear", "rll", "center"],
@@ -188,10 +201,11 @@ def run_checks(lop: LOperator, names):
     generator premise (the Chevalley pairs, the invariance of H, the
     generating set), the span and each column form of L's coefficients are
     decided or built at most once.
-    adjoint and constraints read H, so asking them of an operator whose
-    order is not 2 is a configuration error, raised before any check runs.
-    A gl(2) chain has one check, rll (Yang's R(u) = u I + P); any other
-    name is a configuration error.
+    A name that is not one of `CHECKS` is a configuration error, and so is
+    adjoint or constraints, which read H, asked of an operator whose order
+    is not 2; both are raised before any check runs.  A gl(2) chain has one
+    check, rll (Yang's R(u) = u I + P); any other name is a configuration
+    error.
     """
     if isinstance(lop, Gl2Operator):
         for name in names:
@@ -201,35 +215,21 @@ def run_checks(lop: LOperator, names):
         reports = [_stage(seconds, name, check_gl2_rll, lop.coeffs, lop.space.dim)
                    for name in names]
         return reports, seconds
+    _known_checks(names)
     for name in names:
         if name in ("adjoint", "constraints") and lop.order != 2:
             raise ConfigError(f"check {name!r} needs a quadratic evaluation (order 2), "
                               f"the operator has order {lop.order}")
-    premises, hw = Premises(lop), lop.hw_vector
-
-    def dispatch(name):
-        if name == "lie":
-            return check_lie(lop, premises=premises)
-        if name == "adjoint":
-            return check_adjoint(lop, premises=premises)
-        if name == "rll":
-            return check_rll(lop, premises=premises)
-        if name == "linear":
-            return check_linear_constraint(lop, premises=premises)
-        if name == "constraints":
-            return check_symmetric_constraints(lop, span=premises.span_of(hw), premises=premises)
-        if name == "w":
-            return check_w_tensor(lop, premises=premises)
-        if name == "chi3":
-            return check_chi3(lop, premises=premises)
-        if name == "center":
-            c, rep = center_function(lop, span=premises.span_of(hw), premises=premises)
-            return rep
-        raise ConfigError(f"unknown check {name!r}")
-
-    seconds: dict = {}
-    reports = [_stage(seconds, name, dispatch, name) for name in names]
+    premises, seconds = Premises(lop), {}
+    reports = [_stage(seconds, name, CHECKS[name], lop, premises) for name in names]
     return reports, seconds
+
+
+def _known_checks(names):
+    """Raise ConfigError at the first name that is not one of `CHECKS`."""
+    for name in names:
+        if name not in CHECKS:
+            raise ConfigError(f"unknown check {name!r}")
 
 
 def _weights_stage(cfg, lop, constraints=None):
@@ -288,6 +288,8 @@ def run(cfg) -> tuple[dict, int]:
         report["timings"] = timings
         return report, (1 if failed else 0)
 
+    if command == "verify" or (command == "all" and cfg.get("op") != "gl2chain"):
+        _known_checks(cfg.get("checks") or ())  # before the construction and any check
     try:
         lop = _stage(timings, "construct", build_operator, cfg)
     except ValueError as exc:  # a builder rejected its parameters

@@ -19,7 +19,7 @@ SparseOp is a minimal exact sparse matrix ({(row, col): Scalar} plus
 explicit dimensions).  It is deliberately dumb: no fill-in heuristics,
 no reordering, just exact dict arithmetic.  Everything is immutable in
 practice (ops build new objects), so values can be shared freely.
-Entries may also be plain ints: `clear_denominators` turns operators into
+Entries may also be plain ints: `clear_opmats` turns operator matrices into
 integer ones times a known 1/D.  Zero tests use truthiness, so every method
 works on either entry type.
 
@@ -659,18 +659,17 @@ def common_denominator(values):
     return lcm(*{v.r for v in values})
 
 
-def clear_denominators(ops):
-    """(int_ops, d): the SparseOps `ops` times d, with plain int entries.
+def clear_opmats(mats):
+    """(int_mats, d): the opmats `mats` ({key: SparseOp}) times d, with plain
+    int entries, d the lcm of every entry's denominator over all of them, so
+    int_mats[i] / d == mats[i]: the one way an opmat list is cleared."""
+    d = common_denominator(v for mat in mats for op in mat.values() for v in op.data.values())
 
-    d is the lcm of every entry's denominator, so int_ops / d == ops.
-    """
-    d = common_denominator(v for op in ops for v in op.data.values())
-    out = []
-    for op in ops:
+    def cleared(op):
         res = SparseOp(op.nrows, op.ncols)
         res.data = {k: v.p * (d // v.r) for k, v in op.data.items()}
-        out.append(res)
-    return out, d
+        return res
+    return [{key: cleared(op) for key, op in mat.items()} for mat in mats], d
 
 
 def clear_vector(vec: dict) -> dict:
@@ -684,20 +683,16 @@ def clear_vector(vec: dict) -> dict:
             for j, v in vec.items() if v}
 
 
-def int_columns(blocks: dict, den: int | None = None, cols=None) -> dict:
+def int_columns(blocks: dict, cols=None) -> dict:
     """{(d, k): [(f, i, v), ...]}: every entry v at (i, k) of the block keyed
     (f, d) of the int blocks {(f, d): SparseOp}, listed under the column k of
     its block's second index d, in block and entry order (only the columns
-    k in `cols`, when given).  With `den`, the
-    entries are Scalars whose denominators divide den, and v is the entry
-    times den (their `clear_denominators` form, read in the same pass)."""
+    k in `cols`, when given)."""
     columns: dict = {}
     for (f, d), op in blocks.items():
         for (i, k), v in op.data.items():
             if cols is not None and k not in cols:
                 continue
-            if den is not None:
-                v = v.p * (den // v.r)
             columns.setdefault((d, k), []).append((f, i, v))
     return columns
 
@@ -838,12 +833,11 @@ class VectorSpan:
 
 
 def op_columns(ops) -> dict:
-    """{j: [(k, row, int), ...]}: `int_columns` of the SparseOps `ops`
-    as the blocks (k, 0), every op times the lcm of their denominators,
-    keyed by the column j alone (an int key for the closure's hot loop)."""
-    den = common_denominator(v for op in ops for v in op.data.values())
-    return {j: col for (_, j), col in
-            int_columns({(k, 0): op for k, op in enumerate(ops)}, den).items()}
+    """{j: [(k, row, int), ...]}: `int_columns` of the SparseOps `ops` as the
+    blocks (k, 0), cleared with one lcm (`clear_opmats`), keyed by the
+    column j alone (an int key for the closure's hot loop)."""
+    (ints,), _ = clear_opmats([{(k, 0): op for k, op in enumerate(ops)}])
+    return {j: col for (_, j), col in int_columns(ints).items()}
 
 
 def close_span(span, vectors, columns) -> None:

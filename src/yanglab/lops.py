@@ -20,24 +20,25 @@ Both are one contraction parameterised by the metric pairing
 trivial metric {1: (1, 1), 2: (2, 1)}, i.e. the ordinary 2x2 product.
 
 Every contraction runs on the sparse product kernel of `exact`.  The left
-opmat is cleared to ints once (one lcm D) into a column form
-(`ColumnForm`, its `exact.int_columns`): for each (contracted index d,
-column j), the list of (free index, row i, int) of its entries in that
-column.  `o` contracts the second index; `*tt` the first, keeping the
-blocks as they are.  The right opmat is cleared with its own lcm, and each
-of its nonzeros B[k, j] is scattered through the column (d, k) of the form
+opmat is an int column form (`ColumnForm`, the `exact.int_columns` of its
+int blocks, over one den D): for each (contracted index d, column j), the
+list of (free index, row i, int) of its entries in that column.  `o`
+contracts the second index; `*tt` the first, keeping the blocks as they
+are.  The right opmat is cleared with its own lcm, and each of its nonzeros
+B[k, j] is scattered through the column (d, k) of the form
 (`exact.scatter`).  The ints are summed per output entry and turned into
 one Scalar each, over D times the right lcm: the column form and
 `_scatter` are the rational boundary around the int kernel.  The span
 closures (`exact.close_span`) index their ops with `exact.int_columns` too.
 A thin right operand, the few seed columns of a central check, so touches
-only the columns it uses, not n^3 block products.  A form
-lives as long as its holder: `verify.Premises` keeps the forms of L's
-coefficients for the checks of one record, and the center indexes those
-of its shifted coefficients once per call, straight from their int sums
-(`opmat_poly_subs_forms`); a full product (`build_product`, the gl(2)
-chains and fusion) builds its forms for the call, and `build_js_quadratic`
-scatters the int columns of its integral G itself.
+only the columns it uses, not n^3 block products.  `column_form` indexes
+int blocks as given; `opmat_form` clears an opmat first
+(`exact.clear_opmats`), for the builders.  `verify.Premises` clears L once
+and builds its forms, and the center's shifted ones
+(`opmat_poly_subs_forms`), from those ints; a full product
+(`build_product`, the gl(2) chains and fusion) clears and builds its forms
+for the call, and `build_js_quadratic` scatters the int columns of its
+integral G itself.
 
 Entry budgets: on truncated spaces each coefficient entry is built from
 generator factors whose degree excursion is bounded; `entry_budget`
@@ -57,7 +58,7 @@ from .exact import (
     SparseOp,
     UniPoly,
     VectorSpan,
-    clear_denominators,
+    clear_opmats,
     close_span,
     common_denominator,
     int_columns,
@@ -135,14 +136,19 @@ class ColumnForm:
         self.first = first
 
 
+def column_form(ints: dict, den: int, first: bool = False) -> ColumnForm:
+    """The column form of the opmat ints / den, `ints` its int blocks,
+    contracting its second index, or its first when `first`: the
+    `exact.int_columns` of the blocks, with no clearing pass."""
+    nrows = next((op.nrows for op in ints.values()), 0)
+    return ColumnForm(int_columns(opmat_transpose(ints) if first else ints), den, nrows, first)
+
+
 def opmat_form(a: dict, first: bool = False) -> ColumnForm:
-    """The column form of the opmat `a`, contracting its second index, or
-    its first when `first`: `exact.int_columns` of its blocks, cleared to
-    ints in the same pass."""
-    den = common_denominator(v for op in a.values() for v in op.data.values())
-    blocks = opmat_transpose(a) if first else a
-    nrows = next((op.nrows for op in a.values()), 0)
-    return ColumnForm(int_columns(blocks, den), den, nrows, first)
+    """The column form of the opmat `a`: cleared (`exact.clear_opmats`),
+    then `column_form`."""
+    (ints,), den = clear_opmats([a])
+    return column_form(ints, den, first)
 
 
 def _form(a, first: bool) -> ColumnForm:
@@ -185,16 +191,16 @@ def opmat_contract(a, b: dict, pairing: dict) -> dict:
     its own nonzeros times the column lengths, not n^3 block products."""
     form = a if isinstance(a, ColumnForm) else opmat_form(a)
     back = {partner: (d, sign) for d, (partner, sign) in pairing.items()}
-    ops, den = clear_denominators(b.values())
-    return _scatter(form, [(back[e][0], c, back[e][1], op) for (e, c), op in zip(b, ops)], den)
+    (ints,), den = clear_opmats([b])
+    return _scatter(form, [(back[e][0], c, back[e][1], op) for (e, c), op in ints.items()], den)
 
 
 def opmat_apply(a, basis: SparseOp) -> dict:
     """{key: A[key] @ basis}, the keys whose image vanishes dropped: the
     opmat A (or its `o` ColumnForm) applied to the columns of `basis`."""
     form = _form(a, False)
-    (op,), den = clear_denominators([basis])
-    return _scatter(form, [(d, d, 1, op) for d in {d for d, _ in form.columns}], den)
+    (ints,), den = clear_opmats([{0: basis}])
+    return _scatter(form, [(d, d, 1, ints[0]) for d in {d for d, _ in form.columns}], den)
 
 
 def opmat_mul(case: CaseDescriptor, a, b: dict) -> dict:
@@ -226,54 +232,51 @@ def _int_opmat(ops: dict, den: int) -> dict:
     return out
 
 
-def _poly_subs_ints(coeffs, a, b):
-    """(mats, den): the coefficients of M(a*u + b) from those of M(u), as
-    int SparseOps over one den.
+def _poly_subs_ints(ints, den, a, b):
+    """(mats, den'): the coefficients of M(a*u + b) from the int blocks
+    `ints` of those of M(u) times den, as int SparseOps over one den'.
 
-    The u^j coefficient is sum_k comb(k, j) a^j b^(k-j) M_k.  The entries of
-    every M_k are cleared to ints with one lcm and the factors with another,
-    and the products are summed as ints; entries and trailing coefficients
-    that cancel are dropped."""
+    The u^j coefficient is sum_k comb(k, j) a^j b^(k-j) M_k.  The factors
+    are cleared to ints with one lcm, and the products are summed as ints;
+    entries and trailing coefficients that cancel are dropped."""
     a, b = Scalar.of(a), Scalar.of(b)
     apow, bpow = [ONE], [ONE]
-    for _ in coeffs:
+    for _ in ints:
         apow.append(apow[-1] * a)
         bpow.append(bpow[-1] * b)
     factors = {(k, j): apow[j] * bpow[k - j] * comb(k, j)
-               for k in range(len(coeffs)) for j in range(k + 1)}
+               for k in range(len(ints)) for j in range(k + 1)}
     fden = common_denominator(factors.values())
-    blocks = [(k, key, op) for k, mat in enumerate(coeffs) for key, op in mat.items()]
-    ints, den = clear_denominators([op for _, _, op in blocks])
-    acc = [dict() for _ in coeffs]  # u^j: {key: (a block of that shape, {entry: int})}
-    for (k, key, op), iop in zip(blocks, ints):
-        for j in range(k + 1):
-            factor = factors[k, j]
-            if not factor:
-                continue
-            factor = factor.p * (fden // factor.r)
-            data = acc[j].setdefault(key, (op, {}))[1]
-            for e, v in iop.data.items():
-                data[e] = data.get(e, 0) + factor * v
+    acc = [dict() for _ in ints]  # u^j: {key: (a block of that shape, {entry: int})}
+    for k, mat in enumerate(ints):
+        for key, op in mat.items():
+            for j in range(k + 1):
+                factor = factors[k, j]
+                if not factor:
+                    continue
+                factor = factor.p * (fden // factor.r)
+                data = acc[j].setdefault(key, (op, {}))[1]
+                for e, v in op.data.items():
+                    data[e] = data.get(e, 0) + factor * v
     mats = [{key: SparseOp(shape.nrows, shape.ncols, data) for key, (shape, data) in mat.items()}
             for mat in acc]
     return _strip([{key: op for key, op in mat.items() if op.data} for mat in mats]), den * fden
 
 
 def opmat_poly_subs(coeffs, a, b) -> list:
-    """Coefficients of M(a*u + b) from coefficients of M(u): the int sums of
-    `_poly_subs_ints`, one Scalar built per distinct entry."""
-    mats, den = _poly_subs_ints(coeffs, a, b)
+    """Coefficients of M(a*u + b) from coefficients of M(u), cleared
+    (`exact.clear_opmats`): the int sums of `_poly_subs_ints`, one Scalar
+    built per distinct entry."""
+    mats, den = _poly_subs_ints(*clear_opmats(coeffs), a, b)
     return [_int_opmat(mat, den) for mat in mats]
 
 
-def opmat_poly_subs_forms(coeffs, a, b, first: bool = False) -> list:
-    """The column forms (`opmat_form`) of the coefficients of M(a*u + b),
-    indexed straight from the int sums of `_poly_subs_ints`: no Scalar is
-    made."""
-    mats, den = _poly_subs_ints(coeffs, a, b)
-    nrows = next((op.nrows for mat in coeffs for op in mat.values()), 0)
-    return [ColumnForm(int_columns(opmat_transpose(mat) if first else mat), den, nrows, first)
-            for mat in mats]
+def opmat_poly_subs_forms(ints, den, a, b, first: bool = False) -> list:
+    """The column forms (`column_form`) of the coefficients of M(a*u + b),
+    given the int blocks `ints` of those of M(u) times den, indexed straight
+    from the int sums of `_poly_subs_ints`: no Scalar is made."""
+    mats, den = _poly_subs_ints(ints, den, a, b)
+    return [column_form(mat, den, first) for mat in mats]
 
 
 def opmat_poly_mul(a_coeffs, b_coeffs, mul) -> list:
@@ -567,8 +570,8 @@ def build_js_quadratic(case: CaseDescriptor, two_l: int, k=None) -> LOperator:
     k = Scalar.of(default_js_central_value(case, two_l) if k is None else k)
     if case.family == "sp":
         layer, g = js_layer_generators(case, two_l)
-        ops, den = clear_denominators(g.values())
-        return _js_operator(case, layer, dict(zip(g, ops)), den, two_l, k)
+        (g,), den = clear_opmats([g])
+        return _js_operator(case, layer, g, den, two_l, k)
     cyclic = two_l >= 3
     labels, g = js_monomial_generators(case, two_l, cyclic)
     name = f"homog[{case.label()},2l={two_l}]" + ("|cyclic" if cyclic else "")
@@ -795,7 +798,7 @@ def fuse_so3_from_gl2(gl2: Gl2Operator):
             * gl2.eigen_d().compose_linear(Scalar(2), ONE))
     if qdet.is_zero:
         raise ValueError("quantum determinant vanishes identically")
-    lg2u = opmat_poly_subs_forms(gl2.coeffs, Scalar(2), ZERO)
+    lg2u = opmat_poly_subs_forms(*clear_opmats(gl2.coeffs), Scalar(2), ZERO)
     at_2u1 = opmat_poly_subs(gl2.coeffs, Scalar(2), ONE)
     adj = [dict() for _ in at_2u1]
     for k, mat in enumerate(at_2u1):

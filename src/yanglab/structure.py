@@ -2,11 +2,12 @@
 identity engine and the YBE checker built on it, and the block kernel of
 the Lie, adjoint and W relations.
 
-The engine and the kernel work on operator matrices by their blocks on W
-and form every block product on the one sparse product kernel: one
-operand's blocks scattered through the int column index of the other's
-(`exact.scatter`, `exact.int_columns`), and the other way round, each
-entry keyed by the two blocks it comes from.  The engine places those
+The engine and the kernel work on operator matrices by their int blocks
+on W over a denominator the caller gives (they clear no operand; the verify
+module clears L once) and form every block product on the one sparse
+product kernel: one operand's blocks scattered through the int column
+index of the other's (`exact.scatter`, `exact.int_columns`), and the other
+way round, each entry keyed by the two blocks it comes from.  The engine places those
 entries at their flat (V x V) x W indices, where I, P and K act; no other
 module knows that flat layout.
 The kernel compares the relations of G_ab and X_cd on every first-slot
@@ -44,7 +45,7 @@ from .exact import (
     UniPoly,
     VectorSpan,
     axpy,
-    clear_denominators,
+    clear_opmats,
     close_span,
     common_denominator,
     int_columns,
@@ -236,19 +237,18 @@ class IdentityForm:
     """R12(u-v) L1(u) L2(v) - L2(v) L1(u) R12(u-v) for `identity_residual`,
     with R(w) = f_I(w) I + f_P(w) P + f_K(w) K on the pair of (V x V) x W:
     `ipk` = (f_I, f_P, f_K) by power of w, `k` the `k_form` of K, and
-    `coeffs` the coefficients L_i of L(u) as opmats {(p, q): SparseOp on W},
-    the first index raised, p and q positions; L1 acts on the first V.  The
-    residual is linear in R and quadratic in L, so both are cleared to ints
-    once, here (lcms D, Dr), and its entries are divided by D^2 Dr at the end.
+    `coeffs` the coefficients L_i of L(u) times `den` as int opmats
+    {(p, q): SparseOp on W}, the first index raised, p and q positions; L1
+    acts on the first V.  The caller clears L (`exact.clear_opmats`); the
+    form clears only R's scalars (lcm Dr).  The residual is linear in R and
+    quadratic in L, so its entries are divided by den^2 Dr at the end.
     """
 
-    def __init__(self, ipk, coeffs, n: int, dim_w: int, k=None):
-        ops, d = clear_denominators([op for mat in coeffs for op in mat.values()])
-        ops = iter(ops)
-        self.blocks = [{p * n + q: next(ops) for p, q in mat} for mat in coeffs]  # x: L_i^x
+    def __init__(self, ipk, coeffs, den: int, n: int, dim_w: int, k=None):
+        self.blocks = [{p * n + q: op for (p, q), op in mat.items()} for mat in coeffs]  # L_i^x
         dr = common_denominator(c for f in ipk for c in f)
         ipk = [[c.p * (dr // c.r) for c in f] for f in ipk]
-        self.n, self.dim_w, self.k, self.den = n, dim_w, k, d * d * dr
+        self.n, self.dim_w, self.k, self.den = n, dim_w, k, den * den * dr
         # per power t of w: the pairs (f_X[t], X) with f_X[t] != 0
         self.terms = [[(f[t], x) for x, f in enumerate(ipk) if t < len(f) and f[t]]
                       for t in range(max(map(len, ipk)))]
@@ -529,22 +529,22 @@ def presentation(case: CaseDescriptor) -> dict:
     return {p: tuple(keys) for p, keys in out.items()}
 
 
-def cartan_grading(case: CaseDescriptor, g: dict):
+def cartan_grading(case: CaseDescriptor, g: dict, den: int):
     """(weight, shift) for `graded`, or None when a Cartan block G_(i,-i) is
-    not diagonal.  The weights mu (the diagonals) are cleared to ints, times
-    den, and the m of a position packed into one int in base
-    B = 4 (max |den mu| + den) + 1, so that a packed
-    den (mu_r - mu_s + lambda(c, d)) is 0 only when each component is:
+    not diagonal; g holds the int blocks of G times den.  The weights mu
+    (the diagonals) are read as ints, times den, and the m of a position
+    packed into one int in base B = 4 (max |den mu| + den) + 1, so that a
+    packed den (mu_r - mu_s + lambda(c, d)) is 0 only when each component is:
     weight maps a position to its packed weight, shift an index c to the
     packed den lambda of c alone (lambda(c, d) = lambda(c) + lambda(d)).
     """
     cartan = {i: g[i, -i] for i in range(1, case.m + 1) if (i, -i) in g}
     if any(r != s for op in cartan.values() for r, s in op.data):
         return None
-    ops, den = clear_denominators(cartan.values())
-    base = 4 * (max((abs(v) for op in ops for v in op.data.values()), default=0) + den) + 1
+    base = 4 * (max((abs(v) for op in cartan.values() for v in op.data.values()), default=0)
+                + den) + 1
     weight: dict = {}
-    for i, op in zip(cartan, ops):
+    for i, op in cartan.items():
         for (r, _), v in op.data.items():
             weight[r] = weight.get(r, 0) + v * base ** (i - 1)
     shift = {c: 0 if c == 0 else (den if c > 0 else -den) * base ** (abs(c) - 1)
@@ -566,14 +566,14 @@ def graded(grading, x: dict) -> bool:
     return True
 
 
-def metric_multiple(case: CaseDescriptor, mat: dict, twin: int = 0):
+def metric_multiple(case: CaseDescriptor, mat: dict, den: int, twin: int = 0):
     """The c with M_ab + twin M_ba = c eps_ab Id for every (a, b), or None,
-    decided on the int-cleared entries.  With twin = eps the conditions at
-    (a, b) and (b, a) agree (eps_ba = eps eps_ab): each is tested once.
+    decided on the int blocks `mat` of M times den.  With twin = eps the
+    conditions at (a, b) and (b, a) agree (eps_ba = eps eps_ab): each is
+    tested once.
     """
-    ops, den = clear_denominators(mat.values())
-    ints = {key: op.data for key, op in zip(mat, ops)}
-    dim = next((op.nrows for op in ops), 0)
+    ints = {key: op.data for key, op in mat.items()}
+    dim = next((op.nrows for op in mat.values()), 0)
     keys = set(ints) | {(a, -a) for a in case.indices}
     if twin:
         keys = {(min(a, b), max(a, b)) for a, b in keys}
@@ -592,11 +592,13 @@ def metric_multiple(case: CaseDescriptor, mat: dict, twin: int = 0):
     return Scalar(c or 0, 0, den)
 
 
-def block_violation(case: CaseDescriptor, g: dict, x: dict, cols, w_tensor: bool = False,
-                    pairs=None):
+def block_violation(case: CaseDescriptor, g: dict, x: dict, den: int, cols,
+                    w_tensor: bool = False, pairs=None):
     """First violation of the Lie-type identity of the blocks G_ab and X_cd.
 
-    G and X are opmats {(a, b): SparseOp on W}.  The identity is the relation
+    g and x are the int opmats {(a, b): SparseOp on W} of G and X times one
+    den, cleared by the caller (`verify.Premises` clears L once): the kernel
+    clears no operand.  The identity is the relation
 
       [G_ab, X_cd] = -eps_cb X_ad + eps_ad X_cb + eps_ac X_bd - eps_db X_ca
 
@@ -613,10 +615,9 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, cols, w_tensor: bool
     scatter swaps its key).  The commutator's
     right side adds blocks of X there, with no product; only the entries
     that survive are decoded, and for W each anticommutator entry is added
-    to the three W_abcd it enters.  G and X are cleared to ints (D_G,
-    D_X): the bilinear left side scales by D_G D_X and the right side,
-    linear in X, is multiplied by D_G, so a surviving entry divided by
-    D_G D_X is the exact residual.
+    to the three W_abcd it enters.  The bilinear left side on the int
+    blocks scales by den^2 and the right side, linear in X, is multiplied
+    by den, so a surviving entry divided by den^2 is the exact residual.
 
     `pairs`, for the Lie-type relation only, restricts the comparison to
     the first-slot pairs (a, b) it lists, for every (c, d), or, as a
@@ -632,8 +633,6 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, cols, w_tensor: bool
     flat = {(c, d): p * n + q for p, c in enumerate(idx) for q, d in enumerate(idx)}
     keys_of = pairs if isinstance(pairs, dict) else dict.fromkeys(flat if pairs is None else pairs)
     g = {key: op for key, op in g.items() if key in keys_of}  # the first-slot blocks used
-    (g_ops, d_g), (x_ops, d_x) = clear_denominators(g.values()), clear_denominators(x.values())
-    g, x = dict(zip(g, g_ops)), dict(zip(x, x_ops))
     kept = set(cols)
     xk = {key: [(i, j, v) for (i, j), v in op.data.items() if j in kept] for key, op in x.items()}
     sides: dict = {}
@@ -661,10 +660,10 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, cols, w_tensor: bool
             terms = [(s_b, (a, d), -b, d) for d in idx] + [(-s_a, (c, b), c, -a) for c in idx]
             terms += [(-s_a, (b, d), -a, d) for d in idx] + [(s_b, (c, a), c, -b) for c in idx]
             keys, q = keys_of[a, b], case.pos(b)
-            for s, key, c, d in terms:  # acc[b, (c, d)] += s D_G X_key
+            for s, key, c, d in terms:  # acc[b, (c, d)] += s den X_key
                 if keys is not None and (c, d) not in keys:
                     continue
-                cd, coef = flat[c, d], s * d_g
+                cd, coef = flat[c, d], s * den
                 for i, j, v in xk.get(key, ()):
                     acc[q, cd, i, j] = acc.get((q, cd, i, j), 0) + coef * v
         # {(b, c, d, i, j) as positions: residual entry}
@@ -677,7 +676,7 @@ def block_violation(case: CaseDescriptor, g: dict, x: dict, cols, w_tensor: bool
         bad = [key for key, v in found.items() if v]
         if bad:
             first = min(bad)
-            return (a,) + tuple(idx[p] for p in first[:3]), Scalar(found[first], 0, d_g * d_x)
+            return (a,) + tuple(idx[p] for p in first[:3]), Scalar(found[first], 0, den * den)
     return None
 
 
@@ -695,7 +694,7 @@ class YbeReport:
 
 def ybe_form(rmat: RMatrix) -> IdentityForm:
     """The YBE as RLL with W = V and L = R: R[(a1, a3), (b1, b3)] is the
-    (a3, b3) entry of the block (a1, b1) on W."""
+    (a3, b3) entry of the block (a1, b1) on W, cleared by `exact.clear_opmats`."""
     n = rmat.case.n
     blocks = []
     for coeff in rmat.coeffs:
@@ -704,7 +703,7 @@ def ybe_form(rmat: RMatrix) -> IdentityForm:
             (a1, a3), (b1, b3) = divmod(row, n), divmod(col, n)
             mat.setdefault((a1, b1), {})[(a3, b3)] = val
         blocks.append({key: SparseOp(n, n, data) for key, data in mat.items()})
-    return IdentityForm(rmat.ipk, blocks, n, n, k_form(rmat.case))
+    return IdentityForm(rmat.ipk, *clear_opmats(blocks), n, n, k_form(rmat.case))
 
 
 def check_ybe(case: CaseDescriptor, rmat: RMatrix | None = None) -> YbeReport:
@@ -714,18 +713,17 @@ def check_ybe(case: CaseDescriptor, rmat: RMatrix | None = None) -> YbeReport:
     with the blocks of R (`ybe_form`): full polynomial identity, not
     sampling.  Every RMatrix lies in span{I, P, K}, so the lemma at
     `verify.check_rll` holds with G = rho and no premise: the residual is
-    compared on supp(l_k) x S_H (`extremal_pairs`, `vector_seeds`), or on
-    all n^3 columns for so(2).  A residual there is located by row block
+    compared on supp(l_k) x S_H (`extremal_pairs`, `vector_seeds`), or, for
+    so(2), on every pair and, S_H being every position there, all n^3
+    columns.  A residual there is located by row block
     (`locate_violation`): the report carries the first violating entry of
     the full comparison (sorted index order) with its residual polynomial.
     """
     if rmat is None:
         rmat = fundamental_r(case)
-    n, form, pairs = case.n, ybe_form(rmat), extremal_pairs(case)
-    full = pairs is None
-    residual, _ = identity_residual(form, range(n * n) if full else pairs,
-                                    range(n) if full else vector_seeds(case))
-    bad = residual and (first_violation(residual) if full else locate_violation(form, range(n)))
+    n, form = case.n, ybe_form(rmat)
+    residual, _ = identity_residual(form, extremal_pairs(case) or range(n * n), vector_seeds(case))
+    bad = residual and locate_violation(form, range(n))
     if not bad:
         return YbeReport(case, True)
     (row, col), res = bad

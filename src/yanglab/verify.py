@@ -17,15 +17,16 @@ the adjoint relation (G with H) and the W tensor (G with itself) run on
 `structure.block_violation`, on the blocks G_ab and X_cd on W: per
 first-slot row a, two scatters (`exact.scatter`) of the row's G_ab with
 every X_cd give G_ab X_cd and X_cd G_ab for all b and (c, d) at once, on
-integer-cleared operands.  The commutator's right side is blocks of X
+the record's int blocks.  The commutator's right side is blocks of X
 placed by their indices, and W sums three anticommutator blocks.  No check
 forms a `SparseOp` product: every product runs on that one kernel.
 
 Every check reads the operator through one record (`Premises`), built
-once per operator.  It decides whether the top coefficient is
-C_s = c eps_ab Id with c != 0 and then holds L / c, whose top is eps_ab Id
-and whose G is the action; every check decides on that operator and takes
-G, H and the coefficients from the record, never from its caller.  RLL and
+once per operator, the one place where L is cleared to ints.  It decides
+whether the top coefficient is C_s = c eps_ab Id with c != 0 and holds the
+int blocks of L / c over one den, whose top is eps_ab Id and whose G is the
+action; every check decides on them and takes G, H and the coefficients
+from the record, never from its caller, and no kernel clears them.  RLL and
 the center are homogeneous in L, so only their residuals and c(u) see the
 scaling; the Lie and adjoint relations, W, chi3 and the constraints are
 not, and are the relations of the normalised L.
@@ -56,8 +57,9 @@ through one routine (`scalar_images`; c is read off the first diagonal
 key, or is 0 for chi3 and the center commutator), so G o G, G^t o H
 and C(u) are never formed as operators.  Every such product reads its
 left factor through a column form (`lops.ColumnForm`) that `Premises`
-keeps for L's coefficients (the center builds those of its shifted
-coefficients once per call, chi3 that of its Casimir partner of G), so it
+builds from its ints and keeps (the center builds those of its shifted
+coefficients, summed from the same ints, once per call, and chi3 that of
+its Casimir partner of G), so it
 touches only the columns its thin right operand uses.  On a closed
 space whose premises hold (G symmetric and a representation and, where
 the check needs them, H invariant and the top coefficient scalar), every
@@ -80,17 +82,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly
+from .exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly, clear_opmats
 from .lops import (
     ColumnForm,
     LOperator,
+    column_form,
     cyclic_span,
     generating_set,
     opmat_acc,
     opmat_add,
     opmat_apply,
     opmat_contract,
-    opmat_form,
     opmat_mul,
     opmat_mul_tt,
     opmat_poly_subs_forms,
@@ -212,7 +214,7 @@ def _vacuous(name: str, details: dict | None = None) -> CheckReport:
 # Lie-algebra and adjoint relations
 
 
-def _generators(lop: LOperator):
+def _generators(premises: Premises):
     """(P, record): the Chevalley pairs P when the relations of G may be
     decided on them, else None; record is {"pairs": |P|} or names the first
     premise that failed.  Each premise is decided exactly, in this order:
@@ -274,48 +276,51 @@ def _generators(lop: LOperator):
     X and `block_violation(G, X, pairs=P[0::2])` finds nothing
     (`_invariant`); with a Cartan block that is not diagonal, on all of P.
     """
-    case, dim, g = lop.case, lop.dim, lop.g_mat
-    if lop.space.trunc is not None:
+    case, g, den, grading = premises.lop.case, premises.g, premises.den, premises.grading
+    if premises.lop.space.trunc is not None:
         return None, {"premise_failed": "closed"}
-    if metric_multiple(case, g, case.eps) is None:
+    if metric_multiple(case, g, den, case.eps) is None:
         return None, {"premise_failed": "symmetric"}
-    pairs, grading = chevalley_pairs(case), cartan_grading(case, g)
+    pairs = chevalley_pairs(case)
     if grading is None:
         relations = pairs
     elif not graded(grading, g):
         return None, {"premise_failed": "lie"}
     else:
         relations = presentation(case)
-    if block_violation(case, g, g, range(dim), pairs=relations) is not None:
+    if block_violation(case, g, g, den, range(premises.lop.dim), pairs=relations) is not None:
         return None, {"premise_failed": "lie"}
     return pairs, {"pairs": len(pairs)}
 
 
-def _invariant(lop: LOperator, pairs: list) -> bool:
-    """Every nonzero coefficient of `lop` below G is invariant under G, given
-    the premises of `_generators` on the pairs P: by the weight test and
-    the relation on P[0::2] when the Cartan blocks are diagonal, else by
-    the relation on P (proof at `_generators`)."""
-    case, g, lower = lop.case, lop.g_mat, [mat for mat in lop.coeffs[:-2] if mat]
-    grading = cartan_grading(case, g)
-    if grading is not None:
-        if not all(graded(grading, mat) for mat in lower):
+def _invariant(premises: Premises, pairs: list) -> bool:
+    """Every nonzero coefficient below G is invariant under G, given the
+    premises of `_generators` on the pairs P: by the weight test and the
+    relation on P[0::2] when the Cartan blocks are diagonal, else by the
+    relation on P (proof at `_generators`)."""
+    case, g, den = premises.lop.case, premises.g, premises.den
+    lower = [mat for mat in premises.ints[:-2] if mat]
+    if premises.grading is not None:
+        if not all(graded(premises.grading, mat) for mat in lower):
             return False
         pairs = pairs[0::2]
-    return all(block_violation(case, g, mat, range(lop.dim), pairs=pairs) is None
+    return all(block_violation(case, g, mat, den, range(premises.lop.dim), pairs=pairs) is None
                for mat in lower)
 
 
 class Premises:
-    """The one reader of an operator: its normalisation and the premises of
-    the generator lemma and of the covariance lemma, each decided once.
+    """The one reader of an operator: its normalisation, its one int form and
+    the premises of the generator and covariance lemmas, each decided once.
 
-    When built, the record decides whether the top coefficient is
-    C_s = c eps_ab Id with c != 0 (`structure.metric_multiple` on its
-    int-cleared entries); `c` is that scalar, or None.  `lop` is L / c
-    when c is neither None nor 1, and L itself otherwise, and `g` is its
-    G: every check decides on `lop`.
-    The premises are decided on it when a check first needs them:
+    When built, the record clears every coefficient of L to ints once, with
+    one lcm (`exact.clear_opmats`), decides on the int top whether it is
+    C_s = c eps_ab Id with c != 0 (`structure.metric_multiple`; `c` is that
+    scalar, or None) and folds 1/c into the ints and their den.  So
+    `ints[k]` / `den` is coefficient k of L / c (of L when c is None), `g`
+    its int G and `grading` the Cartan grading of G.  Every premise,
+    identity and central check decides on these ints; no kernel clears L
+    again.  The generating sets read L's own G_p (`ops`): a span does not
+    see a scale.  The premises are decided when a check first needs them:
 
       generators  `_generators`: closed, symmetric, lie; the pairs P;
       invariant   every coefficient below G (H for a quadratic evaluation)
@@ -325,26 +330,26 @@ class Premises:
                   `lops.generating_set`; asked only once P is decided;
       half_seeds  the same under the G_x, x in the half H = P[0::2].
 
-    The record also holds the column forms (`lops.ColumnForm`) of the
-    coefficients of `lop`, each built on its first use: the `o` form of
-    every coefficient and the `*tt` form of G and H, through which the
-    central checks form their thin products.  They live as long as the
-    record, so the checks of one run share them.
+    It also keeps the column forms (`lops.ColumnForm`) of the coefficients,
+    built from the ints on first use: the `o` form of each and the `*tt` form
+    of G and H, through which the central checks of a run form their products.
 
     `cli.run_checks` shares one record between the checks of a run; a check
-    called without one builds its own.  The record lives beside the
-    operator, not on it, since an operator may be reused after it is
-    changed; `source` is the operator it was built for.
+    called without one builds its own.  It lives beside the operator `lop`,
+    not on it, since an operator may be reused after it is changed.
     """
 
     def __init__(self, lop: LOperator):
-        self.source = lop
-        self.c = c = metric_multiple(lop.case, lop.coeff(lop.order)) or None
-        if c is not None and c != ONE:
-            lop = LOperator(lop.case, lop.space, [opmat_scale(mat, c.inv()) for mat in lop.coeffs],
-                            lop.entry_budget, lop.kind, lop.params, lop.hw_vector)
         self.lop = lop
-        self.g = lop.g_mat
+        ints, den = clear_opmats(lop.coeffs)
+        self.c = c = metric_multiple(lop.case, ints[-1], den) or None
+        if c is not None and c != ONE:  # L / c = ints sign(c) c.r / (den |c.p|)
+            scale, den = (c.r if c.p > 0 else -c.r), den * abs(c.p)
+            for op in (op for mat in ints for op in mat.values()):
+                op.data = {e: v * scale for e, v in op.data.items()}
+        self.ints, self.den = ints, den
+        self.g = ints[-2] if len(ints) > 1 else {}
+        self.grading = cartan_grading(lop.case, self.g, den)
         self._memo: dict = {}
 
     def _once(self, name, decide):
@@ -354,19 +359,19 @@ class Premises:
 
     def generators(self):
         """(P, record) of `_generators`; the record is a fresh dict."""
-        pairs, record = self._once("generators", lambda: _generators(self.lop))
+        pairs, record = self._once("generators", lambda: _generators(self))
         return pairs, dict(record)
 
     def invariant(self) -> bool:
         """Every nonzero coefficient below G is invariant under G
         (`_invariant`); False when the pairs premise failed."""
         pairs = self.generators()[0]
-        return pairs is not None and self._once("invariant", lambda: _invariant(self.lop, pairs))
+        return pairs is not None and self._once("invariant", lambda: _invariant(self, pairs))
 
     def ops(self, start: int = 0, step: int = 1) -> list:
-        """The G_p, p in P[start::step] (H = P[0::2] is a Chevalley half);
-        the pairs premise must hold."""
-        g = self.g
+        """The operator's own G_p, p in P[start::step] (H = P[0::2] is a
+        Chevalley half); the pairs premise must hold."""
+        g = self.lop.g_mat
         return [g[key] for key in self.generators()[0][start::step] if key in g]
 
     def seeds(self) -> list:
@@ -388,18 +393,18 @@ class Premises:
                 and self.seeds() == list(vec))
 
     def span_of(self, vec):
-        """The cyclic span of `vec` under `source` (formed once) that a check
+        """The cyclic span of `vec` under `lop` (formed once) that a check
         on its cyclic module is given, or None when `vec` is None, the space
         is truncated or `vec` alone generates W (`generated_by`)."""
-        if vec is None or self.source.space.trunc is not None or self.generated_by(vec):
+        if vec is None or self.lop.space.trunc is not None or self.generated_by(vec):
             return None
         return self._once(("span",) + tuple(sorted(vec.items())),
-                          lambda: cyclic_span(self.source, [vec]))
+                          lambda: cyclic_span(self.lop, [vec]))
 
     def form(self, k: int, first: bool = False) -> ColumnForm:
-        """The column form of coefficient k of `lop`, contracting its second
-        index (`o`) or, `first`, its first (`*tt`)."""
-        return self._once(("form", k, first), lambda: opmat_form(self.lop.coeffs[k], first))
+        """The column form of coefficient k, contracting its second index
+        (`o`) or, `first`, its first (`*tt`), built from the ints."""
+        return self._once(("form", k, first), lambda: column_form(self.ints[k], self.den, first))
 
     def g_form(self, first: bool = False) -> ColumnForm:
         """The column form of G."""
@@ -420,14 +425,14 @@ class Premises:
 
 def _premises(lop: LOperator, premises) -> Premises:
     """`premises` when it was built for this operator, else a new record."""
-    if premises is not None and premises.source is lop:
+    if premises is not None and premises.lop is lop:
         return premises
     return Premises(lop)
 
 
 def _block_check(premises: Premises, x, budget, name, w_tensor=False):
-    """A Lie-type relation of G and X, X = G or H of `premises.lop`, decided
-    by `structure.block_violation` on the columns safe for `budget`
+    """A Lie-type relation of G and X, X the int G or H of `premises`,
+    decided by `structure.block_violation` on the columns safe for `budget`
     compositions of the entry budget.
 
     When the premises of `_generators` hold, the Lie relation holds (its
@@ -444,7 +449,7 @@ def _block_check(premises: Premises, x, budget, name, w_tensor=False):
     the full comparison.  `details.generators` records the pair count (and
     for W the seed count) or the failed premise.
     """
-    lop, g, case = premises.lop, premises.g, premises.lop.case
+    lop, g, den, case = premises.lop, premises.g, premises.den, premises.lop.case
     cols = lop.space.safe_indices(budget * lop.entry_budget)
     if not cols:
         return _vacuous(name)
@@ -453,10 +458,10 @@ def _block_check(premises: Premises, x, budget, name, w_tensor=False):
     if pairs is not None and w_tensor:
         seeds = premises.seeds()
         generators["seeds"] = len(seeds)
-        holds = block_violation(case, g, x, seeds, w_tensor) is None
+        holds = block_violation(case, g, x, den, seeds, w_tensor) is None
     elif pairs is not None:  # the Lie premise decided lie, invariance decides H
         holds = x is g or premises.invariant()
-    bad = None if holds else block_violation(case, g, x, cols, w_tensor)
+    bad = None if holds else block_violation(case, g, x, den, cols, w_tensor)
     details = {"safe_columns": len(cols), "generators": generators}
     if bad is None:
         return CheckReport(name, True, details=details)
@@ -480,26 +485,27 @@ def check_adjoint(lop: LOperator, premises=None) -> CheckReport:
     Decided on one pair of each Chevalley partner pair and a weight test
     once the premises of `_generators` hold.
     """
+    if lop.order != 2:
+        raise ValueError("H is defined for quadratic evaluation only")
     premises = _premises(lop, premises)
-    return _block_check(premises, premises.lop.h_mat, 3, "adjoint")
+    return _block_check(premises, premises.ints[0], 3, "adjoint")
 
 
 # ---------------------------------------------------------------------------
 # the RLL relation
 
 
-def _raised_coeffs(lop: LOperator) -> list:
-    """Coefficients of L(u) with the first index raised, (C_k)^a_b =
-    eps_a C_k[-a, b], as opmats keyed by the positions of (a, b)."""
-    case = lop.case
+def _raised_coeffs(case: CaseDescriptor, coeffs) -> list:
+    """The opmats `coeffs` of L(u) with the first index raised, (C_k)^a_b =
+    eps_a C_k[-a, b], keyed by the positions of (a, b)."""
     return [{(case.pos(-a), case.pos(b)): op if case.sign(a) == 1 else -op
-             for (a, b), op in mat.items()} for mat in lop.coeffs]
+             for (a, b), op in mat.items()} for mat in coeffs]
 
 
 def _certificate(premises: Premises):
     """(pairs, seeds, record) of the RLL certificate (proof at `check_rll`):
-    supp(l_k) and S_H (`structure.extremal_pairs`, `Premises.half_seeds`),
-    or for so(2) every pair and `Premises.seeds`, once `Premises.central`
+    supp(l_k), or every pair for so(2), and S_H (`structure.extremal_pairs`,
+    `Premises.half_seeds`; so(2) has one pair), once `Premises.central`
     holds with a scalar top and invariant lower coefficients (G is invariant
     by the Lie premise, eps_ab Id always); else None, None.  record names
     |seeds| and the |pairs| |seeds| seed columns, or the failed premise.
@@ -508,11 +514,7 @@ def _certificate(premises: Premises):
     if pairs is None:
         return None, None, record
     case = premises.lop.case
-    pairs = extremal_pairs(case)
-    if pairs is None:
-        pairs, seeds = range(case.n ** 2), premises.seeds()
-    else:
-        seeds = premises.half_seeds()
+    pairs, seeds = extremal_pairs(case) or range(case.n ** 2), premises.half_seeds()
     return pairs, seeds, {"seeds": len(seeds), "seed_columns": len(pairs) * len(seeds)}
 
 
@@ -557,8 +559,8 @@ def check_rll(lop: LOperator, premises=None) -> CheckReport:
     safe_w = space.safe_indices(2 * lop.entry_budget)
     if not safe_w:
         return _vacuous("rll")
-    form = IdentityForm(fundamental_ipk(case), _raised_coeffs(lop), case.n, space.dim,
-                        k_form(case))
+    form = IdentityForm(fundamental_ipk(case), _raised_coeffs(case, premises.ints), premises.den,
+                        case.n, space.dim, k_form(case))
     pairs, seeds, certificate = _certificate(premises)
     full = seeds is None
     residual, keys = identity_residual(form, range(case.n ** 2) if full else pairs,
@@ -582,8 +584,8 @@ def check_gl2_rll(coeffs, dim) -> CheckReport:
     embedded in the orthogonal/symplectic case.
     """
     blocks = [{(alpha - 1, beta - 1): op for (alpha, beta), op in mat.items()} for mat in coeffs]
-    residual, keys = identity_residual(IdentityForm(YANG_GL2_IPK, blocks, 2, dim), range(4),
-                                       range(dim))
+    residual, keys = identity_residual(IdentityForm(YANG_GL2_IPK, *clear_opmats(blocks), 2, dim),
+                                       range(4), range(dim))
     details = {"safe_columns": dim, "keys_compared": keys}
     if residual:
         key = min(residual)
@@ -757,12 +759,12 @@ def _casimir(premises: Premises, y: dict) -> dict:
     sigma = (1/2) sum_{a,d} eps_-a eps_-d G[-a, d] G[-d, a] is applied right
     to left: G[r, d] @ Y_key for every block of G by `opmat_apply` of G's
     `o` form, then the term G[-d, -r] (G[r, d] @ Y_key) summed over (r, d)
-    by one contraction with the Casimir partner of G, the opmat whose block
-    at (0, (r, d)) is eps_r eps_-d G[-d, -r] / 2.  Only chi3 uses the
-    partner, so its form is built for the call, not kept by the record."""
+    by one contraction with the Casimir partner of G, whose block at
+    (0, (r, d)) is eps_r eps_-d G[-d, -r] / 2, the record's signed int block
+    over 2 den; only chi3 uses it, so its form is built for the call."""
     case, g, form = premises.lop.case, premises.g, premises.g_form()
-    partner = {(0, (r, d)): g[-d, -r].scale(Scalar(case.sign(r) * case.sign(-d), 0, 2))
-               for r, d in g if (-d, -r) in g}
+    partner = column_form({(0, (r, d)): g[-d, -r] if case.sign(r) == case.sign(-d) else -g[-d, -r]
+                           for r, d in g if (-d, -r) in g}, 2 * premises.den)
     images = {(rd, key): op for key, block in y.items()
               for rd, op in opmat_apply(form, block).items()}
     return {key: op for (_, key), op in
@@ -841,8 +843,8 @@ def _center_on(premises: Premises, comm_basis: SparseOp | None, basis: SparseOp,
     bad = (where, (key, residual)) names the first failure, commutators
     first.
     """
-    case, coeffs, form = premises.lop.case, premises.lop.coeffs, premises.form
-    shifted = opmat_poly_subs_forms(coeffs, ONE, -case.beta, first=True)
+    case, coeffs, form = premises.lop.case, premises.ints, premises.form
+    shifted = opmat_poly_subs_forms(coeffs, premises.den, ONE, -case.beta, first=True)
     size = len(shifted) + len(coeffs) - 1
 
     def c_on(images, k):  # C_k @ B from the images [L_j @ B], formed on demand

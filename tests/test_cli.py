@@ -286,6 +286,29 @@ def test_verify_gl2_chain_runs_rll(capsys):
     assert "checks" not in json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("command,construction", [
+    ("verify", {"op": "js", "family": "so", "m": 6, "odd": True, "twoL": 4}),
+    ("all", {"op": "js", "family": "so", "m": 6, "odd": True, "twoL": 4}),
+    ("verify", {"op": "gl2chain", "params": {"chain": [["0", 1]]}}),
+    ("all", {"op": "fuse3", "params": {"chain": [["0", 1]]}})])
+@pytest.mark.parametrize("checks", [["bogus"], ["rll", "bogus"]])
+def test_unknown_check_rejected_before_construction(monkeypatch, command, construction, checks):
+    # an unknown name is refused before the construction and before any check
+    def never(cfg):
+        raise AssertionError("build_operator was called")
+
+    monkeypatch.setattr(cli, "build_operator", never)
+    with pytest.raises(ConfigError, match="unknown check 'bogus'"):
+        run({"command": command, **construction, "checks": checks})
+
+
+def test_gl2_chain_all_ignores_check_names():
+    # `all` on a gl(2) chain runs no checks, so it reads no check name
+    report, code = run({"command": "all", "op": "gl2chain", "checks": ["bogus"],
+                        "params": {"chain": [["0", 1]]}})
+    assert code == 0 and "checks" not in report
+
+
 def test_run_api_direct():
     report, code = run_cfg(command="all", family="so", m=1, odd=True, op="spinor")
     assert code == 0

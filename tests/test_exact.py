@@ -16,7 +16,7 @@ from yanglab.exact import (
     UniPoly,
     VectorSpan,
     axpy,
-    clear_denominators,
+    clear_opmats,
     common_denominator,
     int_columns,
     nullspace,
@@ -202,10 +202,8 @@ def scatter_inputs(draw):
 @given(scatter_inputs())
 def test_scatter_is_the_signed_sum_of_block_products(drawn):
     blocks, terms = drawn
-    ints, den = clear_denominators(list(blocks.values()))
-    ints = dict(zip(blocks, ints))
+    (ints,), den = clear_opmats([blocks])
     columns = int_columns(ints)
-    assert int_columns(blocks, den) == columns  # cleared in the same pass
     want: dict = {}  # (f, c): sum of sign * A[f, d] @ Y, one SparseOp product per block
     for d, c, sign, y in terms:
         for (f, e), op in ints.items():
@@ -228,10 +226,11 @@ def test_axpy_drops_cancelling_entries():
     assert acc == {(0, 1): Scalar(1)}
 
 
-def test_clear_denominators_to_ints_and_back():
+def test_clear_opmats_to_ints_and_back():
     a = SparseOp(2, 2, {(0, 0): Scalar(1, 0, 2), (0, 1): Scalar(-2, 0, 3)})
     b = SparseOp(2, 2, {(1, 1): Scalar(5, 0, 4)})
-    (ia, ib), d = clear_denominators([a, b])
+    (ia, ib), d = clear_opmats([{0: a}, {1: b}])  # one lcm over both
+    ia, ib = ia[0], ib[1]
     assert d == 12
     assert ia.data == {(0, 0): 6, (0, 1): -8} and ib.data == {(1, 1): 15}
     assert all(type(v) is int for v in list(ia.data.values()) + list(ib.data.values()))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yanglab.exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly, VectorSpan
+from yanglab.exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly, VectorSpan, clear_opmats
 from yanglab.lops import build_js_quadratic, build_spinorial_linear
 from yanglab.structure import (
     YANG_GL2_IPK,
@@ -171,8 +171,8 @@ def _engine_gl2_residual(coeffs, w, cols=None):
     blocks = [{pair: SparseOp(w, w, {(i, j): Scalar.of(v) for i, row in enumerate(mat)
                                      for j, v in enumerate(row)})
                for pair, mat in m.items()} for m in coeffs]
-    residual, _ = identity_residual(IdentityForm(YANG_GL2_IPK, blocks, 2, w), range(4),
-                                    range(w) if cols is None else cols)
+    residual, _ = identity_residual(IdentityForm(YANG_GL2_IPK, *clear_opmats(blocks), 2, w),
+                                    range(4), range(w) if cols is None else cols)
     return residual
 
 
@@ -379,7 +379,8 @@ def block_operands(draw):
 @given(block_operands())
 def test_block_violation_matches_n4_reference(draw):
     case, g, x, dim, cols, w_tensor, pairs, solves = draw
-    got = block_violation(case, g, x, cols, w_tensor, pairs)
+    (gi, xi), den = clear_opmats([g, x])
+    got = block_violation(case, gi, xi, den, cols, w_tensor, pairs)
     assert got == _reference_block_violation(case, g, x, dim, cols, w_tensor, pairs)
     if solves:
         assert got is None
@@ -516,15 +517,17 @@ def test_weight_test_is_the_relation_at_the_cartan_pairs(drawn):
     case, g, x = drawn
     dim = next(iter(x.values())).nrows
     cartan = [(i, -i) for i in range(1, case.m + 1)]
-    grading = cartan_grading(case, g)
+    (g, x), den = clear_opmats([g, x])
+    grading = cartan_grading(case, g, den)
     assert grading is not None
-    assert graded(grading, x) == (block_violation(case, g, x, range(dim), pairs=cartan) is None)
+    holds = block_violation(case, g, x, den, range(dim), pairs=cartan) is None
+    assert graded(grading, x) == holds
 
 
 def test_cartan_grading_needs_diagonal_blocks():
     case = make_case("so_odd", 1)
-    assert cartan_grading(case, {}) is not None
-    assert cartan_grading(case, {(1, -1): SparseOp(2, 2, {(0, 1): ONE})}) is None
+    assert cartan_grading(case, {}, 1) is not None
+    assert cartan_grading(case, {(1, -1): SparseOp(2, 2, {(0, 1): 1})}, 1) is None
 
 
 # ---------------------------------------------------------------------------

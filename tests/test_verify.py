@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from yanglab import verify
 from yanglab.cli import DEFAULT_CHECKS, build_operator, run_checks
-from yanglab.exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly, clear_denominators
+from yanglab.exact import ONE, ZERO, BiPoly, Scalar, SparseOp, UniPoly, clear_opmats
 from yanglab.lops import (
     LOperator,
     build_gl2_js_chain,
@@ -64,6 +64,24 @@ from yanglab.verify import (
 
 # the conjugated so(3)/sp(2) solutions of the block-kernel property test
 from test_structure import _base_solution, _conjugate, _g_basis, _padded, _unipotent, nonzero
+
+
+def _cleared_violation(case, g, x, cols, w_tensor=False, pairs=None):
+    """`block_violation` of the opmats G and X, cleared with one lcm."""
+    (g, x), den = clear_opmats([g, x])
+    return block_violation(case, g, x, den, cols, w_tensor, pairs)
+
+
+def _cleared_grading(case, g):
+    """`cartan_grading` of the opmat G, cleared."""
+    (g,), den = clear_opmats([g])
+    return cartan_grading(case, g, den)
+
+
+def _cleared_multiple(case, mat, twin=0):
+    """`metric_multiple` of the opmat M, cleared."""
+    (mat,), den = clear_opmats([mat])
+    return metric_multiple(case, mat, den, twin)
 
 
 def _changed(lop, g=None, h=None):
@@ -205,12 +223,13 @@ def test_constructions_clear_to_ints(name):
     # every construction is rational, so the identity engine and the block
     # kernel run on cleared ints for each of them
     lop = build_operator(CLI_CONSTRUCTIONS[name])
-    ops = [op for mat in lop.coeffs for op in mat.values()]
-    ints, d = clear_denominators(ops)
-    assert ops
-    for op, iop in zip(ops, ints):
-        assert all(type(v) is int for v in iop.data.values())
-        assert {k: Scalar(v, 0, d) for k, v in iop.data.items()} == op.data
+    ints, d = clear_opmats(lop.coeffs)
+    assert any(lop.coeffs)
+    for mat, imat in zip(lop.coeffs, ints):
+        assert imat.keys() == mat.keys()
+        for key, op in mat.items():
+            assert all(type(v) is int for v in imat[key].data.values())
+            assert {k: Scalar(v, 0, d) for k, v in imat[key].data.items()} == op.data
 
 
 ALL_CHECKS = ["lie", "adjoint", "rll", "linear", "constraints", "w", "chi3", "center"]
@@ -261,26 +280,20 @@ def test_hw_vector_generates_w_where_expected():
 
 
 def _count_forms(monkeypatch):
-    """Record every column form built, through lops or verify, as (opmat,
-    first); a form of the shifted coefficients, built from their int sums,
-    as (the form, first)."""
+    """Record every column form built, through lops or verify, as (int
+    opmat, first): the record's, the shifted coefficients' (from their int
+    sums) and any `opmat_form`, which clears and then calls `column_form`."""
     import yanglab.lops as lops
 
     built = []
-    real, real_subs = lops.opmat_form, lops.opmat_poly_subs_forms
+    real = lops.column_form
 
-    def counting(mat, first=False):
-        built.append((mat, first))
-        return real(mat, first)
+    def counting(ints, den, first=False):
+        built.append((ints, first))
+        return real(ints, den, first)
 
-    def counting_subs(coeffs, a, b, first=False):
-        forms = real_subs(coeffs, a, b, first)
-        built.extend((form, form.first) for form in forms)
-        return forms
-
-    monkeypatch.setattr(lops, "opmat_form", counting)
-    monkeypatch.setattr(verify, "opmat_form", counting)
-    monkeypatch.setattr(verify, "opmat_poly_subs_forms", counting_subs)
+    monkeypatch.setattr(lops, "column_form", counting)
+    monkeypatch.setattr(verify, "column_form", counting)
     return built
 
 
@@ -289,30 +302,112 @@ def test_center_builds_each_form_once(monkeypatch):
     # each built once in one center_function call
     lop = build_js_quadratic(make_case("so_odd", 3), 2)
     span = cyclic_span(lop, [lop.hw_vector])
+    premises = Premises(lop)
     built = _count_forms(monkeypatch)
-    c, rep = center_function(lop, span=span)
+    c, rep = center_function(lop, span=span, premises=premises)
     assert rep.passed and rep.details["generators"] == {"pairs": 6, "seeds": 2, "span_seeds": 1}
     keys = [(id(mat), first) for mat, first in built]
     assert len(keys) == len(set(keys))
-    coeffs = [k for mat, first in built for k, coeff in enumerate(lop.coeffs)
+    coeffs = [k for mat, first in built for k, coeff in enumerate(premises.ints)
               if coeff is mat and not first]
     assert sorted(coeffs) == [0, 1, 2]
-    shifted = [first for mat, first in built if all(mat is not coeff for coeff in lop.coeffs)]
+    shifted = [first for mat, first in built if all(mat is not coeff for coeff in premises.ints)]
     assert shifted == [True, True, True]
 
 
 def test_run_checks_share_forms(monkeypatch):
     # constraints, chi3 and center read G and H through the record's forms
+    import yanglab.cli as cli
+
     lop = build_js_quadratic(make_case("so_odd", 2), 3)
+    records = []
+    monkeypatch.setattr(cli, "Premises", lambda lop: records.append(Premises(lop)) or records[-1])
     built = _count_forms(monkeypatch)
     reports, _ = run_checks(lop, DEFAULT_CHECKS["js"])
     assert all(rep.passed for rep in reports)
-    coeffs = sorted((k, first) for mat, first in built for k, coeff in enumerate(lop.coeffs)
+    (premises,) = records
+    coeffs = sorted((k, first) for mat, first in built for k, coeff in enumerate(premises.ints)
                     if coeff is mat)
     assert coeffs == [(0, False), (0, True), (1, False), (1, True), (2, False)]
     # and the shifted ones and chi3's Casimir partner of G, once each (chi3
     # holds on its seeds, so it applies the Casimir once)
     assert len(built) == len(coeffs) + len(lop.coeffs) + 1
+
+
+SCALED = {  # operators whose reports c L must reproduce
+    "js-so5-2l3": lambda: build_js_quadratic(make_case("so_odd", 2), 3),
+    "js-sp4-2l1": lambda: build_js_quadratic(make_case("sp", 2), 1),
+    "js-so6-2l2": lambda: build_js_quadratic(make_case("so_even", 3), 2),
+    "spinor-so4": lambda: build_spinorial_linear(make_case("so_even", 2)),
+    "product-so5": lambda: build_operator({"op": "product", "family": "so", "m": 2,
+                                           "odd": True, "delta": "1/2"}),
+    "fuse3-one-site": lambda: build_operator(CLI_CONSTRUCTIONS["fuse3-one-site"]),
+}
+
+
+@pytest.mark.parametrize("c", [Scalar(3), Scalar(-1, 0, 2), Scalar(7, 0, 4)], ids=str)
+@pytest.mark.parametrize("name", sorted(SCALED))
+def test_reports_of_c_times_l_are_those_of_l(name, c):
+    # the record folds 1/c into its ints, so c L, for c negative or
+    # fractional too, gives every check the report of L
+    lop = SCALED[name]()
+    names = [check for check in ALL_CHECKS
+             if lop.order == 2 or check not in ("adjoint", "constraints")]
+    scaled = LOperator(lop.case, lop.space, [opmat_scale(mat, c) for mat in lop.coeffs],
+                       lop.entry_budget, lop.kind, lop.params, lop.hw_vector)
+    assert Premises(scaled).c == c * Premises(lop).c
+    assert [rep.to_dict() for rep in run_checks(scaled, names)[0]] == [
+        rep.to_dict() for rep in run_checks(lop, names)[0]]
+
+
+def test_run_checks_clear_l_once(monkeypatch):
+    # the record clears each entry of L once; the kernels it feeds get ints
+    # and clear nothing.  Only the span closures (`exact.op_columns`) clear
+    # L's own blocks again: the generating sets read the Chevalley blocks
+    # G_p, which no scale changes
+    import sys
+
+    import yanglab.exact as exact
+    import yanglab.lops as lops
+    import yanglab.structure as structure
+
+    lop = build_js_quadratic(make_case("so_odd", 2), 3)
+    cleared = {id(op): 0 for mat in lop.coeffs for op in mat.values()}
+    in_spans, in_structure, real = set(), [], exact.clear_opmats
+
+    def spy(mats):
+        for op in (op for mat in mats for op in mat.values() if id(op) in cleared):
+            if sys._getframe(1).f_code.co_name == "op_columns":
+                in_spans.add(id(op))
+            else:
+                cleared[id(op)] += 1
+        return real(mats)
+
+    for module in (exact, lops, verify):
+        monkeypatch.setattr(module, "clear_opmats", spy)
+    monkeypatch.setattr(structure, "clear_opmats", lambda mats: in_structure.append(mats))
+    fed = {}
+
+    def ints_only(name, operands):
+        kernel = getattr(verify, name)
+
+        def spied(*args, **kwargs):
+            mats = operands(args)
+            fed[name] = fed.get(name, 0) + 1
+            assert all(type(v) is int for mat in mats for op in mat.values()
+                       for v in op.data.values())
+            return kernel(*args, **kwargs)
+        monkeypatch.setattr(verify, name, spied)
+
+    ints_only("block_violation", lambda args: args[1:3])
+    ints_only("metric_multiple", lambda args: args[1:2])
+    ints_only("cartan_grading", lambda args: args[1:2])
+    ints_only("IdentityForm", lambda args: args[1])
+    reports, _ = run_checks(lop, ALL_CHECKS)
+    assert [rep.passed for rep in reports] == [True] * 3 + [False] + [True] * 4  # not linear
+    assert set(cleared.values()) == {1} and not in_structure
+    assert in_spans and in_spans <= {id(op) for op in lop.g_mat.values()}
+    assert set(fed) == {"block_violation", "metric_multiple", "cartan_grading", "IdentityForm"}
 
 
 def test_rll_js_so7_rank_three():
@@ -331,7 +426,9 @@ def _assert_matches_full_engine(lop):
     """check_rll agrees with the engine on every column: verdict and, on a
     refutation, the first violation and its residual."""
     case, n = lop.case, lop.case.n
-    form = IdentityForm(fundamental_ipk(case), _raised_coeffs(lop), n, lop.dim, k_form(case))
+    ints, den = clear_opmats(lop.coeffs)
+    form = IdentityForm(fundamental_ipk(case), _raised_coeffs(case, ints), den, n, lop.dim,
+                        k_form(case))
     full, _ = identity_residual(form, range(n * n), range(lop.dim))
     rep = check_rll(lop)
     assert rep.passed == (not full)
@@ -475,7 +572,8 @@ def test_rll_certificate_needs_invariance():
     h = opmat_add(lop.h_mat, {(1, -1): SparseOp(7, 7, {(6, 6): ONE})})
     bad = LOperator(case, lop.space, [h, lop.g_mat, lop.coeffs[2]], hw_vector=lop.hw_vector)
     seed_cols = [0]  # the hw vector is the first basis vector
-    form = IdentityForm(fundamental_ipk(case), _raised_coeffs(bad), 3, 7, k_form(case))
+    ints, den = clear_opmats(bad.coeffs)
+    form = IdentityForm(fundamental_ipk(case), _raised_coeffs(case, ints), den, 3, 7, k_form(case))
     seed_residual, _ = identity_residual(form, range(9), seed_cols)
     assert lop.hw_vector == {0: ONE} and not seed_residual
     rep = _assert_matches_full_engine(bad)
@@ -614,9 +712,9 @@ def test_generator_path_taken(monkeypatch, build, pairs, seeds):
     lop = build()
     calls = []
 
-    def counting(case, g, x, cols, w_tensor=False, pairs=None):
+    def counting(case, g, x, den, cols, w_tensor=False, pairs=None):
         calls.append(len(cols) if pairs is None else None)
-        return block_violation(case, g, x, cols, w_tensor, pairs)
+        return block_violation(case, g, x, den, cols, w_tensor, pairs)
 
     monkeypatch.setattr(verify, "block_violation", counting)
     checks = [check_lie, check_w_tensor] + [check_adjoint] * (lop.order == 2)
@@ -655,7 +753,7 @@ def test_symmetric_off_generator_corruption_fails_on_pairs(family, m, two_l):
     case, g = lop.case, lop.g_mat
     a, b = _off_generator_keys(case, g)[0]
     g = {**g, (a, b): g[a, b].scale(2), (b, a): g[b, a].scale(2)}
-    assert block_violation(case, g, g, range(lop.dim), pairs=chevalley_pairs(case))
+    assert _cleared_violation(case, g, g, range(lop.dim), pairs=chevalley_pairs(case))
     rep = check_lie(_changed(lop, g=g))
     assert not rep.passed and rep.details["generators"] == {"premise_failed": "lie"}
 
@@ -761,7 +859,7 @@ def test_generator_verdicts_match_full_kernel(drawn):
     case, dim, g = lop.case, lop.dim, lop.g_mat
     for check, x, w_tensor in ((check_lie, g, False), (check_adjoint, lop.h_mat, False),
                                (check_w_tensor, g, True)):
-        full = block_violation(case, g, x, range(dim), w_tensor)
+        full = _cleared_violation(case, g, x, range(dim), w_tensor)
         rep = check(lop)
         assert rep.passed == (full is None)
         if full is not None:
@@ -771,7 +869,7 @@ def test_generator_verdicts_match_full_kernel(drawn):
         assert check_lie(lop).details["generators"] == {"pairs": len(chevalley_pairs(case))}
     if kind == "off-generator":
         # symmetric, so the Lie relation fails on the pairs themselves
-        assert block_violation(case, g, g, range(dim), pairs=chevalley_pairs(case))
+        assert _cleared_violation(case, g, g, range(dim), pairs=chevalley_pairs(case))
         assert check_lie(lop).details["generators"] == {"premise_failed": "lie"}
 
 
@@ -785,12 +883,12 @@ def test_lie_premise_matches_full_relation(drawn):
     case, dim, g = lop.case, lop.dim, lop.g_mat
     sym = opmat_add(g, opmat_scale(opmat_transpose(g), case.eps))
     symmetric = scalar_images(case, sym, SparseOp.identity(dim))[0]
-    assert (metric_multiple(case, g, case.eps) is not None) == symmetric
-    pairs, record = verify._generators(lop)
+    assert (_cleared_multiple(case, g, case.eps) is not None) == symmetric
+    pairs, record = verify._generators(Premises(lop))
     if not symmetric:
         assert pairs is None and record == {"premise_failed": "symmetric"}
         return
-    full = block_violation(case, g, g, range(dim))
+    full = _cleared_violation(case, g, g, range(dim))
     assert (pairs is not None) == (full is None)
     assert record == ({"pairs": len(chevalley_pairs(case))} if full is None
                       else {"premise_failed": "lie"})
@@ -810,8 +908,8 @@ def test_lie_premise_on_a_presentation(family, m):
     # every shift by Id, one pair's relation only for some, is refused
     case, g, h, dim = _vector_rep(family, m)
     top = metric_opmat(case, dim)
-    assert cartan_grading(case, g) is not None
-    assert verify._generators(_closed(case, [g, top], dim))[1] == {
+    assert _cleared_grading(case, g) is not None
+    assert verify._generators(Premises(_closed(case, [g, top], dim)))[1] == {
         "pairs": len(chevalley_pairs(case))}
     pairs = chevalley_pairs(case)
     changed = [({**g, (a, b): g[a, b].scale(2), (b, a): g[b, a].scale(2)}, True)
@@ -819,12 +917,12 @@ def test_lie_premise_on_a_presentation(family, m):
     changed += [(_shifted(case, g, key), False) for key in _shift_keys(case)]
     one_pair = 0
     for g2, keeps_grading in changed:
-        assert (cartan_grading(case, g2) is not None
-                and graded(cartan_grading(case, g2), g2)) == keeps_grading
-        failing = [p for p in pairs if block_violation(case, g2, g2, range(dim), pairs=[p])]
+        assert (_cleared_grading(case, g2) is not None
+                and graded(_cleared_grading(case, g2), g2)) == keeps_grading
+        failing = [p for p in pairs if _cleared_violation(case, g2, g2, range(dim), pairs=[p])]
         one_pair += len(failing) == 1
-        assert failing and block_violation(case, g2, g2, range(dim)) is not None
-        assert verify._generators(_closed(case, [g2, top], dim)) == (
+        assert failing and _cleared_violation(case, g2, g2, range(dim)) is not None
+        assert verify._generators(Premises(_closed(case, [g2, top], dim))) == (
             None, {"premise_failed": "lie"})
     assert one_pair or family == "sp" or m == 1
 
@@ -835,9 +933,9 @@ def test_lie_premise_compares_a_presentation(monkeypatch, family, m, two_l, rela
     # every key on the 2m pairs would be 2m dim g (126 on both)
     seen = []
 
-    def spy(case, g, x, cols, w_tensor=False, pairs=None):
+    def spy(case, g, x, den, cols, w_tensor=False, pairs=None):
         seen.append(pairs)
-        return block_violation(case, g, x, cols, w_tensor, pairs)
+        return block_violation(case, g, x, den, cols, w_tensor, pairs)
 
     monkeypatch.setattr(verify, "block_violation", spy)
     lop = build_js_quadratic(make_case(family, m), two_l)
@@ -850,9 +948,9 @@ def _f_only_key(case, g, dim):
     """A key (c, d) at which t Id added to H is seen by the pairs P[1::2]
     and not by P[0::2]: H_cd = Id is a highest vector of the Borel half."""
     pairs = chevalley_pairs(case)
-    return next(key for key in product(case.indices, repeat=2) if block_violation(
+    return next(key for key in product(case.indices, repeat=2) if _cleared_violation(
         case, g, {key: SparseOp.identity(dim)}, range(dim), pairs=pairs[0::2]) is None
-        and block_violation(case, g, {key: SparseOp.identity(dim)}, range(dim),
+        and _cleared_violation(case, g, {key: SparseOp.identity(dim)}, range(dim),
                             pairs=pairs[1::2]) is not None)
 
 
@@ -870,7 +968,7 @@ def invariance_operands(draw):
     case, g, h, dim = _vector_rep(*draw(st.sampled_from(
         [("so_odd", 1), ("so_even", 2), ("so_odd", 2), ("so_odd", 3), ("sp", 2)])))
     kind = draw(st.sampled_from(["solution", "entry", "moved", "f-only"]))
-    weight = cartan_grading(case, g)[0]
+    weight = _cleared_grading(case, g)[0]
     if kind == "entry":
         key = draw(st.sampled_from(sorted(product(case.indices, repeat=2))))
         i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
@@ -898,18 +996,18 @@ def test_invariance_on_a_borel_half_matches_full(drawn):
     pairs = chevalley_pairs(case)
     premises = Premises(lop)
     assert premises.generators()[0] == pairs
-    full = block_violation(case, g, h, range(dim)) is None
+    full = _cleared_violation(case, g, h, range(dim)) is None
     assert premises.invariant() == full
     if kind == "solution":
         assert full
     elif kind != "entry":
         assert not full
-    grading = cartan_grading(case, g)
+    grading = _cleared_grading(case, g)
     if kind in ("moved", "f-only") and grading is not None:
         assert not graded(grading, h)  # only the weight test sees these
     if kind == "f-only":
-        assert block_violation(case, g, h, range(dim), pairs=pairs[0::2]) is None
-        assert block_violation(case, g, h, range(dim), pairs=pairs[1::2]) is not None
+        assert _cleared_violation(case, g, h, range(dim), pairs=pairs[0::2]) is None
+        assert _cleared_violation(case, g, h, range(dim), pairs=pairs[1::2]) is not None
 
 
 def test_invariance_path_taken(monkeypatch):
@@ -918,9 +1016,9 @@ def test_invariance_path_taken(monkeypatch):
     # I + t E_pq
     seen = []
 
-    def spy(case, g, x, cols, w_tensor=False, pairs=None):
+    def spy(case, g, x, den, cols, w_tensor=False, pairs=None):
         seen.append(pairs)
-        return block_violation(case, g, x, cols, w_tensor, pairs)
+        return block_violation(case, g, x, den, cols, w_tensor, pairs)
 
     monkeypatch.setattr(verify, "block_violation", spy)
     case, g, h, dim = _vector_rep("so_odd", 2)
@@ -930,7 +1028,7 @@ def test_invariance_path_taken(monkeypatch):
                          (_conjugate(g, mat, mat_inv), _conjugate(h, mat, mat_inv), pairs)):
         seen.clear()
         assert Premises(_closed(case, [hc, gc, metric_opmat(case, dim)], dim)).invariant()
-        assert (cartan_grading(case, gc) is None) == (want == pairs)
+        assert (_cleared_grading(case, gc) is None) == (want == pairs)
         lie, invariance = seen
         assert lie == (pairs if want == pairs else presentation(case)) and invariance == want
 
@@ -1030,7 +1128,7 @@ def test_scalar_test_agrees_across_bases(drawn):
     assert value_zero == ZERO and ok_zero == (ok_ref and not value_ref)
     # the int test of the record's top coefficient reads the same c
     ok_all, value_all = _dense_scalar(case, dim, mat, range(dim))
-    assert metric_multiple(case, mat) == (value_all if ok_all else None)
+    assert _cleared_multiple(case, mat) == (value_all if ok_all else None)
 
 
 def test_symmetric_constraints_js_so5():
