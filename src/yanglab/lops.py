@@ -70,7 +70,6 @@ from .spaces import (
     RepSpace,
     gl2_chain_space,
     heisenberg_space,
-    js_layer_generators,
     js_monomial_generators,
     spinor_space,
 )
@@ -534,13 +533,15 @@ def default_js_central_value(case: CaseDescriptor, two_l: int) -> Scalar:
 def build_js_quadratic(case: CaseDescriptor, two_l: int, k=None) -> LOperator:
     """G_ab = -eps (x_a d_b - eps x_b d_a), H = (G o G + beta G + k eps_ab Id)/2.
 
-    sp: the layer of degree 2l <= 1 of the exterior algebra
-    (`spaces.js_layer_generators`).  so(n): every eps is 1, d_a = d/dx_(-a)
-    and G_ab = x_b d/dx_(-a) - x_a d/dx_(-b) is applied to monomials
-    directly (`spaces.js_monomial_generators`).  Up to 2l = 2 the space is
-    the whole layer.  From 2l = 3 on the relations hold only on the module
-    generated by x_(-1)^(2l), which for n >= 3 is the quotient
-    P_2l / q P_(2l-2), q = sum_c x_c x_(-c):
+    d_a = eps_a d/dx_(-a), and G is applied to monomials, labelled by
+    their exponent tuples (`spaces.js_monomial_generators`), with int
+    entries: G o G is one `exact.scatter` of its int columns, and H is
+    summed on ints over 2 lcm(beta.r, k.r).  sp: the variables
+    anticommute, and the layer is that of degree 2l <= 1, where no
+    monomial has two Grassmann factors.  so(n): every eps is 1, and up to
+    2l = 2 the space is the whole layer.  From 2l = 3 on the relations
+    hold only on the module generated by x_(-1)^(2l), which for n >= 3 is
+    the quotient P_2l / q P_(2l-2), q = sum_c x_c x_(-c):
 
     - d/dx_(-a) q = 2 x_a, so G_ab q = 0; each G_ab is a derivation, so
       q P_(2l-2) is invariant and G, and H (a polynomial in G), act on the
@@ -567,25 +568,13 @@ def build_js_quadratic(case: CaseDescriptor, two_l: int, k=None) -> LOperator:
     """
     if two_l < 0:
         raise ValueError("two_l must be a nonnegative integer")
+    if case.family == "sp" and two_l > 1:
+        raise ValueError("symplectic homogeneous layer requires two_l in {0, 1}")
     k = Scalar.of(default_js_central_value(case, two_l) if k is None else k)
-    if case.family == "sp":
-        layer, g = js_layer_generators(case, two_l)
-        (g,), den = clear_opmats([g])
-        return _js_operator(case, layer, g, den, two_l, k)
     cyclic = two_l >= 3
     labels, g = js_monomial_generators(case, two_l, cyclic)
     name = f"homog[{case.label()},2l={two_l}]" + ("|cyclic" if cyclic else "")
     space = RepSpace(name, labels, [two_l] * len(labels))
-    if cyclic:
-        return _js_operator(case, space, g, 1, two_l, k, module="cyclic")
-    return _js_operator(case, space, g, 1, two_l, k)
-
-
-def _js_operator(case: CaseDescriptor, space: RepSpace, g: dict, den: int, two_l: int, k,
-                 **params) -> LOperator:
-    """The JS operator on `space` with G = g / den, g the int blocks
-    {(a, b): SparseOp}: G o G is one `exact.scatter` of g's int columns,
-    and H is summed on ints over hden = 2 den^2 lcm(beta.r, k.r)."""
     dim, beta = space.dim, case.beta
     scale = lcm(beta.r, k.r)
     gg = scatter(int_columns(g), [(-e, c, case.sign(e), op) for (e, c), op in g.items()])
@@ -595,25 +584,20 @@ def _js_operator(case: CaseDescriptor, space: RepSpace, g: dict, den: int, two_l
             blocks[f, c][i, j] = v * scale
     for key, op in g.items():
         for e, v in op.data.items():
-            blocks[key][e] += beta.p * den * (scale // beta.r) * v
+            blocks[key][e] += beta.p * (scale // beta.r) * v
     if k:
         for a in case.indices:
             for i in range(dim):
-                blocks[a, -a][i, i] += case.sign(a) * k.p * den * den * (scale // k.r)
+                blocks[a, -a][i, i] += case.sign(a) * k.p * (scale // k.r)
     h = {key: SparseOp(dim, dim, data) for key, data in blocks.items()}
-    coeffs = [_int_opmat(h, 2 * den * den * scale), _int_opmat(g, den), metric_opmat(case, dim)]
+    coeffs = [_int_opmat(h, 2 * scale), _int_opmat(g, 1), metric_opmat(case, dim)]
     return LOperator(case, space, coeffs, entry_budget=0, kind="js",
-                     params={"two_l": two_l, "k": k, **params},
+                     params={"two_l": two_l, "k": k, **({"module": "cyclic"} if cyclic else {})},
                      hw_vector=js_highest_vector(case, space, two_l))
 
 
 def js_highest_vector(case: CaseDescriptor, layer: RepSpace, two_l: int) -> dict:
-    """psi = x_{-1}^{2l} (for sp with 2l = 1 the single factor x_{-1})."""
-    if case.family == "sp":
-        if two_l == 0:
-            return {layer.index[0]: ONE}
-        mask = 1 << case.pos(-1)
-        return {layer.index[mask]: ONE}
+    """psi = x_{-1}^{2l}, a unit vector in the exponent-tuple basis."""
     exp = [0] * case.n
     exp[case.pos(-1)] = two_l
     return {layer.index[tuple(exp)]: ONE}
@@ -674,7 +658,7 @@ def build_product(l1: LOperator, l2: LOperator, delta) -> LOperator:
                          lambda x, y: opmat_mul(case, x, y))
     hw = None
     if l1.hw_vector is not None and l2.hw_vector is not None:
-        hw = product_vector(l1.space, l1.hw_vector, l2.space, l2.hw_vector)
+        hw = product_vector(l1.hw_vector, l2.space, l2.hw_vector)
     return LOperator(case, space, out,
                      entry_budget=l1.entry_budget + l2.entry_budget,
                      kind="product",
@@ -684,7 +668,7 @@ def build_product(l1: LOperator, l2: LOperator, delta) -> LOperator:
                      hw_vector=hw)
 
 
-def product_vector(l1_space: RepSpace, v1: dict, l2_space: RepSpace, v2: dict) -> dict:
+def product_vector(v1: dict, l2_space: RepSpace, v2: dict) -> dict:
     out = {}
     d2 = l2_space.dim
     for i, a in v1.items():

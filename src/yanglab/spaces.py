@@ -13,7 +13,9 @@ localizable, which is what makes this sound.
 Monomial bases are ordered graded-lexicographically, which fixes every
 basis-dependent serialization.  Every creation/annihilation pair is built
 by one of two routines: `bosonic` (x_v, d/dx_v on exponent tuples) or
-`fermionic` (Jordan-Wigner on bitmasks).
+`fermionic` (Jordan-Wigner on bitmasks), and every bilinear x_v d/dx_w
+(the JS generators, the gl(2) layers) by one rule on exponent tuples,
+`_move`.
 """
 
 from __future__ import annotations
@@ -202,9 +204,11 @@ def homogeneous_space(case: CaseDescriptor, two_l: int):
     generator set lives on the degree window [2l-1, 2l+1] so that the
     canonical pair relations can be checked around the layer.  Symplectic:
     anticommuting variables restricted to 2l in {0, 1}; the ambient space
-    is the whole exterior algebra (dimension 2^n, exact).
+    is the whole exterior algebra (dimension 2^n, exact, bitmask labels).
 
-    Returns (layer, genset); genset.space is the ambient space.
+    Returns (layer, genset); genset.space is the ambient space.  No builder
+    reads it: it is the tests' reference (`js_layer_generators`, the pinned
+    generator sets) and `bench/spans.py` times it as `spaces.build`.
     """
     if two_l < 0:
         raise ValueError("two_l must be a nonnegative integer")
@@ -233,10 +237,10 @@ def homogeneous_space(case: CaseDescriptor, two_l: int):
 
 def js_layer_generators(case: CaseDescriptor, two_l: int):
     """(layer, G): G_ab = -eps (x_a d_b - eps x_b d_a) on the degree-2l layer
-    of `homogeneous_space`, formed from its generators on the ambient space.
-    The build of sp, and for so(n) the reference of `js_monomial_generators`.
-    The layer is one block of the ambient basis, from `off` on, and G keeps
-    the degree, so its columns there are G on the layer."""
+    of `homogeneous_space`, formed from its generators on the ambient space:
+    the tests' reference of `js_monomial_generators` for every family.  The
+    layer is one block of the ambient basis, from `off` on, and G keeps the
+    degree, so its columns there are G on the layer."""
     layer, gens = homogeneous_space(case, two_l)
     off, dim = gens.space.index[layer.labels[0]], layer.dim
     g = {}
@@ -250,26 +254,34 @@ def js_layer_generators(case: CaseDescriptor, two_l: int):
     return layer, g
 
 
+def _move(exp, v: int, w: int):
+    """x_v d/dx_w on the monomial x^exp: (exp[w], the exponents with one
+    unit moved from position w to position v)."""
+    image = list(exp)
+    image[w] -= 1
+    image[v] += 1
+    return exp[w], tuple(image)
+
+
 def _js_terms(case: CaseDescriptor, exp):
     """(key, image, v) for each term v x^image of G_ab x^exp, key = (a, b),
-    a != b, G_ab = x_b d/dx_(-a) - x_a d/dx_(-b) of so(n); exponents are
-    over the positions of case.indices."""
-    for p, e in enumerate(exp):
-        if e:
-            c = case.indices[p]
+    G_ab = -eps (x_a d_b - eps x_b d_a), d_a = eps_a d/dx_(-a); exponents
+    are over the positions of case.indices.  On so(n) the two terms of
+    G_(-c,-c) cancel.  For sp the variables anticommute, so this holds only
+    on degree <= 1, where a monomial has at most one Grassmann factor."""
+    for p, c in enumerate(case.indices):
+        if exp[p]:
+            sign = case.sign(-c)
             for v, b in enumerate(case.indices):
-                if b != -c:
-                    image = list(exp)
-                    image[p] -= 1
-                    image[v] += 1
-                    image = tuple(image)
-                    yield (-c, b), image, e
-                    yield (b, -c), image, -e
+                e, image = _move(exp, v, p)
+                yield (-c, b), image, sign * e
+                yield (b, -c), image, -case.eps * sign * e
 
 
 def js_monomial_generators(case: CaseDescriptor, two_l: int, cyclic: bool):
-    """(labels, {(a, b): int SparseOp}): G of so(n) on the degree-2l
-    monomials (exponent tuples, in `_graded_monomials` order), or with
+    """(labels, {(a, b): int SparseOp}): G (`_js_terms`) on the degree-2l
+    monomials (exponent tuples, in `_graded_monomials` order; for sp 2l is
+    0 or 1, where the exterior layer has the same basis), or with
     `cyclic` on the cyclic module of x_(-1)^(2l): for n >= 3 the standard
     monomials of P_2l / q P_(2l-2), every image reduced modulo q_hat, for
     so(2) the monomial x_(-1)^(2l) alone (the rewrite and the proofs are at
@@ -370,9 +382,9 @@ def gl2_chain_space(excitations):
 
     Factor k carries one canonical oscillator pair doublet and the fixed
     total degree d_k; its layer has basis x_1^(d-j) x_2^j, j = 0..d_k.
-    Labels are tuples (j_1, ..., j_s).  The bilinears x_alpha d_beta of
-    each factor act exactly on this product (degree per factor is
-    conserved), so the space is closed.
+    Labels are tuples (j_1, ..., j_s).  e_(alpha beta) = x_alpha
+    d/dx_beta of each factor is `_move` on the exponents (d - j, j); it
+    conserves the degree per factor, so the space is closed.
     """
     degrees = list(excitations)
     labels = [()]
@@ -385,22 +397,9 @@ def gl2_chain_space(excitations):
         for alpha in (1, 2):
             for beta in (1, 2):
                 data = {}
-                for lab in labels:
-                    j = lab[k]
-                    pos = space.index[lab]
-                    if alpha == 1 and beta == 1:
-                        if d - j:
-                            data[(pos, pos)] = Scalar.of(d - j)
-                    elif alpha == 2 and beta == 2:
-                        if j:
-                            data[(pos, pos)] = Scalar.of(j)
-                    elif alpha == 1 and beta == 2:
-                        if j:
-                            up = lab[:k] + (j - 1,) + lab[k + 1:]
-                            data[(space.index[up], pos)] = Scalar.of(j)
-                    else:
-                        if d - j:
-                            dn = lab[:k] + (j + 1,) + lab[k + 1:]
-                            data[(space.index[dn], pos)] = Scalar.of(d - j)
+                for pos, lab in enumerate(labels):
+                    v, (_, j) = _move((d - lab[k], lab[k]), alpha - 1, beta - 1)
+                    if v:
+                        data[space.index[lab[:k] + (j,) + lab[k + 1:]], pos] = Scalar.of(v)
                 ops[("e", k, alpha, beta)] = SparseOp(space.dim, space.dim, data)
     return space, ops

@@ -739,42 +739,22 @@ def check_ybe(case: CaseDescriptor, rmat: RMatrix | None = None) -> YbeReport:
 YANG_GL2_IPK = ((ZERO, ONE), (ONE,), ())
 
 
-def yang_r_gl2() -> list[SparseOp]:
-    """Coefficients of Yang's gl(2) R-matrix R(u) = u I + P on C^2 x C^2."""
-    perm = {}
-    for a in range(2):
-        for b in range(2):
-            perm[(a * 2 + b, b * 2 + a)] = ONE
-    return [SparseOp(4, 4, perm), SparseOp.identity(4)]
-
-
 def sp2_gl2_comparison():
     """Entrywise relation between the sp(2) R-matrix and Yang's gl(2) one.
 
     Returns (scalar, passed): the exact polynomial scalar s(u) such that
     R_sp2(u) = s(u) * R_gl2(u/2), with passed true iff the relation holds
-    in every entry.  The scalar is recovered by exact division of the
-    corner entries.
+    in every entry.  R_gl2 is YANG_GL2_IPK on the 2-dimensional space of
+    sp(2); the scalar is recovered by exact division of the corner entries.
     """
     case = make_case("sp", 1)
-    r_sp = fundamental_r(case)
-    p_gl, i_gl = yang_r_gl2()
+    r_sp, r_gl = fundamental_r(case), RMatrix(case, YANG_GL2_IPK)
 
-    def gl_entry(row, col):
-        # R_gl2(u/2) entry as a UniPoly in u
-        c0 = p_gl.data.get((row, col), ZERO)
-        c1 = i_gl.data.get((row, col), ZERO) * Scalar(1, 0, 2)
-        return UniPoly([c0, c1])
+    def gl_entry(x, y):  # R_gl2(u/2)
+        return r_gl.entry(x, y).compose_linear(Scalar(1, 0, 2), 0)
 
-    def sp_entry(row, col):
-        return UniPoly([c.data.get((row, col), ZERO) for c in r_sp.coeffs])
-
-    corner_sp, corner_gl = sp_entry(0, 0), gl_entry(0, 0)
-    scalar, rem = corner_sp.divmod(corner_gl)
-    if not rem.is_zero:
-        return scalar, False
-    for row in range(4):
-        for col in range(4):
-            if sp_entry(row, col) != scalar * gl_entry(row, col):
-                return scalar, False
-    return scalar, True
+    pairs = [(a, b) for a in case.indices for b in case.indices]
+    scalar, rem = r_sp.entry(pairs[0], pairs[0]).divmod(gl_entry(pairs[0], pairs[0]))
+    passed = rem.is_zero and all(r_sp.entry(x, y) == scalar * gl_entry(x, y)
+                                 for x in pairs for y in pairs)
+    return scalar, passed

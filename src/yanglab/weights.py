@@ -165,7 +165,7 @@ def weight_functions(lop: LOperator, vec: dict) -> WeightFunction:
     return WeightFunction(case, eig)
 
 
-def weight_components(wf: WeightFunction, k=None) -> dict:
+def weight_components(wf: WeightFunction) -> dict:
     """Split the quadratic weight functions into their scalar components.
 
     Returns lam1[i], lam2[a], tilde[i], bar[i] (positive i); requires the

@@ -85,7 +85,7 @@ def spinor_product(delta_int, flip_second):
     prod = build_product(f1, f2, Scalar.of(delta_int))
     space, gens = spinor_space(case)
     v2 = spinor_flipped_vacuum(case, space, gens) if flip_second else spinor_vacuum(space)
-    vec = product_vector(f1.space, spinor_vacuum(space), f2.space, v2)
+    vec = product_vector(spinor_vacuum(space), f2.space, v2)
     return prod, vec
 
 

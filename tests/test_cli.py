@@ -263,6 +263,26 @@ def test_verify_js_so5_two_l_3_refutation_pin(capsys):
         "at": "('coeff', 0, -2, -2)", "residual": {"0,0": "243/16"}}
 
 
+def test_verify_js_sp4_refutation_pin(capsys):
+    # k = 1 on the sp(4) degree-1 layer: W's vector is named by its exponent
+    # tuple over the indices -2, -1, 1, 2, as on so(n)
+    code = main(["verify", "--family", "sp", "--m", "2", "--op", "js", "--twoL", "1", "--k", "1"])
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == 1
+    assert checks["rll"]["counterexample"]["at"] == \
+        "((-2, -2, (0, 1, 0, 0)), (-2, -1, (1, 0, 0, 0)))"
+
+
+def test_js_sp_layer_bound(capsys):
+    # the symplectic layer stops at degree 1; the cli reports the library's message
+    message = "symplectic homogeneous layer requires two_l in {0, 1}"
+    with pytest.raises(ValueError) as raised:
+        build_js_quadratic(make_case("sp", 2), 2)
+    assert str(raised.value) == message
+    assert main(["all", "--family", "sp", "--m", "2", "--op", "js", "--twoL", "2"]) == 2
+    assert capsys.readouterr().err == f"yanglab: {message}\n"
+
+
 def test_weights_kernel_selector(capsys):
     code = main(["weights", "--family", "so", "--m", "2", "--op", "spinor",
                  "--vector", "kernel"])

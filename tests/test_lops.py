@@ -187,8 +187,7 @@ def test_product_structure_and_weights():
         expected_g = opmat_add(expected_g, {key: id1.kron(op)})
     assert prod.g_mat == expected_g
     # weights on |0> (x) |0>: lambda^(1) components add to -1
-    vac = product_vector(f1.space, spinor_vacuum(f1.space),
-                         f2.space, spinor_vacuum(f2.space))
+    vac = product_vector(spinor_vacuum(f1.space), f2.space, spinor_vacuum(f2.space))
     for i in (1, 2):
         eig = eig_poly_on(prod, -i, i, vac)
         assert eig.degree == 2 and eig.coeff(1) == -ONE
@@ -281,15 +280,27 @@ JS_SPAN_PINS = {
 def _reference_layer(case, two_l):
     """The JS operator on the whole degree-2l layer, built test-side: G from
     the generators of `homogeneous_space` (`js_layer_generators`), H from
-    Scalar opmat products."""
+    Scalar opmat products.  sp's layer is labelled by bitmasks of the
+    occupied modes, its hw vector the mode of x_(-1) (the empty mask at
+    2l = 0)."""
     layer, g = js_layer_generators(case, two_l)
     k = default_js_central_value(case, two_l)
     h = opmat_add(opmat_add(opmat_mul(case, g, g), opmat_scale(g, case.beta)),
                   metric_opmat(case, layer.dim, k))
+    if case.family == "sp":
+        hw = {layer.index[1 << case.pos(-1) if two_l else 0]: ONE}
+    else:
+        hw = js_highest_vector(case, layer, two_l)
     return lops.LOperator(case, layer, [opmat_scale(h, Scalar(1, 0, 2)), g,
                                         metric_opmat(case, layer.dim)],
-                          kind="js", params={"two_l": two_l, "k": k},
-                          hw_vector=js_highest_vector(case, layer, two_l))
+                          kind="js", params={"two_l": two_l, "k": k}, hw_vector=hw)
+
+
+def _exponents(case, label):
+    """A label of `_reference_layer` as the exponent tuple of its monomial."""
+    if case.family == "sp":
+        return tuple(label >> p & 1 for p in range(case.n))
+    return label
 
 
 def _js_layer(family, m):
@@ -384,10 +395,40 @@ def test_js_quotient_matches_layer_restriction(family, m):
 def test_js_small_layers_match_reference(family, m, two_l):
     # up to 2l = 2 nothing is reduced: the labels, coefficients and hw
     # vector are those of the test-side layer
-    lop = build_js_quadratic(make_case(family, m), two_l)
-    ref = _reference_layer(make_case(family, m), two_l)
-    assert lop.space.labels == ref.space.labels and lop.space.name == ref.space.name
+    case = make_case(family, m)
+    lop = build_js_quadratic(case, two_l)
+    ref = _reference_layer(case, two_l)
+    assert lop.space.labels == tuple(_exponents(case, lab) for lab in ref.space.labels)
+    assert lop.space.name == ref.space.name
     assert list(lop.coeffs) == list(ref.coeffs) and lop.hw_vector == ref.hw_vector
+
+
+# digest of every JS operator by position (its coefficients, hw vector,
+# dimension, space name and params; the labels are left out), over 2l and
+# k in (the JS value, 1), taken from the build that formed sp's G from the
+# exterior-algebra generators of `homogeneous_space`
+JS_OPERATOR_PINS = {
+    ("so_even", 1): "1479f328107aad08",
+    ("so_odd", 1): "9de0550466547e08",
+    ("so_even", 2): "abfe0d85d03ab579",
+    ("so_odd", 2): "321ea5f751773a07",
+    ("so_even", 3): "7ab35185e3b68d9d",
+    ("so_odd", 3): "3d9709d6a1bcfc9e",
+    ("so_even", 4): "5baee380d9d83f57",
+    ("sp", 1): "d66a1887d09e1842",
+    ("sp", 2): "abfa63356178f9f6",
+    ("sp", 3): "ec4cf5ab699a6b4d",
+}
+
+
+@pytest.mark.parametrize("family,m", sorted(JS_OPERATOR_PINS))
+def test_js_operators_are_pinned(family, m):
+    case = make_case(family, m)
+    ops = [build_js_quadratic(case, two_l, k) for two_l in range(2 if family == "sp" else 5)
+           for k in (None, 1)]
+    got = [(_coeffs_key(lop), _vectors_key([lop.hw_vector]), lop.dim, lop.space.name,
+            sorted((key, str(v)) for key, v in lop.params.items())) for lop in ops]
+    assert _digest(got) == JS_OPERATOR_PINS[family, m]
 
 
 def test_js_so2_keeps_the_cyclic_line():

@@ -148,6 +148,30 @@ def test_gl2_chain_space():
     assert e12 @ e21 - e21 @ e12 == e11 - e22
 
 
+# digests of the gl(2) chain layers (labels, grades, name and every e_ab),
+# taken from the build that wrote out each (alpha, beta) case
+GL2_CHAIN_PINS = {
+    (0,): "9b30c47f366125b0",
+    (1,): "36309a2545969610",
+    (2,): "ac5888cc253768dd",
+    (3,): "4b9cbe5c75f894b6",
+    (1, 1): "7ecdc885ec33cd47",
+    (2, 1): "42d6e33e4a1d4bf6",
+    (1, 2, 3): "34a996071b56c1c0",
+    (0, 2): "d8598dad1840653e",
+    (4, 0, 1): "095d46c6364a108a",
+}
+
+
+@pytest.mark.parametrize("excitations", sorted(GL2_CHAIN_PINS))
+def test_gl2_chain_spaces_are_pinned(excitations):
+    space, ops = gl2_chain_space(list(excitations))
+    ops = sorted((list(key), sorted((i, j, str(v)) for (i, j), v in op.data.items()))
+                 for key, op in ops.items())
+    blob = json.dumps([[list(lab) for lab in space.labels], list(space.grade), space.name, ops])
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == GL2_CHAIN_PINS[excitations]
+
+
 def _genset_digest(space, gens) -> str:
     """Digest of every generator op of `gens` (key, sorted entries) with
     the labels, grades and trunc of `space` and of the ambient space."""

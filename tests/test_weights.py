@@ -221,7 +221,7 @@ def test_product_weights_factorize_and_bar_component():
     space, gens = spinor_space(case)
     v1 = spinor_vacuum(f1.space)
     v2 = spinor_flipped_vacuum(case, space, gens)
-    vec = product_vector(f1.space, v1, f2.space, v2)
+    vec = product_vector(v1, f2.space, v2)
     assert verify_highest_weight(prod, vec).passed
     wf = weight_functions(prod, vec)
     wf1 = weight_functions(f1, v1)
@@ -247,8 +247,7 @@ def test_product_ratio_multiplicativity():
     f1 = build_heisenberg_linear(case, 1, max_degree=4)
     f2 = build_heisenberg_linear(case, 2, max_degree=4)
     prod = build_product(f1, f2, delta)
-    vec = product_vector(f1.space, heisenberg_vacuum(f1.space),
-                         f2.space, heisenberg_vacuum(f2.space))
+    vec = product_vector(heisenberg_vacuum(f1.space), f2.space, heisenberg_vacuum(f2.space))
     wf = weight_functions(prod, vec)
     r12 = ratios(wf, case)
     r1 = ratios(weight_functions(f1, heisenberg_vacuum(f1.space)), case)
