@@ -726,6 +726,9 @@ def axpy(acc: dict, c, data: dict) -> None:
     neg = c == -1
     if not neg and c != 1:
         data = {key: val * c for key, val in data.items()}
+    if not acc:  # nothing to add to: a copy
+        acc.update({key: -val for key, val in data.items()} if neg else data)
+        return
     for key, val in data.items():
         cur = acc.get(key)
         if cur is None:

@@ -267,12 +267,14 @@ def _js_terms(case: CaseDescriptor, exp):
     """(key, image, v) for each term v x^image of G_ab x^exp, key = (a, b),
     G_ab = -eps (x_a d_b - eps x_b d_a), d_a = eps_a d/dx_(-a); exponents
     are over the positions of case.indices.  On so(n) the two terms of
-    G_(-c,-c) cancel.  For sp the variables anticommute, so this holds only
-    on degree <= 1, where a monomial has at most one Grassmann factor."""
+    G_(-c,-c) cancel and are skipped.  For sp the variables anticommute, so
+    this holds only on degree <= 1, where a monomial has at most one Grassmann factor."""
     for p, c in enumerate(case.indices):
         if exp[p]:
             sign = case.sign(-c)
             for v, b in enumerate(case.indices):
+                if b == -c and case.eps == 1:
+                    continue
                 e, image = _move(exp, v, p)
                 yield (-c, b), image, sign * e
                 yield (b, -c), image, -case.eps * sign * e

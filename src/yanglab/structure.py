@@ -46,6 +46,7 @@ from .exact import (
     VectorSpan,
     axpy,
     clear_opmats,
+    clear_vector,
     close_span,
     common_denominator,
     int_columns,
@@ -199,38 +200,10 @@ def fundamental_r(case: CaseDescriptor, flip_k: bool = False) -> RMatrix:
 # the RLL identity engine (the Yang-Baxter equation is RLL with L = R)
 
 
-def _k_apply(k, data: dict, dim_w: int, left: bool) -> dict:
-    """K times data (left) or data times K, K acting on the pair index."""
-    up, low = k
-    inner, outer = (low, up) if left else (up, low)
-    contracted: dict = {}
-    for (r, c), v in data.items():
-        pair, w = divmod(r if left else c, dim_w)
-        sign = inner.get(pair)
-        if sign is None:
-            continue
-        key = (w, c) if left else (r, w)
-        cur = contracted.get(key)
-        if cur is None:
-            contracted[key] = v if sign == 1 else -v
-        else:
-            tot = cur + v if sign == 1 else cur - v
-            if tot:
-                contracted[key] = tot
-            else:
-                del contracted[key]
-    out = {}
-    for (x, y), s in contracted.items():
-        neg = -s
-        for pair, sign in outer.items():
-            key = (pair * dim_w + x, y) if left else (x, pair * dim_w + y)
-            out[key] = s if sign == 1 else neg
-    return out
-
-
-def _partners(pairs, n: int) -> dict:
-    """{p: (q, ...)}: the flat pairs p n + q, grouped by p."""
-    return {p: tuple(x % n for x in xs) for p, xs in groupby(sorted(pairs), lambda x: x // n)}
+@cache
+def unit_vectors(size: int) -> tuple:
+    """The unit vectors {x: 1}: on them `identity_residual`'s columns are flat."""
+    return tuple({x: 1} for x in range(size))
 
 
 class IdentityForm:
@@ -253,84 +226,125 @@ class IdentityForm:
         self.terms = [[(f[t], x) for x, f in enumerate(ipk) if t < len(f) and f[t]]
                       for t in range(max(map(len, ipk)))]
         self.used = sorted({x for t_terms in self.terms for _, x in t_terms})
-        self.k_pairs = set(k[0]) if 2 in self.used else set()  # the pairs K reads
-        # x = (p n + q) dim_w + w: swap[x] exchanges p and q (P on a flat index)
-        self.swap = [(q * n + p) * dim_w + w
-                     for p in range(n) for q in range(n) for w in range(dim_w)]
 
 
-def identity_residual(form: IdentityForm, pairs, cols, block=None):
+def _vector_actions(n: int, up: dict, low: dict, vectors):
+    """(moves, u, lam) of int vectors l_m with disjoint supports:
+    P l_m = s l_pi(m) as moves[m] = (pi(m), s), and K l_m = lam_m sum u_k l_k
+    for K = |up><low|; ValueError unless P and K map the l_m into their
+    integer span so."""
+    owner = {x: m for m, vec in enumerate(vectors) for x in vec}
+    if len(owner) != sum(map(len, vectors)):
+        raise ValueError("identity_residual needs vectors with disjoint supports")
+
+    def coordinates(target):  # {m: c} with target = sum c l_m
+        coords = {}
+        for x, v in target.items():
+            if x in owner:
+                coords.setdefault(owner[x], v // vectors[owner[x]][x])
+        if {x: c * v for m, c in coords.items() for x, v in vectors[m].items()} != target:
+            raise ValueError("P or K maps a vector outside the integer span of the vectors")
+        return coords
+
+    moves = []
+    for vec in vectors:
+        image = coordinates({x % n * n + x // n: v for x, v in vec.items()})
+        if len(image) != 1:
+            raise ValueError("P maps a vector onto no multiple of one vector")
+        moves.extend(image.items())
+    lam = {m: t for m, vec in enumerate(vectors)
+           if (t := sum(low.get(x, 0) * v for x, v in vec.items()))}
+    return moves, coordinates(up) if lam else {}, lam
+
+
+def identity_residual(form: IdentityForm, vectors, cols, block=None):
     """Residual of R12(u-v) L1(u) L2(v) - L2(v) L1(u) R12(u-v) by (u, v) key,
-    exactly, on the flat columns (q1, q2, w) of (V x V) x W with q1 n + q2
-    in `pairs` and w in `cols` and, given a row pair `block` = p1 n + p2,
-    on its rows alone.  It commutes with the diagonal action when R is in
-    span{I, P, K} and L covariant, so few columns decide it (lemma at
-    `verify.check_rll`).
+    exactly, on the columns l_k x e_w of (V x V) x W, l_k the int vectors
+    {flat pair q1 n + q2: int} of `vectors` (`unit_vectors`, or the l_k of
+    `extremal_vectors`) and w in `cols`, and, given a row pair `block` =
+    p1 n + p2, on its rows alone.  It commutes with the diagonal action when
+    R is in span{I, P, K} and L covariant, so few columns decide it (lemma
+    at `verify.check_rll`).
 
-    The block ((p1, p2), (q1, q2)) of C1_i C2_j is L_i^{p1 q1} L_j^{p2 q2},
-    and each product is one `exact.scatter` over the block pairs that the
-    compared entries need: the first factor's blocks indexed
-    (`exact.int_columns`, at the W rows the kept columns reach) under one
-    key per class of blocks with the same partners, and each block of the
-    second through the keys of its partners; C2_j C1_i the other way round.
-    An entry goes to its flat index (p1 n + p2) dim_w + w.  Then
-    D_X = X C1_i C2_j - C2_j C1_i X once for X in {I, P, K}, and the sum of
-    f_X[t] D_X is expanded over (u - v)^t.  P and K on the right read the
-    swapped pairs and K's pairs (a, -a), so `pairs` is closed under both; on
-    a row block, C2_j C1_i is formed on its rows and C1_i C2_j on those X
-    on the left reads: the block, its swap and, for a K block, every K block.
+    The block ((p1, p2), (q1, q2)) of C1_i C2_j is L_i^{p1 q1} L_j^{p2 q2}:
+    one `exact.scatter` sends each L_j^{p2 q2}, times l_k[q1 q2], through
+    the column q1 of L_i's `exact.int_columns` (at the W rows the kept
+    columns reach) under the key (p2, k), which sums the support of l_k;
+    C2_j C1_i the other way round.  Each entry is placed at its flat row
+    (p1 n + p2) dim_w + w and column k dim_w + w', and X C1_i C2_j and
+    C2_j C1_i X are read off as it is, for X in {I, P, K}: X on the left
+    acts on the row pair, on the right it combines computed columns
+    (`_vector_actions`).  The sum of f_X[t] D_X, D_X their difference, is
+    expanded over (u - v)^t.  On a row block, C2_j C1_i is formed on its
+    rows and C1_i C2_j on those X on the left reads: the block, its swap
+    and, for a K block, every K block.
 
     Returns (residual, keys): residual maps each (deg_u, deg_v) key whose
-    coefficient does not vanish to its entries {(row, col): Scalar} at
-    flat indices, and keys is the number of (u, v) keys compared.
+    coefficient does not vanish to its entries {(row, col): Scalar}, and
+    keys is the number of (u, v) keys compared.
     """
-    n, dim_w, swap, k = form.n, form.dim_w, form.swap, form.k
-    pairs = set(pairs)
-    pairs |= {x % n * n + x // n for x in pairs} | form.k_pairs
-    left_rows = right_rows = range(n * n)
+    n, dim_w = form.n, form.dim_w
+    up, low = form.k if 2 in form.used else ({}, {})
+    moves, u, lam = _vector_actions(n, up, low, vectors)
+    # row groups (first-factor rows, their partners): every row, or one by one
+    left_rows = right_rows = [(range(n), range(n))]
     if block is not None:
         swapped = block % n * n + block // n
-        left_rows = {block, swapped} | (form.k_pairs if block in form.k_pairs else set())
-        right_rows = {swapped}  # (p2, p1): L_j's row first
+        rows = {block, swapped} | (set(up) if block in up else set())
+        left_rows = [((x // n,), (x % n,)) for x in sorted(rows)]
+        right_rows = [((block % n,), (block // n,))]  # (p2, p1): L_j's row first
     keep = None if len(set(cols)) == dim_w else set(cols)
     kept = [mat if keep is None else {x: op.restrict_cols(keep) for x, op in mat.items()}
             for mat in form.blocks]
     reached = None if keep is None else {  # the W rows that the kept columns reach
         r for mat in kept for op in mat.values() for r, _ in op.data}
-    q_of, indexed = _partners(pairs, n), {}
+    indexed, scattered = {}, {}
 
-    def products(a, y, rows):  # {(x, x', i, j): int}: L_a^x @ kept L_y^x', x, x' partners
-        r_of = _partners(rows, n)
-        key = (a, rows is left_rows)  # the left and right rows agree without a block
-        if key not in indexed:
-            blocks, classes = {}, {}
-            for x, op in form.blocks[a].items():
-                p, q = divmod(x, n)
-                if p in r_of and q in q_of:
-                    blocks[x, classes.setdefault((r_of[p], q_of[q]), len(classes))] = op
-            indexed[key] = int_columns(blocks, cols=reached), classes
-        columns, classes = indexed[key]
-        return scatter(columns, [(d, x, 1, kept[y][x]) for (ps, qs), d in classes.items()
-                                 for x in (p * n + q for p in ps for q in qs) if x in kept[y]])
-    # block x = p n + q of L2 (of L1) adds (p, q) dim_w (times n) to the flat
-    # (row, col) = ((p1 n + p2) dim_w + w, (q1 n + q2) dim_w + w')
-    at2 = [(p * dim_w, q * dim_w) for p in range(n) for q in range(n)]
-    at1 = [(r * n, c * n) for r, c in at2]
+    def products(a, y, rows, first):  # {(p, k n + p', i, j): int}: L_a^(p .) L_y^(p' .) l_k
+        same = rows is left_rows  # the left and right rows agree without a block
+        if (a, same) not in indexed:
+            blocks = {(x // n, g * n + x % n): op for x, op in form.blocks[a].items()
+                      for g, (ps, _) in enumerate(rows) if x // n in ps}
+            indexed[a, same] = int_columns(blocks, cols=reached)
+        if (y, same, first) not in scattered:  # L_y^(p' q'), times l_k at (q, q') or (q', q)
+            scattered[y, same, first] = [
+                (g * n + q, k * n + p, s, kept[y][p * n + qy])
+                for g, (_, partners) in enumerate(rows) for k, vec in enumerate(vectors)
+                for x, s in vec.items() for q, qy in [divmod(x, n)[::1 if first else -1]]
+                for p in partners if p * n + qy in kept[y]]
+        return scatter(indexed[a, same], scattered[y, same, first])
+    # at_row[p1][p2] = (p1 n + p2) dim_w; per key k n + p': p', the column
+    # k dim_w, that of P l_k and its sign, and u_k; k_low[p]: (p', low[p n + p'])
+    at_row = [[(p1 * n + p2) * dim_w for p2 in range(n)] for p1 in range(n)]
+    at_c = [(p, k * dim_w, moves[k][0] * dim_w, moves[k][1], u.get(k))
+            for k in range(len(vectors)) for p in range(n)]
+    k_low = [(-1, 0)] * n
+    for x, s in low.items():
+        k_low[x // n] = (x % n, s)
 
-    def place(products, first):  # product entries at their flat (row, col)
-        out = {}
+    def place(products, first):  # L1 L2 at flat (row, col), P L1 L2, <low| L1 L2; or
+        out, moved, contracted = {}, {}, {}  # L2 L1, L2 L1 P and L2 L1 |u>
         for (f, c, i, j), v in products.items():
-            if v:
-                (r1, c1), (r2, c2) = (at1[f], at2[c]) if first else (at1[c], at2[f])
-                out[r1 + r2 + i, c1 + c2 + j] = v
-        return out
+            if not v:
+                continue
+            p, col, to, s, uk = at_c[c]
+            col += j
+            if first:  # f = p1, p = p2
+                out[at_row[f][p] + i, col] = v
+                moved[at_row[p][f] + i, col] = v
+                if p != k_low[f][0]:
+                    continue
+                key, v = (i, col), k_low[f][1] * v
+            else:  # f = p2, p = p1
+                row = at_row[p][f] + i
+                out[row, col] = v
+                moved[row, to + j] = v if s == 1 else -v
+                if not uk:
+                    continue
+                key, v = (row, j), uk * v
+            contracted[key] = contracted.get(key, 0) + v  # an entry K reads
+        return out, moved, contracted
 
-    actions = (  # (X times data, data times X) for X = I, P, K; left ones copy
-        (dict, lambda d: d),
-        (lambda d: {(swap[r], c): v for (r, c), v in d.items()},
-         lambda d: {(r, swap[c]): v for (r, c), v in d.items()}),
-        (lambda d: _k_apply(k, d, dim_w, True), lambda d: _k_apply(k, d, dim_w, False)),
-    )
     residual: dict = {}
     keys = set()
     nonzero = [any(op.data for op in mat.values()) for mat in form.blocks]
@@ -338,14 +352,16 @@ def identity_residual(form: IdentityForm, pairs, cols, block=None):
         for j in range(len(form.blocks)):
             if not (nonzero[i] and nonzero[j]):
                 continue
-            left = place(products(i, j, left_rows), True)
-            right = place(products(j, i, right_rows), False)
-            diffs = {}
-            for x in form.used:
-                diffs[x] = actions[x][0](left)
-                axpy(diffs[x], -1, actions[x][1](right))
-                if block is not None:
-                    diffs[x] = {rc: v for rc, v in diffs[x].items() if rc[0] // dim_w == block}
+            left, left_p, left_k = place(products(i, j, left_rows, True), True)
+            right, right_p, right_k = place(products(j, i, right_rows, False), False)
+            axpy(left, -1, right)
+            axpy(left_p, -1, right_p)
+            diffs = [left, left_p, {(x * dim_w + w, col): s * t for (w, col), t in left_k.items()
+                                    if t for x, s in up.items()}]
+            axpy(diffs[2], -1, {(row, k * dim_w + w): s * t for (row, w), t in right_k.items()
+                                if t for k, s in lam.items()})
+            if block is not None:
+                diffs = [{rc: v for rc, v in d.items() if rc[0] // dim_w == block} for d in diffs]
             for t, t_terms in enumerate(form.terms):
                 diff: dict = {}
                 for f, x in t_terms:
@@ -360,11 +376,11 @@ def identity_residual(form: IdentityForm, pairs, cols, block=None):
 
 
 def locate_violation(form: IdentityForm, cols):
-    """`first_violation` of the residual of `form` on every pair and the W
-    columns `cols`, or None: its row pair blocks in flat order, up to the
-    first nonzero one, which holds the first violating row."""
-    every = range(form.n ** 2)
-    blocks = (identity_residual(form, every, cols, block)[0] for block in every)
+    """`first_violation` of the residual of `form` on the unit vectors and
+    the W columns `cols`, or None: its row pair blocks in flat order, up to
+    the first nonzero one, which holds the first violating row."""
+    every = unit_vectors(form.n ** 2)
+    blocks = (identity_residual(form, every, cols, block)[0] for block in range(form.n ** 2))
     return next((first_violation(residual) for residual in blocks if residual), None)
 
 
@@ -449,7 +465,7 @@ def rho(case: CaseDescriptor, a: int, b: int) -> SparseOp:
 
 @cache
 def extremal_vectors(case: CaseDescriptor):
-    """A weight basis l_k ({flat pair p1 n + p2: Scalar}) of the vectors of
+    """A weight basis l_k ({flat pair p1 n + p2: int}) of the vectors of
     V x V killed by rho(x) x 1 + 1 x rho(x) for every x in the Chevalley
     half H = P[0::2]; None unless they generate V x V under the same for
     all pairs P.  The equations split by weight, so the reduced echelon
@@ -459,16 +475,10 @@ def extremal_vectors(case: CaseDescriptor):
     n, ident = case.n, SparseOp.identity(case.n)
     ops = [rho(case, *p).kron(ident) + ident.kron(rho(case, *p)) for p in chevalley_pairs(case)]
     rows = [row for op in ops[0::2] for row in op.rows().values()]
-    ell = [{j: v for j, v in enumerate(vec) if v} for vec in nullspace(rows, n * n)]
+    ell = [clear_vector({j: v for j, v in enumerate(vec) if v}) for vec in nullspace(rows, n * n)]
     span = VectorSpan()
     close_span(span, ell, op_columns(ops))
     return ell if len(span) == n * n else None
-
-
-def extremal_pairs(case: CaseDescriptor):
-    """The flat pairs in the support of the `extremal_vectors`, sorted, or None."""
-    ell = extremal_vectors(case)
-    return None if ell is None else sorted({x for vec in ell for x in vec})
 
 
 @cache
@@ -480,6 +490,7 @@ def vector_seeds(case: CaseDescriptor) -> list:
     return [start] if len(span) == case.n else list(range(case.n))
 
 
+@cache
 def presentation(case: CaseDescriptor) -> dict:
     """{pair p: keys (c, d)}: the relations [G_p, G_cd] = G([x_p, x_cd])
     that, with the weight test (`graded`), present g on the Chevalley pairs
@@ -488,7 +499,7 @@ def presentation(case: CaseDescriptor) -> dict:
     breadth first; (e_i, f_j) for all i, j; and Serre's (x_i, z_t) for x_i,
     x_j both e or both f, i != j, z_0 = x_j, z_(t+1) = [x_i, z_t] up to
     scale, until z_t = 0 at t = 1 - a_ij.  A relation of two pairs is
-    listed once; so(2) is abelian and has none.
+    listed once; so(2) is abelian and has none.  Cached: callers share it.
     """
     pairs = chevalley_pairs(case)
     if len(pairs) < 2 * case.m:
@@ -713,8 +724,9 @@ def check_ybe(case: CaseDescriptor, rmat: RMatrix | None = None) -> YbeReport:
     with the blocks of R (`ybe_form`): full polynomial identity, not
     sampling.  Every RMatrix lies in span{I, P, K}, so the lemma at
     `verify.check_rll` holds with G = rho and no premise: the residual is
-    compared on supp(l_k) x S_H (`extremal_pairs`, `vector_seeds`), or, for
-    so(2), on every pair and, S_H being every position there, all n^3
+    compared on the r columns l_k x e_w, w in S_H (`extremal_vectors`,
+    `vector_seeds`; 3 of them for most g, as S_H = [e_-1]), or, for so(2),
+    on the unit vectors and, S_H being every position there, all n^3
     columns.  A residual there is located by row block
     (`locate_violation`): the report carries the first violating entry of
     the full comparison (sorted index order) with its residual polynomial.
@@ -722,7 +734,8 @@ def check_ybe(case: CaseDescriptor, rmat: RMatrix | None = None) -> YbeReport:
     if rmat is None:
         rmat = fundamental_r(case)
     n, form = case.n, ybe_form(rmat)
-    residual, _ = identity_residual(form, extremal_pairs(case) or range(n * n), vector_seeds(case))
+    residual, _ = identity_residual(form, extremal_vectors(case) or unit_vectors(n * n),
+                                    vector_seeds(case))
     bad = residual and locate_violation(form, range(n))
     if not bad:
         return YbeReport(case, True)

@@ -45,10 +45,11 @@ premises are those of the record: G symmetric and a representation, the
 top coefficient scalar and every lower coefficient invariant under G, all
 decided as above.  R lies in span{I, P, K}, so the residual
 then commutes with the diagonal action on (V x V) x W and vanishes once it
-vanishes on supp(l_k) x S_H, the l_k the extremal vectors of V x V for a
-Chevalley half H (n + 3 of the n^2 pairs for most g) and S_H generating W
-under G on H (proof at `check_rll`).  A residual there is located by row
-block; a failed premise sends the engine to all the safe columns.
+vanishes on the r |S_H| columns l_k x e_w, w in S_H, the l_k the extremal
+vectors of V x V for a Chevalley half H (r = 3 for most g) and S_H
+generating W under G on H (proof at `check_rll`).  A residual there is
+located by row block on the unit vectors; a failed premise sends the engine
+to all the safe columns.
 
 The central checks (the linear constraint, the four constraint scalars,
 chi3 and the center) apply each left side right to left to the columns
@@ -108,7 +109,7 @@ from .structure import (
     cartan_grading,
     chevalley_pairs,
     describe_flat,
-    extremal_pairs,
+    extremal_vectors,
     first_violation,
     fundamental_ipk,
     graded,
@@ -117,6 +118,7 @@ from .structure import (
     locate_violation,
     metric_multiple,
     presentation,
+    unit_vectors,
 )
 
 
@@ -503,19 +505,21 @@ def _raised_coeffs(case: CaseDescriptor, coeffs) -> list:
 
 
 def _certificate(premises: Premises):
-    """(pairs, seeds, record) of the RLL certificate (proof at `check_rll`):
-    supp(l_k), or every pair for so(2), and S_H (`structure.extremal_pairs`,
-    `Premises.half_seeds`; so(2) has one pair), once `Premises.central`
-    holds with a scalar top and invariant lower coefficients (G is invariant
-    by the Lie premise, eps_ab Id always); else None, None.  record names
-    |seeds| and the |pairs| |seeds| seed columns, or the failed premise.
+    """(vectors, seeds, record) of the RLL certificate (proof at
+    `check_rll`): the l_k, or the n^2 unit vectors for so(2), and S_H
+    (`structure.extremal_vectors`, `Premises.half_seeds`; so(2) has one
+    pair), once `Premises.central` holds with a scalar top and invariant
+    lower coefficients (G is invariant by the Lie premise, eps_ab Id
+    always); else None, None.  record names |seeds|, the r vectors and the
+    r |seeds| seed columns, or the failed premise.
     """
     pairs, record = premises.central(scalar_top=True, invariant=True)
     if pairs is None:
         return None, None, record
-    case = premises.lop.case
-    pairs, seeds = extremal_pairs(case) or range(case.n ** 2), premises.half_seeds()
-    return pairs, seeds, {"seeds": len(seeds), "seed_columns": len(pairs) * len(seeds)}
+    case, seeds = premises.lop.case, premises.half_seeds()
+    vectors = extremal_vectors(case) or unit_vectors(case.n ** 2)
+    return vectors, seeds, {"seeds": len(seeds), "vectors": len(vectors),
+                            "seed_columns": len(vectors) * len(seeds)}
 
 
 def check_rll(lop: LOperator, premises=None) -> CheckReport:
@@ -526,12 +530,13 @@ def check_rll(lop: LOperator, premises=None) -> CheckReport:
     so it is decided on L / c (`Premises`); a residual is that of L / c.
 
     On a closed space whose premises hold (see `_certificate`) the
-    residual Phi(u, v) = R12 L1 L2 - L2 L1 R12 is compared on the columns
-    supp(l_k) x S_H only, which decides it on all of V x V x W: the l_k
-    (`structure.extremal_vectors`) span the vectors of V x V killed by
-    rho(x) x 1 + 1 x rho(x) for every x in the Chevalley half H, and S_H
-    generates W under the G_x, x in H.  rho(x_ab) (`structure.rho`) is the
-    action on each index that the Lie relation's right side applies.  By
+    residual Phi(u, v) = R12 L1 L2 - L2 L1 R12 is compared on the r |S_H|
+    columns l_k x e_w, w in S_H, only (r = 3 for most g), which decides it
+    on all of V x V x W: the l_k (`structure.extremal_vectors`) span the
+    vectors of V x V killed by rho(x) x 1 + 1 x rho(x) for every x in the
+    Chevalley half H, and S_H generates W under the G_x, x in H.
+    rho(x_ab) (`structure.rho`) is the action on each index that the Lie
+    relation's right side applies.  By
     the invariance premise every coefficient of L commutes with
     rho(x_ab) + G_ab on V x W, and R(w), in span{I, P, K}, with
     rho(x_ab) + rho(x_ab) on V x V, so Phi commutes with
@@ -544,14 +549,15 @@ def check_rll(lop: LOperator, premises=None) -> CheckReport:
         rho(U(g)) l x W = V x V x W lies in ker Phi.
 
     No further property of G is used.  For so(2), whose l_k do not
-    generate V x V, the columns are V x V x S, S generating W under every
-    G_p.  A residual there is located by row block
-    (`structure.locate_violation`): a refutation reports the first
-    violation of the full comparison.  A failed premise compares all the
-    safe columns at once.
+    generate V x V, the columns are V x V x S, on the unit vectors of
+    V x V, S generating W under every G_p.  A residual there is located by
+    row block on the unit vectors (`structure.locate_violation`): a
+    refutation reports the first violation of the full comparison.  A
+    failed premise compares all the safe columns at once.
 
     `safe_columns` counts the W columns the verdict covers; the certificate
-    record says how many columns of (V x V) x W were compared.
+    record says how many seeds, vectors and columns l_k x e_w were
+    compared.
     """
     premises = _premises(lop, premises)
     lop = premises.lop
@@ -561,9 +567,9 @@ def check_rll(lop: LOperator, premises=None) -> CheckReport:
         return _vacuous("rll")
     form = IdentityForm(fundamental_ipk(case), _raised_coeffs(case, premises.ints), premises.den,
                         case.n, space.dim, k_form(case))
-    pairs, seeds, certificate = _certificate(premises)
+    vectors, seeds, certificate = _certificate(premises)
     full = seeds is None
-    residual, keys = identity_residual(form, range(case.n ** 2) if full else pairs,
+    residual, keys = identity_residual(form, unit_vectors(case.n ** 2) if full else vectors,
                                        safe_w if full else seeds)
     bad = residual and (first_violation(residual) if full else locate_violation(form, safe_w))
     details = {"safe_columns": len(safe_w), "keys_compared": keys, "certificate": certificate}
@@ -585,7 +591,7 @@ def check_gl2_rll(coeffs, dim) -> CheckReport:
     """
     blocks = [{(alpha - 1, beta - 1): op for (alpha, beta), op in mat.items()} for mat in coeffs]
     residual, keys = identity_residual(IdentityForm(YANG_GL2_IPK, *clear_opmats(blocks), 2, dim),
-                                       range(4), range(dim))
+                                       unit_vectors(4), range(dim))
     details = {"safe_columns": dim, "keys_compared": keys}
     if residual:
         key = min(residual)

@@ -373,7 +373,7 @@ def test_run_checks_decides_each_premise_once(monkeypatch):
                        "symmetric_constraints": {"pairs": 4, "span_seeds": 1},
                        "w_tensor": {"pairs": 4, "seeds": 2}, "chi3": {"pairs": 4, "seeds": 2},
                        "center": {"pairs": 4, "seeds": 2, "span_seeds": 1}}
-    assert reports[2].details["certificate"] == {"seeds": 2, "seed_columns": 16}
+    assert reports[2].details["certificate"] == {"seeds": 2, "vectors": 3, "seed_columns": 6}
 
 
 @pytest.mark.parametrize("extra,runs", [([], 1), (["--k=-41/8"], 1), (["--vector", "kernel"], 3)],

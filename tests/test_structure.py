@@ -18,7 +18,6 @@ from yanglab.structure import (
     chevalley_pairs,
     check_ybe,
     describe_flat,
-    extremal_pairs,
     extremal_vectors,
     first_violation,
     fundamental_r,
@@ -32,6 +31,7 @@ from yanglab.structure import (
     tensor_i,
     tensor_k,
     tensor_p,
+    unit_vectors,
     vector_seeds,
     ybe_form,
 )
@@ -167,12 +167,12 @@ def _reference_gl2_residual(coeffs, w):
     return residual
 
 
-def _engine_gl2_residual(coeffs, w, cols=None):
+def _engine_gl2_residual(coeffs, w, cols=None, vectors=unit_vectors(4)):
     blocks = [{pair: SparseOp(w, w, {(i, j): Scalar.of(v) for i, row in enumerate(mat)
                                      for j, v in enumerate(row)})
                for pair, mat in m.items()} for m in coeffs]
     residual, _ = identity_residual(IdentityForm(YANG_GL2_IPK, *clear_opmats(blocks), 2, w),
-                                    range(4), range(w) if cols is None else cols)
+                                    vectors, range(w) if cols is None else cols)
     return residual
 
 
@@ -225,6 +225,34 @@ def test_identity_residual_matches_bipoly_reference(draw, data):
     kept = {key: {pos: v for pos, v in entries.items() if pos[1] % w in cols}
             for key, entries in engine.items()}
     assert _engine_gl2_residual(coeffs, w, cols) == {key: e for key, e in kept.items() if e}
+    # on random int vectors, P-closed with disjoint supports: a e_00 + b e_11
+    # and c (e_01 + s e_10); column (k, x) is sum_q l_k[q] times column (q, x)
+    a, b, c = (data.draw(st.integers(-3, 3).filter(bool)) for _ in range(3))
+    vectors = [{0: a, 3: b}, {1: c, 2: data.draw(st.sampled_from([c, -c]))}]
+    combined = {}
+    for key, entries in engine.items():
+        acc = combined.setdefault(key, {})
+        for (row, col), v in entries.items():
+            q, x = divmod(col, w)
+            for k, vec in enumerate(vectors):
+                if q in vec:
+                    acc[row, k * w + x] = acc.get((row, k * w + x), ZERO) + vec[q] * v
+    combined = {key: {pos: v for pos, v in e.items() if v} for key, e in combined.items()}
+    assert _engine_gl2_residual(coeffs, w, vectors=vectors) == {
+        key: e for key, e in combined.items() if e}
+
+
+def test_identity_residual_needs_vectors_closed_under_p_and_k():
+    # R = u I + P reads P l_k off the computed columns: it must be one of them
+    coeffs = [{pair: [[Fraction(1)]] for pair in PAIRS}]
+    assert _engine_gl2_residual(coeffs, 1, vectors=[{0: 1}, {1: 2, 2: -2}, {3: 5}]) == {}
+    for vectors in ([{1: 1}], [{0: 1, 1: 1}, {1: 1}], [{1: 2, 2: 1}]):
+        with pytest.raises(ValueError):
+            _engine_gl2_residual(coeffs, 1, vectors=vectors)
+    # K l_k must lie on the span: the trivial vector of so(3) without its e_(0, 0)
+    case = make_case("so_odd", 1)
+    with pytest.raises(ValueError):
+        identity_residual(ybe_form(fundamental_r(case)), [{2: 1, 6: 1}], vector_seeds(case))
 
 
 def test_identity_residual_reference_sees_failures():
@@ -536,9 +564,11 @@ def test_cartan_grading_needs_diagonal_blocks():
 FUNDAMENTAL = ([("so_even" if n % 2 == 0 else "so_odd", n // 2) for n in range(3, 11)]
                + [("sp", m) for m in range(1, 5)])
 FUNDAMENTAL_IDS = [f"so{n}" for n in range(3, 11)] + [f"sp{2 * m}" for m in range(1, 5)]
-# |supp(l_k)|, the column pairs of V x V the certificate compares: n + 3 but
-# for so(4) (so(3) + so(3): four summands) and sp(2) (V x V = S^2 V + 1)
-EXTREMAL_PAIRS = [6, 9, 8, 9, 10, 11, 12, 13, 3, 7, 9, 11]
+# (r, |supp(l_k)|): the r vectors l_k the certificate compares, 3 but for
+# so(4) (so(3) + so(3): four summands) and sp(2) (V x V = S^2 V + 1), and
+# their n + 3 pairs of V x V (a trivial vector on the n pairs (a, -a))
+EXTREMAL = [(3, 6), (4, 9), (3, 8), (3, 9), (3, 10), (3, 11), (3, 12), (3, 13),
+            (2, 3), (3, 7), (3, 9), (3, 11)]
 
 
 def _pair_ops(case, pairs):
@@ -548,7 +578,7 @@ def _pair_ops(case, pairs):
 
 
 @pytest.mark.parametrize("family,m,count",
-                         [fm + (c,) for fm, c in zip(FUNDAMENTAL, EXTREMAL_PAIRS)],
+                         [fm + (c,) for fm, c in zip(FUNDAMENTAL, EXTREMAL)],
                          ids=FUNDAMENTAL_IDS)
 def test_extremal_vectors_are_killed_by_the_half_and_weight_homogeneous(family, m, count):
     case = make_case(family, m)
@@ -564,7 +594,8 @@ def test_extremal_vectors_are_killed_by_the_half_and_weight_homogeneous(family, 
     for vec in ell:
         assert all(not op.apply(vec) for op in _pair_ops(case, pairs[0::2]))
         assert len({weight(x) for x in vec}) == 1
-    assert len(extremal_pairs(case)) == count
+    assert (len(ell), sum(map(len, ell))) == count
+    assert all(type(v) is int for vec in ell for v in vec.values())
     # S_H is e_-1 alone: V is irreducible, and the half lowers e_-1 through V
     assert vector_seeds(case) == [case.pos(-1)]
 
@@ -573,7 +604,7 @@ def test_so2_has_no_generating_extremal_vectors():
     # so(2) is abelian: the vectors killed by its one pair are the weight 0
     # ones, which span 2 of the 4 dimensions, so YBE compares every column
     case = make_case("so_even", 1)
-    assert extremal_vectors(case) is None and extremal_pairs(case) is None
+    assert extremal_vectors(case) is None
     assert check_ybe(case).passed
     assert not check_ybe(case, fundamental_r(case, flip_k=True)).passed
 
@@ -585,7 +616,7 @@ def test_ybe_residual_commutes_with_the_diagonal_action(family, m):
     # commutes with rho + rho + rho, which pins the index convention of rho
     case = make_case(family, m)
     n = case.n
-    full, _ = identity_residual(ybe_form(fundamental_r(case, flip_k=True)), range(n * n),
+    full, _ = identity_residual(ybe_form(fundamental_r(case, flip_k=True)), unit_vectors(n * n),
                                 range(n))
     assert full
     ident = SparseOp.identity(n)
@@ -600,9 +631,9 @@ def test_ybe_residual_commutes_with_the_diagonal_action(family, m):
 @pytest.mark.parametrize("family,m", FUNDAMENTAL, ids=FUNDAMENTAL_IDS)
 def test_ybe_holds_on_the_extremal_columns(family, m):
     case = make_case(family, m)
-    residual, _ = identity_residual(ybe_form(fundamental_r(case)), extremal_pairs(case),
-                                    vector_seeds(case))
-    assert residual == {} and check_ybe(case).passed
+    residual, keys = identity_residual(ybe_form(fundamental_r(case)), extremal_vectors(case),
+                                       vector_seeds(case))
+    assert residual == {} and keys and check_ybe(case).passed
 
 
 @pytest.mark.parametrize("family,m", [("so_even", 1)] + FUNDAMENTAL[:6] + FUNDAMENTAL[8:11],
@@ -611,7 +642,7 @@ def test_ybe_refutation_is_the_first_violation_of_every_column(family, m):
     case = make_case(family, m)
     n, rmat = case.n, fundamental_r(case, flip_k=True)
     form = ybe_form(rmat)
-    full, _ = identity_residual(form, range(n * n), range(n))
+    full, _ = identity_residual(form, unit_vectors(n * n), range(n))
     (row, col), res = first_violation(full)
     assert locate_violation(form, range(n)) == ((row, col), res)
     assert check_ybe(case, rmat).violation == (describe_flat(case, case.indices, row, n),
@@ -638,7 +669,7 @@ def test_row_block_locator_is_the_full_first_violation(data):
                         data.draw(nonzero))
     cols = data.draw(st.lists(st.integers(0, case.n - 1), min_size=1, unique=True))
     form = ybe_form(rmat)
-    full, _ = identity_residual(form, range(size), cols)
+    full, _ = identity_residual(form, unit_vectors(size), cols)
     assert locate_violation(form, cols) == (first_violation(full) if full else None)
 
 
@@ -647,7 +678,7 @@ def test_row_block_locator_finds_a_first_violation_in_a_k_block():
     # block (-1, 1): the locator's left product there reads every K block
     case = make_case("so_odd", 1)
     form = ybe_form(_corrupted_r(case, 0, (6, 0), ONE))
-    full, _ = identity_residual(form, range(9), range(3))
+    full, _ = identity_residual(form, unit_vectors(9), range(3))
     (row, col), res = first_violation(full)
     a1, a2, _ = describe_flat(case, case.indices, row, 3)
     assert (a1, a2) == (-1, 1)

@@ -46,6 +46,7 @@ from yanglab.structure import (
     make_case,
     metric_multiple,
     presentation,
+    unit_vectors,
 )
 from yanglab.verify import (
     Premises,
@@ -429,7 +430,7 @@ def _assert_matches_full_engine(lop):
     ints, den = clear_opmats(lop.coeffs)
     form = IdentityForm(fundamental_ipk(case), _raised_coeffs(case, ints), den, n, lop.dim,
                         k_form(case))
-    full, _ = identity_residual(form, range(n * n), range(lop.dim))
+    full, _ = identity_residual(form, unit_vectors(n * n), range(lop.dim))
     rep = check_rll(lop)
     assert rep.passed == (not full)
     if full:
@@ -452,34 +453,36 @@ def _top_scaled_once(family, m):
     return LOperator(lop.case, lop.space, [lop.h_mat, lop.g_mat, top])
 
 
-# What decided each RLL verdict: the seed count |S_H| and the |supp(l_k)| |S_H|
-# compared columns of the covariance certificate (supp(l_k) has n + 3 pairs
-# for so(5), so(6) and sp(4), 9 for so(4), 6 for so(3)), or the premise that
-# sent it to all columns.
+# What decided each RLL verdict: the seed count |S_H|, the r extremal
+# vectors l_k and the r |S_H| compared columns l_k x e_w of the covariance
+# certificate (r = 3 but for so(4), which has 4), or the premise that sent
+# it to all columns.
 CERTIFICATES = [
     (lambda: build_spinorial_linear(make_case("so_odd", 2)), True,
-     {"seeds": 1, "seed_columns": 8}),
+     {"seeds": 1, "vectors": 3, "seed_columns": 3}),
     (lambda: build_spinorial_linear(make_case("so_even", 3)), True,
-     {"seeds": 2, "seed_columns": 18}),
+     {"seeds": 2, "vectors": 3, "seed_columns": 6}),
     (lambda: build_js_quadratic(make_case("so_odd", 2), 2), True,
-     {"seeds": 2, "seed_columns": 16}),
+     {"seeds": 2, "vectors": 3, "seed_columns": 6}),
     (lambda: build_js_quadratic(make_case("sp", 2), 1), True,
-     {"seeds": 1, "seed_columns": 7}),
+     {"seeds": 1, "vectors": 3, "seed_columns": 3}),
     (lambda: build_product(*[build_spinorial_linear(make_case("so_even", 2))] * 2, ONE), True,
-     {"seeds": 6, "seed_columns": 54}),
-    (lambda: _fuse3([(0, 1)]), True, {"seeds": 1, "seed_columns": 6}),
-    (lambda: _fuse3([(0, 1), (Scalar(1, 0, 2), 1)]), True, {"seeds": 2, "seed_columns": 12}),
-    (lambda: _js_without_h("so_odd", 2), False, {"seeds": 2, "seed_columns": 16}),
+     {"seeds": 6, "vectors": 4, "seed_columns": 24}),
+    (lambda: _fuse3([(0, 1)]), True, {"seeds": 1, "vectors": 3, "seed_columns": 3}),
+    (lambda: _fuse3([(0, 1), (Scalar(1, 0, 2), 1)]), True,
+     {"seeds": 2, "vectors": 3, "seed_columns": 6}),
+    (lambda: _js_without_h("so_odd", 2), False, {"seeds": 2, "vectors": 3, "seed_columns": 6}),
     (lambda: build_heisenberg_linear(make_case("so_even", 2), 1, max_degree=3), True,
      {"premise_failed": "closed"}),
     (lambda: build_spinorial_linear(make_case("sp", 2)), True, {"premise_failed": "closed"}),
     (lambda: _top_scaled_once("so_odd", 2), False, {"premise_failed": "scalar_top"}),
     (lambda: _spinor_g_scaled("so_even", 2), False, {"premise_failed": "lie"}),
-    # so(2): no extremal vectors generate V x V, so n^2 |S| columns, S under P
+    # so(2): no extremal vectors generate V x V, so the n^2 unit vectors times
+    # |S| columns, S under P
     (lambda: build_spinorial_linear(make_case("so_even", 1)), True,
-     {"seeds": 2, "seed_columns": 8}),
+     {"seeds": 2, "vectors": 4, "seed_columns": 8}),
     (lambda: build_js_quadratic(make_case("so_even", 1), 2), True,
-     {"seeds": 3, "seed_columns": 12}),
+     {"seeds": 3, "vectors": 4, "seed_columns": 12}),
 ]
 
 
@@ -561,7 +564,8 @@ def test_rll_certificate_needs_every_seed():
     bad = build_js_quadratic(case, 1, k=good.params["k"] + 1)
     assert check_rll(good).passed and not check_rll(bad).passed
     rep = _assert_matches_full_engine(_direct_sum(good, bad))
-    assert not rep.passed and rep.details["certificate"] == {"seeds": 2, "seed_columns": 14}
+    assert not rep.passed and rep.details["certificate"] == {"seeds": 2, "vectors": 3,
+                                                             "seed_columns": 6}
 
 
 def test_rll_certificate_needs_invariance():
@@ -574,7 +578,7 @@ def test_rll_certificate_needs_invariance():
     seed_cols = [0]  # the hw vector is the first basis vector
     ints, den = clear_opmats(bad.coeffs)
     form = IdentityForm(fundamental_ipk(case), _raised_coeffs(case, ints), den, 3, 7, k_form(case))
-    seed_residual, _ = identity_residual(form, range(9), seed_cols)
+    seed_residual, _ = identity_residual(form, unit_vectors(9), seed_cols)
     assert lop.hw_vector == {0: ONE} and not seed_residual
     rep = _assert_matches_full_engine(bad)
     assert not rep.passed and rep.details["certificate"] == {"premise_failed": "invariant"}
@@ -587,7 +591,7 @@ def rll_operands(draw):
     Solutions conjugate a base representation (JS 2l=1 with its H, or the
     so(3) or so(5) spinor), padded by a trivial summand to dim 3 at random
     when of dim 2, by I + t E_pq, so no seed is the natural basis.  On the
-    rank-2 bases the certificate compares n + 3 of the n^2 pairs of V x V.
+    rank-2 bases the certificate compares 3 extremal vectors of V x V.
     Covariant corruptions keep every premise and must be refuted on the
     certificate's columns: H scaled, k shifted (H + s eps Id) or H dropped.
     Non-covariant ones scale G by 3 or change one entry of one coefficient.
